@@ -87,8 +87,19 @@ def _bound_dispatch(name: str, p: dict):
     raise ConfigError(f"unknown bound {name!r}")
 
 
+def _finite_number(v) -> bool:
+    if isinstance(v, bool) or not isinstance(v, (int, float)):
+        return False
+    try:
+        return math.isfinite(v)
+    except OverflowError:  # an integer too large for a float
+        return False
+
+
 def _cmd_bounds(args) -> int:
     params = json.loads(args.params)
+    if not isinstance(params, dict) or not all(map(_finite_number, params.values())):
+        raise ConfigError("--params must be a JSON object of finite numbers")
     result = _bound_dispatch(args.name, params)
     if isinstance(result, bnd.BoundReport):
         payload = result.to_dict()

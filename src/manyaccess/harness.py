@@ -523,7 +523,7 @@ def config_from_dict(raw: dict, overrides: dict | None = None) -> ExperimentConf
             fixed_codebooks=bool(data.get("fixed_codebooks", False)),
             noiseless=bool(data.get("noiseless", False)),
         )
-    except (KeyError, TypeError) as e:
+    except (KeyError, TypeError, OverflowError) as e:
         raise ConfigError(f"bad config: {e}") from e
 
 

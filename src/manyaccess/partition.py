@@ -30,6 +30,50 @@ def hamming(w: tuple | np.ndarray, w2: tuple | np.ndarray) -> int:
     return int(sum(a != b for a, b in zip(w, w2)))
 
 
+# rows per block of a distance table: a block against n columns needs 2*256*n bytes
+_BLOCK = 256
+
+
+def _columns(members, ell: int) -> np.ndarray:
+    """Integer message vectors as an ell x N array, one member per column, in
+    the smallest integer dtype that holds all their values (uint8 up to 255)."""
+    if any(len(w) != ell for w in members):
+        raise ValueError(f"every member must have length {ell}")
+    x = np.array(members, dtype=np.int64).reshape(len(members), ell)
+    if x.size == 0:
+        return x.T
+    dtype = np.result_type(np.min_scalar_type(x.min()), np.min_scalar_type(x.max()))
+    return np.ascontiguousarray(x.T, dtype=dtype)
+
+
+def _distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Hamming distance table between the columns of a and of b."""
+    d = np.zeros((a.shape[1], b.shape[1]), dtype=np.min_scalar_type(a.shape[0]))
+    for ak, bk in zip(a, b):
+        d += ak[:, None] != bk[None, :]
+    return d
+
+
+def _diameter(x: np.ndarray) -> int:
+    """Largest distance between two columns of x; 0 for fewer than two."""
+    n = x.shape[1]
+    return max(
+        (int(_distances(x[:, s : s + _BLOCK], x[:, s:]).max()) for s in range(0, n, _BLOCK)),
+        default=0,
+    )
+
+
+def _min_distance(x: np.ndarray) -> int:
+    """Smallest distance between two distinct columns of x (at least two)."""
+    n = x.shape[1]
+    lows = []
+    for s in range(0, n - 1, _BLOCK):
+        d = _distances(x[:, s : s + _BLOCK], x)
+        later = np.arange(n) > np.arange(s, s + len(d))[:, None]
+        lows.append(int(d[later].min()))
+    return min(lows)
+
+
 @dataclass(frozen=True)
 class TypeClass:
     """All message vectors over {0..M} of length ell with t nonzero entries."""
@@ -73,12 +117,24 @@ def enumerate_type_class(
 def greedy_min_dist_code(tc: TypeClass, dmin: int = 5) -> list[tuple[int, ...]]:
     """Greedy maximal code of minimum distance dmin, scanning members in
     lexicographic order.  Maximality means every member of the class is
-    within dmin-1 of some codeword."""
-    code: list[tuple[int, ...]] = []
-    for w in tc.members:
-        if all(hamming(w, c) >= dmin for c in code):
-            code.append(w)
-    return code
+    within dmin-1 of some codeword.
+
+    A running vector holds each member's distance to the nearest codeword
+    so far; the next codeword is the first member after the last one at
+    distance >= dmin, which is the member the sequential scan would add."""
+    x = _columns(tc.members, tc.ell)
+    nearest = np.full(tc.size, dmin)
+    picked: list[int] = []
+    start = 0
+    while start < tc.size:
+        free = nearest[start:] >= dmin
+        i = start + int(free.argmax())
+        if not free[i - start]:
+            break
+        picked.append(i)
+        nearest = np.minimum(nearest, _distances(x, x[:, i : i + 1])[:, 0])
+        start = i + 1
+    return [tc.members[i] for i in picked]
 
 
 @dataclass(frozen=True)
@@ -117,26 +173,28 @@ def build_partition(
     if t == 1:
         return Partition(ell=ell, M=M, t=t, centers=(tc.members[0],), sets=(tc.members,))
     code = greedy_min_dist_code(tc, dmin=5)
-    cells: list[list[tuple[int, ...]]] = [[] for _ in code]
-    for w in tc.members:
-        dists = [hamming(w, c) for c in code]
-        ring2 = [j for j, dj in enumerate(dists) if dj <= 2]
-        if ring2:
-            # unique codeword by the minimum distance 5 of the code
-            cells[ring2[0]].append(w)
-            continue
-        for j, dj in enumerate(dists):
-            if dj <= 4:
-                cells[j].append(w)
-                break
-        else:
+    x, centers = _columns(tc.members, ell), _columns(code, ell)
+    owner = np.empty(tc.size, dtype=np.intp)
+    for s in range(0, tc.size, _BLOCK):
+        d = _distances(x[:, s : s + _BLOCK], centers)
+        ring2, near = d <= 2, d <= 4
+        if not near.any(axis=1).all():
             raise AssertionError("greedy code not maximal: member beyond distance 4")
+        # a ring-2 codeword is unique by the minimum distance 5 of the code
+        owner[s : s + _BLOCK] = np.where(
+            ring2.any(axis=1), ring2.argmax(axis=1), near.argmax(axis=1)
+        )
+    # a stable sort keeps each cell in the lexicographic order of the class
+    order = np.argsort(owner, kind="stable")
+    ends = np.cumsum(np.bincount(owner, minlength=len(code)))
     return Partition(
         ell=ell,
         M=M,
         t=t,
         centers=tuple(code),
-        sets=tuple(tuple(cell) for cell in cells),
+        sets=tuple(
+            tuple(tc.members[i] for i in cell) for cell in np.split(order, ends[:-1])
+        ),
     )
 
 
@@ -159,7 +217,10 @@ class PartitionReport:
 def verify_partition(p: Partition, ell: int) -> PartitionReport:
     """Check disjoint cover, |cell| >= ell+1, and diameter <= 8.
 
-    Failures are carried in the report, not raised."""
+    Failures are carried in the report, not raised; a member whose length
+    is not p.ell raises ValueError.  The cover is compared as a set of
+    message vectors with a freshly enumerated class, so a member with a
+    value outside 0..M is never covered."""
     seen = set()
     disjoint = True
     for cell in p.sets:
@@ -170,14 +231,10 @@ def verify_partition(p: Partition, ell: int) -> PartitionReport:
     full = set(enumerate_type_class(p.ell, p.M, p.t).members)
     cover = seen == full
     sizes = tuple(len(cell) for cell in p.sets)
-    diameters = tuple(
-        max((hamming(a, b) for a, b in combinations(cell, 2)), default=0) for cell in p.sets
-    )
-    center_d = (
-        min(hamming(a, b) for a, b in combinations(p.centers, 2))
-        if len(p.centers) > 1
-        else None
-    )
+    x = _columns([w for cell in p.sets for w in cell], p.ell)
+    ends = np.cumsum(sizes, dtype=np.intp)
+    diameters = tuple(_diameter(x[:, e - n : e]) for n, e in zip(sizes, ends))
+    center_d = _min_distance(_columns(p.centers, p.ell)) if len(p.centers) > 1 else None
     min_size = min(sizes) if sizes else 0
     max_diam = max(diameters) if diameters else 0
     return PartitionReport(

@@ -49,6 +49,20 @@ class TestBoundsCmd:
     def test_bad_params(self):
         assert main(["bounds", "ortho_code_bound", "--params", "{"]) == EXIT_CONFIG
 
+    def test_non_numeric_param(self, capsys):
+        assert main(["bounds", "normal_tail", "--params", '{"x": "a"}']) == EXIT_CONFIG
+        assert "finite numbers" in capsys.readouterr().err
+
+    def test_params_not_an_object(self, capsys):
+        assert main(["bounds", "capacity_pue", "--params", "[1]"]) == EXIT_CONFIG
+        assert "finite numbers" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "value", ["true", "NaN", "1e400", "1" + "0" * 400], ids=["bool", "nan", "inf", "huge"]
+    )
+    def test_non_finite_param(self, value):
+        assert main(["bounds", "normal_tail", "--params", f'{{"x": {value}}}']) == EXIT_CONFIG
+
 
 class TestSimulateCmd:
     def test_runs_and_reports(self, capsys, config_path):
@@ -78,6 +92,12 @@ class TestSimulateCmd:
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"scheme": "joint", "n": 512}))
         assert main(["simulate", str(path)]) == EXIT_CONFIG
+
+    def test_overflowing_blocklength(self, tmp_path, capsys):
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(JOINT_CONFIG).replace('"n": 512', '"n": 1e400'))
+        assert main(["simulate", str(path)]) == EXIT_CONFIG
+        assert "bad config" in capsys.readouterr().err
 
     def test_detection_budget_abort(self, tmp_path):
         # ell = 64 with a huge weight cap: the candidate enumeration itself

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 from itertools import combinations
@@ -11,6 +12,7 @@ from manyaccess import bounds
 from manyaccess.errors import ComplexityBudgetError
 from manyaccess.partition import (
     Partition,
+    PartitionReport,
     build_partition,
     enumerate_type_class,
     greedy_min_dist_code,
@@ -20,6 +22,68 @@ from manyaccess.partition import (
     typeclass_probability,
     verify_partition,
 )
+
+
+# ---------------------------------------------------------------------------
+# pure-Python oracles: the loop versions the numpy code must reproduce
+# ---------------------------------------------------------------------------
+
+def oracle_greedy_code(tc, dmin=5):
+    code = []
+    for w in tc.members:
+        if all(hamming(w, c) >= dmin for c in code):
+            code.append(w)
+    return code
+
+
+def oracle_build(ell, M, t):
+    tc = enumerate_type_class(ell, M, t)
+    if t == 1:
+        return Partition(ell=ell, M=M, t=t, centers=(tc.members[0],), sets=(tc.members,))
+    code = oracle_greedy_code(tc)
+    cells = [[] for _ in code]
+    for w in tc.members:
+        dists = [hamming(w, c) for c in code]
+        ring2 = [j for j, dj in enumerate(dists) if dj <= 2]
+        if ring2:
+            cells[ring2[0]].append(w)
+            continue
+        cells[next(j for j, dj in enumerate(dists) if dj <= 4)].append(w)
+    return Partition(
+        ell=ell, M=M, t=t, centers=tuple(code), sets=tuple(tuple(c) for c in cells)
+    )
+
+
+def oracle_verify(p, ell):
+    seen = set()
+    disjoint = True
+    for cell in p.sets:
+        for w in cell:
+            if w in seen:
+                disjoint = False
+            seen.add(w)
+    cover = seen == set(enumerate_type_class(p.ell, p.M, p.t).members)
+    sizes = tuple(len(cell) for cell in p.sets)
+    diameters = tuple(
+        max((hamming(a, b) for a, b in combinations(cell, 2)), default=0) for cell in p.sets
+    )
+    center_d = (
+        min(hamming(a, b) for a, b in combinations(p.centers, 2))
+        if len(p.centers) > 1
+        else None
+    )
+    min_size = min(sizes) if sizes else 0
+    max_diam = max(diameters) if diameters else 0
+    return PartitionReport(
+        disjoint_cover=disjoint and cover,
+        size_ok=min_size >= ell + 1,
+        diameter_ok=max_diam <= 8,
+        min_set_size=min_size,
+        max_diameter=max_diam,
+        min_center_distance=center_d,
+        set_sizes=sizes,
+        set_diameters=diameters,
+    )
 
 
 class TestHamming:
@@ -106,12 +170,14 @@ class TestBuildPartition:
         assert hamming(w_far, w_far2) == 9
         bad = Partition(ell=9, M=2, t=9, centers=(w_far,), sets=((w_far, w_far2),))
         rep = verify_partition(bad, 9)
-        assert not rep.diameter_ok and not rep.ok
+        assert rep == oracle_verify(bad, 9)
+        assert rep.max_diameter == 9 and not rep.diameter_ok and not rep.ok
 
     def test_negative_control_incomplete_cover(self):
         tc = enumerate_type_class(5, 2, 2)
         partial = Partition(ell=5, M=2, t=2, centers=(tc.members[0],), sets=((tc.members[0],),))
         rep = verify_partition(partial, 5)
+        assert rep == oracle_verify(partial, 5)
         assert not rep.disjoint_cover
 
     def test_json_dump(self):
@@ -120,6 +186,157 @@ class TestBuildPartition:
         payload = json.loads(partition_to_json(p, rep))
         assert payload["ell"] == 5 and payload["report"]["ok"] is True
         assert payload["num_sets"] == len(payload["sets"])
+
+
+ORACLE_CELLS = [(ell, M, t) for ell in (5, 6) for M in (2, 3) for t in range(1, ell + 1)]
+
+
+class TestAgainstOracle:
+    @pytest.mark.parametrize("ell,M,t", ORACLE_CELLS)
+    def test_partition_and_report(self, ell, M, t):
+        p = build_partition(ell, M, t)
+        assert p == oracle_build(ell, M, t)
+        assert verify_partition(p, ell) == oracle_verify(p, ell)
+
+    @pytest.mark.parametrize("dmin", [0, 1, 2, 3, 4, 5, 6, 9])
+    def test_greedy_code_any_dmin(self, dmin):
+        tc = enumerate_type_class(6, 3, 3)
+        assert greedy_min_dist_code(tc, dmin=dmin) == oracle_greedy_code(tc, dmin=dmin)
+
+    def test_large_alphabet(self):
+        # 130 > 127: a fixed int8 would wrap these values
+        p = build_partition(5, 130, 1)
+        assert p == oracle_build(5, 130, 1)
+        rep = verify_partition(p, 5)
+        assert rep == oracle_verify(p, 5) and rep.ok
+        tc = enumerate_type_class(5, 130, 1)
+        for dmin in (1, 2):
+            assert greedy_min_dist_code(tc, dmin=dmin) == oracle_greedy_code(tc, dmin=dmin)
+
+    def test_large_alphabet_values_far_apart(self):
+        # 256 wraps to 0 in any 8-bit dtype
+        cell = ((0, 0, 0, 0, 256), (0, 0, 0, 0, 200), (0, 0, 0, 0, 0))
+        bad = Partition(ell=5, M=130, t=1, centers=(cell[0], cell[2]), sets=(cell,))
+        rep = verify_partition(bad, 5)
+        assert rep == oracle_verify(bad, 5)
+        assert not rep.disjoint_cover
+        assert rep.max_diameter == 1 and rep.min_center_distance == 1
+
+
+def _edited(p, edit):
+    """p with its cells replaced by edit(list of cell lists)."""
+    cells = [list(cell) for cell in p.sets]
+    edit(cells)
+    return Partition(
+        ell=p.ell, M=p.M, t=p.t, centers=p.centers, sets=tuple(tuple(c) for c in cells)
+    )
+
+
+class TestBadPartitionsAgainstOracle:
+    @pytest.fixture
+    def good(self):
+        p = build_partition(6, 2, 3)
+        assert p.num_sets >= 2
+        return p
+
+    def _check(self, bad):
+        rep = verify_partition(bad, bad.ell)
+        assert rep == oracle_verify(bad, bad.ell)
+        return rep
+
+    def test_member_in_two_cells(self, good):
+        rep = self._check(_edited(good, lambda c: c[0].append(c[1][0])))
+        assert not rep.disjoint_cover
+
+    def test_member_of_wrong_weight(self, good):
+        def edit(cells):
+            cells[0][-1] = (1, 1, 0, 0, 0, 0)
+
+        rep = self._check(_edited(good, edit))
+        assert not rep.disjoint_cover
+
+    def test_value_above_M_never_aliases(self):
+        # (0,0,0,0,3) and (0,0,0,1,0) share the base-3 code 3: an integer
+        # encoding of the vectors would count the swap as a cover
+        p = build_partition(5, 2, 1)
+
+        def edit(cells):
+            cells[0][cells[0].index((0, 0, 0, 1, 0))] = (0, 0, 0, 0, 3)
+
+        rep = self._check(_edited(p, edit))
+        assert not rep.disjoint_cover and not rep.ok
+
+    def test_wrong_length_raises(self, good):
+        with pytest.raises(ValueError):
+            verify_partition(_edited(good, lambda c: c[0].append((1, 1, 1))), 6)
+        with pytest.raises(ValueError):
+            verify_partition(_edited(good, lambda c: c.append([(1, 1, 1)])), 6)
+
+
+# sha256 of partition_to_json(p, verify_partition(p, ell)) for every cell of
+# acceptance criterion 08, pinned from the pure-Python implementation
+CRITERION_08_DIGESTS = {
+    (5, 2, 1): "9867c4091214707e93a2e1c507e786909e7a85d50811f76907473e68c7c7fa71",
+    (5, 2, 2): "e8be029ee06df44f2f5e392984d1e1006ceac700210ff5f9d92f074b9d93c4b6",
+    (5, 2, 3): "d1a62a10610f5ed2afea6f1e8fbd5b564dd1a96b1cd84eb22ca55c920f0b20ff",
+    (5, 2, 4): "4e9aead23d2cff45533573844e8bbfe6c5f7f97026d07451d69adf598b85ba88",
+    (5, 2, 5): "da82effd872210d1d743842b990525c6679a3039aa2af441b1c0da2f4b9f1322",
+    (5, 3, 1): "67f66f084785c2e44d3710b5641148ae093cfbae984e2611a91535ca83d190b8",
+    (5, 3, 2): "629898ec7c57231fb927a5aad4b352ba287de9e0cac77bdfb5a13c78230ee87e",
+    (5, 3, 3): "440ce4c7de9719410e2fb2dbf2ce41a0c3c9d9b8773e5afcd76bbdb545dec70c",
+    (5, 3, 4): "bf5c16c0fe46d2fd967bec6a2d1713491a378e91d0750159d4afa62e09bbaa18",
+    (5, 3, 5): "548e3b4d63913e5d4aa7dcf9b05e9d90047a3d9ff7d53431985bf22cff44b67e",
+    (6, 2, 1): "6931a7a532925618323e2e5cd53f45702876f2752b0e70e41a9fa2bf5ea02cd0",
+    (6, 2, 2): "6588fa7a6405677cee055e23973b9d6bfe75c995786b9b1c2c6380a4337f8551",
+    (6, 2, 3): "d9f1554e25a2473cd656b997981196c312a1f0af764cb25ef7690b37a48b257f",
+    (6, 2, 4): "273f7a89a603e930759da0553bddf2d6134e753b4411e98813253d5d6ab0aaa3",
+    (6, 2, 5): "49cd7b9577e718181af876120eca5d646659e3a1458b73b0db5df4e5fa3b45bb",
+    (6, 2, 6): "b99f5843f3ae1c27de5cbc54274f008a4b23abb9814dbf6bf2032f9a44d69269",
+    (6, 3, 1): "a1f188d661b5b5c2b5338c71f8a1e46e48e3e29a6ad9ec347c6c5d4b7dcddaad",
+    (6, 3, 2): "e692cb47a0a4de42a3e9abb8e564517e94a344e560d12ce7b5f04c7d6c210d7a",
+    (6, 3, 3): "26b5e1901e2c2d2fead807071cc3f2e8f8f38c9183325f273ba3d98fd793ae5e",
+    (6, 3, 4): "43b334449d646a6da4836b14eee7ce12721adb214631d563bef12b16789b1083",
+    (6, 3, 5): "4d84948473dc81f4d48674010d87851e5e401fc5782e37f5583b88d39b979bcd",
+    (6, 3, 6): "9c94d12f122763b874116421c842d05bdc5e783f67718de73d201f896f731f56",
+    (7, 2, 1): "d03129603783312860d060a5750ec2e08594e8d3436342c5b64e0d84f316b532",
+    (7, 2, 2): "64e530e0eba3b9a404e2326e27853869b0c255745fdf6f3086be8738e5eb8107",
+    (7, 2, 3): "8f0b7fccc41c8dad834dad3fdc15725e2154917a31af7e9e14e4da9a9d0c99be",
+    (7, 2, 4): "cc9a21f037aaeedbcd3905a359b3dcbf49f988538d73ced0636e5da9c089fe40",
+    (7, 2, 5): "a9df9cfbed6de1ad60ee03d6f8070f26a55b45c135d5a966509ae676f3d2d787",
+    (7, 2, 6): "87380322c1e50a145e4ae077955479e9c81011f6dc4a1745f3dab937e92cf3ed",
+    (7, 2, 7): "6d930d5d53f022dcf4b7ded66fd5aeb28324e80f368213abebd91f298dd90ac9",
+    (7, 3, 1): "f0334c0321b48a3bcbeb84a9370720cbf05eda3abb109fd9ddb83eb8a703929d",
+    (7, 3, 2): "6d3a099058d9381e1e4e0dd02a2f138b5da1e3c6d22224fc5b062ad58fe92b05",
+    (7, 3, 3): "da772078e41e60abecae14aca010a83bd82fce9c08b9e6d2e9a51c4041a36dab",
+    (7, 3, 4): "cd8d7fadf3b8a240cb226ab1fbc95c039948f8460fb0c2154ace54e7c795788a",
+    (7, 3, 5): "b550afb0ff667d8aa42a8c3d25142809b2660d9e68f382b32e532ff8a822b1f0",
+    (7, 3, 6): "ce1f4e5a689f8aa862c3fbb3b173201d908b38d4603237470b81d4e0443ef107",
+    (7, 3, 7): "5d24e1c800d6707c21818d36c0b2f782f4291ebcf56346d4ec7940a6399425e0",
+    (8, 2, 1): "0a7002ad81e052c5e491cf5aebf20c9313652872f8186615e92fb92eaa8d0881",
+    (8, 2, 2): "1ff9580736f6e9f8cee27c69618bc10aef11373428ba457676adfa3d9696da4e",
+    (8, 2, 3): "d29c428ea64d7693709fc6d247e9b75c174fd50d51b6cbb61678066dc7d1586d",
+    (8, 2, 4): "6e336a0eab421a8845fcdc2397716c5d3892afe021d8c3ff4eda52b754f8785b",
+    (8, 2, 5): "71f5cca20f1def1f68b99fac32abbd3c04d2be039851e72e0a6614f23798e2ed",
+    (8, 2, 6): "36fd8ee7287e2ca558fbcede8ebfc963527d10e0a54aa22185b1df02ffe36cc4",
+    (8, 2, 7): "54dcca14f1cd273148bd2a4e17c91f892654a7dc4451c77393fe69995eff5893",
+    (8, 2, 8): "9d6fde55576963957465c8777977e3c429fbc8064449d29060c0ad3810448fcc",
+    (8, 3, 1): "bbdffd3da1f7d1b6e337cbb210e345d09d0e748024226b97fa3f887685782da0",
+    (8, 3, 2): "b7c6f5f6c21d14fc4063ee9e5ec0552dd4ddac065147354badb17b61fb6e5de2",
+    (8, 3, 3): "bb00c5dc7b6c20e8fc73a6a2cee0345b16ce14f59288e05bf794ae1163272986",
+    (8, 3, 4): "6878dc032aef9f5e145011bfd9cf17562274a6cda9987427661f52c01dbf8418",
+    (8, 3, 5): "fbb840542a8c0784674d405543c83779082f5720a541f01048c27960f2862496",
+    (8, 3, 6): "9b133075eb318b65ff1cedd408b6aa9e4fe00a4462f8540e1792e88f37121b1d",
+    (8, 3, 7): "ff10dbf2906b744b0ff61315633217dec1f08ab7db6e4364cb8f0bfde64e254a",
+    (8, 3, 8): "4b56353fc02d2a59356f87c69c45d01cc0f4f61a597089b95b77e2061d7639eb",
+}
+
+
+def test_criterion_08_json_byte_identical():
+    assert len(CRITERION_08_DIGESTS) == 52
+    for (ell, M, t), digest in CRITERION_08_DIGESTS.items():
+        p = build_partition(ell, M, t)
+        payload = partition_to_json(p, verify_partition(p, ell))
+        assert hashlib.sha256(payload.encode()).hexdigest() == digest, (ell, M, t)
 
 
 class TestTypeclassProbability:
