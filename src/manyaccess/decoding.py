@@ -1,7 +1,7 @@
 """Message decoders, end-to-end receivers, and error accounting.
 
 Two receivers are implemented: the two-phase receiver (activity detection
-followed by exhaustive joint ML decoding of the detected users, with an
+followed by exact joint ML decoding of the detected users, with an
 overflow abort when more than floor(xi*k) users are detected) and the
 slotted pilot+PPM receiver.  A user detected active is always decoded to
 some message in 1..M, so a false alarm necessarily produces a message
@@ -68,18 +68,66 @@ def decode_ppm(y_slot: np.ndarray, M: int, t: float, E: float) -> int:
     return int(np.argmax(y_slot[1 : M + 1])) + 1
 
 
+def _dead_end_elimination(
+    unary: list[np.ndarray], cross: dict[tuple[int, int], np.ndarray]
+) -> list[np.ndarray]:
+    """Boolean masks of the messages left after dead-end elimination.
+
+    Message m of user i is dropped when even its best case,
+    lo_i[m] = u_i[m] + sum_j min C_ij[m, alive_j], exceeds some surviving
+    message's worst case, min hi_i = u_i[m*] + sum_j max C_ij[m*, alive_j],
+    by more than tol.  Swapping m for m* then lowers every tuple by more
+    than tol, far above the rounding of the objective, so no dropped
+    tuple ties or beats the optimum.  Users are tested again whenever
+    another user loses a message, until nothing changes.  Extra memory is
+    O(k^2 M): the per-pair bounds are where= reductions, not copies.
+    """
+    k = len(unary)
+    scale = sum(np.abs(u).sum() for u in unary) + sum(np.abs(c).sum() for c in cross.values())
+    tol = 1e-9 * max(1.0, float(scale))
+    alive = [np.ones(len(u), dtype=bool) for u in unary]
+    # pair_lo[i, j][m] / pair_hi[i, j][m]: min / max over alive_j of C_ij[m, .]
+    pair_lo, pair_hi = {}, {}
+    for (i, j), c in cross.items():
+        pair_lo[i, j], pair_hi[i, j] = c.min(axis=1), c.max(axis=1)
+        pair_lo[j, i], pair_hi[j, i] = c.min(axis=0), c.max(axis=0)
+    pending = list(range(k))
+    while pending:
+        i = pending.pop(0)
+        others = [j for j in range(k) if j != i]
+        lo = unary[i] + sum(pair_lo[i, j] for j in others)
+        hi = unary[i] + sum(pair_hi[i, j] for j in others)
+        dead = (lo > hi[alive[i]].min() + tol) & alive[i]
+        if not dead.any():
+            continue
+        alive[i] &= ~dead
+        for j in others:
+            c = cross[j, i] if j < i else cross[i, j].T
+            pair_lo[j, i] = np.minimum.reduce(c, axis=1, where=alive[i], initial=np.inf)
+            pair_hi[j, i] = np.maximum.reduce(c, axis=1, where=alive[i], initial=-np.inf)
+            if j not in pending:
+                pending.append(j)
+    return alive
+
+
 def decode_joint_ml(
     Y_msg: np.ndarray,
     plan: TransmissionPlan,
     active: list[int],
     budget: int = DEFAULT_TUPLE_BUDGET,
 ) -> dict[int, int]:
-    """Exhaustive joint ML over message tuples of the detected users.
+    """Exact joint ML over message tuples of the detected users.
 
     Minimizes ||Y - sum_i x~_i(w_i)||^2 over w in {1..M}^active via the
-    Gram expansion, broadcasting per-user and pairwise terms over the
-    M^|active| tuple grid.  np.argmin's first-minimum rule gives the
-    lexicographically smallest optimal tuple.  Returns {user: message}.
+    Gram expansion: per-user terms u_i(w_i) and pairwise terms
+    C_ij(w_i, w_j) = 2<x~_i(w_i), x~_j(w_j)>.  Dead-end elimination drops
+    messages that cannot be in any optimal tuple, then the surviving
+    product grid is scored densely, with the same additions in the same
+    order as a full-grid search, so every surviving tuple's objective is
+    bitwise the full grid's.  np.argmin's first-minimum rule over survivors
+    in increasing order gives the lexicographically smallest optimal
+    tuple.  The budget caps the nominal M^|active| grid.  Returns
+    {user: message}.
     """
     active = sorted(active)
     k = len(active)
@@ -95,20 +143,19 @@ def decode_joint_ml(
     if any(w.shape[1] != len(Y_msg) for w in words):
         raise ValueError("codeword length does not match received message block")
 
-    shape = (M,) * k
-    objective = np.zeros(shape)
-    for i, wi in enumerate(words):
-        unary = np.einsum("mj,mj->m", wi, wi) - 2.0 * (wi @ Y_msg)
-        objective += unary.reshape((1,) * i + (M,) + (1,) * (k - 1 - i))
-    for i in range(k):
-        for j in range(i + 1, k):
-            cross = 2.0 * (words[i] @ words[j].T)
-            objective += cross.reshape(
-                (1,) * i + (M,) + (1,) * (j - i - 1) + (M,) + (1,) * (k - 1 - j)
-            )
-    flat_best = int(np.argmin(objective))
-    tup = np.unravel_index(flat_best, shape)
-    return {user: int(w) + 1 for user, w in zip(active, tup)}
+    unary = [np.einsum("mj,mj->m", wi, wi) - 2.0 * (wi @ Y_msg) for wi in words]
+    cross = {
+        (i, j): 2.0 * (words[i] @ words[j].T) for i in range(k) for j in range(i + 1, k)
+    }
+    survivors = [np.flatnonzero(a) for a in _dead_end_elimination(unary, cross)]
+    grid = np.ix_(*survivors)  # open mesh: grid[i] runs along axis i
+    objective = np.zeros([len(s) for s in survivors])
+    for i, u in enumerate(unary):
+        objective += u[grid[i]]
+    for (i, j), c in cross.items():  # lexicographic pair order, as built
+        objective += c[grid[i], grid[j]]
+    tup = np.unravel_index(int(np.argmin(objective)), objective.shape)
+    return {user: int(s[w]) + 1 for user, s, w in zip(active, survivors, tup)}
 
 
 def two_phase_receive(

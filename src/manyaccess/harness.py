@@ -10,9 +10,11 @@ a thread pool may run them concurrently; aggregation is by trial index
 and therefore order-independent.
 """
 
+import ast
 import csv
 import json
 import math
+import operator
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -250,26 +252,96 @@ _FAMILY_EVAL_NAMES = {
 }
 
 
+def _float_pow(base, exponent) -> float:
+    # in floats, so a huge power overflows at once instead of building an int
+    value = float(base) ** float(exponent)
+    if isinstance(value, complex):
+        raise ValueError("negative base raised to a fractional power")
+    return value
+
+
+_FAMILY_BINARY_OPS = {
+    ast.Add: operator.add, ast.Sub: operator.sub, ast.Mult: operator.mul,
+    ast.Div: operator.truediv, ast.FloorDiv: operator.floordiv, ast.Pow: _float_pow,
+}
+
+
+def _compile_family_node(node: ast.AST, variables: tuple[str, ...]) -> Callable[[dict], float]:
+    """Evaluator for one checked node; anything not listed is a ConfigError."""
+    if isinstance(node, ast.Constant) and type(node.value) in (int, float):
+        value = node.value
+        return lambda env: value
+    if isinstance(node, ast.Name) and node.id in variables:
+        name = node.id
+        return lambda env: env[name]
+    if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
+        operand = _compile_family_node(node.operand, variables)
+        return lambda env: -operand(env)
+    if isinstance(node, ast.BinOp) and type(node.op) in _FAMILY_BINARY_OPS:
+        op = _FAMILY_BINARY_OPS[type(node.op)]
+        left = _compile_family_node(node.left, variables)
+        right = _compile_family_node(node.right, variables)
+        return lambda env: op(left(env), right(env))
+    if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and not node.keywords:
+        if node.func.id not in _FAMILY_EVAL_NAMES:
+            raise ConfigError(f"unknown function {node.func.id!r}")
+        fn = _FAMILY_EVAL_NAMES[node.func.id]
+        args = [_compile_family_node(arg, variables) for arg in node.args]
+        return lambda env: fn(*(arg(env) for arg in args))
+    if isinstance(node, ast.Name):
+        raise ConfigError(f"unknown name {node.id!r}")
+    raise ConfigError(f"unsupported syntax {ast.unparse(node)!r}")
+
+
+def _family_expression(expr, variables: tuple[str, ...]) -> Callable[..., float]:
+    """Check a growth-family expression at load time and return its evaluator.
+
+    Accepted: numeric constants, the given variables, + - * / // ** (** in
+    floats), unary minus and calls to the names in _FAMILY_EVAL_NAMES.
+    Anything else, and any arithmetic failure or non-finite value when the
+    evaluator runs, is a ConfigError.
+    """
+    if not isinstance(expr, str):
+        raise ConfigError(f"family expression must be a string, got {expr!r}")
+    try:
+        root = _compile_family_node(ast.parse(expr, mode="eval").body, variables)
+    # ValueError covers ConfigError; the parser raises MemoryError on deep nesting
+    except (SyntaxError, ValueError, MemoryError, RecursionError) as e:
+        raise ConfigError(f"family expression {expr!r}: {e}") from e
+
+    def evaluate(**env) -> float:
+        try:
+            value = root(env)
+            if not math.isfinite(value):
+                raise ValueError(f"non-finite value {value}")
+        except (ArithmeticError, ValueError, TypeError, RecursionError) as e:
+            raise ConfigError(f"family expression {expr!r} at {env}: {e}") from e
+        return value
+
+    return evaluate
+
+
 def family_from_dict(data: dict) -> GrowthFamily:
     """Build a family from {'name', 'ell_expr', 'alpha_expr'}.
 
     Expressions see `n` (and `ell` in alpha_expr) plus basic math names,
-    e.g. {"ell_expr": "ceil(n**(1/3))", "alpha_expr": "2/ell"}.
+    e.g. {"ell_expr": "ceil(n**(1/3))", "alpha_expr": "2/ell"}; they are
+    checked here, so a malformed one fails before any point is evaluated.
     """
+    if not isinstance(data, dict):
+        raise ConfigError(f"family file must hold a JSON object, got {type(data).__name__}")
     try:
         name = data["name"]
-        ell_expr = data["ell_expr"]
-        alpha_expr = data["alpha_expr"]
+        ell_expr = _family_expression(data["ell_expr"], ("n",))
+        alpha_expr = _family_expression(data["alpha_expr"], ("n", "ell"))
     except KeyError as e:
         raise ConfigError(f"family file missing key: {e}") from e
 
     def ell_of_n(n: int) -> int:
-        return int(eval(ell_expr, {"__builtins__": {}}, {**_FAMILY_EVAL_NAMES, "n": n}))
+        return int(ell_expr(n=n))
 
     def alpha_of_n(n: int, ell: int) -> float:
-        return float(
-            eval(alpha_expr, {"__builtins__": {}}, {**_FAMILY_EVAL_NAMES, "n": n, "ell": ell})
-        )
+        return float(alpha_expr(n=n, ell=ell))
 
     return GrowthFamily(name=name, ell_of_n=ell_of_n, alpha_of_n=alpha_of_n)
 

@@ -122,6 +122,43 @@ class TestSweepCmd:
         assert open(out).readline().startswith("n,ell,alpha")
 
 
+class TestFamilyExpressions:
+    def _family(self, tmp_path, ell_expr="ceil(n**(1/3))", alpha_expr="2/ell"):
+        path = tmp_path / "family.json"
+        path.write_text(json.dumps({"name": "f", "ell_expr": ell_expr, "alpha_expr": alpha_expr}))
+        return str(path)
+
+    def test_attribute_escape_rejected(self, tmp_path, capsys):
+        fam = self._family(tmp_path, ell_expr="().__class__.__base__.__subclasses__().__len__()")
+        assert main(["classify", "--family", fam, "--n-grid", "256,1024,4096"]) == EXIT_CONFIG
+        assert "unsupported syntax" in capsys.readouterr().err
+
+    def test_unknown_name(self, tmp_path, capsys):
+        fam = self._family(tmp_path, ell_expr="foo(n)")
+        out = str(tmp_path / "sweep.csv")
+        assert main(["sweep", "--family", fam, "--n-grid", "256,1024", "--out", out]) == EXIT_CONFIG
+        assert "unknown function 'foo'" in capsys.readouterr().err
+
+    def test_syntax_error(self, tmp_path):
+        fam = self._family(tmp_path, ell_expr="ceil(n**(1/3)")
+        assert main(["classify", "--family", fam, "--n-grid", "256,1024,4096"]) == EXIT_CONFIG
+
+    def test_division_by_zero(self, tmp_path, capsys):
+        fam = self._family(tmp_path, alpha_expr="1/(n-n)")
+        assert main(["classify", "--family", fam, "--n-grid", "256,1024,4096"]) == EXIT_CONFIG
+        assert "division by zero" in capsys.readouterr().err
+
+    def test_family_not_an_object(self, tmp_path):
+        path = tmp_path / "family.json"
+        path.write_text("[1]")
+        assert main(["classify", "--family", str(path), "--n-grid", "256,1024,4096"]) == EXIT_CONFIG
+
+    def test_huge_power_overflows(self, tmp_path):
+        # ** runs in floats: this raises OverflowError instead of hanging
+        fam = self._family(tmp_path, ell_expr="10**10**10")
+        assert main(["classify", "--family", fam, "--n-grid", "256,1024,4096"]) == EXIT_CONFIG
+
+
 class TestPartitionCmd:
     def test_report(self, capsys):
         rc = main(["partition", "--ell", "5", "--M", "2", "--t", "2"])

@@ -1,13 +1,25 @@
+import hashlib
 import math
+import tracemalloc
+from itertools import product
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from manyaccess.channel import make_joint_plan, make_ortho_plan, transmit_joint, transmit_ortho, awgn
+from manyaccess.channel import (
+    TransmissionPlan,
+    awgn,
+    make_joint_plan,
+    make_ortho_plan,
+    transmit_joint,
+    transmit_ortho,
+)
+from manyaccess.codebooks import Codebook, SignatureMatrix
 from manyaccess.decoding import (
     BoundParams,
+    _dead_end_elimination,
     decode_joint_ml,
     decode_ppm,
     ortho_receive,
@@ -15,8 +27,64 @@ from manyaccess.decoding import (
     two_phase_receive,
 )
 from manyaccess.errors import ComplexityBudgetError
+from manyaccess.harness import ExperimentConfig, estimate_error, write_trials_csv
 from manyaccess.model import SystemParams, make_joint_schedule, make_ortho_schedule, sample_messages
 from manyaccess.rng import make_rng, substream
+
+
+def dense_joint_ml(Y_msg, plan, active, budget=10**7):
+    """Reference: score the whole M^k grid (the decoder before pruning)."""
+    active = sorted(active)
+    k = len(active)
+    if k == 0:
+        return {}
+    M = plan.M
+    if M**k > budget:
+        raise ComplexityBudgetError(
+            f"M^|active| = {M}^{k} exceeds the tuple budget of {budget}"
+        )
+    Y_msg = np.asarray(Y_msg, dtype=float)
+    words = [plan.codebooks[i].words[1:] for i in active]  # (M, n_msg) each
+    if any(w.shape[1] != len(Y_msg) for w in words):
+        raise ValueError("codeword length does not match received message block")
+
+    shape = (M,) * k
+    objective = np.zeros(shape)
+    for i, wi in enumerate(words):
+        unary = np.einsum("mj,mj->m", wi, wi) - 2.0 * (wi @ Y_msg)
+        objective += unary.reshape((1,) * i + (M,) + (1,) * (k - 1 - i))
+    for i in range(k):
+        for j in range(i + 1, k):
+            cross = 2.0 * (words[i] @ words[j].T)
+            objective += cross.reshape(
+                (1,) * i + (M,) + (1,) * (j - i - 1) + (M,) + (1,) * (k - 1 - j)
+            )
+    flat_best = int(np.argmin(objective))
+    tup = np.unravel_index(flat_best, shape)
+    return {user: int(w) + 1 for user, w in zip(active, tup)}
+
+
+def _plan_from_words(word_sets):
+    """Joint plan whose user i sends word_sets[i][w - 1] for message w."""
+    M, length = word_sets[0].shape
+    books = tuple(
+        Codebook(M=M, length=length, E=float(np.max(np.sum(w * w, axis=1))),
+                 words=np.vstack([np.zeros(length), w]))
+        for w in word_sets
+    )
+    sigs = SignatureMatrix(matrix=np.zeros((1, len(books))), E_sig=1.0)
+    return TransmissionPlan(scheme="joint", ell=len(books), M=M, codebooks=books, signatures=sigs)
+
+
+def _circle_words(rng, k, M, E=50.0):
+    """k users' M length-2 words of energy E at random angles."""
+    angles = rng.uniform(0.0, 2.0 * math.pi, size=(k, M))
+    return [math.sqrt(E) * np.stack([np.cos(a), np.sin(a)], axis=1) for a in angles]
+
+
+# the joint_n4096 benchmark point: n=4096, ell=16, alpha=2/16, M=10
+N4096_PARAMS = SystemParams(n=4096, ell=16, alpha=2 / 16, N0=2.0)
+N4096_SCHED = make_joint_schedule(N4096_PARAMS, 0.5)
 
 
 class TestDecodePpm:
@@ -61,8 +129,6 @@ class TestDecodeJointMl:
             decode_joint_ml(np.zeros(128), plan, [0, 1, 2, 3], budget=10)
 
     def test_brute_force_oracle_under_noise(self):
-        from itertools import product
-
         params, sched, plan = self._setup(seed=77)
         rng = make_rng(99)
         active = [0, 1, 3]
@@ -103,6 +169,85 @@ class TestDecodeJointMl:
             )
             via_ml = decode_joint_ml(y_slot[1:], joint_plan, [0])[0]
             assert via_ppm == via_ml
+
+
+class TestPrunedSearchAgainstDense:
+    @given(
+        k=st.integers(min_value=1, max_value=5),
+        M=st.integers(min_value=2, max_value=6),
+        case=st.sampled_from(["n4096", "short", "ties"]),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    def test_matches_dense_oracle(self, k, M, case, seed):
+        rng = make_rng(seed)
+        if case == "n4096":
+            plan = make_joint_plan(N4096_PARAMS, N4096_SCHED, M, rng)
+            active = sorted(int(i) for i in rng.choice(N4096_PARAMS.ell, size=k, replace=False))
+            clean = sum(plan.codebooks[i].words[int(rng.integers(1, M + 1))] for i in active)
+            Y = awgn(clean, N4096_PARAMS.N0, rng)
+        elif case == "short":
+            plan = _plan_from_words(_circle_words(rng, k, M))
+            active = list(range(k))
+            Y = rng.standard_normal(2)
+        else:
+            # small integer words from a pool of 3: duplicate codewords give
+            # exact ties, whatever order the float sums run in
+            pool = rng.integers(-2, 3, size=(3, 4)).astype(float)
+            plan = _plan_from_words([pool[rng.integers(0, 3, size=M)] for _ in range(k)])
+            active = list(range(k))
+            Y = rng.integers(-3, 4, size=4).astype(float)
+        got = decode_joint_ml(Y, plan, active)
+        assert got == dense_joint_ml(Y, plan, active)
+        if case == "ties":
+            books = [plan.codebooks[i].words.astype(int) for i in active]
+            y = Y.astype(int)
+
+            def residual(tup):
+                r = y - sum(b[w] for b, w in zip(books, tup))
+                return int(r @ r)
+
+            tuples = list(product(range(1, M + 1), repeat=k))  # lexicographic
+            values = [residual(t) for t in tuples]
+            smallest = tuples[values.index(min(values))]
+            assert got == dict(zip(active, smallest))
+
+    def test_short_codewords_prune_nothing(self):
+        # equal-energy length-2 words: the pair terms span +-2E and swamp the
+        # unary spread, so every message survives and the grid is the full one
+        words = _circle_words(make_rng(5), 4, 6)
+        unary = [np.einsum("mj,mj->m", w, w) for w in words]  # Y = 0
+        cross = {(i, j): 2.0 * (words[i] @ words[j].T) for i in range(4) for j in range(i + 1, 4)}
+        assert all(a.all() for a in _dead_end_elimination(unary, cross))
+
+    def test_k7_peak_memory_far_below_dense_grid(self):
+        # the dense 10^7-cell float64 grid alone is 80 MB
+        rng = make_rng(1113)
+        plan = make_joint_plan(N4096_PARAMS, N4096_SCHED, 10, rng)
+        active = [0, 2, 3, 7, 9, 12, 15]
+        clean = sum(plan.codebooks[i].words[int(rng.integers(1, 11))] for i in active)
+        Y = awgn(clean, N4096_PARAMS.N0, rng)
+        tracemalloc.start()
+        try:
+            got = decode_joint_ml(Y, plan, active)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2e6
+        assert got == dense_joint_ml(Y, plan, active)
+
+
+def test_joint_n4096_trials_csv_pinned(tmp_path):
+    # digest computed with the full-grid decoder; these 100 trials include
+    # four k = 7 decodes and two budget aborts (8 users detected)
+    cfg = ExperimentConfig(
+        scheme="joint", params=N4096_PARAMS, split=0.5, M=10, bp=BoundParams(xi=8),
+        trials=100, master_seed=1113,
+    )
+    path = tmp_path / "trials.csv"
+    write_trials_csv(path, estimate_error(cfg).records)
+    digest = hashlib.sha256(path.read_bytes()).hexdigest()
+    assert digest == "32a7eff2e291634ca096d0252b90e192090d927dfff485559100e535aaf21066"
 
 
 def _single_sig(slot, sched):
