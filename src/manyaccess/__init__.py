@@ -5,7 +5,7 @@ needed to chart the capacity-per-unit-energy phase transition at desk scale.
 """
 
 from .bounds import BoundReport
-from .channel import TransmissionPlan, awgn, make_joint_plan, make_ortho_plan, transmit_joint, transmit_ortho
+from .channel import JointPlan, OrthoPlan, awgn, make_joint_plan, make_ortho_plan, transmit_joint, transmit_ortho
 from .codebooks import Codebook, MuEstimate, SignatureMatrix, gen_codebook, gen_ppm_codebook, gen_signatures, mu_chernoff_lb, mu_exact, mu_monte_carlo
 from .decoding import BoundParams, ErrorStats, decode_joint_ml, decode_ppm, ortho_receive, score_errors, two_phase_receive
 from .detection import DetectionResult, detect_ls_exhaustive, detect_pilot, detection_stats, v_cap

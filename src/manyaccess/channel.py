@@ -15,56 +15,53 @@ from .model import EnergySchedule, SystemParams
 
 
 @dataclass(frozen=True)
-class TransmissionPlan:
-    """Symmetric code for all users: shared (M, E), per-user codewords.
+class JointPlan:
+    """Per-user signature columns and independently drawn message codebooks."""
 
-    joint: `signatures` holds each user's signature column and `codebooks`
-    one independently drawn message codebook per user (message part only).
-    ortho: every user reuses the deterministic `codebooks[0]` PPM book in
-    its own slot of `slot_len` channel uses (user i owns
-    [i*slot_len, (i+1)*slot_len)); trailing channel uses stay idle.
-    """
-
-    scheme: str
     ell: int
     M: int
     codebooks: tuple[Codebook, ...]
-    signatures: SignatureMatrix | None = None
-    slot_len: int | None = None
+    signatures: SignatureMatrix
 
     def __post_init__(self):
-        if self.scheme == "joint":
-            if self.signatures is None:
-                raise ValueError("joint plan needs a signature matrix")
-            if self.signatures.ell != self.ell or len(self.codebooks) != self.ell:
-                raise ValueError("need one signature column and one codebook per user")
-        elif self.scheme == "ortho":
-            if self.slot_len is None or len(self.codebooks) != 1:
-                raise ValueError("ortho plan needs slot_len and a single shared codebook")
-        else:
-            raise ValueError(f"unknown scheme {self.scheme!r}")
+        if self.signatures.ell != self.ell or len(self.codebooks) != self.ell:
+            raise ValueError("need one signature column and one codebook per user")
+
+
+@dataclass(frozen=True)
+class OrthoPlan:
+    """Slotted code: every user reuses the deterministic `codebooks[0]` PPM
+    book in its own slot of `slot_len` channel uses (user i owns
+    [i*slot_len, (i+1)*slot_len)); trailing channel uses stay idle."""
+
+    ell: int
+    M: int
+    codebooks: tuple[Codebook, ...]
+    slot_len: int
+
+    def __post_init__(self):
+        if len(self.codebooks) != 1:
+            raise ValueError("ortho plan needs a single shared codebook")
 
 
 def make_joint_plan(
     params: SystemParams, sched: EnergySchedule, M: int, rng: np.random.Generator
-) -> TransmissionPlan:
+) -> JointPlan:
     """Fresh random signatures and independent per-user message codebooks."""
     sigs = gen_signatures(params.ell, sched.n_sig, sched.E_sig, rng)
     books = tuple(gen_codebook(M, sched.n_msg, sched.E_msg, rng) for _ in range(params.ell))
-    return TransmissionPlan(scheme="joint", ell=params.ell, M=M, codebooks=books, signatures=sigs)
+    return JointPlan(ell=params.ell, M=M, codebooks=books, signatures=sigs)
 
 
-def make_ortho_plan(params: SystemParams, sched: EnergySchedule, M: int) -> TransmissionPlan:
+def make_ortho_plan(params: SystemParams, sched: EnergySchedule, M: int) -> OrthoPlan:
     """Deterministic pilot+PPM plan; each user gets n // ell channel uses."""
     slot = params.n // params.ell
     book = gen_ppm_codebook(M, slot, sched.E, sched.split)
-    return TransmissionPlan(scheme="ortho", ell=params.ell, M=M, codebooks=(book,), slot_len=slot)
+    return OrthoPlan(ell=params.ell, M=M, codebooks=(book,), slot_len=slot)
 
 
-def transmit_joint(plan: TransmissionPlan, msgs: np.ndarray) -> np.ndarray:
+def transmit_joint(plan: JointPlan, msgs: np.ndarray) -> np.ndarray:
     """Clean superposed signal sum_i (s_i, x~_i(w_i)) over active users."""
-    if plan.scheme != "joint":
-        raise ValueError("plan is not a joint-scheme plan")
     if len(msgs) != plan.ell:
         raise ValueError(f"message vector length {len(msgs)} != ell {plan.ell}")
     d = (np.asarray(msgs) != 0).astype(float)
@@ -75,10 +72,8 @@ def transmit_joint(plan: TransmissionPlan, msgs: np.ndarray) -> np.ndarray:
     return np.concatenate([sig_part, msg_part])
 
 
-def transmit_ortho(plan: TransmissionPlan, msgs: np.ndarray) -> np.ndarray:
+def transmit_ortho(plan: OrthoPlan, msgs: np.ndarray) -> np.ndarray:
     """Clean slotted signal; user i's slot holds its PPM word (zero if inactive)."""
-    if plan.scheme != "ortho":
-        raise ValueError("plan is not an orthogonal-scheme plan")
     if len(msgs) != plan.ell:
         raise ValueError(f"message vector length {len(msgs)} != ell {plan.ell}")
     slot = plan.slot_len

@@ -6,6 +6,7 @@ reported in both nats and bits per unit energy.
 """
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
@@ -32,59 +33,66 @@ def _emit(payload: dict, fmt: str) -> None:
             print(f"{key},{val}")
 
 
+def _joint_inputs(n, ell, alpha, N0, b, rho, lam, xi):
+    params = SystemParams(n, ell, alpha, N0)
+    return params, make_joint_schedule(params, b), BoundParams(rho=rho, lam=lam, xi=xi)
+
+
+def _detection_budget(*args):
+    params, sched, bp = _joint_inputs(*args)
+    return bnd.detection_budget(params, sched, bp, mu_exact(sched.n_sig).value)
+
+
+def _two_phase_error_budget(M, *args):
+    return bnd.two_phase_error_budget(*_joint_inputs(*args), M)
+
+
+def _on_system(bound):
+    """bound(params, E, Pe) called with the SystemParams fields spelled out."""
+    return lambda n, ell, alpha, N0, E, Pe: bound(SystemParams(n, ell, alpha, N0), E, Pe)
+
+
+def _capacity_pue(N0):
+    c = single_user_capacity_pue(N0)
+    return {"nats": c, "bits": c / math.log(2.0)}
+
+
+_SYSTEM = ("n", "ell", "alpha", "N0")
+_DECODE = ("rho", "M", "k_active", "E_msg", "n_msg", "N0")
+# optional --params keys, as (key, default)
+_JOINT_OPTIONAL = (("rho", 0.75), ("lambda", 2.0 / 3.0), ("xi", 8))
+
+# bound name -> (function, the --params keys of its positional arguments)
+BOUNDS = {
+    "e0_msg": (bnd.e0_msg, ("a", "rho", "k_active", "E_msg", "n_msg", "N0")),
+    "pr_type_error_ub": (bnd.pr_type_error_ub, ("a", *_DECODE, "mu")),
+    "decode_error_budget": (bnd.decode_error_budget, (*_DECODE, "mu")),
+    "f_msg": (bnd.f_msg, ("a", *_DECODE)),
+    "detect_exponent_g": (
+        bnd.detect_exponent_g,
+        ("lambda", "rho", "kappa1", "kappa2", "d_weight", "ell", "n_sig", "E_sig"),
+    ),
+    "detection_budget": (_detection_budget, (*_SYSTEM, "b", *_JOINT_OPTIONAL)),
+    "two_phase_error_budget": (_two_phase_error_budget, ("M", *_SYSTEM, "b", *_JOINT_OPTIONAL)),
+    "gallager_awgn": (bnd.gallager_awgn, ("M", "n_code", "P", "N0", "rho")),
+    "ortho_code_bound": (bnd.ortho_code_bound, ("M", "R_dot_nats", "N0")),
+    "ortho_user_error_bound": (bnd.ortho_user_error_bound, ("M", "t", "E", "N0")),
+    "converse_joint": (_on_system(bnd.converse_joint), (*_SYSTEM, "E", "Pe")),
+    "converse_ape": (_on_system(bnd.converse_ape), (*_SYSTEM, "E", "Pe_A")),
+    "converse_ortho_user": (bnd.converse_ortho_user, ("E", "n1", "N0", "P1")),
+    "joint_error_lb": (bnd.joint_error_lb, ("E", "ell", "N0", "alpha")),
+    "gaussian_kl": (bnd.gaussian_kl, ("delta_sq_norm", "N0")),
+    "normal_tail": (lambda x: bnd.normal_tail(x)._asdict(), ("x",)),
+    "capacity_pue": (_capacity_pue, ("N0",)),
+}
+
+
 def _bound_dispatch(name: str, p: dict):
     """Evaluate a bound by name from flattened JSON parameters."""
-    if name == "e0_msg":
-        return bnd.e0_msg(p["a"], p["rho"], p["k_active"], p["E_msg"], p["n_msg"], p["N0"])
-    if name == "pr_type_error_ub":
-        return bnd.pr_type_error_ub(
-            p["a"], p["rho"], p["M"], p["k_active"], p["E_msg"], p["n_msg"], p["N0"], p["mu"]
-        )
-    if name == "decode_error_budget":
-        return bnd.decode_error_budget(
-            p["rho"], p["M"], p["k_active"], p["E_msg"], p["n_msg"], p["N0"], p["mu"]
-        )
-    if name == "f_msg":
-        return bnd.f_msg(p["a"], p["rho"], p["M"], p["k_active"], p["E_msg"], p["n_msg"], p["N0"])
-    if name == "detect_exponent_g":
-        return bnd.detect_exponent_g(
-            p["lambda"], p["rho"], p["kappa1"], p["kappa2"],
-            p["d_weight"], p["ell"], p["n_sig"], p["E_sig"],
-        )
-    if name in ("detection_budget", "two_phase_error_budget"):
-        params = SystemParams(n=p["n"], ell=p["ell"], alpha=p["alpha"], N0=p["N0"])
-        sched = make_joint_schedule(params, p["b"])
-        bp = BoundParams(
-            rho=p.get("rho", 0.75), lam=p.get("lambda", 2.0 / 3.0), xi=p.get("xi", 8)
-        )
-        if name == "detection_budget":
-            return bnd.detection_budget(params, sched, bp, mu_exact(sched.n_sig).value)
-        return bnd.two_phase_error_budget(params, sched, bp, p["M"])
-    if name == "gallager_awgn":
-        return bnd.gallager_awgn(p["M"], p["n_code"], p["P"], p["N0"], p["rho"])
-    if name == "ortho_code_bound":
-        return bnd.ortho_code_bound(p["M"], p["R_dot_nats"], p["N0"])
-    if name == "ortho_user_error_bound":
-        return bnd.ortho_user_error_bound(p["M"], p["t"], p["E"], p["N0"])
-    if name == "converse_joint":
-        params = SystemParams(n=p["n"], ell=p["ell"], alpha=p["alpha"], N0=p["N0"])
-        return bnd.converse_joint(params, p["E"], p["Pe"])
-    if name == "converse_ape":
-        params = SystemParams(n=p["n"], ell=p["ell"], alpha=p["alpha"], N0=p["N0"])
-        return bnd.converse_ape(params, p["E"], p["Pe_A"])
-    if name == "converse_ortho_user":
-        return bnd.converse_ortho_user(p["E"], p["n1"], p["N0"], p["P1"])
-    if name == "joint_error_lb":
-        return bnd.joint_error_lb(p["E"], p["ell"], p["N0"], p["alpha"])
-    if name == "gaussian_kl":
-        return bnd.gaussian_kl(p["delta_sq_norm"], p["N0"])
-    if name == "normal_tail":
-        q = bnd.normal_tail(p["x"])
-        return {"q": q.q, "upper_bound": q.upper_bound}
-    if name == "capacity_pue":
-        c = single_user_capacity_pue(p["N0"])
-        return {"nats": c, "bits": c / math.log(2.0)}
-    raise ConfigError(f"unknown bound {name!r}")
+    if name not in BOUNDS:
+        raise ConfigError(f"unknown bound {name!r}")
+    fn, keys = BOUNDS[name]
+    return fn(*(p[k] if isinstance(k, str) else p.get(*k) for k in keys))
 
 
 def _finite_number(v) -> bool:
@@ -102,12 +110,10 @@ def _cmd_bounds(args) -> int:
         raise ConfigError("--params must be a JSON object of finite numbers")
     result = _bound_dispatch(args.name, params)
     if isinstance(result, bnd.BoundReport):
-        payload = result.to_dict()
-    elif isinstance(result, dict):
-        payload = result
-    else:
-        payload = {"value": result}
-    print(json.dumps(payload, indent=2))
+        result = result.to_dict()
+    elif not isinstance(result, dict):
+        result = {"value": result}
+    print(json.dumps(result, indent=2))
     return EXIT_OK
 
 
@@ -121,9 +127,9 @@ def _cmd_simulate(args) -> int:
         harness.write_trials_csv(args.trials_csv, summary.records)
     if args.summary_csv:
         harness.write_summary_csv(args.summary_csv, [row])
-    payload = dict(row)
+    payload = dataclasses.asdict(row)
+    del payload["error"]  # a failed simulate run ends with an exit code instead
     payload["budget_terms"] = budget.terms
-    payload["budget_aborts"] = summary.budget_aborts
     payload["epsilon_target"] = cfg.epsilon
     payload["meets_epsilon"] = summary.joint_err <= cfg.epsilon
     _emit(payload, args.format)
@@ -144,7 +150,7 @@ def _cmd_sweep(args) -> int:
         master_seed=args.seed or 0,
         threads=args.threads,
     )
-    harness.sweep_rows_to_csv(args.out, result)
+    harness.write_summary_csv(args.out, result.rows)
     print(json.dumps({"rows": len(result.rows), "verdicts": result.verdicts, "csv": args.out}))
     return EXIT_OK
 
@@ -211,7 +217,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-grid", required=True, help="comma-separated blocklengths")
     p.add_argument("--rate-fraction", type=float, default=0.25)
     p.add_argument("--N0", type=float, default=2.0)
-    p.add_argument("--scheme", choices=("joint", "ortho"), default="joint")
+    p.add_argument("--scheme", choices=sorted(harness.SCHEMES), default="joint")
     p.add_argument("--split", type=float, default=0.5)
     p.add_argument("--trials", type=int, default=None)
     p.add_argument("--threads", type=int, default=1)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import TransmissionPlan
+from .channel import JointPlan, OrthoPlan
 from .detection import DetectionResult, detect_ls_exhaustive, detect_pilot, v_cap
 from .errors import ComplexityBudgetError
 from .model import EnergySchedule, SystemParams
@@ -54,6 +54,7 @@ class TwoPhaseResult:
     w_hat: np.ndarray
     detection: DetectionResult
     overflow: bool
+    budget_abort: bool = False
 
 
 def decode_ppm(y_slot: np.ndarray, M: int, t: float, E: float) -> int:
@@ -112,7 +113,7 @@ def _dead_end_elimination(
 
 def decode_joint_ml(
     Y_msg: np.ndarray,
-    plan: TransmissionPlan,
+    plan: JointPlan,
     active: list[int],
     budget: int = DEFAULT_TUPLE_BUDGET,
 ) -> dict[int, int]:
@@ -160,7 +161,7 @@ def decode_joint_ml(
 
 def two_phase_receive(
     Y: np.ndarray,
-    plan: TransmissionPlan,
+    plan: JointPlan,
     params: SystemParams,
     sched: EnergySchedule,
     bp: BoundParams,
@@ -171,7 +172,9 @@ def two_phase_receive(
 
     Declares overflow (and decodes nobody) when the estimated active count
     exceeds floor(xi*k); otherwise w_hat carries the ML messages for
-    detected users and 0 elsewhere.
+    detected users and 0 elsewhere.  A decode grid over the tuple budget
+    is reported as budget_abort (nobody decoded); a detection search over
+    its budget raises ComplexityBudgetError.
     """
     if len(Y) != sched.n_sig + sched.n_msg:
         raise ValueError(f"received length {len(Y)} != n_sig+n_msg = {sched.n_sig + sched.n_msg}")
@@ -181,9 +184,12 @@ def two_phase_receive(
     w_hat = np.zeros(params.ell, dtype=int)
     if det.weight > math.floor(bp.xi * params.k):
         return TwoPhaseResult(w_hat=w_hat, detection=det, overflow=True)
-    decoded = decode_joint_ml(
-        Y[sched.n_sig :], plan, list(np.flatnonzero(det.d_hat)), budget=tuple_budget
-    )
+    try:
+        decoded = decode_joint_ml(
+            Y[sched.n_sig :], plan, list(np.flatnonzero(det.d_hat)), budget=tuple_budget
+        )
+    except ComplexityBudgetError:
+        return TwoPhaseResult(w_hat=w_hat, detection=det, overflow=False, budget_abort=True)
     for user, w in decoded.items():
         w_hat[user] = w
     return TwoPhaseResult(w_hat=w_hat, detection=det, overflow=False)
@@ -191,7 +197,7 @@ def two_phase_receive(
 
 def ortho_receive(
     Y: np.ndarray,
-    plan: TransmissionPlan,
+    plan: OrthoPlan,
     params: SystemParams,
     sched: EnergySchedule,
 ) -> np.ndarray:

@@ -15,26 +15,19 @@ import csv
 import json
 import math
 import operator
-import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field, fields
 from typing import Callable
 
 import numpy as np
 
 from . import bounds
-from .channel import TransmissionPlan, awgn, make_joint_plan, make_ortho_plan, transmit_joint, transmit_ortho
+from .channel import awgn, make_joint_plan, make_ortho_plan, transmit_joint, transmit_ortho
 from .decoding import BoundParams, ErrorStats, ortho_receive, score_errors, two_phase_receive
 from .errors import ComplexityBudgetError, ConfigError
 from .model import EnergySchedule, RateSpec, SystemParams, make_joint_schedule, make_ortho_schedule, sample_messages
 from .rng import make_rng, mix_seed
-from .detection import DEFAULT_CANDIDATE_BUDGET, candidate_count, detection_stats, v_cap
-
-SUMMARY_COLUMNS = [
-    "n", "ell", "alpha", "k", "E", "R_dot_nats", "R_dot_bits",
-    "joint_err", "joint_err_ci_lo", "joint_err_ci_hi", "ape",
-    "overflow_rate", "budget_total", "budget_valid",
-]
+from .detection import detection_stats
 
 TRIAL_COLUMNS = [
     "trial", "seed", "k_true", "d_hat_weight", "kappa1", "kappa2",
@@ -45,9 +38,84 @@ TRIAL_COLUMNS = [
 _PLAN_STREAM = 0x706C616E
 
 
+# ---------------------------------------------------------------------------
+# transmission schemes
+# ---------------------------------------------------------------------------
+# Each stage calls the layer function by its module-global name when it
+# runs, so a caller that replaces harness.transmit_joint (say, to time it)
+# sees every call.
+
+class JointScheme:
+    """Non-orthogonal two-phase access: signatures, then joint ML decoding."""
+
+    split_key = "b"  # config key of the signature fraction
+
+    def schedule(self, params: SystemParams, split: float) -> EnergySchedule:
+        return make_joint_schedule(params, split)
+
+    def plan(self, cfg: "ExperimentConfig", sched: EnergySchedule, rng):
+        return make_joint_plan(cfg.params, sched, cfg.M, rng)
+
+    def transmit(self, plan, msgs: np.ndarray) -> np.ndarray:
+        return transmit_joint(plan, msgs)
+
+    def receive(self, Y: np.ndarray, plan, cfg: "ExperimentConfig", sched: EnergySchedule):
+        """(w_hat, d_hat, overflow, budget_abort).  A budget abort decodes
+        nobody and reports no user detected: it is scored as a total loss."""
+        res = two_phase_receive(Y, plan, cfg.params, sched, cfg.bp)
+        d_hat = np.zeros_like(res.w_hat) if res.budget_abort else res.detection.d_hat
+        return res.w_hat, d_hat, res.overflow, res.budget_abort
+
+    def budget(self, cfg: "ExperimentConfig", sched: EnergySchedule) -> bounds.BoundReport:
+        return bounds.two_phase_error_budget(cfg.params, sched, cfg.bp, cfg.M)
+
+
+class OrthoScheme:
+    """Orthogonal access: one pilot+PPM slot per user."""
+
+    split_key = "t"  # config key of the pilot fraction
+
+    def schedule(self, params: SystemParams, split: float) -> EnergySchedule:
+        return make_ortho_schedule(params, split)
+
+    def plan(self, cfg: "ExperimentConfig", sched: EnergySchedule, rng):
+        return make_ortho_plan(cfg.params, sched, cfg.M)
+
+    def transmit(self, plan, msgs: np.ndarray) -> np.ndarray:
+        return transmit_ortho(plan, msgs)
+
+    def receive(self, Y: np.ndarray, plan, cfg: "ExperimentConfig", sched: EnergySchedule):
+        w_hat = ortho_receive(Y, plan, cfg.params, sched)
+        return w_hat, (w_hat != 0).astype(int), False, False
+
+    def budget(self, cfg: "ExperimentConfig", sched: EnergySchedule) -> bounds.BoundReport:
+        """Union over users of the per-user pilot+PPM bound."""
+        try:
+            per_user = bounds.ortho_user_error_bound(cfg.M, cfg.split, sched.E, cfg.params.N0)
+        except ValueError:
+            # message rate above capacity per unit energy: no meaningful bound
+            return bounds.BoundReport(value=math.inf, valid=False, terms={})
+        total = min(1.0, cfg.params.ell * per_user.value)
+        return bounds.BoundReport(
+            value=total,
+            valid=per_user.value <= 1.0,
+            terms={"per_user": per_user.value, "union_over_users": total},
+        )
+
+
+SCHEMES = {"joint": JointScheme(), "ortho": OrthoScheme()}
+
+
+def _lookup_scheme(name) -> JointScheme | OrthoScheme:
+    try:
+        return SCHEMES[name]
+    except (KeyError, TypeError):  # TypeError: an unhashable name from a config file
+        raise ConfigError(f"unknown scheme {name!r}; known: {', '.join(SCHEMES)}") from None
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
-    scheme: str  # "joint" | "ortho"
+    scheme: str  # a key of SCHEMES
     params: SystemParams
     split: float  # b (joint) or t (ortho)
     M: int
@@ -59,22 +127,19 @@ class ExperimentConfig:
     noiseless: bool = False
 
     def __post_init__(self):
-        if self.scheme not in ("joint", "ortho"):
-            raise ConfigError(f"unknown scheme {self.scheme!r}")
+        _lookup_scheme(self.scheme)
         if self.trials < 1:
             raise ConfigError(f"trials must be >= 1, got {self.trials}")
         if self.M < 2:
             raise ConfigError(f"message count must be >= 2, got {self.M}")
 
     @property
-    def schedule(self) -> EnergySchedule:
-        if self.scheme == "joint":
-            return make_joint_schedule(self.params, self.split)
-        return make_ortho_schedule(self.params, self.split)
+    def access(self) -> JointScheme | OrthoScheme:
+        return SCHEMES[self.scheme]
 
     @property
-    def rate(self) -> RateSpec:
-        return RateSpec.from_message_count(self.M, self.schedule.E)
+    def schedule(self) -> EnergySchedule:
+        return self.access.schedule(self.params, self.split)
 
 
 @dataclass(frozen=True)
@@ -88,54 +153,21 @@ class TrialRecord:
     overflow: bool
     budget_abort: bool
     stats: ErrorStats
-    wall_time: float
-
-
-def _build_plan(cfg: ExperimentConfig, sched: EnergySchedule, rng) -> TransmissionPlan:
-    if cfg.scheme == "joint":
-        return make_joint_plan(cfg.params, sched, cfg.M, rng)
-    return make_ortho_plan(cfg.params, sched, cfg.M)
 
 
 def run_trial(cfg: ExperimentConfig, trial_index: int) -> TrialRecord:
     """One end-to-end transmission; fully determined by (config, index)."""
-    t0 = time.perf_counter()
     seed = mix_seed(cfg.master_seed, trial_index)
     rng = make_rng(seed)
+    access = cfg.access
     sched = cfg.schedule
     msgs = sample_messages(cfg.params, cfg.M, rng)
-    if cfg.fixed_codebooks:
-        plan = _build_plan(cfg, sched, make_rng(mix_seed(cfg.master_seed, _PLAN_STREAM)))
-    else:
-        plan = _build_plan(cfg, sched, rng)
-
-    if cfg.scheme == "joint":
-        clean = transmit_joint(plan, msgs)
-    else:
-        clean = transmit_ortho(plan, msgs)
-    Y = awgn(clean, 0.0 if cfg.noiseless else cfg.params.N0, rng)
+    plan_rng = make_rng(mix_seed(cfg.master_seed, _PLAN_STREAM)) if cfg.fixed_codebooks else rng
+    plan = access.plan(cfg, sched, plan_rng)
+    Y = awgn(access.transmit(plan, msgs), 0.0 if cfg.noiseless else cfg.params.N0, rng)
+    w_hat, d_hat, overflow, budget_abort = access.receive(Y, plan, cfg, sched)
 
     d_true = (msgs != 0).astype(int)
-    budget_abort = False
-    overflow = False
-    if cfg.scheme == "joint":
-        try:
-            res = two_phase_receive(Y, plan, cfg.params, sched, cfg.bp)
-            w_hat, overflow = res.w_hat, res.overflow
-            d_hat = res.detection.d_hat
-        except ComplexityBudgetError:
-            # a config-deterministic blowup (the detection search itself is
-            # over budget) propagates; a data-dependent decode blowup is
-            # scored conservatively as a total loss for this trial
-            if candidate_count(cfg.params.ell, v_cap(cfg.params, sched)) > DEFAULT_CANDIDATE_BUDGET:
-                raise
-            budget_abort = True
-            w_hat = np.zeros(cfg.params.ell, dtype=int)
-            d_hat = np.zeros(cfg.params.ell, dtype=int)
-    else:
-        w_hat = ortho_receive(Y, plan, cfg.params, sched)
-        d_hat = (w_hat != 0).astype(int)
-
     kappa1, kappa2 = detection_stats(d_true, d_hat)
     stats = score_errors(msgs, w_hat, overflow or budget_abort)
     return TrialRecord(
@@ -148,7 +180,6 @@ def run_trial(cfg: ExperimentConfig, trial_index: int) -> TrialRecord:
         overflow=overflow,
         budget_abort=budget_abort,
         stats=stats,
-        wall_time=time.perf_counter() - t0,
     )
 
 
@@ -171,7 +202,6 @@ class ErrorSummary:
     ape: float
     ape_stderr: float
     overflow_rate: float
-    overflow_ci: tuple[float, float]
     budget_aborts: int
     interval_valid: bool
     records: tuple[TrialRecord, ...] = field(repr=False, default=())
@@ -200,7 +230,6 @@ def estimate_error(cfg: ExperimentConfig, threads: int = 1) -> ErrorSummary:
         ape=float(apes.mean()),
         ape_stderr=float(apes.std(ddof=1) / math.sqrt(n)) if n > 1 else 1.0,
         overflow_rate=overflow / n,
-        overflow_ci=wilson_interval(overflow, n),
         budget_aborts=sum(r.budget_abort for r in records),
         interval_valid=n >= 30,
         records=tuple(records),
@@ -209,20 +238,7 @@ def estimate_error(cfg: ExperimentConfig, threads: int = 1) -> ErrorSummary:
 
 def analytic_budget(cfg: ExperimentConfig) -> bounds.BoundReport:
     """Total analytic error budget for the configured scheme."""
-    sched = cfg.schedule
-    if cfg.scheme == "joint":
-        return bounds.two_phase_error_budget(cfg.params, sched, cfg.bp, cfg.M)
-    try:
-        per_user = bounds.ortho_user_error_bound(cfg.M, cfg.split, sched.E, cfg.params.N0)
-    except ValueError:
-        # message rate above capacity per unit energy: no meaningful bound
-        return bounds.BoundReport(value=math.inf, valid=False, terms={})
-    total = min(1.0, cfg.params.ell * per_user.value)
-    return bounds.BoundReport(
-        value=total,
-        valid=per_user.value <= 1.0,
-        terms={"per_user": per_user.value, "union_over_users": total},
-    )
+    return cfg.access.budget(cfg, cfg.schedule)
 
 
 # ---------------------------------------------------------------------------
@@ -346,8 +362,12 @@ def family_from_dict(data: dict) -> GrowthFamily:
     return GrowthFamily(name=name, ell_of_n=ell_of_n, alpha_of_n=alpha_of_n)
 
 
-@dataclass
-class SweepRow:
+@dataclass(frozen=True)
+class SummaryRow:
+    """One summary or sweep CSV row, fields in column order.  Simulation
+    fields stay None when no trials ran; a failed sweep point names its
+    failure in `error`."""
+
     n: int
     ell: int
     alpha: float
@@ -355,19 +375,45 @@ class SweepRow:
     E: float
     R_dot_nats: float
     R_dot_bits: float
-    joint_err: float | None
-    joint_err_ci: tuple[float, float] | None
-    ape: float | None
-    overflow_rate: float | None
-    budget_total: float
-    budget_valid: bool
-    converse_nats: float = math.inf
+    joint_err: float | None = None
+    joint_err_ci_lo: float | None = None
+    joint_err_ci_hi: float | None = None
+    ape: float | None = None
+    overflow_rate: float | None = None
+    budget_total: float = math.inf
+    budget_valid: bool = False
+    budget_aborts: int | None = None
+    converse_nats: float | None = None
     error: str | None = None
+
+
+SUMMARY_COLUMNS = [f.name for f in fields(SummaryRow)]
+
+
+def summary_row(
+    cfg: ExperimentConfig, summary: ErrorSummary | None, budget: bounds.BoundReport
+) -> SummaryRow:
+    """The row of an evaluated point (summary None: no trials ran); the
+    converse is converse_joint at the schedule energy and Pe = 0."""
+    sched = cfg.schedule
+    rate = RateSpec.from_message_count(cfg.M, sched.E)
+    s = summary
+    sim = {} if s is None else dict(
+        joint_err=s.joint_err, joint_err_ci_lo=s.joint_err_ci[0], joint_err_ci_hi=s.joint_err_ci[1],
+        ape=s.ape, overflow_rate=s.overflow_rate, budget_aborts=s.budget_aborts,
+    )
+    return SummaryRow(
+        n=cfg.params.n, ell=cfg.params.ell, alpha=cfg.params.alpha, k=cfg.params.k,
+        E=sched.E, R_dot_nats=rate.R_dot, R_dot_bits=rate.R_dot / math.log(2.0),
+        budget_total=budget.value, budget_valid=budget.valid,
+        converse_nats=bounds.converse_joint(cfg.params, sched.E, 0.0).value,
+        **sim,
+    )
 
 
 @dataclass
 class SweepResult:
-    rows: list[SweepRow]
+    rows: list[SummaryRow]
     verdicts: dict[str, bool]
 
 
@@ -389,69 +435,30 @@ def sweep(
     the rounded message count at the schedule energy.  Per-point failures
     are recorded in the row and the sweep continues.
     """
-    rows: list[SweepRow] = []
+    access = _lookup_scheme(scheme)
+    rows: list[SummaryRow] = []
     for n in n_grid:
         try:
             params = family.params_at(n, N0)
         except ConfigError as e:
-            rows.append(
-                SweepRow(
-                    n=n, ell=0, alpha=0.0, k=0.0, E=0.0, R_dot_nats=0.0, R_dot_bits=0.0,
-                    joint_err=None, joint_err_ci=None, ape=None, overflow_rate=None,
-                    budget_total=math.inf, budget_valid=False, error=str(e),
-                )
-            )
+            rows.append(SummaryRow(n=n, ell=0, alpha=0.0, k=0.0, E=0.0, R_dot_nats=0.0,
+                                   R_dot_bits=0.0, error=str(e)))
             continue
         try:
-            sched = (
-                make_joint_schedule(params, split)
-                if scheme == "joint"
-                else make_ortho_schedule(params, split)
-            )
-            rate = RateSpec.from_rate(R_dot_fraction / N0, sched.E)
-            cfg = ExperimentConfig(
-                scheme=scheme,
-                params=params,
-                split=split,
-                M=rate.M,
-                bp=bp,
-                trials=max(trials, 1),
-                master_seed=mix_seed(master_seed, n),
-            )
+            sched = access.schedule(params, split)
+            M = RateSpec.from_rate(R_dot_fraction / N0, sched.E).M
+            cfg = ExperimentConfig(scheme=scheme, params=params, split=split, M=M, bp=bp,
+                                   trials=max(trials, 1), master_seed=mix_seed(master_seed, n))
             budget = analytic_budget(cfg)
-            converse = bounds.converse_joint(params, sched.E, 0.0).value
-            if trials > 0:
-                summary = estimate_error(cfg, threads=threads)
-                sim = (
-                    summary.joint_err,
-                    summary.joint_err_ci,
-                    summary.ape,
-                    summary.overflow_rate,
-                )
-            else:
-                sim = (None, None, None, None)
-            rows.append(
-                SweepRow(
-                    n=n, ell=params.ell, alpha=params.alpha, k=params.k,
-                    E=sched.E, R_dot_nats=rate.R_dot, R_dot_bits=rate.R_dot / math.log(2.0),
-                    joint_err=sim[0], joint_err_ci=sim[1], ape=sim[2], overflow_rate=sim[3],
-                    budget_total=budget.value, budget_valid=budget.valid,
-                    converse_nats=converse,
-                )
-            )
+            summary = estimate_error(cfg, threads=threads) if trials > 0 else None
+            rows.append(summary_row(cfg, summary, budget))
         except (ConfigError, ValueError, ComplexityBudgetError) as e:
             # outside the scheme's regime (or over budget): the converse is
             # still evaluated, at the minimal vanishing-error energy ln(n)
             converse = bounds.converse_joint(params, math.log(n), 0.0).value
-            rows.append(
-                SweepRow(
-                    n=n, ell=params.ell, alpha=params.alpha, k=params.k,
-                    E=math.log(n), R_dot_nats=0.0, R_dot_bits=0.0,
-                    joint_err=None, joint_err_ci=None, ape=None, overflow_rate=None,
-                    budget_total=math.inf, budget_valid=False,
-                    converse_nats=converse, error=str(e),
-                )
-            )
+            rows.append(SummaryRow(n=n, ell=params.ell, alpha=params.alpha, k=params.k,
+                                   E=math.log(n), R_dot_nats=0.0, R_dot_bits=0.0,
+                                   converse_nats=converse, error=str(e)))
     good = [r for r in rows if r.ell > 0]
     verdicts = {}
     if len(good) >= 2:
@@ -505,31 +512,16 @@ def _fmt(x) -> str:
     return str(x)
 
 
-def summary_row(cfg: ExperimentConfig, summary: ErrorSummary, budget: bounds.BoundReport) -> dict:
-    sched = cfg.schedule
-    rate = cfg.rate
-    return {
-        "n": cfg.params.n, "ell": cfg.params.ell, "alpha": cfg.params.alpha,
-        "k": cfg.params.k, "E": sched.E, "R_dot_nats": rate.R_dot,
-        "R_dot_bits": rate.R_dot / math.log(2.0),
-        "joint_err": summary.joint_err,
-        "joint_err_ci_lo": summary.joint_err_ci[0],
-        "joint_err_ci_hi": summary.joint_err_ci[1],
-        "ape": summary.ape, "overflow_rate": summary.overflow_rate,
-        "budget_total": budget.value, "budget_valid": budget.valid,
-    }
-
-
-def write_summary_csv(path, rows: list[dict]) -> None:
+def write_summary_csv(path, rows: list[SummaryRow]) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(SUMMARY_COLUMNS)
         for row in rows:
-            writer.writerow([_fmt(row[c]) for c in SUMMARY_COLUMNS])
+            writer.writerow(map(_fmt, astuple(row)))
 
 
 def write_trials_csv(path, records: tuple[TrialRecord, ...]) -> None:
-    """Per-trial CSV; excludes wall time so identical seeds give identical bytes."""
+    """Per-trial CSV; it holds no timing, so identical seeds give identical bytes."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(TRIAL_COLUMNS)
@@ -541,37 +533,27 @@ def write_trials_csv(path, records: tuple[TrialRecord, ...]) -> None:
             ])
 
 
-def sweep_rows_to_csv(path, result: SweepResult) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(SUMMARY_COLUMNS)
-        for r in result.rows:
-            ci = r.joint_err_ci or (None, None)
-            writer.writerow([
-                _fmt(r.n), _fmt(r.ell), _fmt(r.alpha), _fmt(r.k), _fmt(r.E),
-                _fmt(r.R_dot_nats), _fmt(r.R_dot_bits), _fmt(r.joint_err),
-                _fmt(ci[0]), _fmt(ci[1]), _fmt(r.ape), _fmt(r.overflow_rate),
-                _fmt(r.budget_total), _fmt(r.budget_valid),
-            ])
+def _flag(data: dict, key: str) -> bool:
+    value = data.get(key, False)
+    if not isinstance(value, bool):
+        raise ConfigError(f"{key} must be true or false, got {value!r}")
+    return value
 
 
 def config_from_dict(raw: dict, overrides: dict | None = None) -> ExperimentConfig:
     """Build an ExperimentConfig from the documented JSON schema."""
-    data = dict(raw)
-    if overrides:
-        data.update({k: v for k, v in overrides.items() if v is not None})
+    if not isinstance(raw, dict):
+        raise ConfigError(f"config must be a JSON object, got {type(raw).__name__}")
+    data = {**raw, **{k: v for k, v in (overrides or {}).items() if v is not None}}
     try:
         params = SystemParams(
             n=int(data["n"]), ell=int(data["ell"]),
             alpha=float(data["alpha"]), N0=float(data.get("N0", 2.0)),
         )
         scheme = data.get("scheme", "joint")
-        split = float(data["b"] if scheme == "joint" else data["t"])
-        sched = (
-            make_joint_schedule(params, split)
-            if scheme == "joint"
-            else make_ortho_schedule(params, split)
-        )
+        access = _lookup_scheme(scheme)
+        split = float(data[access.split_key])
+        sched = access.schedule(params, split)
         if "M" in data:
             M = int(data["M"])
         elif "R_dot_nats" in data:
@@ -592,8 +574,8 @@ def config_from_dict(raw: dict, overrides: dict | None = None) -> ExperimentConf
             trials=int(data.get("trials", 100)),
             master_seed=int(data.get("master_seed", 0)),
             epsilon=float(data.get("epsilon", 0.1)),
-            fixed_codebooks=bool(data.get("fixed_codebooks", False)),
-            noiseless=bool(data.get("noiseless", False)),
+            fixed_codebooks=_flag(data, "fixed_codebooks"),
+            noiseless=_flag(data, "noiseless"),
         )
     except (KeyError, TypeError, OverflowError) as e:
         raise ConfigError(f"bad config: {e}") from e

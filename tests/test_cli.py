@@ -1,9 +1,14 @@
+import csv
 import json
 import math
 
 import pytest
 
+from manyaccess import bounds
 from manyaccess.cli import EXIT_BUDGET, EXIT_CONFIG, EXIT_OK, main
+from manyaccess.codebooks import mu_exact
+from manyaccess.decoding import BoundParams
+from manyaccess.model import SystemParams, make_joint_schedule, single_user_capacity_pue
 
 JOINT_CONFIG = {
     "scheme": "joint", "n": 512, "ell": 8, "alpha": 0.25, "N0": 2.0,
@@ -27,7 +32,104 @@ def family_path(tmp_path):
     return str(path)
 
 
+SYSTEM = {"n": 512, "ell": 8, "alpha": 0.25, "N0": 2.0}
+SYSTEM_PARAMS = SystemParams(n=512, ell=8, alpha=0.25, N0=2.0)
+SYSTEM_SCHED = make_joint_schedule(SYSTEM_PARAMS, 0.5)
+DECODE = {"rho": 0.75, "M": 4, "k_active": 3, "E_msg": 5.0, "n_msg": 200, "N0": 2.0}
+
+# name -> (--params, the direct call the printed JSON must equal)
+BOUND_CASES = {
+    "e0_msg": (
+        {"a": 2 / 3, "rho": 0.75, "k_active": 3, "E_msg": 5.0, "n_msg": 200, "N0": 2.0},
+        lambda: {"value": bounds.e0_msg(2 / 3, 0.75, 3, 5.0, 200, 2.0)},
+    ),
+    "pr_type_error_ub": (
+        {"a": 2 / 3, **DECODE, "mu": 0.9},
+        lambda: bounds.pr_type_error_ub(2 / 3, 0.75, 4, 3, 5.0, 200, 2.0, 0.9).to_dict(),
+    ),
+    "decode_error_budget": (
+        {**DECODE, "mu": 0.9},
+        lambda: bounds.decode_error_budget(0.75, 4, 3, 5.0, 200, 2.0, 0.9).to_dict(),
+    ),
+    "f_msg": (
+        {"a": 2 / 3, **DECODE},
+        lambda: {"value": bounds.f_msg(2 / 3, 0.75, 4, 3, 5.0, 200, 2.0)},
+    ),
+    "detect_exponent_g": (
+        {"lambda": 2 / 3, "rho": 0.75, "kappa1": 1, "kappa2": 2, "d_weight": 3,
+         "ell": 8, "n_sig": 256, "E_sig": 5.0},
+        lambda: {"value": bounds.detect_exponent_g(2 / 3, 0.75, 1, 2, 3, 8, 256, 5.0)},
+    ),
+    "detection_budget": (
+        {**SYSTEM, "b": 0.5, "xi": 4},
+        lambda: bounds.detection_budget(
+            SYSTEM_PARAMS, SYSTEM_SCHED, BoundParams(xi=4), mu_exact(SYSTEM_SCHED.n_sig).value
+        ).to_dict(),
+    ),
+    "two_phase_error_budget": (
+        {**SYSTEM, "b": 0.5, "M": 4, "rho": 0.5, "lambda": 0.5},
+        lambda: bounds.two_phase_error_budget(
+            SYSTEM_PARAMS, SYSTEM_SCHED, BoundParams(rho=0.5, lam=0.5), 4
+        ).to_dict(),
+    ),
+    "gallager_awgn": (
+        {"M": 16, "n_code": 64, "P": 0.5, "N0": 2.0, "rho": 0.5},
+        lambda: bounds.gallager_awgn(16, 64, 0.5, 2.0, 0.5).to_dict(),
+    ),
+    "ortho_code_bound": (
+        {"M": 256, "R_dot_nats": 0.2, "N0": 2.0},
+        lambda: bounds.ortho_code_bound(256, 0.2, 2.0).to_dict(),
+    ),
+    "ortho_user_error_bound": (
+        {"M": 8, "t": 0.25, "E": 30.0, "N0": 2.0},
+        lambda: bounds.ortho_user_error_bound(8, 0.25, 30.0, 2.0).to_dict(),
+    ),
+    "converse_joint": (
+        {**SYSTEM, "E": 10.0, "Pe": 0.05},
+        lambda: bounds.converse_joint(SYSTEM_PARAMS, 10.0, 0.05).to_dict(),
+    ),
+    "converse_ape": (
+        {**SYSTEM, "E": 10.0, "Pe_A": 0.05},
+        lambda: bounds.converse_ape(SYSTEM_PARAMS, 10.0, 0.05).to_dict(),
+    ),
+    "converse_ortho_user": (
+        {"E": 10.0, "n1": 64, "N0": 2.0, "P1": 0.1},
+        lambda: bounds.converse_ortho_user(10.0, 64, 2.0, 0.1).to_dict(),
+    ),
+    "joint_error_lb": (
+        {"E": 0.001, "ell": 64, "N0": 2.0, "alpha": 0.1},
+        lambda: bounds.joint_error_lb(0.001, 64, 2.0, 0.1).to_dict(),
+    ),
+    "gaussian_kl": (
+        {"delta_sq_norm": 3.0, "N0": 2.0},
+        lambda: {"value": bounds.gaussian_kl(3.0, 2.0)},
+    ),
+    "normal_tail": (
+        {"x": 1.5},
+        lambda: bounds.normal_tail(1.5)._asdict(),
+    ),
+    "capacity_pue": (
+        {"N0": 4.0},
+        lambda: {"nats": single_user_capacity_pue(4.0),
+                 "bits": single_user_capacity_pue(4.0) / math.log(2.0)},
+    ),
+}
+
+
 class TestBoundsCmd:
+    @pytest.mark.parametrize("name", sorted(BOUND_CASES))
+    def test_every_bound_matches_direct_call(self, name, capsys):
+        params, direct = BOUND_CASES[name]
+        assert main(["bounds", name, "--params", json.dumps(params)]) == EXIT_OK
+        assert json.loads(capsys.readouterr().out) == json.loads(json.dumps(direct()))
+
+    @pytest.mark.parametrize("name", sorted(BOUND_CASES))
+    def test_every_bound_missing_key(self, name, capsys):
+        params, _ = BOUND_CASES[name]
+        missing = dict(params)
+        missing.pop(sorted(missing)[0])
+        assert main(["bounds", name, "--params", json.dumps(missing)]) == EXIT_CONFIG
+
     def test_ortho_code_bound(self, capsys):
         rc = main(["bounds", "ortho_code_bound", "--params",
                    '{"M": 256, "R_dot_nats": 0.125, "N0": 2}'])
@@ -99,6 +201,26 @@ class TestSimulateCmd:
         assert main(["simulate", str(path)]) == EXIT_CONFIG
         assert "bad config" in capsys.readouterr().err
 
+    def test_config_not_an_object(self, tmp_path, capsys):
+        path = tmp_path / "list.json"
+        path.write_text("[1]")
+        assert main(["simulate", str(path)]) == EXIT_CONFIG
+        assert "JSON object" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key,value", [("noiseless", "false"), ("fixed_codebooks", "no"),
+                                           ("noiseless", 0)])
+    def test_flag_must_be_boolean(self, tmp_path, capsys, key, value):
+        path = tmp_path / "flag.json"
+        path.write_text(json.dumps(dict(JOINT_CONFIG, **{key: value})))
+        assert main(["simulate", str(path)]) == EXIT_CONFIG
+        assert f"{key} must be true or false" in capsys.readouterr().err
+
+    def test_unknown_scheme(self, tmp_path, capsys):
+        path = tmp_path / "scheme.json"
+        path.write_text(json.dumps(dict(JOINT_CONFIG, scheme="xyz")))
+        assert main(["simulate", str(path)]) == EXIT_CONFIG
+        assert "unknown scheme 'xyz'" in capsys.readouterr().err
+
     def test_detection_budget_abort(self, tmp_path):
         # ell = 64 with a huge weight cap: the candidate enumeration itself
         # exceeds the budget, which must surface as exit code 3
@@ -120,6 +242,19 @@ class TestSweepCmd:
         assert payload["rows"] == 3
         assert payload["verdicts"]["load_decreasing"] is True
         assert open(out).readline().startswith("n,ell,alpha")
+
+    def test_failed_point_names_its_error(self, tmp_path, capsys):
+        fam = tmp_path / "family.json"
+        fam.write_text(json.dumps({"name": "f", "ell_expr": "n", "alpha_expr": "1/(n-n)"}))
+        out = tmp_path / "sweep.csv"
+        rc = main(["sweep", "--family", str(fam), "--n-grid", "256,1024", "--out", str(out)])
+        assert rc == EXIT_OK
+        capsys.readouterr()
+        lines = out.read_text().splitlines()
+        rows = list(csv.DictReader(lines))
+        assert [r["n"] for r in rows] == ["256", "1024"]
+        assert all("division by zero" in r["error"] for r in rows)
+        assert lines[1].startswith("256,0,0,0,0,0,0,,,,,,inf,0,")
 
 
 class TestFamilyExpressions:

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from manyaccess.channel import (
-    TransmissionPlan,
+    JointPlan,
     awgn,
     make_joint_plan,
     make_ortho_plan,
@@ -73,7 +73,7 @@ def _plan_from_words(word_sets):
         for w in word_sets
     )
     sigs = SignatureMatrix(matrix=np.zeros((1, len(books))), E_sig=1.0)
-    return TransmissionPlan(scheme="joint", ell=len(books), M=M, codebooks=books, signatures=sigs)
+    return JointPlan(ell=len(books), M=M, codebooks=books, signatures=sigs)
 
 
 def _circle_words(rng, k, M, E=50.0):
@@ -152,7 +152,6 @@ class TestDecodeJointMl:
         plan = make_ortho_plan(params, sched, 4)
         rng = make_rng(41)
         slot = plan.slot_len
-        from manyaccess.channel import TransmissionPlan
         from manyaccess.codebooks import Codebook
 
         # message-part-only codebook for the joint decoder
@@ -163,8 +162,8 @@ class TestDecodeJointMl:
             w = int(rng.integers(1, 5))
             y_slot = plan.codebooks[0].words[w] + rng.standard_normal(slot) * 1.0
             via_ppm = decode_ppm(y_slot, plan.M, sched.split, sched.E)
-            joint_plan = TransmissionPlan(
-                scheme="joint", ell=1, M=plan.M, codebooks=(msg_book,),
+            joint_plan = JointPlan(
+                ell=1, M=plan.M, codebooks=(msg_book,),
                 signatures=_single_sig(slot, sched),
             )
             via_ml = decode_joint_ml(y_slot[1:], joint_plan, [0])[0]
@@ -284,6 +283,24 @@ class TestTwoPhase:
         assert res.overflow
         stats = score_errors(msgs, res.w_hat, res.overflow)
         assert stats.joint_error and stats.per_user_errors == 3
+
+    def test_decode_over_budget_is_reported(self):
+        # three users active, M^3 = 64 tuples over a budget of 63: the
+        # receiver reports the abort and decodes nobody
+        params, sched, plan, bp = self._setup(51)
+        msgs = np.array([1, 0, 2, 0, 3, 0])
+        Y = transmit_joint(plan, msgs)
+        res = two_phase_receive(Y, plan, params, sched, bp, tuple_budget=63)
+        assert res.budget_abort and not res.overflow
+        assert not res.w_hat.any()
+        assert res.detection.weight == 3
+        assert not two_phase_receive(Y, plan, params, sched, bp, tuple_budget=64).budget_abort
+
+    def test_detection_over_budget_raises(self):
+        params, sched, plan, bp = self._setup(51)
+        Y = transmit_joint(plan, np.zeros(params.ell, dtype=int))
+        with pytest.raises(ComplexityBudgetError):
+            two_phase_receive(Y, plan, params, sched, bp, detection_budget=1)
 
     def test_single_user_high_energy_smoke(self):
         params, sched, plan, bp = self._setup(54, ell=4, alpha=0.25)

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import pytest
@@ -15,7 +16,6 @@ from manyaccess.harness import (
     run_trial,
     summary_row,
     sweep,
-    sweep_rows_to_csv,
     wilson_interval,
     write_summary_csv,
     write_trials_csv,
@@ -77,6 +77,19 @@ class TestRunTrial:
         rec = run_trial(cfg, 0)
         assert not rec.overflow
         assert 0.0 <= rec.stats.ape <= 1.0
+
+    def test_ortho_trials_csv_pinned(self, tmp_path):
+        # the test_ortho_trial config over 50 trials; digest computed
+        # before the scheme objects replaced the scheme-string branches
+        cfg = ExperimentConfig(
+            scheme="ortho",
+            params=SystemParams(n=4096, ell=8, alpha=0.5, N0=2.0),
+            split=0.25, M=8, trials=50, master_seed=11,
+        )
+        path = tmp_path / "trials.csv"
+        write_trials_csv(path, estimate_error(cfg).records)
+        digest = hashlib.sha256(path.read_bytes()).hexdigest()
+        assert digest == "583721f8a00b0547486b41e8bf913f7c57b789e12f2a7af37c45d5345eeb3af2"
 
     def test_ortho_budget_above_capacity_is_invalid(self):
         # M so large that ln(M)/((1-t)E) exceeds 1/N0: the budget must be
@@ -157,7 +170,7 @@ class TestSweep:
     def test_csv_round_trip(self, tmp_path):
         res = sweep(SUB_FAMILY, [256, 1024], R_dot_fraction=0.25, trials=0)
         path = tmp_path / "sweep.csv"
-        sweep_rows_to_csv(path, res)
+        write_summary_csv(path, res.rows)
         lines = path.read_text().splitlines()
         assert lines[0].split(",")[0] == "n"
         assert len(lines) == 3
@@ -238,5 +251,6 @@ class TestConfigAndCsv:
         header = path.read_text().splitlines()[0]
         assert header == (
             "n,ell,alpha,k,E,R_dot_nats,R_dot_bits,joint_err,joint_err_ci_lo,"
-            "joint_err_ci_hi,ape,overflow_rate,budget_total,budget_valid"
+            "joint_err_ci_hi,ape,overflow_rate,budget_total,budget_valid,"
+            "budget_aborts,converse_nats,error"
         )
