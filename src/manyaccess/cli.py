@@ -87,6 +87,13 @@ BOUNDS = {
 }
 
 
+# --params keys that count something (users, messages, channel uses)
+_WHOLE_KEYS = frozenset(
+    ("M", "k_active", "n_msg", "kappa1", "kappa2", "d_weight", "ell", "n_sig", "n", "xi",
+     "n_code", "n1")
+)
+
+
 def _bound_dispatch(name: str, p: dict):
     """Evaluate a bound by name from flattened JSON parameters."""
     if name not in BOUNDS:
@@ -108,7 +115,15 @@ def _cmd_bounds(args) -> int:
     params = json.loads(args.params)
     if not isinstance(params, dict) or not all(map(_finite_number, params.values())):
         raise ConfigError("--params must be a JSON object of finite numbers")
-    result = _bound_dispatch(args.name, params)
+    try:
+        params = {k: harness.whole_number(v, k) if k in _WHOLE_KEYS else v
+                  for k, v in params.items()}
+    except TypeError as e:
+        raise ConfigError(f"--params: {e}") from e
+    try:
+        result = _bound_dispatch(args.name, params)
+    except OverflowError as e:  # e.g. math.exp of a huge M**rho
+        raise ConfigError(f"{args.name} overflows at these --params: {e}") from e
     if isinstance(result, bnd.BoundReport):
         result = result.to_dict()
     elif not isinstance(result, dict):

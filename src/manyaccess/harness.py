@@ -540,6 +540,19 @@ def _flag(data: dict, key: str) -> bool:
     return value
 
 
+def whole_number(value, key: str) -> int:
+    """A JSON number with no fractional part, as an int.
+
+    Booleans, strings and fractions raise TypeError, so "M": 4.7 is
+    refused rather than run as M = 4.
+    """
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    raise TypeError(f"{key} must be a whole number, got {value!r}")
+
+
 def config_from_dict(raw: dict, overrides: dict | None = None) -> ExperimentConfig:
     """Build an ExperimentConfig from the documented JSON schema."""
     if not isinstance(raw, dict):
@@ -547,7 +560,7 @@ def config_from_dict(raw: dict, overrides: dict | None = None) -> ExperimentConf
     data = {**raw, **{k: v for k, v in (overrides or {}).items() if v is not None}}
     try:
         params = SystemParams(
-            n=int(data["n"]), ell=int(data["ell"]),
+            n=whole_number(data["n"], "n"), ell=whole_number(data["ell"], "ell"),
             alpha=float(data["alpha"]), N0=float(data.get("N0", 2.0)),
         )
         scheme = data.get("scheme", "joint")
@@ -555,7 +568,7 @@ def config_from_dict(raw: dict, overrides: dict | None = None) -> ExperimentConf
         split = float(data[access.split_key])
         sched = access.schedule(params, split)
         if "M" in data:
-            M = int(data["M"])
+            M = whole_number(data["M"], "M")
         elif "R_dot_nats" in data:
             M = RateSpec.from_rate(float(data["R_dot_nats"]), sched.E).M
         else:
@@ -563,7 +576,7 @@ def config_from_dict(raw: dict, overrides: dict | None = None) -> ExperimentConf
         bp = BoundParams(
             rho=float(data.get("rho", 0.75)),
             lam=float(data.get("lambda", 2.0 / 3.0)),
-            xi=int(data.get("xi", 8)),
+            xi=whole_number(data.get("xi", 8), "xi"),
         )
         return ExperimentConfig(
             scheme=scheme,
@@ -571,8 +584,8 @@ def config_from_dict(raw: dict, overrides: dict | None = None) -> ExperimentConf
             split=split,
             M=M,
             bp=bp,
-            trials=int(data.get("trials", 100)),
-            master_seed=int(data.get("master_seed", 0)),
+            trials=whole_number(data.get("trials", 100), "trials"),
+            master_seed=whole_number(data.get("master_seed", 0), "master_seed"),
             epsilon=float(data.get("epsilon", 0.1)),
             fixed_codebooks=_flag(data, "fixed_codebooks"),
             noiseless=_flag(data, "noiseless"),

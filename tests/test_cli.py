@@ -166,6 +166,20 @@ class TestBoundsCmd:
         assert main(["bounds", "normal_tail", "--params", f'{{"x": {value}}}']) == EXIT_CONFIG
 
 
+    @pytest.mark.parametrize("name,params", [
+        ("decode_error_budget", {**DECODE, "k_active": 3.5, "mu": 0.9}),
+        ("detect_exponent_g", {**BOUND_CASES["detect_exponent_g"][0], "n_sig": 256.5}),
+    ])
+    def test_count_must_be_whole(self, name, params, capsys):
+        assert main(["bounds", name, "--params", json.dumps(params)]) == EXIT_CONFIG
+        assert "must be a whole number" in capsys.readouterr().err
+
+    def test_overflowing_bound(self, capsys):
+        params = {"a": 2 / 3, **DECODE, "M": 1e300, "mu": 0.9}
+        assert main(["bounds", "pr_type_error_ub", "--params", json.dumps(params)]) == EXIT_CONFIG
+        assert "overflows" in capsys.readouterr().err
+
+
 class TestSimulateCmd:
     def test_runs_and_reports(self, capsys, config_path):
         rc = main(["simulate", config_path, "--format", "json"])
@@ -214,6 +228,23 @@ class TestSimulateCmd:
         path.write_text(json.dumps(dict(JOINT_CONFIG, **{key: value})))
         assert main(["simulate", str(path)]) == EXIT_CONFIG
         assert f"{key} must be true or false" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key,value", [("M", 4.7), ("trials", 2.5), ("n", 512.5),
+                                           ("ell", 8.5), ("xi", 7.9), ("master_seed", 1.5),
+                                           ("ell", True), ("M", "4")])
+    def test_counts_are_not_truncated(self, tmp_path, capsys, key, value):
+        path = tmp_path / "frac.json"
+        path.write_text(json.dumps(dict(JOINT_CONFIG, **{key: value})))
+        assert main(["simulate", str(path)]) == EXIT_CONFIG
+        assert f"{key} must be a whole number" in capsys.readouterr().err
+
+    def test_whole_float_counts_accepted(self, tmp_path, capsys, config_path):
+        path = tmp_path / "whole.json"
+        path.write_text(json.dumps(dict(JOINT_CONFIG, M=4.0, trials=12.0)))
+        a, b = str(tmp_path / "a.csv"), str(tmp_path / "b.csv")
+        assert main(["simulate", str(path), "--trials-csv", a]) == EXIT_OK
+        assert main(["simulate", config_path, "--trials-csv", b]) == EXIT_OK
+        assert open(a, "rb").read() == open(b, "rb").read()
 
     def test_unknown_scheme(self, tmp_path, capsys):
         path = tmp_path / "scheme.json"

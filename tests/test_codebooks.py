@@ -39,6 +39,36 @@ class TestTruncatedGaussian:
         assert abs(rate - mu) <= 3 * sigma
 
 
+def _normal_reference(count, length, E, rng):
+    """The sampler drawn with rng.normal, plus its rejection-round count."""
+    sigma = math.sqrt(E / (2.0 * length))
+    out = rng.normal(0.0, sigma, size=(count, length))
+    bad = np.einsum("ij,ij->i", out, out) > E
+    rounds = 0
+    while bad.any():
+        rounds += 1
+        redraw = rng.normal(0.0, sigma, size=(int(bad.sum()), length))
+        out[bad] = redraw
+        bad_idx = np.flatnonzero(bad)
+        bad = np.zeros(count, dtype=bool)
+        bad[bad_idx[np.einsum("ij,ij->i", redraw, redraw) > E]] = True
+    return out, rounds
+
+
+@pytest.mark.parametrize("count,length", [(10, 2048), (10, 3), (16, 8), (4, 1)])
+def test_draws_match_normal_reference_bytes(count, length):
+    rounds = 0
+    for seed in range(20):
+        ref, r = _normal_reference(count, length, 3.0, make_rng(seed))
+        rounds += r
+        book = gen_codebook(count, length, 3.0, make_rng(seed))
+        assert book.words[1:].tobytes() == ref.tobytes()
+        sigs = gen_signatures(count, length, 3.0, make_rng(seed))
+        assert sigs.matrix.tobytes() == ref.T.copy().tobytes()
+    if length <= 8:
+        assert rounds > 0  # the redraw path ran
+
+
 class TestCodebook:
     def test_zero_word_and_caps(self):
         cb = gen_codebook(8, 32, 5.0, make_rng(1))

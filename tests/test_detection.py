@@ -1,10 +1,14 @@
 import math
+import tracemalloc
+from functools import lru_cache
+from itertools import combinations
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from manyaccess import detection
 from manyaccess.codebooks import SignatureMatrix, gen_signatures
 from manyaccess.detection import (
     candidate_count,
@@ -16,6 +20,62 @@ from manyaccess.detection import (
 from manyaccess.errors import ComplexityBudgetError, InvalidRegimeError
 from manyaccess.model import SystemParams, make_joint_schedule
 from manyaccess.rng import make_rng, substream
+
+
+@lru_cache(maxsize=4)
+def _candidate_matrix(ell: int, v: int) -> np.ndarray:
+    """All weight <= v activity vectors, ordered by (weight, support lex)."""
+    rows = [np.zeros(ell)]
+    for j in range(1, min(v, ell) + 1):
+        for support in combinations(range(ell), j):
+            row = np.zeros(ell)
+            row[list(support)] = 1.0
+            rows.append(row)
+    return np.array(rows)
+
+
+def dense_ls(Y_sig, S, v):
+    """The exhaustive scan: every candidate scored, the first minimum wins."""
+    cands = _candidate_matrix(S.ell, v)
+    gram = S.matrix.T @ S.matrix
+    corr = S.matrix.T @ Y_sig
+    base = float(Y_sig @ Y_sig)
+    residuals = base - 2.0 * (cands @ corr) + np.einsum("ij,ij->i", cands @ gram, cands)
+    best = int(np.argmin(residuals))
+    return cands[best].astype(int), float(residuals[best])
+
+
+@st.composite
+def ls_instances(draw):
+    """Gaussian instances, or small-integer ones with duplicated columns,
+    whose objective values are exact and tie."""
+    ell = draw(st.integers(min_value=1, max_value=10))
+    v = draw(st.integers(min_value=0, max_value=ell + 1))
+    n_sig = draw(st.integers(min_value=1, max_value=12))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    if draw(st.booleans()):
+        matrix = rng.integers(-2, 3, size=(n_sig, ell)).astype(float)
+        pairs = st.tuples(st.integers(0, ell - 1), st.integers(0, ell - 1))
+        for i, j in draw(st.lists(pairs, max_size=3)):
+            matrix[:, j] = matrix[:, i]
+        Y = rng.integers(-3, 4, size=n_sig).astype(float)
+    else:
+        matrix = rng.standard_normal((n_sig, ell))
+        Y = matrix @ (rng.random(ell) < 0.3) + rng.standard_normal(n_sig) * draw(
+            st.sampled_from([0.0, 0.5, 2.0])
+        )
+    return Y, SignatureMatrix(matrix=matrix, E_sig=1.0), v
+
+
+def _joint_n4096_instance(seed):
+    """A detection as the n = 4096 growth point runs it: ell 16, n_sig 2048."""
+    params = SystemParams(n=4096, ell=16, alpha=0.125, N0=2.0)
+    sched = make_joint_schedule(params, 0.5)
+    rng = substream(4096, seed)
+    S = gen_signatures(params.ell, sched.n_sig, sched.E_sig, rng)
+    d = (rng.random(params.ell) < params.alpha).astype(int)
+    Y = S.matrix @ d + rng.standard_normal(sched.n_sig) * math.sqrt(params.N0 / 2.0)
+    return Y, S, v_cap(params, sched)
 
 
 class TestVCap:
@@ -103,6 +163,52 @@ class TestExhaustiveLs:
         d = np.array([1, 1, 0, 0, 0, 0])
         res = detect_ls_exhaustive(S.matrix @ d, S, v=3).scored(d)
         assert (res.misses, res.false_alarms) == (0, 0)
+
+
+class TestBranchAndBound:
+    @given(ls_instances())
+    @settings(max_examples=400, derandomize=True, deadline=None)
+    def test_same_argmin_as_dense_scan(self, instance):
+        Y, S, v = instance
+        d_dense, r_dense = dense_ls(Y, S, v)
+        res = detect_ls_exhaustive(Y, S, v)
+        assert np.array_equal(res.d_hat, d_dense)
+        assert res.residual == pytest.approx(r_dense, rel=1e-12, abs=1e-9)
+
+    def test_growth_point_matches_dense_scan(self):
+        for seed in range(20):
+            Y, S, v = _joint_n4096_instance(seed)
+            assert (S.ell, S.n_sig, v) == (16, 2048, 15)
+            assert np.array_equal(detect_ls_exhaustive(Y, S, v).d_hat, dense_ls(Y, S, v)[0])
+
+    def test_peak_memory_at_growth_point(self):
+        # the scan held two 65536 x 16 float arrays, 8 MB each
+        Y, S, v = _joint_n4096_instance(0)
+        tracemalloc.start()
+        try:
+            detect_ls_exhaustive(Y, S, v)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20
+
+    def test_keeps_no_candidate_cache(self):
+        Y, S, v = _joint_n4096_instance(1)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            res = detect_ls_exhaustive(Y, S, v)
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert retained < 64 * 1024, "a detection must not leave a candidate matrix behind"
+        assert not any(hasattr(f, "cache_info") for f in vars(detection).values())
+        assert res.weight <= v
+
+    def test_non_finite_received_block(self):
+        S = gen_signatures(4, 8, 4.0, make_rng(29))
+        with pytest.raises(ValueError):
+            detect_ls_exhaustive(np.full(8, np.nan), S, v=2)
 
 
 class TestDetectPilot:
