@@ -18,6 +18,7 @@ from scipy.special import erfc
 
 from .codebooks import mu_exact
 from .decoding import BoundParams
+from .detection import v_cap
 from .model import EnergySchedule, SystemParams, binary_entropy
 
 RHO_GRID = (0.25, 0.5, 0.75, 1.0)
@@ -240,7 +241,7 @@ def detection_budget(
     if sched.c <= 0.0 or sched.E_sig <= 0.0:
         return BoundReport(value=math.inf, valid=False, terms={"overflow": math.inf})
     ell, alpha, k = params.ell, params.alpha, params.k
-    v = math.floor(k * (1.0 + sched.c))
+    v = v_cap(params, sched)
     v_eff = min(v, ell)
     et = sched.E_sig / 2.0
     log_inv_mu = -math.log(mu)
@@ -401,30 +402,11 @@ def converse_joint(params: SystemParams, E: float, Pe: float) -> BoundReport:
     error = 4.0 * Pe * (1.0 / E + 1.0 / k)
     mutual = (n / (2.0 * k * E)) * math.log1p(2.0 * k * E / (n * N0))
     prefactor = 1.0 - 4.0 * Pe * (1.0 + 1.0 / k)
+    terms = {"fano": fano, "entropy": entropy, "error": error, "mutual_info": mutual,
+             "prefactor": prefactor}
     if prefactor <= 0.0:
-        return BoundReport(
-            value=math.inf,
-            valid=False,
-            terms={
-                "fano": fano,
-                "entropy": entropy,
-                "error": error,
-                "mutual_info": mutual,
-                "prefactor": prefactor,
-            },
-        )
-    value = (fano + entropy + error + mutual) / prefactor
-    return BoundReport(
-        value=value,
-        valid=True,
-        terms={
-            "fano": fano,
-            "entropy": entropy,
-            "error": error,
-            "mutual_info": mutual,
-            "prefactor": prefactor,
-        },
-    )
+        return BoundReport(value=math.inf, valid=False, terms=terms)
+    return BoundReport(value=(fano + entropy + error + mutual) / prefactor, valid=True, terms=terms)
 
 
 def converse_ape(params: SystemParams, E: float, Pe_A: float) -> BoundReport:
@@ -440,18 +422,10 @@ def converse_ape(params: SystemParams, E: float, Pe_A: float) -> BoundReport:
     fano = (math.log(2.0) - binary_entropy(alpha)) / E
     mutual = (n / (2.0 * ell * E)) * math.log1p(2.0 * k * E / (n * N0))
     denom = alpha - Pe_A
+    terms = {"fano": fano, "mutual_info": mutual, "denominator": denom}
     if denom <= 0.0:
-        return BoundReport(
-            value=math.inf,
-            valid=False,
-            terms={"fano": fano, "mutual_info": mutual, "denominator": denom},
-        )
-    value = (fano + mutual) / denom
-    return BoundReport(
-        value=value,
-        valid=True,
-        terms={"fano": fano, "mutual_info": mutual, "denominator": denom},
-    )
+        return BoundReport(value=math.inf, valid=False, terms=terms)
+    return BoundReport(value=(fano + mutual) / denom, valid=True, terms=terms)
 
 
 def converse_ortho_user(E: float, n1: int, N0: float, P1: float) -> BoundReport:
@@ -465,16 +439,11 @@ def converse_ortho_user(E: float, n1: int, N0: float, P1: float) -> BoundReport:
     _require(P1 >= 0.0, f"error probability must be >= 0, got {P1}")
     fano = 1.0 / E
     mutual = (n1 / (2.0 * E)) * math.log1p(2.0 * E / (n1 * N0))
+    denom = max(0.0, 1.0 - P1)
+    terms = {"fano": fano, "mutual_info": mutual, "denominator": denom}
     if P1 >= 1.0:
-        return BoundReport(
-            value=math.inf, valid=False, terms={"fano": fano, "mutual_info": mutual, "denominator": 0.0}
-        )
-    value = (fano + mutual) / (1.0 - P1)
-    return BoundReport(
-        value=value,
-        valid=True,
-        terms={"fano": fano, "mutual_info": mutual, "denominator": 1.0 - P1},
-    )
+        return BoundReport(value=math.inf, valid=False, terms=terms)
+    return BoundReport(value=(fano + mutual) / denom, valid=True, terms=terms)
 
 
 def joint_error_lb(E: float, ell: int, N0: float, alpha: float) -> BoundReport:

@@ -25,14 +25,6 @@ EXIT_CONFIG = 2
 EXIT_BUDGET = 3
 
 
-def _emit(payload: dict, fmt: str) -> None:
-    if fmt == "json":
-        print(json.dumps(payload, indent=2, default=str))
-    else:
-        for key, val in payload.items():
-            print(f"{key},{val}")
-
-
 def _joint_inputs(n, ell, alpha, N0, b, rho, lam, xi):
     params = SystemParams(n, ell, alpha, N0)
     return params, make_joint_schedule(params, b), BoundParams(rho=rho, lam=lam, xi=xi)
@@ -147,7 +139,7 @@ def _cmd_simulate(args) -> int:
     payload["budget_terms"] = budget.terms
     payload["epsilon_target"] = cfg.epsilon
     payload["meets_epsilon"] = summary.joint_err <= cfg.epsilon
-    _emit(payload, args.format)
+    print(json.dumps(payload, indent=2))
     return EXIT_OK
 
 
@@ -186,7 +178,7 @@ def _cmd_partition(args) -> int:
 def _cmd_classify(args) -> int:
     family = harness.load_family(args.family)
     n_grid = [int(x) for x in args.n_grid.split(",")]
-    verdict = harness.classify_regime(family, n_grid, N0=args.N0, tol=args.tol)
+    verdict = harness.classify_regime(family, n_grid, tol=args.tol)
     print(json.dumps({"family": family.name, "verdict": verdict}))
     return EXIT_OK
 
@@ -201,7 +193,7 @@ def _cmd_mu(args) -> int:
         est = mu_monte_carlo(args.length, args.mc_trials, make_rng(args.seed or 0))
         payload["monte_carlo"] = est.value
         payload["monte_carlo_stderr"] = est.stderr
-    _emit(payload, args.format)
+    print(json.dumps(payload, indent=2))
     return EXIT_OK
 
 
@@ -224,7 +216,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--threads", type=int, default=1)
     p.add_argument("--trials-csv", default=None, help="write the per-trial CSV here")
     p.add_argument("--summary-csv", default=None, help="write the one-row summary CSV here")
-    p.add_argument("--format", choices=("csv", "json"), default="json")
     p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser("sweep", help="bound/simulation table over a growth family")
@@ -250,7 +241,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("classify", help="sublinear/superlinear verdict for a family")
     p.add_argument("--family", required=True)
     p.add_argument("--n-grid", required=True)
-    p.add_argument("--N0", type=float, default=2.0)
     p.add_argument("--tol", type=float, default=0.05)
     p.set_defaults(func=_cmd_classify)
 
@@ -258,7 +248,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("length", type=int)
     p.add_argument("--mc-trials", type=int, default=0)
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--format", choices=("csv", "json"), default="json")
     p.set_defaults(func=_cmd_mu)
 
     return ap

@@ -54,7 +54,6 @@ class SignatureMatrix:
 @dataclass(frozen=True)
 class MuEstimate:
     value: float
-    method: str  # "exact" | "chernoff-lb" | "monte-carlo"
     stderr: float | None = None
 
     def __post_init__(self):
@@ -141,14 +140,14 @@ def mu_exact(length: int) -> MuEstimate:
     """mu = Pr(chi2_length <= 2*length) via the regularized incomplete gamma."""
     if length < 1:
         raise ValueError(f"length must be >= 1, got {length}")
-    return MuEstimate(value=float(gammainc(length / 2.0, float(length))), method="exact")
+    return MuEstimate(value=float(gammainc(length / 2.0, float(length))))
 
 
 def mu_chernoff_lb(length: int) -> MuEstimate:
     """Chernoff lower bound 1 - exp(-length*tau/2) with tau = 1 - ln 2."""
     if length < 1:
         raise ValueError(f"length must be >= 1, got {length}")
-    return MuEstimate(value=1.0 - math.exp(-length * TAU / 2.0), method="chernoff-lb")
+    return MuEstimate(value=1.0 - math.exp(-length * TAU / 2.0))
 
 
 def mu_monte_carlo(length: int, trials: int, rng: np.random.Generator) -> MuEstimate:
@@ -169,7 +168,7 @@ def mu_monte_carlo(length: int, trials: int, rng: np.random.Generator) -> MuEsti
         remaining -= m
     p = hits / trials
     stderr = math.sqrt(max(p * (1.0 - p), 1e-300) / trials)
-    return MuEstimate(value=p, method="monte-carlo", stderr=stderr)
+    return MuEstimate(value=p, stderr=stderr)
 
 
 def words_to_csv(words: np.ndarray, path) -> None:

@@ -46,7 +46,6 @@ class ErrorStats:
     joint_error: bool
     per_user_errors: int
     ape: float
-    overflow: bool
 
 
 @dataclass(frozen=True)
@@ -222,8 +221,6 @@ def score_errors(w_true: np.ndarray, w_hat: np.ndarray, overflow: bool) -> Error
     ell = len(w_true)
     if overflow:
         wrong = int(np.count_nonzero(w_true))
-        return ErrorStats(joint_error=True, per_user_errors=wrong, ape=wrong / ell, overflow=True)
+        return ErrorStats(joint_error=True, per_user_errors=wrong, ape=wrong / ell)
     wrong = int(np.count_nonzero(w_true != w_hat))
-    return ErrorStats(
-        joint_error=wrong > 0, per_user_errors=wrong, ape=wrong / ell, overflow=False
-    )
+    return ErrorStats(joint_error=wrong > 0, per_user_errors=wrong, ape=wrong / ell)

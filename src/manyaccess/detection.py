@@ -12,7 +12,7 @@ full enumeration scores every candidate.
 """
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,24 +35,15 @@ _PATTERNS.setflags(write=False)
 
 @dataclass(frozen=True)
 class DetectionResult:
-    """Estimated activity pattern plus achieved residual.
-
-    Miss / false-alarm counts are filled in once the truth is known (see
-    `scored`); they stay None for raw detector output.
-    """
+    """Estimated activity pattern plus achieved residual; detection_stats
+    scores it against the truth."""
 
     d_hat: np.ndarray
     residual: float
-    misses: int | None = None
-    false_alarms: int | None = None
 
     @property
     def weight(self) -> int:
         return int(np.count_nonzero(self.d_hat))
-
-    def scored(self, d_true: np.ndarray) -> "DetectionResult":
-        k1, k2 = detection_stats(d_true, self.d_hat)
-        return replace(self, misses=k1, false_alarms=k2)
 
 
 def v_cap(params: SystemParams, sched: EnergySchedule) -> int:

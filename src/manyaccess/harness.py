@@ -95,12 +95,9 @@ class OrthoScheme:
         except ValueError:
             # message rate above capacity per unit energy: no meaningful bound
             return bounds.BoundReport(value=math.inf, valid=False, terms={})
-        total = min(1.0, cfg.params.ell * per_user.value)
-        return bounds.BoundReport(
-            value=total,
-            valid=per_user.value <= 1.0,
-            terms={"per_user": per_user.value, "union_over_users": total},
-        )
+        total = cfg.params.ell * per_user.value
+        terms = {"per_user": per_user.value, "union_over_users": total}
+        return bounds.BoundReport(value=total, valid=total <= 1.0, terms=terms)
 
 
 SCHEMES = {"joint": JointScheme(), "ortho": OrthoScheme()}
@@ -203,15 +200,13 @@ class ErrorSummary:
     ape_stderr: float
     overflow_rate: float
     budget_aborts: int
-    interval_valid: bool
     records: tuple[TrialRecord, ...] = field(repr=False, default=())
 
 
 def estimate_error(cfg: ExperimentConfig, threads: int = 1) -> ErrorSummary:
     """Run cfg.trials independent trials and aggregate empirical rates.
 
-    Bernoulli rates come with Wilson 95% intervals; the interval flag is
-    set once at least 30 trials back them.
+    Bernoulli rates come with Wilson 95% intervals.
     """
     indices = range(cfg.trials)
     if threads > 1:
@@ -231,7 +226,6 @@ def estimate_error(cfg: ExperimentConfig, threads: int = 1) -> ErrorSummary:
         ape_stderr=float(apes.std(ddof=1) / math.sqrt(n)) if n > 1 else 1.0,
         overflow_rate=overflow / n,
         budget_aborts=sum(r.budget_abort for r in records),
-        interval_valid=n >= 30,
         records=tuple(records),
     )
 
@@ -253,7 +247,7 @@ class GrowthFamily:
     ell_of_n: Callable[[int], int]
     alpha_of_n: Callable[[int, int], float]
 
-    def params_at(self, n: int, N0: float) -> SystemParams:
+    def params_at(self, n: int, N0: float = 2.0) -> SystemParams:
         ell = int(self.ell_of_n(n))
         alpha = float(self.alpha_of_n(n, ell))
         p = SystemParams(n=n, ell=ell, alpha=alpha, N0=N0)
@@ -364,24 +358,25 @@ def family_from_dict(data: dict) -> GrowthFamily:
 
 @dataclass(frozen=True)
 class SummaryRow:
-    """One summary or sweep CSV row, fields in column order.  Simulation
-    fields stay None when no trials ran; a failed sweep point names its
-    failure in `error`."""
+    """One summary or sweep CSV row, fields in column order.  A field
+    that was not computed stays None (an empty cell): simulation fields
+    when no trials ran, the rate and budget of a point outside the
+    scheme's regime, everything but `error` when the family failed."""
 
     n: int
-    ell: int
-    alpha: float
-    k: float
-    E: float
-    R_dot_nats: float
-    R_dot_bits: float
+    ell: int | None = None
+    alpha: float | None = None
+    k: float | None = None
+    E: float | None = None
+    R_dot_nats: float | None = None
+    R_dot_bits: float | None = None
     joint_err: float | None = None
     joint_err_ci_lo: float | None = None
     joint_err_ci_hi: float | None = None
     ape: float | None = None
     overflow_rate: float | None = None
-    budget_total: float = math.inf
-    budget_valid: bool = False
+    budget_total: float | None = None
+    budget_valid: bool | None = None
     budget_aborts: int | None = None
     converse_nats: float | None = None
     error: str | None = None
@@ -414,7 +409,7 @@ def summary_row(
 @dataclass
 class SweepResult:
     rows: list[SummaryRow]
-    verdicts: dict[str, bool]
+    verdicts: dict[str, str | bool]
 
 
 def sweep(
@@ -433,7 +428,9 @@ def sweep(
 
     The per-user rate target is R_dot_fraction * single-user capacity; M is
     the rounded message count at the schedule energy.  Per-point failures
-    are recorded in the row and the sweep continues.
+    are recorded in the row and the sweep continues.  Verdicts over the
+    points the family could evaluate: `regime` (load_regime, from 3
+    points) and `converse_decreasing` (from 2).
     """
     access = _lookup_scheme(scheme)
     rows: list[SummaryRow] = []
@@ -441,8 +438,7 @@ def sweep(
         try:
             params = family.params_at(n, N0)
         except ConfigError as e:
-            rows.append(SummaryRow(n=n, ell=0, alpha=0.0, k=0.0, E=0.0, R_dot_nats=0.0,
-                                   R_dot_bits=0.0, error=str(e)))
+            rows.append(SummaryRow(n=n, error=str(e)))
             continue
         try:
             sched = access.schedule(params, split)
@@ -457,45 +453,41 @@ def sweep(
             # still evaluated, at the minimal vanishing-error energy ln(n)
             converse = bounds.converse_joint(params, math.log(n), 0.0).value
             rows.append(SummaryRow(n=n, ell=params.ell, alpha=params.alpha, k=params.k,
-                                   E=math.log(n), R_dot_nats=0.0, R_dot_bits=0.0,
-                                   converse_nats=converse, error=str(e)))
-    good = [r for r in rows if r.ell > 0]
+                                   E=math.log(n), converse_nats=converse, error=str(e)))
+    good = [r for r in rows if r.k is not None]
     verdicts = {}
+    if len(good) >= 3:
+        verdicts["regime"] = load_regime(good)
     if len(good) >= 2:
-        loads = [r.k * math.log(r.ell) / r.n for r in good]
-        verdicts["load_decreasing"] = all(b < a for a, b in zip(loads, loads[1:]))
         conv = [r.converse_nats for r in good]
         verdicts["converse_decreasing"] = all(b < a for a, b in zip(conv, conv[1:]))
-        budgets = [r.budget_total for r in good if r.error is None]
-        if len(budgets) >= 2:
-            verdicts["budget_decreasing"] = all(b < a for a, b in zip(budgets, budgets[1:]))
-        errs = [r.joint_err for r in good if r.joint_err is not None]
-        if len(errs) >= 2:
-            verdicts["joint_err_decreasing"] = all(b <= a for a, b in zip(errs, errs[1:]))
     return SweepResult(rows=rows, verdicts=verdicts)
 
 
-def classify_regime(
-    family: GrowthFamily, n_grid: list[int], N0: float = 2.0, tol: float = 0.05
-) -> str:
-    """Least-squares slope of ln(k ln(ell) / n) against ln n.
+def load_regime(points, tol: float = 0.05) -> str:
+    """Least-squares slope of ln(k ln(ell) / n) against ln n over points
+    with n, ell and k attributes (SystemParams or SummaryRow).
 
     Slope below -tol: sublinear; above +tol: superlinear; else
-    indeterminate.
+    indeterminate, as it is when a point has no load (ell = 1).
     """
-    if len(n_grid) < 3:
-        raise ConfigError(f"need at least 3 grid points, got {len(n_grid)}")
-    xs, ys = [], []
-    for n in n_grid:
-        params = family.params_at(n, N0)
-        xs.append(math.log(n))
-        ys.append(math.log(params.k * math.log(params.ell) / n))
-    slope = float(np.polyfit(xs, ys, 1)[0])
+    if len(points) < 3:
+        raise ConfigError(f"need at least 3 grid points, got {len(points)}")
+    loads = [p.k * math.log(p.ell) / p.n for p in points]
+    if min(loads) <= 0.0:
+        return "indeterminate"
+    xs = [math.log(p.n) for p in points]
+    slope = float(np.polyfit(xs, [math.log(x) for x in loads], 1)[0])
     if slope < -tol:
         return "sublinear"
     if slope > tol:
         return "superlinear"
     return "indeterminate"
+
+
+def classify_regime(family: GrowthFamily, n_grid: list[int], tol: float = 0.05) -> str:
+    """load_regime of the family's points on n_grid."""
+    return load_regime([family.params_at(n) for n in n_grid], tol)
 
 
 # ---------------------------------------------------------------------------

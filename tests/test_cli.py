@@ -182,7 +182,7 @@ class TestBoundsCmd:
 
 class TestSimulateCmd:
     def test_runs_and_reports(self, capsys, config_path):
-        rc = main(["simulate", config_path, "--format", "json"])
+        rc = main(["simulate", config_path])
         assert rc == EXIT_OK
         payload = json.loads(capsys.readouterr().out)
         assert payload["n"] == 512 and 0.0 <= payload["joint_err"] <= 1.0
@@ -271,7 +271,7 @@ class TestSweepCmd:
         assert rc == EXIT_OK
         payload = json.loads(capsys.readouterr().out)
         assert payload["rows"] == 3
-        assert payload["verdicts"]["load_decreasing"] is True
+        assert payload["verdicts"]["regime"] == "sublinear"
         assert open(out).readline().startswith("n,ell,alpha")
 
     def test_failed_point_names_its_error(self, tmp_path, capsys):
@@ -285,7 +285,8 @@ class TestSweepCmd:
         rows = list(csv.DictReader(lines))
         assert [r["n"] for r in rows] == ["256", "1024"]
         assert all("division by zero" in r["error"] for r in rows)
-        assert lines[1].startswith("256,0,0,0,0,0,0,,,,,,inf,0,")
+        # nothing else was computed, so every other cell is empty
+        assert all(v == "" for r in rows for key, v in r.items() if key not in ("n", "error"))
 
 
 class TestFamilyExpressions:
@@ -342,6 +343,19 @@ class TestClassifyCmd:
         rc = main(["classify", "--family", family_path, "--n-grid", "256,1024,4096,16384"])
         assert rc == EXIT_OK
         assert json.loads(capsys.readouterr().out)["verdict"] == "sublinear"
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "cfg.json", "--format", "csv"],
+    ["mu", "2", "--format", "json"],
+    ["classify", "--family", "f.json", "--n-grid", "256,1024,4096", "--N0", "2"],
+])
+def test_removed_options_are_refused(argv, capsys):
+    # stdout is JSON throughout, and the regime does not depend on N0
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == EXIT_CONFIG
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 class TestMuCmd:

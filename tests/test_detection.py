@@ -158,11 +158,11 @@ class TestExhaustiveLs:
         res = detect_ls_exhaustive(Y, S, v=2)
         assert np.array_equal(res.d_hat, [1, 0])
 
-    def test_scored_fills_counts(self):
+    def test_exact_fit_counts(self):
         S = gen_signatures(6, 32, 4.0, make_rng(27))
         d = np.array([1, 1, 0, 0, 0, 0])
-        res = detect_ls_exhaustive(S.matrix @ d, S, v=3).scored(d)
-        assert (res.misses, res.false_alarms) == (0, 0)
+        res = detect_ls_exhaustive(S.matrix @ d, S, v=3)
+        assert detection_stats(d, res.d_hat) == (0, 0)
 
 
 class TestBranchAndBound:
@@ -265,6 +265,7 @@ def test_noisy_detection_bookkeeping_identity():
         S = gen_signatures(params.ell, sched.n_sig, sched.E_sig, rng)
         d = (rng.random(params.ell) < params.alpha).astype(int)
         Y = S.matrix @ d + rng.standard_normal(sched.n_sig) * math.sqrt(params.N0 / 2.0)
-        res = detect_ls_exhaustive(Y, S, v=v).scored(d)
-        assert d.sum() + res.false_alarms == res.weight + res.misses
+        res = detect_ls_exhaustive(Y, S, v=v)
+        misses, false_alarms = detection_stats(d, res.d_hat)
+        assert d.sum() + false_alarms == res.weight + misses
         assert res.weight <= v

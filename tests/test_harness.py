@@ -1,3 +1,4 @@
+import csv
 import hashlib
 import math
 
@@ -20,7 +21,7 @@ from manyaccess.harness import (
     write_summary_csv,
     write_trials_csv,
 )
-from manyaccess.model import SystemParams
+from manyaccess.model import RateSpec, SystemParams, make_ortho_schedule
 from manyaccess.rng import substream
 
 TINY = ExperimentConfig(
@@ -102,6 +103,19 @@ class TestRunTrial:
         rep = analytic_budget(cfg)
         assert not rep.valid and rep.value == math.inf
 
+    def test_ortho_budget_is_the_union_unclamped(self):
+        # criterion 11's n = 1024 point on the ortho scheme: each user's
+        # bound is below 1, their union over ell = 11 users is not
+        res = sweep(SUB_FAMILY, [1024], R_dot_fraction=0.25, scheme="ortho")
+        params = SUB_FAMILY.params_at(1024)
+        cfg = ExperimentConfig(scheme="ortho", params=params, split=0.5,
+                               M=RateSpec.from_rate(0.125, make_ortho_schedule(params, 0.5).E).M)
+        rep = analytic_budget(cfg)
+        assert rep.terms["per_user"] < 1.0
+        assert rep.value == rep.terms["union_over_users"] == params.ell * rep.terms["per_user"]
+        assert rep.value == pytest.approx(8.78, abs=0.01) and not rep.valid
+        assert (res.rows[0].budget_total, res.rows[0].budget_valid) == (rep.value, False)
+
 
 class TestEstimateError:
     def test_all_success_interval(self):
@@ -112,7 +126,6 @@ class TestEstimateError:
         s = estimate_error(cfg)
         assert s.joint_err == 0.0
         assert s.joint_err_ci[1] > 0.0
-        assert s.interval_valid
 
     def test_overflow_markov(self):
         s = estimate_error(TINY)
@@ -150,9 +163,9 @@ class TestEstimateError:
 
 
 class TestSweep:
-    def test_sub_family_load_decreasing(self):
+    def test_sub_family_regime(self):
         res = sweep(SUB_FAMILY, [256, 1024, 4096], R_dot_fraction=0.25, trials=0)
-        assert res.verdicts["load_decreasing"] is True
+        assert res.verdicts["regime"] == "sublinear"
         assert all(r.error is None for r in res.rows)
 
     def test_sup_family_converse_decreasing(self):
@@ -162,6 +175,36 @@ class TestSweep:
         assert all(r.error is not None for r in res.rows)
         assert res.verdicts["converse_decreasing"] is True
         assert res.rows[-1].converse_nats == pytest.approx(0.1042335, abs=1e-6)
+
+    @pytest.mark.parametrize("scheme", ["joint", "ortho"])
+    @pytest.mark.parametrize("family,grid,regime,converse_decreasing", [
+        (SUB_FAMILY, [256, 1024, 4096], "sublinear", False),
+        (SUP_FAMILY, [2**10, 2**14, 2**18], "superlinear", True),
+    ], ids=["sub", "sup"])
+    def test_verdicts_match_classify(self, scheme, family, grid, regime, converse_decreasing):
+        res = sweep(family, grid, R_dot_fraction=0.25, scheme=scheme)
+        assert res.verdicts == {"regime": regime, "converse_decreasing": converse_decreasing}
+        assert classify_regime(family, grid) == regime
+
+    def test_two_points_give_no_regime(self):
+        res = sweep(SUB_FAMILY, [256, 1024], R_dot_fraction=0.25)
+        assert set(res.verdicts) == {"converse_decreasing"}
+
+    def test_single_user_family_is_indeterminate(self):
+        # ell = 1 carries no load k ln(ell)/n, so there is no slope to fit
+        fam = GrowthFamily(name="one", ell_of_n=lambda n: 1, alpha_of_n=lambda n, ell: 1.0)
+        assert classify_regime(fam, [256, 1024, 4096]) == "indeterminate"
+        assert sweep(fam, [256, 1024, 4096], R_dot_fraction=0.25).verdicts["regime"] == "indeterminate"
+
+    def test_out_of_regime_rows_leave_rate_empty(self, tmp_path):
+        res = sweep(SUP_FAMILY, [2**10, 2**14, 2**18], R_dot_fraction=0.25)
+        path = tmp_path / "sweep.csv"
+        write_summary_csv(path, res.rows)
+        for row in csv.DictReader(path.read_text().splitlines()):
+            assert row["R_dot_nats"] == row["R_dot_bits"] == ""
+            assert row["budget_total"] == row["budget_valid"] == ""
+            assert float(row["E"]) == pytest.approx(math.log(int(row["n"])))
+            assert row["ell"] == row["n"] and row["k"] and row["converse_nats"] and row["error"]
 
     def test_empty_grid(self):
         res = sweep(SUB_FAMILY, [], R_dot_fraction=0.25)
