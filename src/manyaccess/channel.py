@@ -6,26 +6,57 @@ codewords are (signature, message codeword) concatenations; orthogonal
 transmission places each user's pilot+PPM word in its own slot.
 """
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
 from .codebooks import Codebook, SignatureMatrix, gen_codebook, gen_ppm_codebook, gen_signatures
 from .model import EnergySchedule, SystemParams
+from .rng import substream
+
+
+class UserCodebooks(Sequence):
+    """Read-only per-user message codebooks, each drawn when first read.
+
+    User i's book is gen_codebook(M, length, E, substream(key, i)), so its
+    bytes do not depend on which other books are read, or in what order.
+    A built book is cached; a plan never leaves its trial, so the cache
+    needs no lock.
+    """
+
+    def __init__(self, ell: int, M: int, length: int, E: float, key: int):
+        self.M, self.length, self.E, self.key = M, length, E, key
+        self._books: list[Codebook | None] = [None] * ell
+
+    def __len__(self) -> int:
+        return len(self._books)
+
+    def __getitem__(self, i: int) -> Codebook:
+        i = range(len(self._books))[i]  # IndexError past the end; -1 is the last user
+        if self._books[i] is None:
+            self._books[i] = gen_codebook(self.M, self.length, self.E, substream(self.key, i))
+        return self._books[i]
 
 
 @dataclass(frozen=True)
 class JointPlan:
-    """Per-user signature columns and independently drawn message codebooks."""
+    """Per-user signature columns and independently drawn message codebooks.
+
+    n_msg is the message block length; left out, it is read off codebooks[0].
+    """
 
     ell: int
     M: int
-    codebooks: tuple[Codebook, ...]
+    codebooks: Sequence[Codebook]
     signatures: SignatureMatrix
+    n_msg: int | None = None
 
     def __post_init__(self):
         if self.signatures.ell != self.ell or len(self.codebooks) != self.ell:
             raise ValueError("need one signature column and one codebook per user")
+        if self.n_msg is None:
+            object.__setattr__(self, "n_msg", self.codebooks[0].length)
 
 
 @dataclass(frozen=True)
@@ -47,10 +78,12 @@ class OrthoPlan:
 def make_joint_plan(
     params: SystemParams, sched: EnergySchedule, M: int, rng: np.random.Generator
 ) -> JointPlan:
-    """Fresh random signatures and independent per-user message codebooks."""
+    """Fresh random signatures from `rng`, then one 64-bit key from `rng`
+    that addresses the per-user codebook substreams (see UserCodebooks)."""
     sigs = gen_signatures(params.ell, sched.n_sig, sched.E_sig, rng)
-    books = tuple(gen_codebook(M, sched.n_msg, sched.E_msg, rng) for _ in range(params.ell))
-    return JointPlan(ell=params.ell, M=M, codebooks=books, signatures=sigs)
+    key = int(rng.integers(0, 1 << 64, dtype=np.uint64))
+    books = UserCodebooks(params.ell, M, sched.n_msg, sched.E_msg, key)
+    return JointPlan(ell=params.ell, M=M, codebooks=books, signatures=sigs, n_msg=sched.n_msg)
 
 
 def make_ortho_plan(params: SystemParams, sched: EnergySchedule, M: int) -> OrthoPlan:
@@ -66,7 +99,7 @@ def transmit_joint(plan: JointPlan, msgs: np.ndarray) -> np.ndarray:
         raise ValueError(f"message vector length {len(msgs)} != ell {plan.ell}")
     d = (np.asarray(msgs) != 0).astype(float)
     sig_part = plan.signatures.matrix @ d
-    msg_part = np.zeros(plan.codebooks[0].length)
+    msg_part = np.zeros(plan.n_msg)
     for i in np.flatnonzero(d):
         msg_part += plan.codebooks[i].words[msgs[i]]
     return np.concatenate([sig_part, msg_part])

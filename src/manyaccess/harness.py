@@ -2,12 +2,15 @@
 
 Each trial is reproducible from (master seed, trial index) alone: the
 trial seed is mix_seed(master, index) and one Philox stream drawn from it
-feeds, in order, message sampling, codebook/signature generation, and the
-noise.  Codebooks are redrawn fresh every trial (the annealed ensemble
-the union bounds control); a fixed-codebook mode reuses a dedicated
-substream of the master seed instead.  Trials are independent tasks, so
-a thread pool may run them concurrently; aggregation is by trial index
-and therefore order-independent.
+feeds, in order, message sampling, the signatures, one 64-bit codebook
+key, and the noise.  User i's message codebook comes from substream(key,
+i), drawn only when the transmitter or the decoder first reads it.
+Signatures and codebooks are redrawn fresh every trial (the annealed
+ensemble the union bounds control); the fixed-codebook mode draws the
+signatures and the key from a dedicated substream of the master seed
+instead, so every trial sees the same plan.  Trials are independent
+tasks, so a thread pool may run them concurrently; aggregation is by
+trial index and therefore order-independent.
 """
 
 import ast
@@ -248,9 +251,13 @@ class GrowthFamily:
     alpha_of_n: Callable[[int, int], float]
 
     def params_at(self, n: int, N0: float = 2.0) -> SystemParams:
+        """The family's point at n; an invalid point is a ConfigError."""
         ell = int(self.ell_of_n(n))
         alpha = float(self.alpha_of_n(n, ell))
-        p = SystemParams(n=n, ell=ell, alpha=alpha, N0=N0)
+        try:
+            p = SystemParams(n=n, ell=ell, alpha=alpha, N0=N0)
+        except ValueError as e:
+            raise ConfigError(f"family {self.name!r} at n = {n}: {e}") from None
         if p.k < 1.0:
             raise ConfigError(f"family {self.name!r} gives k = {p.k:.4g} < 1 at n = {n}")
         return p

@@ -1,10 +1,13 @@
 """Portable seeded randomness.
 
 All simulation randomness flows through Philox4x64-10, a counter-based
-generator whose raw stream is fully determined by a 64-bit key.  Trial
-substreams are derived by a SplitMix64 hash of (master seed, index), so
-any run is reproducible from the master seed alone.  Conformance of both
-pieces is pinned by test vectors in tests/test_rng.py.
+generator whose raw stream is fully determined by a 64-bit key.
+Substreams are derived by a SplitMix64 hash of (seed, index path): a
+trial's stream from (master seed, trial index), and user i's codebook
+within a trial from (codebook key, i), the key being one 64-bit word of
+the trial stream.  Any run is therefore reproducible from the master
+seed alone.  Conformance of both pieces is pinned by test vectors in
+tests/test_rng.py.
 """
 
 import numpy as np

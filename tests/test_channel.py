@@ -3,9 +3,11 @@ import math
 import numpy as np
 import pytest
 
+from manyaccess import channel
 from manyaccess.channel import awgn, make_joint_plan, make_ortho_plan, transmit_joint, transmit_ortho
+from manyaccess.codebooks import gen_codebook, gen_signatures
 from manyaccess.model import SystemParams, make_joint_schedule, make_ortho_schedule
-from manyaccess.rng import make_rng
+from manyaccess.rng import make_rng, substream
 
 
 @pytest.fixture
@@ -71,6 +73,51 @@ class TestTransmitJoint:
         _, _, plan = joint_setup
         with pytest.raises(ValueError):
             transmit_joint(plan, np.zeros(3, dtype=int))
+
+
+class TestJointCodebooks:
+    def test_book_comes_from_its_substream(self, joint_setup):
+        # stream contract: signatures, then one 64-bit key; user i's book
+        # is drawn from substream(key, i)
+        params, sched, plan = joint_setup
+        rng = make_rng(10)
+        gen_signatures(params.ell, sched.n_sig, sched.E_sig, rng)
+        key = int(rng.integers(0, 1 << 64, dtype=np.uint64))
+        for i in range(params.ell):
+            book = gen_codebook(4, sched.n_msg, sched.E_msg, substream(key, i))
+            assert plan.codebooks[i].words.tobytes() == book.words.tobytes()
+
+    def test_book_independent_of_read_order(self, joint_setup, monkeypatch):
+        params, sched, _ = joint_setup
+        calls = []
+
+        def counting_gen_codebook(*args):
+            calls.append(args)
+            return gen_codebook(*args)
+
+        monkeypatch.setattr(channel, "gen_codebook", counting_gen_codebook)
+
+        def read(order):
+            calls.clear()
+            plan = make_joint_plan(params, sched, 4, make_rng(10))
+            books = {i: plan.codebooks[i].words.tobytes() for i in order}
+            assert len(calls) == len(books)  # only the books read are drawn
+            return books
+
+        alone = read([3])[3]
+        assert read([5, 0, 3])[3] == alone
+        assert read(range(params.ell))[3] == alone
+        assert read(reversed(range(params.ell))) == read(range(params.ell))
+
+    def test_books_are_cached_and_read_only(self, joint_setup):
+        params, _, plan = joint_setup
+        assert len(plan.codebooks) == params.ell
+        assert plan.codebooks[2] is plan.codebooks[2]
+        assert plan.codebooks[-1] is plan.codebooks[params.ell - 1]
+        with pytest.raises(IndexError):
+            plan.codebooks[params.ell]
+        with pytest.raises(TypeError):
+            plan.codebooks[0] = plan.codebooks[1]
 
 
 class TestTransmitOrtho:

@@ -288,6 +288,18 @@ class TestSweepCmd:
         # nothing else was computed, so every other cell is empty
         assert all(v == "" for r in rows for key, v in r.items() if key not in ("n", "error"))
 
+    def test_invalid_point_is_a_failed_row(self, tmp_path, family_path, capsys):
+        # at n = 1 the family gives ell = 1 and alpha = 2, which SystemParams refuses
+        out = tmp_path / "sweep.csv"
+        rc = main(["sweep", "--family", family_path, "--n-grid", "1,256,1024",
+                   "--out", str(out)])
+        assert rc == EXIT_OK
+        capsys.readouterr()
+        rows = list(csv.DictReader(out.read_text().splitlines()))
+        assert [r["n"] for r in rows] == ["1", "256", "1024"]
+        assert "activity probability must be in (0,1]" in rows[0]["error"]
+        assert all(r["error"] == "" and r["ell"] != "" for r in rows[1:])
+
 
 class TestFamilyExpressions:
     def _family(self, tmp_path, ell_expr="ceil(n**(1/3))", alpha_expr="2/ell"):

@@ -2,8 +2,11 @@ import csv
 import hashlib
 import math
 
+import numpy as np
 import pytest
 
+from manyaccess import channel, harness
+from manyaccess.codebooks import gen_codebook, gen_signatures
 from manyaccess.decoding import BoundParams
 from manyaccess.errors import ConfigError
 from manyaccess.harness import (
@@ -21,8 +24,8 @@ from manyaccess.harness import (
     write_summary_csv,
     write_trials_csv,
 )
-from manyaccess.model import RateSpec, SystemParams, make_ortho_schedule
-from manyaccess.rng import substream
+from manyaccess.model import RateSpec, SystemParams, make_ortho_schedule, sample_messages
+from manyaccess.rng import make_rng, mix_seed, substream
 
 TINY = ExperimentConfig(
     scheme="joint",
@@ -68,6 +71,55 @@ class TestRunTrial:
         for i in range(60):
             rec = run_trial(TINY, i)
             assert rec.k_true + rec.kappa2 == rec.d_hat_weight + rec.kappa1
+
+    def test_draws_only_the_books_it_reads(self, monkeypatch):
+        # a trial draws user i's book once, and only for the users it
+        # transmits for (active) or decodes (detected)
+        users = []
+
+        def recording_substream(key, i):
+            users.append(i)
+            return substream(key, i)
+
+        calls = []
+
+        def counting_gen_codebook(*args):
+            calls.append(args)
+            return gen_codebook(*args)
+
+        monkeypatch.setattr(channel, "substream", recording_substream)
+        monkeypatch.setattr(channel, "gen_codebook", counting_gen_codebook)
+        for i in range(40):
+            users.clear()
+            calls.clear()
+            rec = run_trial(TINY, i)
+            assert not (rec.overflow or rec.budget_abort)
+            active = np.flatnonzero(sample_messages(TINY.params, TINY.M, make_rng(rec.seed)))
+            assert len(calls) == len(set(users)) == len(users) == rec.k_true + rec.kappa2
+            assert set(active) <= set(users)
+
+    def test_fixed_codebooks_same_books_every_trial(self, monkeypatch):
+        cfg = ExperimentConfig(scheme="joint", params=TINY.params, split=0.5, M=4,
+                               trials=2, master_seed=9, fixed_codebooks=True)
+        plans = []
+        make_plan = harness.make_joint_plan
+
+        def capturing_plan(*args):
+            plans.append(make_plan(*args))
+            return plans[-1]
+
+        monkeypatch.setattr(harness, "make_joint_plan", capturing_plan)
+        run_trial(cfg, 0)
+        run_trial(cfg, 1)
+        # the fixed plan stream gives the signatures, then the book key
+        sched = cfg.schedule
+        rng = make_rng(mix_seed(cfg.master_seed, harness._PLAN_STREAM))
+        gen_signatures(cfg.params.ell, sched.n_sig, sched.E_sig, rng)
+        key = int(rng.integers(0, 1 << 64, dtype=np.uint64))
+        for i in range(cfg.params.ell):
+            want = gen_codebook(cfg.M, sched.n_msg, sched.E_msg, substream(key, i)).words
+            assert plans[0].codebooks[i].words.tobytes() == want.tobytes()
+            assert plans[1].codebooks[i].words.tobytes() == want.tobytes()
 
     def test_ortho_trial(self):
         cfg = ExperimentConfig(
