@@ -79,14 +79,10 @@ def pr_type_error_ub(
     n_msg: int,
     N0: float,
     mu: float,
-    n_exponent: int | None = None,
 ) -> BoundReport:
     """Union bound on Pr{fraction a of the k' decoded messages are wrong}:
 
         (1/mu)^(2k') C(k', a k') M^(a k' rho) exp(-n' E0(a, rho)).
-
-    The exponent multiplies the message length n' by default; pass
-    `n_exponent` to use a different length (e.g. the full blocklength).
     """
     _require(M >= 2, f"message count must be >= 2, got {M}")
     _require(0.0 < mu <= 1.0, f"mu must be in (0,1], got {mu}")
@@ -94,11 +90,10 @@ def pr_type_error_ub(
     _require(abs(ak - round(ak)) < 1e-9 and round(ak) >= 1, f"a*k' must be a positive integer, got {ak}")
     ak = round(ak)
     e0 = e0_msg(a, rho, k_active, E_msg, n_msg, N0)
-    length = n_msg if n_exponent is None else n_exponent
     log_mu_factor = -2.0 * k_active * math.log(mu)
     log_binomial = _log_binom(k_active, ak)
     log_rate_term = ak * rho * math.log(M)
-    exponent = length * e0
+    exponent = n_msg * e0
     value = math.exp(log_mu_factor + log_binomial + log_rate_term - exponent)
     return BoundReport(
         value=value,
@@ -287,7 +282,6 @@ def two_phase_error_budget(
     sched: EnergySchedule,
     bp: BoundParams,
     M: int,
-    rho_grid: tuple[float, ...] = RHO_GRID,
 ) -> BoundReport:
     """Total analytic error budget for the two-phase scheme:
 
@@ -308,7 +302,7 @@ def two_phase_error_budget(
             continue
         best = min(
             decode_error_budget(rho, M, k_active, sched.E_msg, sched.n_msg, params.N0, mu_msg).value
-            for rho in rho_grid
+            for rho in RHO_GRID
         )
         decode += pmf * best
     markov = 1.0 / bp.xi
@@ -376,6 +370,7 @@ def ortho_user_error_bound(M: int, t: float, E: float, N0: float) -> BoundReport
     """
     _require(0.0 < t < 1.0, f"pilot fraction must be in (0,1), got {t}")
     _require(E > 0.0, f"energy must be positive, got {E}")
+    _require(N0 > 0.0, f"noise level must be positive, got {N0}")
     pilot = 2.0 * normal_tail(math.sqrt(t * E / (2.0 * N0))).q
     decode = ortho_code_bound(M, math.log(M) / ((1.0 - t) * E), N0).value
     value = pilot + decode

@@ -41,22 +41,18 @@ class UserCodebooks(Sequence):
 
 @dataclass(frozen=True)
 class JointPlan:
-    """Per-user signature columns and independently drawn message codebooks.
-
-    n_msg is the message block length; left out, it is read off codebooks[0].
-    """
+    """Per-user signature columns and independently drawn message codebooks
+    of block length n_msg."""
 
     ell: int
     M: int
     codebooks: Sequence[Codebook]
     signatures: SignatureMatrix
-    n_msg: int | None = None
+    n_msg: int
 
     def __post_init__(self):
         if self.signatures.ell != self.ell or len(self.codebooks) != self.ell:
             raise ValueError("need one signature column and one codebook per user")
-        if self.n_msg is None:
-            object.__setattr__(self, "n_msg", self.codebooks[0].length)
 
 
 @dataclass(frozen=True)

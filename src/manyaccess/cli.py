@@ -1,8 +1,9 @@
 """Command-line surface.
 
 Subcommands: bounds, simulate, sweep, partition, classify, mu.  Exit
-codes: 0 success, 2 config error, 3 complexity-budget abort.  Rates are
-reported in both nats and bits per unit energy.
+codes: 0 success, 2 config error, 3 complexity-budget abort (including
+an array too large to allocate).  Rates are reported in both nats and
+bits per unit energy.
 """
 
 import argparse
@@ -52,7 +53,7 @@ def _capacity_pue(N0):
 _SYSTEM = ("n", "ell", "alpha", "N0")
 _DECODE = ("rho", "M", "k_active", "E_msg", "n_msg", "N0")
 # optional --params keys, as (key, default)
-_JOINT_OPTIONAL = (("rho", 0.75), ("lambda", 2.0 / 3.0), ("xi", 8))
+_JOINT_OPTIONAL = (("rho", BoundParams.rho), ("lambda", BoundParams.lam), ("xi", BoundParams.xi))
 
 # bound name -> (function, the --params keys of its positional arguments)
 BOUNDS = {
@@ -257,7 +258,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ComplexityBudgetError as e:
+    except (ComplexityBudgetError, MemoryError) as e:
         print(f"complexity budget exceeded: {e}", file=sys.stderr)
         return EXIT_BUDGET
     except (ConfigError, ValueError, KeyError, OSError, json.JSONDecodeError) as e:

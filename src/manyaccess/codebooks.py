@@ -170,11 +170,3 @@ def mu_monte_carlo(length: int, trials: int, rng: np.random.Generator) -> MuEsti
     stderr = math.sqrt(max(p * (1.0 - p), 1e-300) / trials)
     return MuEstimate(value=p, stderr=stderr)
 
-
-def words_to_csv(words: np.ndarray, path) -> None:
-    """Snapshot a codeword matrix (row = codeword) as CSV."""
-    np.savetxt(path, np.atleast_2d(words), delimiter=",", fmt="%.17g")
-
-
-def words_from_csv(path) -> np.ndarray:
-    return np.atleast_2d(np.loadtxt(path, delimiter=","))

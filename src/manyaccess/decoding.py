@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import JointPlan, OrthoPlan
-from .detection import DetectionResult, detect_ls_exhaustive, detect_pilot, v_cap
+from .detection import DEFAULT_CANDIDATE_BUDGET, DetectionResult, detect_ls_exhaustive, detect_pilot, v_cap
 from .errors import ComplexityBudgetError
 from .model import EnergySchedule, SystemParams
 
@@ -56,7 +56,7 @@ class TwoPhaseResult:
     budget_abort: bool = False
 
 
-def decode_ppm(y_slot: np.ndarray, M: int, t: float, E: float) -> int:
+def decode_ppm(y_slot: np.ndarray, M: int) -> int:
     """ML decoding of one PPM slot given the user is active.
 
     All nonzero words share the pilot coordinate and have equal energy, so
@@ -164,7 +164,7 @@ def two_phase_receive(
     params: SystemParams,
     sched: EnergySchedule,
     bp: BoundParams,
-    detection_budget: int = 10**7,
+    detection_budget: int = DEFAULT_CANDIDATE_BUDGET,
     tuple_budget: int = DEFAULT_TUPLE_BUDGET,
 ) -> TwoPhaseResult:
     """Detect active users on the signature block, then jointly decode them.
@@ -208,7 +208,7 @@ def ortho_receive(
     for i in range(params.ell):
         y_slot = Y[i * slot : (i + 1) * slot]
         if detect_pilot(float(y_slot[0]), sched.split, sched.E):
-            w_hat[i] = decode_ppm(y_slot, plan.M, sched.split, sched.E)
+            w_hat[i] = decode_ppm(y_slot, plan.M)
     return w_hat
 
 

@@ -19,7 +19,7 @@ import json
 import math
 import operator
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import astuple, dataclass, field, fields
+from dataclasses import astuple, dataclass, field, fields, replace
 from typing import Callable
 
 import numpy as np
@@ -27,7 +27,7 @@ import numpy as np
 from . import bounds
 from .channel import awgn, make_joint_plan, make_ortho_plan, transmit_joint, transmit_ortho
 from .decoding import BoundParams, ErrorStats, ortho_receive, score_errors, two_phase_receive
-from .errors import ComplexityBudgetError, ConfigError
+from .errors import ComplexityBudgetError, ConfigError, InvalidRegimeError
 from .model import EnergySchedule, RateSpec, SystemParams, make_joint_schedule, make_ortho_schedule, sample_messages
 from .rng import make_rng, mix_seed
 from .detection import detection_stats
@@ -132,6 +132,8 @@ class ExperimentConfig:
             raise ConfigError(f"trials must be >= 1, got {self.trials}")
         if self.M < 2:
             raise ConfigError(f"message count must be >= 2, got {self.M}")
+        if not math.isfinite(self.bp.xi * self.params.k):
+            raise ConfigError(f"xi * k must be finite, got xi = {self.bp.xi:.4g}")
 
     @property
     def access(self) -> JointScheme | OrthoScheme:
@@ -256,7 +258,7 @@ class GrowthFamily:
         alpha = float(self.alpha_of_n(n, ell))
         try:
             p = SystemParams(n=n, ell=ell, alpha=alpha, N0=N0)
-        except ValueError as e:
+        except (ValueError, OverflowError) as e:
             raise ConfigError(f"family {self.name!r} at n = {n}: {e}") from None
         if p.k < 1.0:
             raise ConfigError(f"family {self.name!r} gives k = {p.k:.4g} < 1 at n = {n}")
@@ -413,6 +415,12 @@ def summary_row(
     )
 
 
+def _unrated_row(params: SystemParams, E: float, error: str) -> SummaryRow:
+    """The row of a point with no rate or budget: its converse at energy E."""
+    return SummaryRow(n=params.n, ell=params.ell, alpha=params.alpha, k=params.k, E=E,
+                      converse_nats=bounds.converse_joint(params, E, 0.0).value, error=error)
+
+
 @dataclass
 class SweepResult:
     rows: list[SummaryRow]
@@ -427,19 +435,28 @@ def sweep(
     scheme: str = "joint",
     split: float = 0.5,
     trials: int = 0,
-    bp: BoundParams = BoundParams(),
     master_seed: int = 0,
     threads: int = 1,
 ) -> SweepResult:
     """Evaluate schedules, bounds, and (optionally) simulations over a grid.
 
     The per-user rate target is R_dot_fraction * single-user capacity; M is
-    the rounded message count at the schedule energy.  Per-point failures
-    are recorded in the row and the sweep continues.  Verdicts over the
-    points the family could evaluate: `regime` (load_regime, from 3
-    points) and `converse_decreasing` (from 2).
+    the rounded message count at the schedule energy.  Invalid global
+    options are a ConfigError before any point runs.  A point that fails
+    is recorded in its row with what was computed before the failure, and
+    the sweep continues: outside the scheme's regime there is no schedule,
+    so the row's E is ln(n); a rate or budget that overflows keeps the
+    schedule's E; a detection search over its budget keeps the rate and
+    budget too.  Verdicts over the points the family could evaluate:
+    `regime` (load_regime, from 3 points) and `converse_decreasing` (from 2).
     """
     access = _lookup_scheme(scheme)
+    if not 0.0 < split < 1.0:
+        raise ConfigError(f"split must be in (0,1), got {split}")
+    if not 0.0 < N0 < math.inf:
+        raise ConfigError(f"N0 must be positive and finite, got {N0}")
+    if not 0.0 < R_dot_fraction < math.inf:
+        raise ConfigError(f"rate fraction must be positive and finite, got {R_dot_fraction}")
     rows: list[SummaryRow] = []
     for n in n_grid:
         try:
@@ -449,18 +466,24 @@ def sweep(
             continue
         try:
             sched = access.schedule(params, split)
+        except InvalidRegimeError as e:
+            # no schedule: E is the minimal vanishing-error energy ln(n)
+            rows.append(_unrated_row(params, math.log(n), str(e)))
+            continue
+        try:
             M = RateSpec.from_rate(R_dot_fraction / N0, sched.E).M
-            cfg = ExperimentConfig(scheme=scheme, params=params, split=split, M=M, bp=bp,
+            cfg = ExperimentConfig(scheme=scheme, params=params, split=split, M=M,
                                    trials=max(trials, 1), master_seed=mix_seed(master_seed, n))
             budget = analytic_budget(cfg)
+        except OverflowError as e:
+            rows.append(_unrated_row(params, sched.E, f"rate or budget overflows: {e}"))
+            continue
+        try:
             summary = estimate_error(cfg, threads=threads) if trials > 0 else None
-            rows.append(summary_row(cfg, summary, budget))
-        except (ConfigError, ValueError, ComplexityBudgetError) as e:
-            # outside the scheme's regime (or over budget): the converse is
-            # still evaluated, at the minimal vanishing-error energy ln(n)
-            converse = bounds.converse_joint(params, math.log(n), 0.0).value
-            rows.append(SummaryRow(n=n, ell=params.ell, alpha=params.alpha, k=params.k,
-                                   E=math.log(n), converse_nats=converse, error=str(e)))
+        except ComplexityBudgetError as e:
+            rows.append(replace(summary_row(cfg, None, budget), error=str(e)))
+            continue
+        rows.append(summary_row(cfg, summary, budget))
     good = [r for r in rows if r.k is not None]
     verdicts = {}
     if len(good) >= 3:
@@ -573,9 +596,9 @@ def config_from_dict(raw: dict, overrides: dict | None = None) -> ExperimentConf
         else:
             raise ConfigError("config needs either M or R_dot_nats")
         bp = BoundParams(
-            rho=float(data.get("rho", 0.75)),
-            lam=float(data.get("lambda", 2.0 / 3.0)),
-            xi=whole_number(data.get("xi", 8), "xi"),
+            rho=float(data.get("rho", BoundParams.rho)),
+            lam=float(data.get("lambda", BoundParams.lam)),
+            xi=whole_number(data.get("xi", BoundParams.xi), "xi"),
         )
         return ExperimentConfig(
             scheme=scheme,
@@ -583,9 +606,10 @@ def config_from_dict(raw: dict, overrides: dict | None = None) -> ExperimentConf
             split=split,
             M=M,
             bp=bp,
-            trials=whole_number(data.get("trials", 100), "trials"),
-            master_seed=whole_number(data.get("master_seed", 0), "master_seed"),
-            epsilon=float(data.get("epsilon", 0.1)),
+            trials=whole_number(data.get("trials", ExperimentConfig.trials), "trials"),
+            master_seed=whole_number(data.get("master_seed", ExperimentConfig.master_seed),
+                                     "master_seed"),
+            epsilon=float(data.get("epsilon", ExperimentConfig.epsilon)),
             fixed_codebooks=_flag(data, "fixed_codebooks"),
             noiseless=_flag(data, "noiseless"),
         )

@@ -39,8 +39,9 @@ class SystemParams:
             raise ValueError(f"user count must be >= 1, got {self.ell}")
         if not 0.0 < self.alpha <= 1.0:
             raise ValueError(f"activity probability must be in (0,1], got {self.alpha}")
-        if self.N0 <= 0.0:
-            raise ValueError(f"noise level must be positive, got {self.N0}")
+        if not (self.N0 > 0.0 and math.isfinite(self.n * self.N0)):
+            # n*N0/2 is the block's mean noise energy, which the receivers square-sum
+            raise ValueError(f"noise level must be positive with n*N0 finite, got {self.N0}")
 
     @property
     def k(self) -> float:
@@ -67,14 +68,10 @@ class EnergySchedule:
     E_msg: float
 
     def __post_init__(self):
-        if self.E <= 0.0:
-            raise ValueError(f"total energy must be positive, got {self.E}")
+        if not 0.0 < self.E < math.inf:
+            raise ValueError(f"total energy must be positive and finite, got {self.E}")
         if min(self.E_sig, self.E_msg, self.n_sig, self.n_msg) < 0:
             raise ValueError("schedule components must be nonnegative")
-
-    @property
-    def slot_len(self) -> int:
-        return self.n_sig + self.n_msg
 
 
 def make_joint_schedule(params: SystemParams, b: float) -> EnergySchedule:

@@ -263,8 +263,8 @@ def typeclass_probability(ell: int, M: int, t: int, alpha: float) -> float:
     return (1.0 - alpha) ** (ell - t) * (alpha / M) ** t * type_class_size(ell, M, t)
 
 
-def partition_to_json(p: Partition, report: PartitionReport | None = None) -> str:
-    """Dump a partition (and optionally its verification report) as JSON."""
+def partition_to_json(p: Partition, report: PartitionReport) -> str:
+    """Dump a partition and its verification report as JSON."""
     payload = {
         "ell": p.ell,
         "M": p.M,
@@ -272,13 +272,12 @@ def partition_to_json(p: Partition, report: PartitionReport | None = None) -> st
         "num_sets": p.num_sets,
         "centers": [list(c) for c in p.centers],
         "sets": [[list(w) for w in cell] for cell in p.sets],
-    }
-    if report is not None:
-        payload["report"] = {
+        "report": {
             "disjoint_cover": report.disjoint_cover,
             "min_set_size": report.min_set_size,
             "max_diameter": report.max_diameter,
             "min_center_distance": report.min_center_distance,
             "ok": report.ok,
-        }
+        },
+    }
     return json.dumps(payload, indent=2)

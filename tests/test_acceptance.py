@@ -89,7 +89,7 @@ def test_criterion_04_ppm_decoder_vs_bound():
         slots = rng.standard_normal((m, M + 1)) * sigma
         slots[np.arange(m), w] += amp
         for i in range(m):
-            errors += int(decode_ppm(slots[i], M, 0.25, E) != w[i])
+            errors += int(decode_ppm(slots[i], M) != w[i])
         done += m
     rate = errors / trials
     hi = wilson_interval(errors, trials)[1]

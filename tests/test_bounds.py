@@ -64,11 +64,6 @@ class TestPrTypeErrorUb:
             ),
         )
 
-    def test_exponent_length_switch(self):
-        with_msg = bounds.pr_type_error_ub(1.0, 1.0, 2, 1, 20.0, 100, 2.0, 1.0)
-        with_full = bounds.pr_type_error_ub(1.0, 1.0, 2, 1, 20.0, 100, 2.0, 1.0, n_exponent=200)
-        assert with_full.value < with_msg.value
-
     def test_non_integer_fraction_rejected(self):
         with pytest.raises(ValueError):
             bounds.pr_type_error_ub(0.4, 0.5, 4, 2, 10.0, 200, 2.0, 0.95)

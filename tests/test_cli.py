@@ -1,10 +1,14 @@
 import csv
 import json
 import math
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from manyaccess import bounds
+from manyaccess import bounds, harness
 from manyaccess.cli import EXIT_BUDGET, EXIT_CONFIG, EXIT_OK, main
 from manyaccess.codebooks import mu_exact
 from manyaccess.decoding import BoundParams
@@ -13,6 +17,10 @@ from manyaccess.model import SystemParams, make_joint_schedule, single_user_capa
 JOINT_CONFIG = {
     "scheme": "joint", "n": 512, "ell": 8, "alpha": 0.25, "N0": 2.0,
     "b": 0.5, "M": 4, "xi": 8, "trials": 12, "master_seed": 31337,
+}
+ORTHO_CONFIG = {
+    "scheme": "ortho", "n": 512, "ell": 8, "alpha": 0.25, "N0": 2.0,
+    "t": 0.25, "M": 4, "trials": 12, "master_seed": 31337,
 }
 
 
@@ -174,6 +182,11 @@ class TestBoundsCmd:
         assert main(["bounds", name, "--params", json.dumps(params)]) == EXIT_CONFIG
         assert "must be a whole number" in capsys.readouterr().err
 
+    def test_ortho_user_bound_needs_positive_noise(self, capsys):
+        params = {"M": 4, "t": 0.5, "E": 10, "N0": 0}
+        assert main(["bounds", "ortho_user_error_bound", "--params", json.dumps(params)]) == EXIT_CONFIG
+        assert "noise level must be positive" in capsys.readouterr().err
+
     def test_overflowing_bound(self, capsys):
         params = {"a": 2 / 3, **DECODE, "M": 1e300, "mu": 0.9}
         assert main(["bounds", "pr_type_error_ub", "--params", json.dumps(params)]) == EXIT_CONFIG
@@ -192,14 +205,14 @@ class TestSimulateCmd:
         assert main(["simulate", config_path, "--trials-csv", a]) == EXIT_OK
         assert main(["simulate", config_path, "--trials-csv", b]) == EXIT_OK
         capsys.readouterr()
-        assert open(a, "rb").read() == open(b, "rb").read()
+        assert Path(a).read_bytes() == Path(b).read_bytes()
 
     def test_seed_override_changes_output(self, tmp_path, config_path, capsys):
         a, b = str(tmp_path / "a.csv"), str(tmp_path / "b.csv")
         assert main(["simulate", config_path, "--trials-csv", a, "--seed", "1"]) == EXIT_OK
         assert main(["simulate", config_path, "--trials-csv", b, "--seed", "2"]) == EXIT_OK
         capsys.readouterr()
-        assert open(a, "rb").read() != open(b, "rb").read()
+        assert Path(a).read_bytes() != Path(b).read_bytes()
 
     def test_missing_file(self):
         assert main(["simulate", "/nonexistent.json"]) == EXIT_CONFIG
@@ -244,13 +257,33 @@ class TestSimulateCmd:
         a, b = str(tmp_path / "a.csv"), str(tmp_path / "b.csv")
         assert main(["simulate", str(path), "--trials-csv", a]) == EXIT_OK
         assert main(["simulate", config_path, "--trials-csv", b]) == EXIT_OK
-        assert open(a, "rb").read() == open(b, "rb").read()
+        assert Path(a).read_bytes() == Path(b).read_bytes()
 
     def test_unknown_scheme(self, tmp_path, capsys):
         path = tmp_path / "scheme.json"
         path.write_text(json.dumps(dict(JOINT_CONFIG, scheme="xyz")))
         assert main(["simulate", str(path)]) == EXIT_CONFIG
         assert "unknown scheme 'xyz'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key,value,message", [
+        ("xi", 1e308, "xi * k must be finite"),
+        ("alpha", 1e-308, "total energy must be positive and finite"),
+        ("N0", 1e308, "n*N0 finite"),
+    ])
+    def test_overflowing_value_refused(self, tmp_path, capsys, key, value, message):
+        path = tmp_path / "overflow.json"
+        path.write_text(json.dumps(dict(JOINT_CONFIG, **{key: value})))
+        assert main(["simulate", str(path)]) == EXIT_CONFIG
+        assert message in capsys.readouterr().err
+
+    def test_unallocatable_codebook(self, tmp_path, capsys):
+        # 10**14 words of length 2048 take 1.4 EiB, beyond any address space,
+        # so the allocation fails at once; a size that fits could be granted
+        # under overcommit and then exhaust the machine
+        path = tmp_path / "huge_book.json"
+        path.write_text(json.dumps(dict(JOINT_CONFIG, n=4096, alpha=1.0, M=10**14, trials=1)))
+        assert main(["simulate", str(path)]) == EXIT_BUDGET
+        assert "Unable to allocate" in capsys.readouterr().err
 
     def test_detection_budget_abort(self, tmp_path):
         # ell = 64 with a huge weight cap: the candidate enumeration itself
@@ -272,7 +305,7 @@ class TestSweepCmd:
         payload = json.loads(capsys.readouterr().out)
         assert payload["rows"] == 3
         assert payload["verdicts"]["regime"] == "sublinear"
-        assert open(out).readline().startswith("n,ell,alpha")
+        assert Path(out).read_text().startswith("n,ell,alpha")
 
     def test_failed_point_names_its_error(self, tmp_path, capsys):
         fam = tmp_path / "family.json"
@@ -299,6 +332,43 @@ class TestSweepCmd:
         assert [r["n"] for r in rows] == ["1", "256", "1024"]
         assert "activity probability must be in (0,1]" in rows[0]["error"]
         assert all(r["error"] == "" and r["ell"] != "" for r in rows[1:])
+
+    @pytest.mark.parametrize("option,value", [
+        ("--split", "1.5"), ("--N0", "0"), ("--rate-fraction", "0"), ("--rate-fraction", "-1"),
+    ])
+    def test_invalid_global_option(self, tmp_path, family_path, capsys, option, value):
+        out = tmp_path / "sweep.csv"
+        rc = main(["sweep", "--family", family_path, "--n-grid", "256,1024,4096",
+                   option, value, "--out", str(out)])
+        assert rc == EXIT_CONFIG
+        assert not out.exists()
+
+    def test_detection_budget_row_keeps_schedule(self, tmp_path, family_path, capsys):
+        # at n = 16384 the family gives ell = 26: 64 574 877 candidate
+        # supports, over detection's budget, which the first trial hits
+        out = tmp_path / "sweep.csv"
+        rc = main(["sweep", "--family", family_path, "--n-grid", "4096,16384", "--trials", "1",
+                   "--out", str(out)])
+        assert rc == EXIT_OK
+        capsys.readouterr()
+        row = list(csv.DictReader(out.read_text().splitlines()))[1]
+        params = harness.load_family(family_path).params_at(16384)
+        assert float(row["E"]) == pytest.approx(make_joint_schedule(params, 0.5).E, rel=1e-11)
+        assert row["R_dot_nats"] != "" and row["budget_total"] != ""
+        assert row["joint_err"] == "" and "exceed the budget" in row["error"]
+
+    def test_overflowing_rate_is_a_failed_row(self, tmp_path, family_path, capsys):
+        out = tmp_path / "sweep.csv"
+        rc = main(["sweep", "--family", family_path, "--n-grid", "256,1024,4096",
+                   "--rate-fraction", "100", "--out", str(out)])
+        assert rc == EXIT_OK
+        capsys.readouterr()
+        family = harness.load_family(family_path)
+        for row in csv.DictReader(out.read_text().splitlines()):
+            assert "overflows" in row["error"]
+            sched = make_joint_schedule(family.params_at(int(row["n"])), 0.5)
+            assert float(row["E"]) == pytest.approx(sched.E, rel=1e-11) and row["converse_nats"]
+            assert row["R_dot_nats"] == row["budget_total"] == ""
 
 
 class TestFamilyExpressions:
@@ -378,3 +448,42 @@ class TestMuCmd:
         assert payload["exact"] == pytest.approx(1 - math.exp(-2), rel=1e-9)
         assert payload["chernoff_lb"] <= payload["exact"]
         assert abs(payload["monte_carlo"] - payload["exact"]) <= 4 * payload["monte_carlo_stderr"]
+
+
+# the fixed pool of replacement values; sizes that fit in memory (10**6
+# to 10**12 words) are left out, since overcommit may grant them
+MALFORMED = ["x", "", True, False, None, [], {}, 0, -1, 0.5, 1.5, math.nan, math.inf, -math.inf,
+             1e308, -1e308, 1e-308, 10**20, -10**20, 2**63]
+# every key a config's build reads (R_dot_nats is not read when M is given)
+CONFIG_CASES = [(base, key) for base in (JOINT_CONFIG, ORTHO_CONFIG)
+                for key in sorted({*base, "xi", "rho", "lambda", "epsilon",
+                                   "fixed_codebooks", "noiseless"})]
+BOUND_PARAM_CASES = [(name, key) for name in sorted(BOUND_CASES)
+                     for key in sorted(BOUND_CASES[name][0])]
+
+
+class TestMalformedInput:
+    """Each pool value in place of one config key or --params key ends in
+    a documented exit code, never a traceback.  Hypothesis (6.155) draws
+    every case of a short sampled list once before it repeats one, so
+    max_examples = len(cases) tries each (config, key) and (bound, key)."""
+
+    @settings(max_examples=len(CONFIG_CASES), derandomize=True, deadline=None, database=None)
+    @given(case=st.sampled_from(CONFIG_CASES))
+    def test_simulate_config(self, case):
+        base, key = case
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "cfg.json"
+            for value in MALFORMED:
+                path.write_text(json.dumps({**base, key: value}))
+                rc = main(["simulate", str(path), "--trials", "1"])
+                assert rc in (EXIT_OK, EXIT_CONFIG, EXIT_BUDGET), (key, value)
+
+    @settings(max_examples=len(BOUND_PARAM_CASES), derandomize=True, deadline=None, database=None)
+    @given(case=st.sampled_from(BOUND_PARAM_CASES))
+    def test_bounds_params(self, case):
+        name, key = case
+        for value in MALFORMED:
+            params = {**BOUND_CASES[name][0], key: value}
+            rc = main(["bounds", name, "--params", json.dumps(params)])
+            assert rc in (EXIT_OK, EXIT_CONFIG), (key, value)

@@ -12,8 +12,6 @@ from manyaccess.codebooks import (
     mu_chernoff_lb,
     mu_exact,
     mu_monte_carlo,
-    words_from_csv,
-    words_to_csv,
 )
 from manyaccess.rng import make_rng, substream
 
@@ -80,13 +78,6 @@ class TestCodebook:
         a = gen_codebook(4, 16, 2.0, make_rng(1))
         b = gen_codebook(4, 16, 2.0, make_rng(2))
         assert not np.array_equal(a.words, b.words)
-
-    def test_csv_round_trip(self, tmp_path):
-        cb = gen_codebook(4, 16, 2.0, make_rng(9))
-        path = tmp_path / "book.csv"
-        words_to_csv(cb.words, path)
-        back = words_from_csv(path)
-        assert np.allclose(back, cb.words, rtol=0, atol=1e-15)
 
 
 class TestSignatures:

@@ -73,7 +73,7 @@ def _plan_from_words(word_sets):
         for w in word_sets
     )
     sigs = SignatureMatrix(matrix=np.zeros((1, len(books))), E_sig=1.0)
-    return JointPlan(ell=len(books), M=M, codebooks=books, signatures=sigs)
+    return JointPlan(ell=len(books), M=M, codebooks=books, signatures=sigs, n_msg=length)
 
 
 def _circle_words(rng, k, M, E=50.0):
@@ -92,14 +92,14 @@ class TestDecodePpm:
         slot = np.zeros(6)
         slot[0] = 1.0
         slot[3] = 2.0  # message 3 lives at index 3
-        assert decode_ppm(slot, 4, 0.25, 4.0) == 3
+        assert decode_ppm(slot, 4) == 3
 
     def test_tie_goes_to_smallest(self):
-        assert decode_ppm(np.zeros(5), 4, 0.25, 4.0) == 1
+        assert decode_ppm(np.zeros(5), 4) == 1
 
     def test_dimension_error(self):
         with pytest.raises(ValueError):
-            decode_ppm(np.zeros(4), 4, 0.25, 4.0)
+            decode_ppm(np.zeros(4), 4)
 
 
 class TestDecodeJointMl:
@@ -161,10 +161,10 @@ class TestDecodeJointMl:
         for _ in range(25):
             w = int(rng.integers(1, 5))
             y_slot = plan.codebooks[0].words[w] + rng.standard_normal(slot) * 1.0
-            via_ppm = decode_ppm(y_slot, plan.M, sched.split, sched.E)
+            via_ppm = decode_ppm(y_slot, plan.M)
             joint_plan = JointPlan(
                 ell=1, M=plan.M, codebooks=(msg_book,),
-                signatures=_single_sig(slot, sched),
+                signatures=_single_sig(slot, sched), n_msg=slot - 1,
             )
             via_ml = decode_joint_ml(y_slot[1:], joint_plan, [0])[0]
             assert via_ppm == via_ml
@@ -351,7 +351,7 @@ class TestMonteCarloAgainstBounds:
         w = rng.integers(1, M + 1, size=trials)
         slots = rng.standard_normal((trials, M + 1)) * math.sqrt(N0 / 2.0)
         slots[np.arange(trials), w] += amp
-        errors = sum(decode_ppm(slots[i], M, 0.25, E) != w[i] for i in range(trials))
+        errors = sum(decode_ppm(slots[i], M) != w[i] for i in range(trials))
         rate = errors / trials
         sigma = math.sqrt(max(rate * (1 - rate), 1e-9) / trials)
         assert rate <= bound + 3 * sigma
@@ -374,7 +374,7 @@ class TestMonteCarloAgainstBounds:
         wrong = 0
         for i in range(trials):
             active = detect_pilot(float(slots[i, 0]), t, E)
-            w_hat = decode_ppm(slots[i], M, t, E) if active else 0
+            w_hat = decode_ppm(slots[i], M) if active else 0
             wrong += int(w_hat != w_true[i])
         rate = wrong / trials
         sigma = math.sqrt(max(rate * (1 - rate), 1e-9) / trials)

@@ -99,7 +99,7 @@ class TestOrthoSchedule:
         assert s.c == pytest.approx(c, rel=1e-15)
         assert s.c == pytest.approx(2.2228109, abs=1e-6)
         assert s.E == pytest.approx(c * math.log(1024.0), rel=1e-12)
-        assert s.slot_len == 64
+        assert s.n_sig + s.n_msg == 64
         assert s.E_sig == pytest.approx(0.25 * s.E, rel=1e-12)
 
     def test_slot_too_small(self):
