@@ -26,11 +26,13 @@ RHO_GRID = (0.25, 0.5, 0.75, 1.0)
 
 @dataclass(frozen=True)
 class BoundReport:
-    """Bound value with itemized intermediate terms."""
+    """Bound value with itemized intermediate terms; `reason` says why a
+    value is infinite when there is no finite bound."""
 
     value: float
     valid: bool
     terms: dict[str, float] = field(default_factory=dict)
+    reason: str = ""
 
     def to_dict(self) -> dict:
         return {"value": self.value, "valid": self.valid, "terms": dict(self.terms)}

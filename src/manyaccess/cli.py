@@ -136,7 +136,6 @@ def _cmd_simulate(args) -> int:
     if args.summary_csv:
         harness.write_summary_csv(args.summary_csv, [row])
     payload = dataclasses.asdict(row)
-    del payload["error"]  # a failed simulate run ends with an exit code instead
     payload["budget_terms"] = budget.terms
     payload["epsilon_target"] = cfg.epsilon
     payload["meets_epsilon"] = summary.joint_err <= cfg.epsilon

@@ -15,6 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gammainc
 
+from .errors import InvalidRegimeError
+
 MAX_REJECTION_ROUNDS = 10**6
 
 # Chernoff tilt at t = 1/4 for Pr(chi2 >= 2*len); strictly positive.
@@ -129,7 +131,8 @@ def gen_ppm_codebook(M: int, slot_len: int, E: float, t: float) -> Codebook:
     if E <= 0.0:
         raise ValueError(f"energy must be positive, got {E}")
     if slot_len < M + 1:
-        raise ValueError(f"slot length {slot_len} < M+1 = {M + 1}")
+        # the ortho scheme's regime: a slot holds the pilot and M pulse positions
+        raise InvalidRegimeError(f"slot length {slot_len} < M+1 = {M + 1}")
     words = np.zeros((M + 1, slot_len))
     words[1:, 0] = math.sqrt(t * E)
     words[np.arange(1, M + 1), np.arange(1, M + 1)] = math.sqrt((1.0 - t) * E)

@@ -19,7 +19,7 @@ import json
 import math
 import operator
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import astuple, dataclass, field, fields, replace
+from dataclasses import astuple, dataclass, field, fields
 from typing import Callable
 
 import numpy as np
@@ -54,7 +54,14 @@ class JointScheme:
     split_key = "b"  # config key of the signature fraction
 
     def schedule(self, params: SystemParams, split: float) -> EnergySchedule:
-        return make_joint_schedule(params, split)
+        """make_joint_schedule, refused when either phase has no channel use."""
+        sched = make_joint_schedule(params, split)
+        if min(sched.n_sig, sched.n_msg) < 1:
+            raise InvalidRegimeError(
+                f"signature length {sched.n_sig} and message length {sched.n_msg} "
+                "must both be >= 1"
+            )
+        return sched
 
     def plan(self, cfg: "ExperimentConfig", sched: EnergySchedule, rng):
         return make_joint_plan(cfg.params, sched, cfg.M, rng)
@@ -95,9 +102,9 @@ class OrthoScheme:
         """Union over users of the per-user pilot+PPM bound."""
         try:
             per_user = bounds.ortho_user_error_bound(cfg.M, cfg.split, sched.E, cfg.params.N0)
-        except ValueError:
+        except ValueError as e:
             # message rate above capacity per unit energy: no meaningful bound
-            return bounds.BoundReport(value=math.inf, valid=False, terms={})
+            return bounds.BoundReport(value=math.inf, valid=False, terms={}, reason=str(e))
         total = cfg.params.ell * per_user.value
         terms = {"per_user": per_user.value, "union_over_users": total}
         return bounds.BoundReport(value=total, valid=total <= 1.0, terms=terms)
@@ -395,23 +402,30 @@ SUMMARY_COLUMNS = [f.name for f in fields(SummaryRow)]
 
 
 def summary_row(
-    cfg: ExperimentConfig, summary: ErrorSummary | None, budget: bounds.BoundReport
+    cfg: ExperimentConfig, summary: ErrorSummary | None, budget: bounds.BoundReport,
+    error: str | None = None,
 ) -> SummaryRow:
     """The row of an evaluated point (summary None: no trials ran); the
-    converse is converse_joint at the schedule energy and Pe = 0."""
+    converse is converse_joint at the schedule energy and Pe = 0.  An
+    infinite budget leaves the budget cells empty and its reason joins
+    `error`."""
     sched = cfg.schedule
     rate = RateSpec.from_message_count(cfg.M, sched.E)
     s = summary
-    sim = {} if s is None else dict(
+    cells = {} if s is None else dict(
         joint_err=s.joint_err, joint_err_ci_lo=s.joint_err_ci[0], joint_err_ci_hi=s.joint_err_ci[1],
         ape=s.ape, overflow_rate=s.overflow_rate, budget_aborts=s.budget_aborts,
     )
+    if math.isinf(budget.value):
+        error = "; ".join(filter(None, [f"no error budget: {budget.reason}", error]))
+    else:
+        cells.update(budget_total=budget.value, budget_valid=budget.valid)
     return SummaryRow(
         n=cfg.params.n, ell=cfg.params.ell, alpha=cfg.params.alpha, k=cfg.params.k,
         E=sched.E, R_dot_nats=rate.R_dot, R_dot_bits=rate.R_dot / math.log(2.0),
-        budget_total=budget.value, budget_valid=budget.valid,
         converse_nats=bounds.converse_joint(cfg.params, sched.E, 0.0).value,
-        **sim,
+        error=error,
+        **cells,
     )
 
 
@@ -446,9 +460,10 @@ def sweep(
     is recorded in its row with what was computed before the failure, and
     the sweep continues: outside the scheme's regime there is no schedule,
     so the row's E is ln(n); a rate or budget that overflows keeps the
-    schedule's E; a detection search over its budget keeps the rate and
-    budget too.  Verdicts over the points the family could evaluate:
-    `regime` (load_regime, from 3 points) and `converse_decreasing` (from 2).
+    schedule's E; a detection search over its budget, or an ortho slot
+    too short for M + 1 positions, keeps the rate and budget too.
+    Verdicts over the points the family could evaluate: `regime`
+    (load_regime, from 3 points) and `converse_decreasing` (from 2).
     """
     access = _lookup_scheme(scheme)
     if not 0.0 < split < 1.0:
@@ -480,8 +495,8 @@ def sweep(
             continue
         try:
             summary = estimate_error(cfg, threads=threads) if trials > 0 else None
-        except ComplexityBudgetError as e:
-            rows.append(replace(summary_row(cfg, None, budget), error=str(e)))
+        except (ComplexityBudgetError, InvalidRegimeError) as e:
+            rows.append(summary_row(cfg, None, budget, error=str(e)))
             continue
         rows.append(summary_row(cfg, summary, budget))
     good = [r for r in rows if r.k is not None]

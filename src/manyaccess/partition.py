@@ -9,12 +9,18 @@ distance 4.  Each resulting cell has at least ell+1 members and diameter
 at most 8, which is what the hypothesis-testing bound needs.  Weight
 t = 1 classes are kept whole.  All of this is desk-scale only: class
 sizes are C(ell,t) M^t and enumeration is guarded by a budget.
+
+A class is enumerated as one (size, ell) integer array: each of the
+C(ell,t) supports is filled with the M^t value grid, and one lexsort puts
+the rows in lexicographic order.  Construction and verification work on
+such arrays; Python tuples are built only for what a Partition holds.
 """
 
 import json
 import math
 from dataclasses import dataclass
-from itertools import combinations, product
+from functools import cached_property
+from itertools import combinations
 
 import numpy as np
 
@@ -34,16 +40,32 @@ def hamming(w: tuple | np.ndarray, w2: tuple | np.ndarray) -> int:
 _BLOCK = 256
 
 
-def _columns(members, ell: int) -> np.ndarray:
-    """Integer message vectors as an ell x N array, one member per column, in
-    the smallest integer dtype that holds all their values (uint8 up to 255)."""
-    if any(len(w) != ell for w in members):
+def _rows(members, ell: int) -> np.ndarray:
+    """Integer message vectors as an N x ell array, one member per row, in
+    the smallest integer dtype that holds all their values (uint8 up to
+    255).  A member whose length is not ell, or a value that is not an
+    integer within 64 bits, raises ValueError."""
+    if not members:
+        return np.zeros((0, ell), dtype=np.uint8)
+    try:
+        x = np.array(members)
+    except ValueError:  # members of different lengths
+        x = np.empty(0)
+    if x.shape != (len(members), ell):
         raise ValueError(f"every member must have length {ell}")
-    x = np.array(members, dtype=np.int64).reshape(len(members), ell)
-    if x.size == 0:
-        return x.T
-    dtype = np.result_type(np.min_scalar_type(x.min()), np.min_scalar_type(x.max()))
-    return np.ascontiguousarray(x.T, dtype=dtype)
+    # a float array holds a fraction or an integer beyond 64 bits, an
+    # object array an integer beyond 64 bits or a value that is no number
+    if x.dtype.kind not in "biu":
+        raise ValueError(f"member values must be integers within 64 bits, got dtype {x.dtype}")
+    dtype = np.result_type(np.min_scalar_type(int(x.min())), np.min_scalar_type(int(x.max())))
+    return x.astype(dtype, copy=False)
+
+
+def _lex_sorted(x: np.ndarray) -> np.ndarray:
+    """The rows of x in lexicographic order."""
+    if x.shape[1] == 0:  # lexsort needs a key; every row is the empty vector
+        return x
+    return x[np.lexsort(x.T[::-1])]
 
 
 def _distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -74,18 +96,25 @@ def _min_distance(x: np.ndarray) -> int:
     return min(lows)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TypeClass:
-    """All message vectors over {0..M} of length ell with t nonzero entries."""
+    """All message vectors over {0..M} of length ell with t nonzero entries,
+    one per row of `rows` in lexicographic order (read-only, in the
+    smallest unsigned dtype that holds M)."""
 
     ell: int
     M: int
     t: int
-    members: tuple[tuple[int, ...], ...]
+    rows: np.ndarray
 
     @property
     def size(self) -> int:
-        return len(self.members)
+        return len(self.rows)
+
+    @cached_property
+    def members(self) -> tuple[tuple[int, ...], ...]:
+        """The rows as tuples of ints, built the first time they are read."""
+        return tuple(map(tuple, self.rows.tolist()))
 
 
 def type_class_size(ell: int, M: int, t: int) -> int:
@@ -103,15 +132,17 @@ def enumerate_type_class(
     size = type_class_size(ell, M, t)
     if size > budget:
         raise ComplexityBudgetError(f"type class size {size} exceeds the budget {budget}")
-    members = []
-    for support in combinations(range(ell), t):
-        for vals in product(range(1, M + 1), repeat=t):
-            w = [0] * ell
-            for pos, val in zip(support, vals):
-                w[pos] = val
-            members.append(tuple(w))
-    members.sort()
-    return TypeClass(ell=ell, M=M, t=t, members=tuple(members))
+    dtype = np.min_scalar_type(M)
+    supports = np.array(list(combinations(range(ell), t)), dtype=np.intp)
+    supports = supports.reshape(math.comb(ell, t), t)
+    values = np.indices((M,) * t, dtype=dtype).reshape(t, M**t).T + 1
+    x = np.zeros((len(supports), len(values), ell), dtype=dtype)
+    # row (s, v) holds value grid row v at the positions of support s
+    x[np.arange(len(supports))[:, None, None], np.arange(len(values))[:, None],
+      supports[:, None, :]] = values
+    rows = _lex_sorted(x.reshape(size, ell))
+    rows.flags.writeable = False
+    return TypeClass(ell=ell, M=M, t=t, rows=rows)
 
 
 def greedy_min_dist_code(tc: TypeClass, dmin: int = 5) -> list[tuple[int, ...]]:
@@ -122,7 +153,7 @@ def greedy_min_dist_code(tc: TypeClass, dmin: int = 5) -> list[tuple[int, ...]]:
     A running vector holds each member's distance to the nearest codeword
     so far; the next codeword is the first member after the last one at
     distance >= dmin, which is the member the sequential scan would add."""
-    x = _columns(tc.members, tc.ell)
+    x = np.ascontiguousarray(tc.rows.T)
     nearest = np.full(tc.size, dmin)
     picked: list[int] = []
     start = 0
@@ -134,7 +165,7 @@ def greedy_min_dist_code(tc: TypeClass, dmin: int = 5) -> list[tuple[int, ...]]:
         picked.append(i)
         nearest = np.minimum(nearest, _distances(x, x[:, i : i + 1])[:, 0])
         start = i + 1
-    return [tc.members[i] for i in picked]
+    return list(map(tuple, tc.rows[picked].tolist()))
 
 
 @dataclass(frozen=True)
@@ -173,7 +204,8 @@ def build_partition(
     if t == 1:
         return Partition(ell=ell, M=M, t=t, centers=(tc.members[0],), sets=(tc.members,))
     code = greedy_min_dist_code(tc, dmin=5)
-    x, centers = _columns(tc.members, ell), _columns(code, ell)
+    x = np.ascontiguousarray(tc.rows.T)
+    centers = np.array(code, dtype=tc.rows.dtype).T
     owner = np.empty(tc.size, dtype=np.intp)
     for s in range(0, tc.size, _BLOCK):
         d = _distances(x[:, s : s + _BLOCK], centers)
@@ -193,7 +225,7 @@ def build_partition(
         t=t,
         centers=tuple(code),
         sets=tuple(
-            tuple(tc.members[i] for i in cell) for cell in np.split(order, ends[:-1])
+            tuple(map(tuple, tc.rows[cell].tolist())) for cell in np.split(order, ends[:-1])
         ),
     )
 
@@ -218,23 +250,20 @@ def verify_partition(p: Partition, ell: int) -> PartitionReport:
     """Check disjoint cover, |cell| >= ell+1, and diameter <= 8.
 
     Failures are carried in the report, not raised; a member whose length
-    is not p.ell raises ValueError.  The cover is compared as a set of
-    message vectors with a freshly enumerated class, so a member with a
-    value outside 0..M is never covered."""
-    seen = set()
-    disjoint = True
-    for cell in p.sets:
-        for w in cell:
-            if w in seen:
-                disjoint = False
-            seen.add(w)
-    full = set(enumerate_type_class(p.ell, p.M, p.t).members)
-    cover = seen == full
+    is not p.ell, or a value that is not an integer within 64 bits, raises
+    ValueError.  The members, sorted, are compared row by row with a
+    freshly enumerated class: equal neighbours mean a member in two
+    places, and a member with a value outside 0..M is never covered."""
     sizes = tuple(len(cell) for cell in p.sets)
-    x = _columns([w for cell in p.sets for w in cell], p.ell)
+    x = _rows([w for cell in p.sets for w in cell], p.ell)
+    s = _lex_sorted(x)
+    disjoint = not (s[1:] == s[:-1]).all(axis=1).any()
+    full = enumerate_type_class(p.ell, p.M, p.t).rows
+    cover = s.shape == full.shape and bool((s == full).all())
+    xc = np.ascontiguousarray(x.T)
     ends = np.cumsum(sizes, dtype=np.intp)
-    diameters = tuple(_diameter(x[:, e - n : e]) for n, e in zip(sizes, ends))
-    center_d = _min_distance(_columns(p.centers, p.ell)) if len(p.centers) > 1 else None
+    diameters = tuple(_diameter(xc[:, e - n : e]) for n, e in zip(sizes, ends))
+    center_d = _min_distance(_rows(p.centers, p.ell).T) if len(p.centers) > 1 else None
     min_size = min(sizes) if sizes else 0
     max_diam = max(diameters) if diameters else 0
     return PartitionReport(

@@ -285,6 +285,19 @@ class TestSimulateCmd:
         assert main(["simulate", str(path)]) == EXIT_BUDGET
         assert "Unable to allocate" in capsys.readouterr().err
 
+    def test_ortho_above_capacity_summary_row(self, tmp_path, capsys):
+        # t = 0.9 leaves the pulse (1-t)E = 3.4 of E = 34.3, so its rate
+        # ln(8)/3.4 = 0.61 is above 1/N0: no finite budget, and the row says why
+        cfg = dict(ORTHO_CONFIG, n=4096, alpha=0.5, t=0.9, M=8, trials=2)
+        path, summary = tmp_path / "ortho.json", tmp_path / "summary.csv"
+        path.write_text(json.dumps(cfg))
+        assert main(["simulate", str(path), "--summary-csv", str(summary)]) == EXIT_OK
+        payload = json.loads(capsys.readouterr().out)
+        [row] = csv.DictReader(summary.read_text().splitlines())
+        assert row["budget_total"] == row["budget_valid"] == "" and row["joint_err"] != ""
+        assert "exceeds capacity per unit energy" in row["error"]
+        assert payload["budget_total"] is None and payload["error"] == row["error"]
+
     def test_detection_budget_abort(self, tmp_path):
         # ell = 64 with a huge weight cap: the candidate enumeration itself
         # exceeds the budget, which must surface as exit code 3
@@ -369,6 +382,52 @@ class TestSweepCmd:
             sched = make_joint_schedule(family.params_at(int(row["n"])), 0.5)
             assert float(row["E"]) == pytest.approx(sched.E, rel=1e-11) and row["converse_nats"]
             assert row["R_dot_nats"] == row["budget_total"] == ""
+
+
+    def test_ortho_above_capacity_leaves_budget_empty(self, tmp_path, family_path, capsys):
+        out = tmp_path / "sweep.csv"
+        rc = main(["sweep", "--family", family_path, "--n-grid", "256,1024,4096",
+                   "--scheme", "ortho", "--rate-fraction", "0.9", "--out", str(out)])
+        assert rc == EXIT_OK
+        capsys.readouterr()
+        rows = list(csv.DictReader(out.read_text().splitlines()))
+        assert len(rows) == 3
+        for row in rows:
+            assert row["budget_total"] == row["budget_valid"] == ""
+            assert row["E"] != "" and row["R_dot_nats"] != ""
+            assert "exceeds capacity per unit energy" in row["error"]
+
+    def test_ortho_slot_too_short_is_a_failed_row(self, tmp_path, family_path, capsys):
+        # at rate fraction 0.9, n = 256 needs M + 1 = 112 pulse positions in a 36-use slot
+        out = tmp_path / "sweep.csv"
+        rc = main(["sweep", "--family", family_path, "--n-grid", "256,1024,4096",
+                   "--scheme", "ortho", "--rate-fraction", "0.9", "--trials", "2",
+                   "--out", str(out)])
+        assert rc == EXIT_OK
+        capsys.readouterr()
+        rows = list(csv.DictReader(out.read_text().splitlines()))
+        assert [r["n"] for r in rows] == ["256", "1024", "4096"]
+        assert "slot length 36 < M+1 = 112" in rows[0]["error"]
+        for row in rows:
+            assert row["E"] != "" and row["R_dot_nats"] != "" and row["joint_err"] == ""
+        # simulate still refuses such a config
+        cfg = dict(ORTHO_CONFIG, n=256, ell=7, alpha=2 / 7, M=111)
+        path = tmp_path / "ortho.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["simulate", str(path)]) == EXIT_CONFIG
+        assert "slot length 36 < M+1 = 112" in capsys.readouterr().err
+
+    def test_empty_signature_phase_is_a_failed_row(self, tmp_path, family_path, capsys):
+        # at n = 4 the split 0.1 leaves floor(0.4) = 0 signature symbols
+        out = tmp_path / "sweep.csv"
+        rc = main(["sweep", "--family", family_path, "--n-grid", "4,256,1024",
+                   "--split", "0.1", "--trials", "1", "--out", str(out)])
+        assert rc == EXIT_OK
+        capsys.readouterr()
+        rows = list(csv.DictReader(out.read_text().splitlines()))
+        assert "signature length 0" in rows[0]["error"]
+        assert float(rows[0]["E"]) == pytest.approx(math.log(4), rel=1e-11)
+        assert all(r["error"] == "" and r["joint_err"] != "" for r in rows[1:])
 
 
 class TestFamilyExpressions:

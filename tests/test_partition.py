@@ -1,7 +1,8 @@
 import hashlib
 import json
 import math
-from itertools import combinations
+import tracemalloc
+from itertools import combinations, product
 
 import numpy as np
 import pytest
@@ -27,6 +28,19 @@ from manyaccess.partition import (
 # ---------------------------------------------------------------------------
 # pure-Python oracles: the loop versions the numpy code must reproduce
 # ---------------------------------------------------------------------------
+
+def oracle_enumerate(ell, M, t):
+    """The class as sorted tuples, built member by member."""
+    members = []
+    for support in combinations(range(ell), t):
+        for vals in product(range(1, M + 1), repeat=t):
+            w = [0] * ell
+            for pos, val in zip(support, vals):
+                w[pos] = val
+            members.append(tuple(w))
+    members.sort()
+    return tuple(members)
+
 
 def oracle_greedy_code(tc, dmin=5):
     code = []
@@ -120,6 +134,28 @@ class TestTypeClass:
     def test_members_have_correct_weight(self):
         tc = enumerate_type_class(5, 2, 3)
         assert all(sum(1 for x in w if x != 0) == 3 for w in tc.members)
+
+    @pytest.mark.parametrize(
+        "ell,M,t",
+        [(ell, M, t) for ell in range(5, 9) for M in (1, 2, 3) for t in range(ell + 1)]
+        + [(5, 130, 1)],
+    )
+    def test_matches_oracle(self, ell, M, t):
+        tc = enumerate_type_class(ell, M, t)
+        assert tc.members == oracle_enumerate(ell, M, t)
+        assert tc.rows.shape == (type_class_size(ell, M, t), ell)
+        assert tc.rows.dtype == np.min_scalar_type(M)
+
+    def test_budget_checked_before_any_allocation(self):
+        # 924 * 3**6 rows of 12 bytes, about 8 MB, if it were built
+        tracemalloc.start()
+        try:
+            with pytest.raises(ComplexityBudgetError):
+                enumerate_type_class(12, 3, 6, budget=10**5)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024
 
 
 class TestGreedyCode:
@@ -271,6 +307,25 @@ class TestBadPartitionsAgainstOracle:
             verify_partition(_edited(good, lambda c: c[0].append((1, 1, 1))), 6)
         with pytest.raises(ValueError):
             verify_partition(_edited(good, lambda c: c.append([(1, 1, 1)])), 6)
+
+
+class TestMemberValues:
+    # b differs from a in one position only by a fraction, which an
+    # integer cast would erase: the cell's diameter would read 0, not 1
+    a = (1, 1, 1, 0, 0, 0)
+
+    def test_fractional_value_raises(self):
+        b = (1, 1, 1, 0.5, 0, 0)
+        assert oracle_verify(Partition(6, 2, 3, (self.a,), ((self.a, b),)), 6).set_diameters == (1,)
+        with pytest.raises(ValueError):
+            verify_partition(Partition(6, 2, 3, (self.a,), ((self.a, b),)), 6)
+
+    def test_value_beyond_64_bits_raises(self):
+        b = (1, 1, 1, 2**64, 0, 0)
+        with pytest.raises(ValueError):
+            verify_partition(Partition(6, 2, 3, (self.a,), ((self.a, b),)), 6)
+        with pytest.raises(ValueError):
+            verify_partition(Partition(6, 2, 3, (self.a, b), ((self.a,),)), 6)
 
 
 # sha256 of partition_to_json(p, verify_partition(p, ell)) for every cell of
