@@ -186,34 +186,6 @@ def detect_exponent_g(
     return g
 
 
-def detect_exponent_split(
-    lam: float,
-    rho: float,
-    kappa1: int,
-    kappa2: int,
-    d_weight: int,
-    ell: int,
-    n_sig: int,
-    E_sig: float,
-) -> tuple[float, float]:
-    """Miss-only and false-alarm-only exponent components.
-
-    These are the two pieces obtained by splitting the joint log via
-    2 ln(1+x+y) >= ln(1+x) + ln(1+y); along schedule sequences with
-    v*Et/n'' -> 0 their minima over kappa >= 1 approach
-    lam rho (1-lam rho)/4 and lam (1-lam rho)/4 nats per unit energy.
-    """
-    et = E_sig / 2.0
-    x = et / n_sig
-    miss = (n_sig / (4.0 * et)) * math.log1p(lam * rho * (1.0 - lam * rho) * kappa1 * x)
-    if d_weight > 0:
-        miss -= (d_weight / et) * binary_entropy(kappa1 / d_weight)
-    fa = (n_sig / (4.0 * et)) * math.log1p(lam * (1.0 - lam * rho) * kappa2 * x)
-    fa -= ((1.0 - rho) / (2.0 * et)) * math.log1p(lam * kappa2 * x)
-    fa -= (rho * ell / et) * binary_entropy(kappa2 / ell)
-    return miss, fa
-
-
 def detection_budget(
     params: SystemParams,
     sched: EnergySchedule,

@@ -104,6 +104,17 @@ def _finite_number(v) -> bool:
         return False
 
 
+def _nan_fields(result: dict, prefix: str = "") -> list[str]:
+    """Dotted names of the NaN numbers in a bound's result."""
+    nan = []
+    for k, v in result.items():
+        if isinstance(v, dict):
+            nan += _nan_fields(v, f"{prefix}{k}.")
+        elif isinstance(v, float) and math.isnan(v):
+            nan.append(f"{prefix}{k}")
+    return nan
+
+
 def _cmd_bounds(args) -> int:
     params = json.loads(args.params)
     if not isinstance(params, dict) or not all(map(_finite_number, params.values())):
@@ -121,6 +132,12 @@ def _cmd_bounds(args) -> int:
         result = result.to_dict()
     elif not isinstance(result, dict):
         result = {"value": result}
+    nan = _nan_fields(result)
+    if nan:
+        raise ConfigError(
+            f"{args.name} is undefined at these --params: NaN in {', '.join(nan)} "
+            "(an intermediate term overflowed or underflowed)"
+        )
     print(json.dumps(result, indent=2))
     return EXIT_OK
 

@@ -430,9 +430,15 @@ def summary_row(
 
 
 def _unrated_row(params: SystemParams, E: float, error: str) -> SummaryRow:
-    """The row of a point with no rate or budget: its converse at energy E."""
+    """The row of a point with no rate or budget: its converse at energy E.
+    A negative converse bounds no rate, so its cell stays empty and
+    `error` calls the point infeasible."""
+    converse = bounds.converse_joint(params, E, 0.0).value
+    if converse < 0.0:
+        error = f"{error}; infeasible: converse_joint at E = {E:.6g} is {converse:.6g} < 0"
+        converse = None
     return SummaryRow(n=params.n, ell=params.ell, alpha=params.alpha, k=params.k, E=E,
-                      converse_nats=bounds.converse_joint(params, E, 0.0).value, error=error)
+                      converse_nats=converse, error=error)
 
 
 @dataclass
@@ -463,7 +469,8 @@ def sweep(
     schedule's E; a detection search over its budget, or an ortho slot
     too short for M + 1 positions, keeps the rate and budget too.
     Verdicts over the points the family could evaluate: `regime`
-    (load_regime, from 3 points) and `converse_decreasing` (from 2).
+    (load_regime, from 3 points) and `converse_decreasing` (from 2 that
+    hold a converse).
     """
     access = _lookup_scheme(scheme)
     if not 0.0 < split < 1.0:
@@ -503,8 +510,8 @@ def sweep(
     verdicts = {}
     if len(good) >= 3:
         verdicts["regime"] = load_regime(good)
-    if len(good) >= 2:
-        conv = [r.converse_nats for r in good]
+    conv = [r.converse_nats for r in good if r.converse_nats is not None]
+    if len(conv) >= 2:
         verdicts["converse_decreasing"] = all(b < a for a, b in zip(conv, conv[1:]))
     return SweepResult(rows=rows, verdicts=verdicts)
 

@@ -12,8 +12,19 @@ sizes are C(ell,t) M^t and enumeration is guarded by a budget.
 
 A class is enumerated as one (size, ell) integer array: each of the
 C(ell,t) supports is filled with the M^t value grid, and one lexsort puts
-the rows in lexicographic order.  Construction and verification work on
-such arrays; Python tuples are built only for what a Partition holds.
+the rows in lexicographic order.  A Partition keeps integer arrays too:
+its members cell after cell as `rows`, each cell's length in `sizes` and
+one codeword per row of `center_rows`.  Python tuples (`sets`,
+`centers`) are built only when read.
+
+Every Hamming distance table is one BLAS product.  A vector is encoded
+one-hot over its (position, value) pairs, ell x (distinct values) float32
+columns, so two vectors agree in <onehot(a), onehot(b)> positions and
+d(a, b) = ell - <onehot(a), onehot(b)>.  Each sum counts at most ell
+ones, far below 2^24, so float32 holds it exactly.  Build encodes the
+class once with the values 0..M; verify encodes the partition's own
+members over the distinct values they hold (np.unique), so no two
+values share a column whatever their size or sign.
 """
 
 import json
@@ -36,8 +47,11 @@ def hamming(w: tuple | np.ndarray, w2: tuple | np.ndarray) -> int:
     return int(sum(a != b for a, b in zip(w, w2)))
 
 
-# rows per block of a distance table: a block against n columns needs 2*256*n bytes
+# rows per block of a distance table: a block against n columns needs 4*256*n bytes
 _BLOCK = 256
+# float32 entries of a one-hot table (256 MB); every class within the
+# enumeration budget and M <= 15 fits, a larger alphabet is refused
+_ONEHOT_BUDGET = 2**26
 
 
 def _rows(members, ell: int) -> np.ndarray:
@@ -58,7 +72,9 @@ def _rows(members, ell: int) -> np.ndarray:
     if x.dtype.kind not in "biu":
         raise ValueError(f"member values must be integers within 64 bits, got dtype {x.dtype}")
     dtype = np.result_type(np.min_scalar_type(int(x.min())), np.min_scalar_type(int(x.max())))
-    return x.astype(dtype, copy=False)
+    # a negative value beside one above 2**32 promotes to float64, which
+    # rounds beyond 2**53: keep the int64 that np.array chose
+    return x.astype(dtype if dtype.kind in "iu" else x.dtype, copy=False)
 
 
 def _lex_sorted(x: np.ndarray) -> np.ndarray:
@@ -68,32 +84,51 @@ def _lex_sorted(x: np.ndarray) -> np.ndarray:
     return x[np.lexsort(x.T[::-1])]
 
 
-def _distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Hamming distance table between the columns of a and of b."""
-    d = np.zeros((a.shape[1], b.shape[1]), dtype=np.min_scalar_type(a.shape[0]))
-    for ak, bk in zip(a, b):
-        d += ak[:, None] != bk[None, :]
-    return d
+def _onehot(codes: np.ndarray, width: int) -> np.ndarray:
+    """Rows of codes in 0..width-1 as float32 one-hot rows of ell*width
+    columns: column j*width + v is 1 where position j holds code v."""
+    n, ell = codes.shape
+    if n * ell * width > _ONEHOT_BUDGET:
+        raise ComplexityBudgetError(
+            f"one-hot table of {n} x {ell * width} exceeds the budget {_ONEHOT_BUDGET}"
+        )
+    out = np.zeros((n, ell * width), dtype=np.float32)
+    out[np.arange(n)[:, None], np.arange(ell) * width + codes] = 1.0
+    return out
 
 
-def _diameter(x: np.ndarray) -> int:
-    """Largest distance between two columns of x; 0 for fewer than two."""
-    n = x.shape[1]
+def _encode(x: np.ndarray) -> np.ndarray:
+    """One-hot rows of x over the distinct values x holds."""
+    values, codes = np.unique(x, return_inverse=True)
+    return _onehot(codes.reshape(x.shape), len(values))
+
+
+def _diameter(x: np.ndarray, ell: int) -> int:
+    """Largest distance between two one-hot rows of x, ell minus their
+    fewest agreements; 0 for fewer than two."""
+    n = len(x)
     return max(
-        (int(_distances(x[:, s : s + _BLOCK], x[:, s:]).max()) for s in range(0, n, _BLOCK)),
+        (ell - int((x[s : s + _BLOCK] @ x[s:].T).min()) for s in range(0, n, _BLOCK)),
         default=0,
     )
 
 
-def _min_distance(x: np.ndarray) -> int:
-    """Smallest distance between two distinct columns of x (at least two)."""
-    n = x.shape[1]
-    lows = []
+def _min_distance(x: np.ndarray, ell: int) -> int:
+    """Smallest distance between two distinct one-hot rows of x (at least
+    two), ell minus their most agreements."""
+    n = len(x)
+    most = 0
     for s in range(0, n - 1, _BLOCK):
-        d = _distances(x[:, s : s + _BLOCK], x)
-        later = np.arange(n) > np.arange(s, s + len(d))[:, None]
-        lows.append(int(d[later].min()))
-    return min(lows)
+        agree = x[s : s + _BLOCK] @ x[s:].T
+        later = np.arange(n - s) > np.arange(len(agree))[:, None]
+        most = max(most, int(agree[later].max()))
+    return ell - most
+
+
+def _split(x: np.ndarray, sizes) -> list[np.ndarray]:
+    """Consecutive row blocks of x with the given lengths."""
+    ends = np.cumsum(sizes, dtype=np.intp)
+    return [x[e - n : e] for n, e in zip(sizes, ends)]
 
 
 @dataclass(frozen=True, eq=False)
@@ -115,6 +150,12 @@ class TypeClass:
     def members(self) -> tuple[tuple[int, ...], ...]:
         """The rows as tuples of ints, built the first time they are read."""
         return tuple(map(tuple, self.rows.tolist()))
+
+    @cached_property
+    def onehot(self) -> np.ndarray:
+        """The rows one-hot over the values 0..M, encoded the first time
+        they are read."""
+        return _onehot(self.rows, self.M + 1)
 
 
 def type_class_size(ell: int, M: int, t: int) -> int:
@@ -145,16 +186,18 @@ def enumerate_type_class(
     return TypeClass(ell=ell, M=M, t=t, rows=rows)
 
 
-def greedy_min_dist_code(tc: TypeClass, dmin: int = 5) -> list[tuple[int, ...]]:
+def greedy_min_dist_code(tc: TypeClass, dmin: int = 5) -> np.ndarray:
     """Greedy maximal code of minimum distance dmin, scanning members in
-    lexicographic order.  Maximality means every member of the class is
-    within dmin-1 of some codeword.
+    lexicographic order, as a read-only array with one codeword per row.
+    Maximality means every member of the class is within dmin-1 of some
+    codeword.
 
     A running vector holds each member's distance to the nearest codeword
     so far; the next codeword is the first member after the last one at
-    distance >= dmin, which is the member the sequential scan would add."""
-    x = np.ascontiguousarray(tc.rows.T)
-    nearest = np.full(tc.size, dmin)
+    distance >= dmin, which is the member the sequential scan would add.
+    Each codeword picked costs one matrix-vector product with the class."""
+    x = tc.onehot
+    nearest = np.full(tc.size, dmin, dtype=np.float32)
     picked: list[int] = []
     start = 0
     while start < tc.size:
@@ -163,24 +206,69 @@ def greedy_min_dist_code(tc: TypeClass, dmin: int = 5) -> list[tuple[int, ...]]:
         if not free[i - start]:
             break
         picked.append(i)
-        nearest = np.minimum(nearest, _distances(x, x[:, i : i + 1])[:, 0])
+        np.minimum(nearest, tc.ell - x @ x[i], out=nearest)
         start = i + 1
-    return list(map(tuple, tc.rows[picked].tolist()))
+    code = tc.rows[picked]
+    code.flags.writeable = False
+    return code
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Partition:
-    """Disjoint cover of a type class by cells around distance-5 codewords."""
+    """Disjoint cover of a type class by cells around distance-5 codewords.
+
+    `rows` holds the members cell after cell, `sizes` each cell's length
+    and `center_rows` one codeword per row, all read-only integer arrays
+    of ell columns.  The constructor checks only shapes and dtypes; a
+    partition given as tuples goes through `from_sets`, which validates
+    every member.  Two partitions are equal when their tuple views are.
+    """
 
     ell: int
     M: int
     t: int
-    centers: tuple[tuple[int, ...], ...]
-    sets: tuple[tuple[tuple[int, ...], ...], ...]
+    rows: np.ndarray
+    sizes: tuple[int, ...]
+    center_rows: np.ndarray
+
+    def __post_init__(self):
+        for name in ("rows", "center_rows"):
+            x = getattr(self, name)
+            if x.ndim != 2 or x.shape[1] != self.ell or x.dtype.kind not in "iu":
+                raise ValueError(f"{name} must be an integer array of {self.ell} columns")
+        if sum(self.sizes) != len(self.rows):
+            raise ValueError(f"cell sizes sum to {sum(self.sizes)}, not {len(self.rows)} rows")
+
+    @classmethod
+    def from_sets(cls, ell: int, M: int, t: int, centers, sets) -> "Partition":
+        """A partition from member tuples, one sequence per cell.  A member
+        whose length is not ell, or a value that is not an integer within
+        64 bits, raises ValueError."""
+        rows, center_rows = _rows([w for cell in sets for w in cell], ell), _rows(centers, ell)
+        rows.flags.writeable = center_rows.flags.writeable = False
+        return cls(ell, M, t, rows, tuple(len(cell) for cell in sets), center_rows)
+
+    @cached_property
+    def sets(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
+        """Each cell's members as tuples of ints, built when first read."""
+        return tuple(tuple(map(tuple, cell.tolist())) for cell in _split(self.rows, self.sizes))
+
+    @cached_property
+    def centers(self) -> tuple[tuple[int, ...], ...]:
+        """The codewords as tuples of ints, built when first read."""
+        return tuple(map(tuple, self.center_rows.tolist()))
 
     @property
     def num_sets(self) -> int:
-        return len(self.sets)
+        return len(self.sizes)
+
+    def _key(self):
+        return self.ell, self.M, self.t, self.centers, self.sets
+
+    def __eq__(self, other):
+        if not isinstance(other, Partition):
+            return NotImplemented
+        return self._key() == other._key()
 
 
 def build_partition(
@@ -202,13 +290,12 @@ def build_partition(
         raise ValueError(f"weight must be in 1..{ell}, got {t}")
     tc = enumerate_type_class(ell, M, t, budget=budget)
     if t == 1:
-        return Partition(ell=ell, M=M, t=t, centers=(tc.members[0],), sets=(tc.members,))
-    code = greedy_min_dist_code(tc, dmin=5)
-    x = np.ascontiguousarray(tc.rows.T)
-    centers = np.array(code, dtype=tc.rows.dtype).T
+        return Partition(ell, M, t, rows=tc.rows, sizes=(tc.size,), center_rows=tc.rows[:1])
+    centers = greedy_min_dist_code(tc, dmin=5)
+    c = _onehot(centers, M + 1)
     owner = np.empty(tc.size, dtype=np.intp)
     for s in range(0, tc.size, _BLOCK):
-        d = _distances(x[:, s : s + _BLOCK], centers)
+        d = ell - tc.onehot[s : s + _BLOCK] @ c.T
         ring2, near = d <= 2, d <= 4
         if not near.any(axis=1).all():
             raise AssertionError("greedy code not maximal: member beyond distance 4")
@@ -217,17 +304,10 @@ def build_partition(
             ring2.any(axis=1), ring2.argmax(axis=1), near.argmax(axis=1)
         )
     # a stable sort keeps each cell in the lexicographic order of the class
-    order = np.argsort(owner, kind="stable")
-    ends = np.cumsum(np.bincount(owner, minlength=len(code)))
-    return Partition(
-        ell=ell,
-        M=M,
-        t=t,
-        centers=tuple(code),
-        sets=tuple(
-            tuple(map(tuple, tc.rows[cell].tolist())) for cell in np.split(order, ends[:-1])
-        ),
-    )
+    rows = tc.rows[np.argsort(owner, kind="stable")]
+    rows.flags.writeable = False
+    sizes = tuple(np.bincount(owner, minlength=len(centers)).tolist())
+    return Partition(ell, M, t, rows=rows, sizes=sizes, center_rows=centers)
 
 
 @dataclass(frozen=True)
@@ -249,21 +329,21 @@ class PartitionReport:
 def verify_partition(p: Partition, ell: int) -> PartitionReport:
     """Check disjoint cover, |cell| >= ell+1, and diameter <= 8.
 
-    Failures are carried in the report, not raised; a member whose length
-    is not p.ell, or a value that is not an integer within 64 bits, raises
-    ValueError.  The members, sorted, are compared row by row with a
-    freshly enumerated class: equal neighbours mean a member in two
-    places, and a member with a value outside 0..M is never covered."""
-    sizes = tuple(len(cell) for cell in p.sets)
-    x = _rows([w for cell in p.sets for w in cell], p.ell)
-    s = _lex_sorted(x)
+    Failures are carried in the report, not raised.  The members, sorted,
+    are compared row by row with a freshly enumerated class: equal
+    neighbours mean a member in two places, and a member with a value
+    outside 0..M is never covered.  Distances come from the members' own
+    one-hot encoding, not from the one build used."""
+    sizes = p.sizes
+    s = _lex_sorted(p.rows)
     disjoint = not (s[1:] == s[:-1]).all(axis=1).any()
     full = enumerate_type_class(p.ell, p.M, p.t).rows
     cover = s.shape == full.shape and bool((s == full).all())
-    xc = np.ascontiguousarray(x.T)
-    ends = np.cumsum(sizes, dtype=np.intp)
-    diameters = tuple(_diameter(xc[:, e - n : e]) for n, e in zip(sizes, ends))
-    center_d = _min_distance(_rows(p.centers, p.ell).T) if len(p.centers) > 1 else None
+    x = _encode(p.rows)
+    diameters = tuple(_diameter(cell, p.ell) for cell in _split(x, sizes))
+    center_d = (
+        _min_distance(_encode(p.center_rows), p.ell) if len(p.center_rows) > 1 else None
+    )
     min_size = min(sizes) if sizes else 0
     max_diam = max(diameters) if diameters else 0
     return PartitionReport(
@@ -299,8 +379,8 @@ def partition_to_json(p: Partition, report: PartitionReport) -> str:
         "M": p.M,
         "t": p.t,
         "num_sets": p.num_sets,
-        "centers": [list(c) for c in p.centers],
-        "sets": [[list(w) for w in cell] for cell in p.sets],
+        "centers": p.center_rows.tolist(),
+        "sets": [cell.tolist() for cell in _split(p.rows, p.sizes)],
         "report": {
             "disjoint_cover": report.disjoint_cover,
             "min_set_size": report.min_set_size,

@@ -109,22 +109,6 @@ class TestDetectExponent:
         assert bp.lam == pytest.approx(2.0 / 3.0)
         assert bp.rho == pytest.approx(0.75)
 
-    def test_split_limits(self):
-        # along a sublinear-load schedule sequence the miss-only component
-        # approaches lam*rho*(1-lam*rho)/4 = 1/16 and the false-alarm-only
-        # component approaches lam*(1-lam*rho)/4 = 1/12 (nats)
-        lam, rho, ell, k, b = 2 / 3, 0.75, 16, 2.0, 0.5
-        fa_errors = []
-        for n in (1e10, 1e100, 1e200, 1e300):
-            c = math.log(n / (k * math.log(ell)))
-            E = c * math.log(ell)
-            miss, _ = bounds.detect_exponent_split(lam, rho, 1, 0, 1, ell, b * n, b * E)
-            _, fa = bounds.detect_exponent_split(lam, rho, 0, 1, 1, ell, b * n, b * E)
-            assert miss == pytest.approx(1.0 / 16.0, rel=1e-6)
-            fa_errors.append(abs(fa - 1.0 / 12.0))
-        assert all(b < a for a, b in zip(fa_errors, fa_errors[1:]))
-        assert fa_errors[-1] <= 0.10 * (1.0 / 12.0)
-
     def test_domain(self):
         with pytest.raises(ValueError):
             bounds.detect_exponent_g(2 / 3, 0.75, 4, 0, 3, 16, 512, 4.0)  # kappa1 > |d|

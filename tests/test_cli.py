@@ -1,4 +1,6 @@
+import contextlib
 import csv
+import io
 import json
 import math
 import tempfile
@@ -478,6 +480,12 @@ class TestPartitionCmd:
         rc = main(["partition", "--ell", "24", "--M", "4", "--t", "12"])
         assert rc == EXIT_BUDGET
 
+    def test_wide_alphabet_budget_exit(self, capsys):
+        # 15 000 members one-hot over 3001 values each
+        rc = main(["partition", "--ell", "5", "--M", "3000", "--t", "1"])
+        assert rc == EXIT_BUDGET
+        assert "one-hot table" in capsys.readouterr().err
+
 
 class TestClassifyCmd:
     def test_verdict(self, capsys, family_path):
@@ -541,8 +549,31 @@ class TestMalformedInput:
     @settings(max_examples=len(BOUND_PARAM_CASES), derandomize=True, deadline=None, database=None)
     @given(case=st.sampled_from(BOUND_PARAM_CASES))
     def test_bounds_params(self, case):
+        # what exits 0 is strict JSON without NaN (a documented inf may stand)
         name, key = case
         for value in MALFORMED:
             params = {**BOUND_CASES[name][0], key: value}
-            rc = main(["bounds", name, "--params", json.dumps(params)])
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                rc = main(["bounds", name, "--params", json.dumps(params)])
             assert rc in (EXIT_OK, EXIT_CONFIG), (key, value)
+            if rc == EXIT_OK:
+                json.loads(out.getvalue(), parse_constant=_refuse_nan)
+
+    @pytest.mark.parametrize("name,key,value", [
+        ("converse_joint", "E", 1e308), ("converse_joint", "E", 1e-308),
+        ("converse_joint", "ell", 1e308), ("converse_ape", "ell", 1e308),
+        ("converse_ortho_user", "E", 1e308), ("detect_exponent_g", "E_sig", 1e-308),
+    ])
+    def test_nan_result_is_a_config_error(self, capsys, name, key, value):
+        params = {**BOUND_CASES[name][0], key: value}
+        assert main(["bounds", name, "--params", json.dumps(params)]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert name in captured.err and "NaN in value" in captured.err
+
+
+def _refuse_nan(constant):
+    if constant == "NaN":
+        raise ValueError("NaN in a bound's output")
+    return float(constant)

@@ -258,6 +258,16 @@ class TestSweep:
             assert float(row["E"]) == pytest.approx(math.log(int(row["n"])))
             assert row["ell"] == row["n"] and row["k"] and row["converse_nats"] and row["error"]
 
+    def test_negative_converse_reads_infeasible(self):
+        # ell = ceil(2n/ln n) is out of the ortho regime, where converse_joint
+        # at E = ln n is about -0.26 to -0.28: no rate bound, and no trend
+        dense = GrowthFamily(name="dense", ell_of_n=lambda n: math.ceil(2 * n / math.log(n)),
+                             alpha_of_n=lambda n, ell: 2.0 / ell)
+        res = sweep(dense, [256, 1024, 4096], R_dot_fraction=0.25, scheme="ortho")
+        assert [r.converse_nats for r in res.rows] == [None] * 3
+        assert all("infeasible" in r.error for r in res.rows)
+        assert "converse_decreasing" not in res.verdicts
+
     def test_empty_grid(self):
         res = sweep(SUB_FAMILY, [], R_dot_fraction=0.25)
         assert res.rows == [] and res.verdicts == {}

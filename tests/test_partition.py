@@ -3,6 +3,7 @@ import json
 import math
 import tracemalloc
 from itertools import combinations, product
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -42,6 +43,11 @@ def oracle_enumerate(ell, M, t):
     return tuple(members)
 
 
+def as_tuples(rows):
+    """Rows of an integer array as a list of tuples of ints."""
+    return list(map(tuple, rows.tolist()))
+
+
 def oracle_greedy_code(tc, dmin=5):
     code = []
     for w in tc.members:
@@ -53,7 +59,7 @@ def oracle_greedy_code(tc, dmin=5):
 def oracle_build(ell, M, t):
     tc = enumerate_type_class(ell, M, t)
     if t == 1:
-        return Partition(ell=ell, M=M, t=t, centers=(tc.members[0],), sets=(tc.members,))
+        return Partition.from_sets(ell, M, t, centers=(tc.members[0],), sets=(tc.members,))
     code = oracle_greedy_code(tc)
     cells = [[] for _ in code]
     for w in tc.members:
@@ -63,9 +69,7 @@ def oracle_build(ell, M, t):
             cells[ring2[0]].append(w)
             continue
         cells[next(j for j, dj in enumerate(dists) if dj <= 4)].append(w)
-    return Partition(
-        ell=ell, M=M, t=t, centers=tuple(code), sets=tuple(tuple(c) for c in cells)
-    )
+    return Partition.from_sets(ell, M, t, centers=code, sets=cells)
 
 
 def oracle_verify(p, ell):
@@ -165,7 +169,7 @@ class TestGreedyCode:
 
     def test_single_member_class(self):
         tc = enumerate_type_class(5, 1, 0)
-        assert greedy_min_dist_code(tc) == [(0, 0, 0, 0, 0)]
+        assert as_tuples(greedy_min_dist_code(tc)) == [(0, 0, 0, 0, 0)]
 
     def test_distance_and_covering_exhaustive(self):
         tc = enumerate_type_class(6, 2, 3)
@@ -204,14 +208,14 @@ class TestBuildPartition:
         w_far = tc.members[0]
         w_far2 = tuple(2 if x == 1 else 1 for x in w_far)
         assert hamming(w_far, w_far2) == 9
-        bad = Partition(ell=9, M=2, t=9, centers=(w_far,), sets=((w_far, w_far2),))
+        bad = Partition.from_sets(9, 2, 9, centers=(w_far,), sets=((w_far, w_far2),))
         rep = verify_partition(bad, 9)
         assert rep == oracle_verify(bad, 9)
         assert rep.max_diameter == 9 and not rep.diameter_ok and not rep.ok
 
     def test_negative_control_incomplete_cover(self):
         tc = enumerate_type_class(5, 2, 2)
-        partial = Partition(ell=5, M=2, t=2, centers=(tc.members[0],), sets=((tc.members[0],),))
+        partial = Partition.from_sets(5, 2, 2, centers=(tc.members[0],), sets=((tc.members[0],),))
         rep = verify_partition(partial, 5)
         assert rep == oracle_verify(partial, 5)
         assert not rep.disjoint_cover
@@ -236,8 +240,12 @@ class TestAgainstOracle:
 
     @pytest.mark.parametrize("dmin", [0, 1, 2, 3, 4, 5, 6, 9])
     def test_greedy_code_any_dmin(self, dmin):
-        tc = enumerate_type_class(6, 3, 3)
-        assert greedy_min_dist_code(tc, dmin=dmin) == oracle_greedy_code(tc, dmin=dmin)
+        # 130 > 127 values: a fixed int8 would wrap them
+        for cls in ((6, 3, 3), (5, 130, 1)):
+            tc = enumerate_type_class(*cls)
+            code = greedy_min_dist_code(tc, dmin=dmin)
+            assert code.dtype == tc.rows.dtype and not code.flags.writeable
+            assert as_tuples(code) == oracle_greedy_code(tc, dmin=dmin), cls
 
     def test_large_alphabet(self):
         # 130 > 127: a fixed int8 would wrap these values
@@ -245,27 +253,87 @@ class TestAgainstOracle:
         assert p == oracle_build(5, 130, 1)
         rep = verify_partition(p, 5)
         assert rep == oracle_verify(p, 5) and rep.ok
-        tc = enumerate_type_class(5, 130, 1)
-        for dmin in (1, 2):
-            assert greedy_min_dist_code(tc, dmin=dmin) == oracle_greedy_code(tc, dmin=dmin)
 
     def test_large_alphabet_values_far_apart(self):
         # 256 wraps to 0 in any 8-bit dtype
         cell = ((0, 0, 0, 0, 256), (0, 0, 0, 0, 200), (0, 0, 0, 0, 0))
-        bad = Partition(ell=5, M=130, t=1, centers=(cell[0], cell[2]), sets=(cell,))
+        bad = Partition.from_sets(5, 130, 1, centers=(cell[0], cell[2]), sets=(cell,))
         rep = verify_partition(bad, 5)
         assert rep == oracle_verify(bad, 5)
         assert not rep.disjoint_cover
         assert rep.max_diameter == 1 and rep.min_center_distance == 1
 
 
+# values that an 8-bit or a lossy encoding would merge: -1 and 255 share
+# a byte, 256 wraps to 0, 2**40 needs 64 bits
+KERNEL_VALUES = st.sampled_from([-1, 0, 1, 2, 255, 256, 2**40])
+
+
+@st.composite
+def hand_built(draw):
+    ell = draw(st.integers(min_value=1, max_value=9))
+    member = st.tuples(*[KERNEL_VALUES] * ell)
+    cells = draw(st.lists(st.lists(member, max_size=6), max_size=4))
+    centers = draw(st.lists(member, max_size=5))
+    M = draw(st.integers(min_value=1, max_value=3))
+    t = draw(st.integers(min_value=0, max_value=min(ell, 3)))
+    return Partition.from_sets(ell, M, t, centers=centers, sets=cells)
+
+
+class TestDistanceKernel:
+    @given(hand_built())
+    @settings(max_examples=150, deadline=None)
+    def test_hand_built_against_oracle(self, p):
+        assert verify_partition(p, p.ell) == oracle_verify(p, p.ell)
+
+    def test_build_and_verify_memory(self):
+        tracemalloc.start()
+        try:
+            assert verify_partition(build_partition(8, 3, 5), 8).ok
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 1024 * 1024
+
+    def test_onehot_budget_checked_before_allocation(self):
+        # 15 000 members one-hot over 3001 values: 225 million float32
+        p = build_partition(5, 3000, 1)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ComplexityBudgetError):
+                verify_partition(p, 5)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 1024 * 1024
+
+
+class TestPartitionArrays:
+    def test_build_keeps_read_only_arrays(self):
+        p = build_partition(6, 2, 3)
+        assert p.rows.shape == (sum(p.sizes), 6) and p.center_rows.shape == (p.num_sets, 6)
+        assert not p.rows.flags.writeable and not p.center_rows.flags.writeable
+        cells = np.split(p.rows, np.cumsum(p.sizes)[:-1])
+        assert p.sets == tuple(tuple(as_tuples(cell)) for cell in cells)
+        assert p.centers == tuple(as_tuples(p.center_rows))
+
+    def test_constructor_checks(self):
+        rows = np.zeros((3, 5), dtype=np.uint8)
+        with pytest.raises(ValueError):
+            Partition(5, 2, 1, rows=rows, sizes=(2,), center_rows=rows[:1])
+        with pytest.raises(ValueError):
+            Partition(5, 2, 1, rows=rows.astype(float), sizes=(3,), center_rows=rows[:1])
+        with pytest.raises(ValueError):
+            Partition(5, 2, 1, rows=rows, sizes=(3,), center_rows=rows[:1, :4])
+        with pytest.raises(ValueError):
+            Partition(5, 2, 1, rows=rows[0], sizes=(5,), center_rows=rows[:1])
+
+
 def _edited(p, edit):
     """p with its cells replaced by edit(list of cell lists)."""
     cells = [list(cell) for cell in p.sets]
     edit(cells)
-    return Partition(
-        ell=p.ell, M=p.M, t=p.t, centers=p.centers, sets=tuple(tuple(c) for c in cells)
-    )
+    return Partition.from_sets(p.ell, p.M, p.t, centers=p.centers, sets=cells)
 
 
 class TestBadPartitionsAgainstOracle:
@@ -316,16 +384,27 @@ class TestMemberValues:
 
     def test_fractional_value_raises(self):
         b = (1, 1, 1, 0.5, 0, 0)
-        assert oracle_verify(Partition(6, 2, 3, (self.a,), ((self.a, b),)), 6).set_diameters == (1,)
+        tuples = SimpleNamespace(ell=6, M=2, t=3, centers=(self.a,), sets=((self.a, b),))
+        assert oracle_verify(tuples, 6).set_diameters == (1,)
         with pytest.raises(ValueError):
-            verify_partition(Partition(6, 2, 3, (self.a,), ((self.a, b),)), 6)
+            verify_partition(Partition.from_sets(6, 2, 3, (self.a,), ((self.a, b),)), 6)
+
+    def test_negative_beside_large_value_stays_exact(self):
+        # -1 beside 2**53: the smallest common type of int8 and uint64 is
+        # float64, which would merge 2**53 and 2**53 + 1
+        cell = ((-1, 2**53), (-1, 2**53 + 1))
+        p = Partition.from_sets(2, 1, 1, centers=cell, sets=(cell,))
+        assert p.sets == (cell,)
+        rep = verify_partition(p, 2)
+        assert rep == oracle_verify(p, 2)
+        assert rep.set_diameters == (1,) and rep.min_center_distance == 1
 
     def test_value_beyond_64_bits_raises(self):
         b = (1, 1, 1, 2**64, 0, 0)
         with pytest.raises(ValueError):
-            verify_partition(Partition(6, 2, 3, (self.a,), ((self.a, b),)), 6)
+            verify_partition(Partition.from_sets(6, 2, 3, (self.a,), ((self.a, b),)), 6)
         with pytest.raises(ValueError):
-            verify_partition(Partition(6, 2, 3, (self.a, b), ((self.a,),)), 6)
+            verify_partition(Partition.from_sets(6, 2, 3, (self.a, b), ((self.a,),)), 6)
 
 
 # sha256 of partition_to_json(p, verify_partition(p, ell)) for every cell of
