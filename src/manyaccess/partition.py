@@ -21,10 +21,14 @@ Every Hamming distance table is one BLAS product.  A vector is encoded
 one-hot over its (position, value) pairs, ell x (distinct values) float32
 columns, so two vectors agree in <onehot(a), onehot(b)> positions and
 d(a, b) = ell - <onehot(a), onehot(b)>.  Each sum counts at most ell
-ones, far below 2^24, so float32 holds it exactly.  Build encodes the
-class once with the values 0..M; verify encodes the partition's own
-members over the distinct values they hold (np.unique), so no two
-values share a column whatever their size or sign.
+ones, far below 2^24, so float32 holds it exactly.  No table is built for
+a whole class: build encodes the class with the values 0..M a block of
+rows at a time, and verify encodes runs of consecutive cells over the
+distinct values they hold (np.unique), so no two values share a column
+whatever their size or sign.  Verify keeps only the pairs that two or
+more rows of a run hold, which leaves a weight-1 class over a wide
+alphabet ell columns wide.  Each one-hot or distance table holds at most
+_TABLE entries; a cell's Gram blocks take _BLOCK rows at a time.
 """
 
 import json
@@ -47,11 +51,12 @@ def hamming(w: tuple | np.ndarray, w2: tuple | np.ndarray) -> int:
     return int(sum(a != b for a, b in zip(w, w2)))
 
 
-# rows per block of a distance table: a block against n columns needs 4*256*n bytes
+# float32 entries of one table (2 MB): a one-hot or distance table of n
+# columns is built _rows_per_table(n) rows at a time
+_TABLE = 2**19
+# rows per Gram block: a cell's blocks cover the pairs at or above the
+# diagonal in steps of this many rows
 _BLOCK = 256
-# float32 entries of a one-hot table (256 MB); every class within the
-# enumeration budget and M <= 15 fits, a larger alphabet is refused
-_ONEHOT_BUDGET = 2**26
 
 
 def _rows(members, ell: int) -> np.ndarray:
@@ -84,45 +89,84 @@ def _lex_sorted(x: np.ndarray) -> np.ndarray:
     return x[np.lexsort(x.T[::-1])]
 
 
+def _rows_per_table(columns: int) -> int:
+    """Rows of a table of the given width that fit in _TABLE entries."""
+    return max(1, _TABLE // max(columns, 1))
+
+
 def _onehot(codes: np.ndarray, width: int) -> np.ndarray:
     """Rows of codes in 0..width-1 as float32 one-hot rows of ell*width
     columns: column j*width + v is 1 where position j holds code v."""
     n, ell = codes.shape
-    if n * ell * width > _ONEHOT_BUDGET:
-        raise ComplexityBudgetError(
-            f"one-hot table of {n} x {ell * width} exceeds the budget {_ONEHOT_BUDGET}"
-        )
     out = np.zeros((n, ell * width), dtype=np.float32)
     out[np.arange(n)[:, None], np.arange(ell) * width + codes] = 1.0
     return out
 
 
-def _encode(x: np.ndarray) -> np.ndarray:
-    """One-hot rows of x over the distinct values x holds."""
-    values, codes = np.unique(x, return_inverse=True)
-    return _onehot(codes.reshape(x.shape), len(values))
+def _encode_shared(x: np.ndarray) -> np.ndarray:
+    """One-hot rows of x over the (position, value) pairs that two or more
+    rows hold.  A pair held by one row agrees with no other row, so the
+    product of two distinct rows still counts their agreements exactly;
+    only a row with itself may count fewer than ell."""
+    n, ell = x.shape
+    pair = np.searchsorted(np.unique(x), x)
+    pair *= ell
+    pair += np.arange(ell)
+    shared = np.bincount(pair.ravel(), minlength=1) >= 2
+    # shared pairs get columns 1.., every other pair the column 0, cleared
+    column = np.where(shared, np.cumsum(shared), 0)
+    out = np.zeros((n, int(column.max()) + 1), dtype=np.float32)
+    out[np.arange(n)[:, None], column[pair]] = 1.0
+    out[:, 0] = 0.0
+    return out
+
+
+def _gram_blocks(x: np.ndarray):
+    """Agreements of each _BLOCK rows of x with themselves and every later
+    row, in Gram blocks of at most _TABLE entries, each with whether it
+    holds the block's diagonal, where a row meets itself."""
+    # at least _BLOCK columns, so a block's diagonal lies in its first table
+    width = max(_BLOCK, _rows_per_table(_BLOCK))
+    for s in range(0, len(x), _BLOCK):
+        for c in range(s, len(x), width):
+            yield x[s : s + _BLOCK] @ x[c : c + width].T, c == s
 
 
 def _diameter(x: np.ndarray, ell: int) -> int:
-    """Largest distance between two one-hot rows of x, ell minus their
-    fewest agreements; 0 for fewer than two."""
-    n = len(x)
-    return max(
-        (ell - int((x[s : s + _BLOCK] @ x[s:].T).min()) for s in range(0, n, _BLOCK)),
-        default=0,
-    )
+    """Largest distance between two rows of x, one-hot over the pairs two
+    rows share: ell minus their fewest agreements; 0 for fewer than two.
+    A row meets itself in ell minus the pairs no other row holds, and it
+    differs from every other row at those positions, so no diagonal entry
+    is below the least off-diagonal one."""
+    if len(x) < 2:
+        return 0
+    return ell - int(min(agree.min() for agree, _ in _gram_blocks(x)))
 
 
 def _min_distance(x: np.ndarray, ell: int) -> int:
     """Smallest distance between two distinct one-hot rows of x (at least
     two), ell minus their most agreements."""
-    n = len(x)
-    most = 0
-    for s in range(0, n - 1, _BLOCK):
-        agree = x[s : s + _BLOCK] @ x[s:].T
-        later = np.arange(n - s) > np.arange(len(agree))[:, None]
-        most = max(most, int(agree[later].max()))
-    return ell - most
+    most = 0.0
+    for agree, diagonal in _gram_blocks(x):
+        if diagonal:
+            np.fill_diagonal(agree, 0)
+        most = max(most, agree.max())
+    return ell - int(most)
+
+
+def _diameters(rows: np.ndarray, sizes, ell: int, run: int) -> tuple[int, ...]:
+    """Each cell's diameter.  The cells that start within the same `run`
+    rows are encoded together, so a run holds at most `run` rows beside its
+    largest cell."""
+    ends = np.cumsum(sizes, dtype=np.intp)
+    starts = ends - sizes
+    out: list[int] = []
+    for cells in np.split(np.arange(len(sizes)), np.flatnonzero(np.diff(starts // run)) + 1):
+        if len(cells):
+            a = starts[cells[0]]
+            x = _encode_shared(rows[a : ends[cells[-1]]])
+            out.extend(_diameter(x[starts[c] - a : ends[c] - a], ell) for c in cells)
+    return tuple(out)
 
 
 def _split(x: np.ndarray, sizes) -> list[np.ndarray]:
@@ -150,12 +194,6 @@ class TypeClass:
     def members(self) -> tuple[tuple[int, ...], ...]:
         """The rows as tuples of ints, built the first time they are read."""
         return tuple(map(tuple, self.rows.tolist()))
-
-    @cached_property
-    def onehot(self) -> np.ndarray:
-        """The rows one-hot over the values 0..M, encoded the first time
-        they are read."""
-        return _onehot(self.rows, self.M + 1)
 
 
 def type_class_size(ell: int, M: int, t: int) -> int:
@@ -192,22 +230,31 @@ def greedy_min_dist_code(tc: TypeClass, dmin: int = 5) -> np.ndarray:
     Maximality means every member of the class is within dmin-1 of some
     codeword.
 
-    A running vector holds each member's distance to the nearest codeword
-    so far; the next codeword is the first member after the last one at
-    distance >= dmin, which is the member the sequential scan would add.
-    Each codeword picked costs one matrix-vector product with the class."""
-    x = tc.onehot
-    nearest = np.full(tc.size, dmin, dtype=np.float32)
+    The class is scanned in blocks of members, each encoded one-hot over
+    the values 0..M.  One product with the codewords so far gives each
+    member's distance to the nearest of them; the next codeword is the
+    first member of the block after the last one at distance >= dmin,
+    which is the member the sequential scan would add, and each codeword
+    picked costs one matrix-vector product with its block."""
+    code = np.zeros((0, tc.ell * (tc.M + 1)), dtype=np.float32)
     picked: list[int] = []
-    start = 0
-    while start < tc.size:
-        free = nearest[start:] >= dmin
-        i = start + int(free.argmax())
-        if not free[i - start]:
-            break
-        picked.append(i)
-        np.minimum(nearest, tc.ell - x @ x[i], out=nearest)
-        start = i + 1
+    s = 0
+    while s < tc.size:
+        x = _onehot(tc.rows[s : s + _rows_per_table(max(code.shape))], tc.M + 1)
+        nearest = np.minimum(dmin, tc.ell - (x @ code.T).max(axis=1, initial=-np.inf))
+        new: list[int] = []
+        start = 0
+        while start < len(x):
+            free = nearest[start:] >= dmin
+            i = start + int(free.argmax())
+            if not free[i - start]:
+                break
+            new.append(i)
+            np.minimum(nearest, tc.ell - x @ x[i], out=nearest)
+            start = i + 1
+        code = np.concatenate([code, x[new]])
+        picked.extend(s + i for i in new)
+        s += len(x)
     code = tc.rows[picked]
     code.flags.writeable = False
     return code
@@ -270,6 +317,9 @@ class Partition:
             return NotImplemented
         return self._key() == other._key()
 
+    def __hash__(self):
+        return hash(self._key())
+
 
 def build_partition(
     ell: int, M: int, t: int, budget: int = DEFAULT_ENUM_BUDGET
@@ -294,13 +344,14 @@ def build_partition(
     centers = greedy_min_dist_code(tc, dmin=5)
     c = _onehot(centers, M + 1)
     owner = np.empty(tc.size, dtype=np.intp)
-    for s in range(0, tc.size, _BLOCK):
-        d = ell - tc.onehot[s : s + _BLOCK] @ c.T
+    step = _rows_per_table(max(c.shape[1], len(c)))
+    for s in range(0, tc.size, step):
+        d = ell - _onehot(tc.rows[s : s + step], M + 1) @ c.T
         ring2, near = d <= 2, d <= 4
         if not near.any(axis=1).all():
             raise AssertionError("greedy code not maximal: member beyond distance 4")
         # a ring-2 codeword is unique by the minimum distance 5 of the code
-        owner[s : s + _BLOCK] = np.where(
+        owner[s : s + step] = np.where(
             ring2.any(axis=1), ring2.argmax(axis=1), near.argmax(axis=1)
         )
     # a stable sort keeps each cell in the lexicographic order of the class
@@ -332,17 +383,16 @@ def verify_partition(p: Partition, ell: int) -> PartitionReport:
     Failures are carried in the report, not raised.  The members, sorted,
     are compared row by row with a freshly enumerated class: equal
     neighbours mean a member in two places, and a member with a value
-    outside 0..M is never covered.  Distances come from the members' own
-    one-hot encoding, not from the one build used."""
+    outside 0..M is never covered.  Distances come from a one-hot encoding
+    of the partition's own members, not from the one build used."""
     sizes = p.sizes
     s = _lex_sorted(p.rows)
     disjoint = not (s[1:] == s[:-1]).all(axis=1).any()
     full = enumerate_type_class(p.ell, p.M, p.t).rows
     cover = s.shape == full.shape and bool((s == full).all())
-    x = _encode(p.rows)
-    diameters = tuple(_diameter(cell, p.ell) for cell in _split(x, sizes))
+    diameters = _diameters(p.rows, sizes, p.ell, _rows_per_table(p.ell * (p.M + 1)))
     center_d = (
-        _min_distance(_encode(p.center_rows), p.ell) if len(p.center_rows) > 1 else None
+        _min_distance(_encode_shared(p.center_rows), p.ell) if len(p.center_rows) > 1 else None
     )
     min_size = min(sizes) if sizes else 0
     max_diam = max(diameters) if diameters else 0

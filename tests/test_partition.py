@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from manyaccess import bounds
+from manyaccess import partition as partition_module
 from manyaccess.errors import ComplexityBudgetError
 from manyaccess.partition import (
     Partition,
@@ -295,17 +296,41 @@ class TestDistanceKernel:
             tracemalloc.stop()
         assert peak < 8 * 1024 * 1024
 
-    def test_onehot_budget_checked_before_allocation(self):
-        # 15 000 members one-hot over 3001 values: 225 million float32
+    def test_wide_alphabet_verifies_in_small_tables(self):
+        # one cell of 15 000 members over 3001 values: a one-hot table of
+        # all (position, value) pairs would hold 225 million float32
         p = build_partition(5, 3000, 1)
         tracemalloc.start()
         try:
-            with pytest.raises(ComplexityBudgetError):
-                verify_partition(p, 5)
+            rep = verify_partition(p, 5)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 4 * 1024 * 1024
+        assert rep.ok and rep.max_diameter == 2
+        assert peak < 8 * 1024 * 1024
+
+    def test_large_class_tables_bounded(self):
+        # 126 720 members: one-hot as a whole over the values 0..4 it
+        # would take 30 MB of float32
+        tracemalloc.start()
+        try:
+            assert verify_partition(build_partition(12, 4, 4), 12).ok
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 1024 * 1024
+
+    @pytest.mark.parametrize("ell,M,t", [(6, 3, 3), (6, 3, 5), (8, 2, 5)])
+    def test_small_tables_same_partition(self, ell, M, t, monkeypatch):
+        # every table a few rows: the greedy code and the ownership cross
+        # block boundaries, and each cell takes many Gram blocks
+        monkeypatch.setattr(partition_module, "_TABLE", 100)
+        p = build_partition(ell, M, t)
+        payload = partition_to_json(p, verify_partition(p, ell))
+        assert hashlib.sha256(payload.encode()).hexdigest() == CRITERION_08_DIGESTS[ell, M, t]
+        tc = enumerate_type_class(ell, M, t)
+        for dmin in (2, 4, 6):
+            assert as_tuples(greedy_min_dist_code(tc, dmin)) == oracle_greedy_code(tc, dmin)
 
 
 class TestPartitionArrays:
@@ -316,6 +341,11 @@ class TestPartitionArrays:
         cells = np.split(p.rows, np.cumsum(p.sizes)[:-1])
         assert p.sets == tuple(tuple(as_tuples(cell)) for cell in cells)
         assert p.centers == tuple(as_tuples(p.center_rows))
+
+    def test_equal_partitions_hash_equal(self):
+        p = build_partition(6, 2, 3)
+        q = Partition.from_sets(6, 2, 3, centers=p.centers, sets=p.sets)
+        assert p == q and hash(p) == hash(q) and len({p, q}) == 1
 
     def test_constructor_checks(self):
         rows = np.zeros((3, 5), dtype=np.uint8)
