@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
-from scipy.special import erfc
 
 from .codebooks import mu_exact
 from .decoding import BoundParams
@@ -467,6 +466,8 @@ class QTail(NamedTuple):
 def normal_tail(x: float) -> QTail:
     """Standard normal tail Q(x), paired with the classical upper bound
     exp(-x^2/2)/(sqrt(2 pi) x) (infinite for x <= 0 where it is vacuous)."""
+    from scipy.special import erfc  # deferred: trials and partitions must not load scipy.special
+
     q = 0.5 * float(erfc(x / math.sqrt(2.0)))
     if x > 0.0:
         ub = math.exp(-x * x / 2.0) / (math.sqrt(2.0 * math.pi) * x)

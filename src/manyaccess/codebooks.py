@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammainc
 
 from .errors import InvalidRegimeError
 
@@ -143,6 +142,8 @@ def mu_exact(length: int) -> MuEstimate:
     """mu = Pr(chi2_length <= 2*length) via the regularized incomplete gamma."""
     if length < 1:
         raise ValueError(f"length must be >= 1, got {length}")
+    from scipy.special import gammainc  # deferred: trials and partitions must not load scipy.special
+
     return MuEstimate(value=float(gammainc(length / 2.0, float(length))))
 
 

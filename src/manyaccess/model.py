@@ -124,7 +124,7 @@ def make_ortho_schedule(params: SystemParams, t: float) -> EnergySchedule:
     ell_log_n = params.ell * math.log(params.n)
     if ell_log_n >= params.n:
         raise InvalidRegimeError(
-            f"ell*ln(n) = {ell_log_n:.4g} >= n = {params.n}: outside the sublinear regime"
+            f"ell*ln(n) = {ell_log_n:.4g} >= n = {params.n}: orthogonal access needs ell*ln(n) < n"
         )
     c = math.log(params.n / ell_log_n)
     E_total = c * math.log(params.n)

@@ -377,6 +377,15 @@ class TestNormalTail:
     def test_q_one(self):
         assert bounds.normal_tail(1.0).q == pytest.approx(0.15865525393145707, rel=1e-12)
 
+    @pytest.mark.parametrize(
+        "x, bits",
+        [(0.5, "0x1.3bf143b9aa713p-2"), (3.0, "0x1.61de1f985b5ddp-10"), (10.0, "0x1.26c75e84fb134p-77")],
+    )
+    def test_q_bits_pinned(self, x, bits):
+        # scipy.special.erfc to the last bit; math.erfc differs in the last
+        # bits at most points
+        assert bounds.normal_tail(x).q.hex() == bits
+
     def test_upper_bound_holds(self):
         for beta in (0.5, 1.0, 2.0, 4.0):
             tail = bounds.normal_tail(beta)

@@ -33,12 +33,13 @@ def config_path(tmp_path):
     return str(path)
 
 
+SUB_FAMILY = {"name": "sub", "ell_expr": "ceil(n**(1/3))", "alpha_expr": "2/ell"}
+
+
 @pytest.fixture
 def family_path(tmp_path):
     path = tmp_path / "family.json"
-    path.write_text(
-        json.dumps({"name": "sub", "ell_expr": "ceil(n**(1/3))", "alpha_expr": "2/ell"})
-    )
+    path.write_text(json.dumps(SUB_FAMILY))
     return str(path)
 
 
@@ -385,6 +386,22 @@ class TestSweepCmd:
             assert float(row["E"]) == pytest.approx(sched.E, rel=1e-11) and row["converse_nats"]
             assert row["R_dot_nats"] == row["budget_total"] == ""
 
+    def test_ortho_slot_condition_is_not_the_load_regime(self, tmp_path, capsys):
+        # ell = ceil(2n/ln n) breaks the orthogonal scheme's ell*ln(n) < n at
+        # every point, while the load k*ln(ell)/n still falls (k = 2)
+        fam = tmp_path / "family.json"
+        fam.write_text(json.dumps({"name": "lin", "ell_expr": "ceil(2*n/log(n))",
+                                   "alpha_expr": "2/ell"}))
+        out = tmp_path / "sweep.csv"
+        rc = main(["sweep", "--family", str(fam), "--n-grid", "256,1024,4096",
+                   "--scheme", "ortho", "--out", str(out)])
+        assert rc == EXIT_OK
+        assert json.loads(capsys.readouterr().out)["verdicts"]["regime"] == "sublinear"
+        rows = list(csv.DictReader(out.read_text().splitlines()))
+        assert len(rows) == 3
+        for row in rows:
+            assert "orthogonal access needs ell*ln(n) < n" in row["error"]
+            assert "sublinear" not in row["error"]
 
     def test_ortho_above_capacity_leaves_budget_empty(self, tmp_path, family_path, capsys):
         out = tmp_path / "sweep.csv"
@@ -530,10 +547,11 @@ BOUND_PARAM_CASES = [(name, key) for name in sorted(BOUND_CASES)
 
 
 class TestMalformedInput:
-    """Each pool value in place of one config key or --params key ends in
-    a documented exit code, never a traceback.  Hypothesis (6.155) draws
-    every case of a short sampled list once before it repeats one, so
-    max_examples = len(cases) tries each (config, key) and (bound, key)."""
+    """Each pool value in place of one config key, --params key, family
+    file key or --n-grid entry ends in a documented exit code, never a
+    traceback.  Hypothesis (6.155) draws every case of a short sampled
+    list once before it repeats one, so max_examples = len(cases) tries
+    each (config, key) and (bound, key)."""
 
     @settings(max_examples=len(CONFIG_CASES), derandomize=True, deadline=None, database=None)
     @given(case=st.sampled_from(CONFIG_CASES))
@@ -559,6 +577,26 @@ class TestMalformedInput:
             assert rc in (EXIT_OK, EXIT_CONFIG), (key, value)
             if rc == EXIT_OK:
                 json.loads(out.getvalue(), parse_constant=_refuse_nan)
+
+    @pytest.mark.parametrize("key", ["name", "ell_expr", "alpha_expr"])
+    def test_family_file(self, tmp_path, capsys, key):
+        path = tmp_path / "family.json"
+        for value in MALFORMED:
+            path.write_text(json.dumps({**SUB_FAMILY, key: value}))
+            for command in (["classify"], ["sweep", "--out", str(tmp_path / "sweep.csv")]):
+                rc = main([*command, "--family", str(path), "--n-grid", "256,1024,4096"])
+                assert rc in (EXIT_OK, EXIT_CONFIG, EXIT_BUDGET), (key, value, command)
+
+    def test_n_grid(self, tmp_path, capsys):
+        # ell = ceil(ln n) keeps a sweep's detection budget short at n = 2**63
+        # (ceil(n**(1/3)) spends about 1.5 s there)
+        fam = tmp_path / "family.json"
+        fam.write_text(json.dumps({**SUB_FAMILY, "ell_expr": "ceil(log(n))"}))
+        grids = [f"256,{value},4096" for value in MALFORMED] + ["256,,1024", "1e3", "256,1024,"]
+        for grid in grids:
+            for command in (["classify"], ["sweep", "--out", str(tmp_path / "sweep.csv")]):
+                rc = main([*command, "--family", str(fam), "--n-grid", grid])
+                assert rc in (EXIT_OK, EXIT_CONFIG, EXIT_BUDGET), (grid, command)
 
     @pytest.mark.parametrize("name,key,value", [
         ("converse_joint", "E", 1e308), ("converse_joint", "E", 1e-308),

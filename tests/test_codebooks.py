@@ -164,6 +164,15 @@ class TestMu:
             exact = mu_exact(length).value
             assert abs(est.value - exact) <= 3 * est.stderr
 
+    @pytest.mark.parametrize(
+        "length, bits",
+        [(1, "0x1.af767a741088dp-1"), (7, "0x1.e5cb8ec1da0b2p-1"), (128, "0x1.fffffffec5696p-1")],
+    )
+    def test_exact_bits_pinned(self, length, bits):
+        # scipy.special.gammainc to the last bit; another implementation
+        # would move the bounds that use mu
+        assert mu_exact(length).value.hex() == bits
+
     def test_rejects_len_zero(self):
         with pytest.raises(ValueError):
             mu_chernoff_lb(0)

@@ -1,6 +1,11 @@
 import csv
 import hashlib
 import math
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -359,3 +364,35 @@ class TestConfigAndCsv:
             "joint_err_ci_hi,ape,overflow_rate,budget_total,budget_valid,"
             "budget_aborts,converse_nats,error"
         )
+
+
+# Trials and partitions use numpy only; scipy.special (about 0.3 s of
+# start-up and 17 MB) loads on the first bound that needs it.
+SCIPY_PROBE = textwrap.dedent("""
+    import sys
+    from manyaccess import harness
+    from manyaccess.codebooks import mu_exact
+    from manyaccess.decoding import BoundParams
+    from manyaccess.model import SystemParams
+    from manyaccess.partition import build_partition, verify_partition
+
+    cfg = harness.ExperimentConfig(
+        scheme="joint", params=SystemParams(n=4096, ell=16, alpha=2 / 16, N0=2.0),
+        split=0.5, M=10, bp=BoundParams(xi=8), trials=1, master_seed=1113,
+    )
+    harness.run_trial(cfg, 0)
+    report = verify_partition(build_partition(6, 2, 3), 6)
+    assert report.disjoint_cover and report.size_ok and report.diameter_ok
+    assert "scipy.special" not in sys.modules, "a trial or partition loaded scipy.special"
+    mu_exact(2048)
+    assert "scipy.special" in sys.modules
+""")
+
+
+def test_trials_and_partitions_leave_scipy_special_unloaded():
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    done = subprocess.run(
+        [sys.executable, "-c", SCIPY_PROBE], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
