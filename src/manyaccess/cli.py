@@ -88,10 +88,14 @@ _WHOLE_KEYS = frozenset(
 
 
 def _bound_dispatch(name: str, p: dict):
-    """Evaluate a bound by name from flattened JSON parameters."""
+    """Evaluate a bound by name from flattened JSON parameters; a key the
+    bound does not read is a ConfigError."""
     if name not in BOUNDS:
         raise ConfigError(f"unknown bound {name!r}")
     fn, keys = BOUNDS[name]
+    unknown = sorted(p.keys() - {k if isinstance(k, str) else k[0] for k in keys})
+    if unknown:
+        raise ConfigError(f"{name} takes no --params key {', '.join(map(repr, unknown))}")
     return fn(*(p[k] if isinstance(k, str) else p.get(*k) for k in keys))
 
 
@@ -104,15 +108,16 @@ def _finite_number(v) -> bool:
         return False
 
 
-def _nan_fields(result: dict, prefix: str = "") -> list[str]:
-    """Dotted names of the NaN numbers in a bound's result."""
-    nan = []
+def _nonfinite_fields(result: dict, inf_ok: bool, prefix: str = "") -> list[str]:
+    """'NaN in x' or 'inf in x' for each non-finite number of a bound's
+    result, x its dotted name; with inf_ok only NaN counts."""
+    bad = []
     for k, v in result.items():
         if isinstance(v, dict):
-            nan += _nan_fields(v, f"{prefix}{k}.")
-        elif isinstance(v, float) and math.isnan(v):
-            nan.append(f"{prefix}{k}")
-    return nan
+            bad += _nonfinite_fields(v, inf_ok, f"{prefix}{k}.")
+        elif isinstance(v, float) and not math.isfinite(v) and not (inf_ok and math.isinf(v)):
+            bad.append(f"{'NaN' if math.isnan(v) else 'inf'} in {prefix}{k}")
+    return bad
 
 
 def _cmd_bounds(args) -> int:
@@ -132,10 +137,14 @@ def _cmd_bounds(args) -> int:
         result = result.to_dict()
     elif not isinstance(result, dict):
         result = {"value": result}
-    nan = _nan_fields(result)
-    if nan:
+    # documented infinities: a result marked invalid (a converse past its
+    # denominator, detection_budget at c <= 0) and normal_tail's vacuous
+    # upper bound at x <= 0
+    inf_ok = result.get("valid") is False or (args.name == "normal_tail" and params["x"] <= 0)
+    bad = _nonfinite_fields(result, inf_ok)
+    if bad:
         raise ConfigError(
-            f"{args.name} is undefined at these --params: NaN in {', '.join(nan)} "
+            f"{args.name} has no finite value at these --params: {', '.join(bad)} "
             "(an intermediate term overflowed or underflowed)"
         )
     print(json.dumps(result, indent=2))
@@ -147,7 +156,7 @@ def _cmd_simulate(args) -> int:
     cfg = harness.load_config(args.config, overrides)
     summary = harness.estimate_error(cfg, threads=args.threads)
     budget = harness.analytic_budget(cfg)
-    row = harness.summary_row(cfg, summary, budget)
+    row = harness.summary_row(cfg.params, cfg.schedule.E, cfg.M, budget, summary)
     if args.trials_csv:
         harness.write_trials_csv(args.trials_csv, summary.records)
     if args.summary_csv:

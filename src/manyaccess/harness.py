@@ -18,8 +18,9 @@ import csv
 import json
 import math
 import operator
+import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import astuple, dataclass, field, fields
+from dataclasses import dataclass, field, fields, is_dataclass
 from typing import Callable
 
 import numpy as np
@@ -31,11 +32,6 @@ from .errors import ComplexityBudgetError, ConfigError, InvalidRegimeError
 from .model import EnergySchedule, RateSpec, SystemParams, make_joint_schedule, make_ortho_schedule, sample_messages
 from .rng import make_rng, mix_seed
 from .detection import detection_stats
-
-TRIAL_COLUMNS = [
-    "trial", "seed", "k_true", "d_hat_weight", "kappa1", "kappa2",
-    "overflow", "budget_abort", "joint_error", "per_user_errors", "ape",
-]
 
 # substream tag for the fixed-codebook mode
 _PLAN_STREAM = 0x706C616E
@@ -215,11 +211,17 @@ class ErrorSummary:
     records: tuple[TrialRecord, ...] = field(repr=False, default=())
 
 
-def estimate_error(cfg: ExperimentConfig, threads: int = 1) -> ErrorSummary:
-    """Run cfg.trials independent trials and aggregate empirical rates.
+def _worker_count(threads: int) -> int:
+    """The threads a run of trials uses: at least 1, at most the cores."""
+    if threads < 1:
+        raise ConfigError(f"threads must be >= 1, got {threads}")
+    return min(threads, os.cpu_count() or 1)
 
-    Bernoulli rates come with Wilson 95% intervals.
-    """
+
+def estimate_error(cfg: ExperimentConfig, threads: int = 1) -> ErrorSummary:
+    """Run cfg.trials independent trials on at most one thread per core and
+    aggregate empirical rates; Bernoulli rates come with Wilson 95% intervals."""
+    threads = _worker_count(threads)
     indices = range(cfg.trials)
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
@@ -231,13 +233,9 @@ def estimate_error(cfg: ExperimentConfig, threads: int = 1) -> ErrorSummary:
     overflow = sum(r.overflow for r in records)
     apes = np.array([r.stats.ape for r in records])
     return ErrorSummary(
-        trials=n,
-        joint_err=joint / n,
-        joint_err_ci=wilson_interval(joint, n),
-        ape=float(apes.mean()),
-        ape_stderr=float(apes.std(ddof=1) / math.sqrt(n)) if n > 1 else 1.0,
-        overflow_rate=overflow / n,
-        budget_aborts=sum(r.budget_abort for r in records),
+        trials=n, joint_err=joint / n, joint_err_ci=wilson_interval(joint, n),
+        ape=float(apes.mean()), ape_stderr=float(apes.std(ddof=1) / math.sqrt(n)) if n > 1 else 1.0,
+        overflow_rate=overflow / n, budget_aborts=sum(r.budget_abort for r in records),
         records=tuple(records),
     )
 
@@ -362,14 +360,8 @@ def family_from_dict(data: dict) -> GrowthFamily:
         alpha_expr = _family_expression(data["alpha_expr"], ("n", "ell"))
     except KeyError as e:
         raise ConfigError(f"family file missing key: {e}") from e
-
-    def ell_of_n(n: int) -> int:
-        return int(ell_expr(n=n))
-
-    def alpha_of_n(n: int, ell: int) -> float:
-        return float(alpha_expr(n=n, ell=ell))
-
-    return GrowthFamily(name=name, ell_of_n=ell_of_n, alpha_of_n=alpha_of_n)
+    return GrowthFamily(name=name, ell_of_n=lambda n: ell_expr(n=n),
+                        alpha_of_n=lambda n, ell: alpha_expr(n=n, ell=ell))
 
 
 @dataclass(frozen=True)
@@ -398,47 +390,38 @@ class SummaryRow:
     error: str | None = None
 
 
-SUMMARY_COLUMNS = [f.name for f in fields(SummaryRow)]
-
-
 def summary_row(
-    cfg: ExperimentConfig, summary: ErrorSummary | None, budget: bounds.BoundReport,
+    params: SystemParams, E: float, M: int | None = None,
+    budget: bounds.BoundReport | None = None, summary: ErrorSummary | None = None,
     error: str | None = None,
 ) -> SummaryRow:
-    """The row of an evaluated point (summary None: no trials ran); the
-    converse is converse_joint at the schedule energy and Pe = 0.  An
-    infinite budget leaves the budget cells empty and its reason joins
-    `error`."""
-    sched = cfg.schedule
-    rate = RateSpec.from_message_count(cfg.M, sched.E)
-    s = summary
-    cells = {} if s is None else dict(
-        joint_err=s.joint_err, joint_err_ci_lo=s.joint_err_ci[0], joint_err_ci_hi=s.joint_err_ci[1],
-        ape=s.ape, overflow_rate=s.overflow_rate, budget_aborts=s.budget_aborts,
-    )
-    if math.isinf(budget.value):
-        error = "; ".join(filter(None, [f"no error budget: {budget.reason}", error]))
-    else:
+    """The row of a point, filled with the stages it completed in order
+    (params at energy E; the rate of M messages and the budget; the
+    trials), plus the `error` of the stage that failed.  The converse is
+    converse_joint at E and Pe = 0.  `error` joins with '; ' an infinite
+    budget's reason, `error`, and, for a negative converse (which bounds
+    no rate), why the point is infeasible; those cells stay empty."""
+    cells = dict(n=params.n, ell=params.ell, alpha=params.alpha, k=params.k, E=E)
+    errors = []
+    if M is not None:
+        R_dot = RateSpec.from_message_count(M, E).R_dot
+        cells.update(R_dot_nats=R_dot, R_dot_bits=R_dot / math.log(2.0))
+    if budget is not None and math.isinf(budget.value):
+        errors.append(f"no error budget: {budget.reason}")
+    elif budget is not None:
         cells.update(budget_total=budget.value, budget_valid=budget.valid)
-    return SummaryRow(
-        n=cfg.params.n, ell=cfg.params.ell, alpha=cfg.params.alpha, k=cfg.params.k,
-        E=sched.E, R_dot_nats=rate.R_dot, R_dot_bits=rate.R_dot / math.log(2.0),
-        converse_nats=bounds.converse_joint(cfg.params, sched.E, 0.0).value,
-        error=error,
-        **cells,
-    )
-
-
-def _unrated_row(params: SystemParams, E: float, error: str) -> SummaryRow:
-    """The row of a point with no rate or budget: its converse at energy E.
-    A negative converse bounds no rate, so its cell stays empty and
-    `error` calls the point infeasible."""
+    if summary is not None:
+        s = summary
+        cells.update(joint_err=s.joint_err, joint_err_ci_lo=s.joint_err_ci[0],
+                     joint_err_ci_hi=s.joint_err_ci[1], ape=s.ape,
+                     overflow_rate=s.overflow_rate, budget_aborts=s.budget_aborts)
+    errors.append(error)
     converse = bounds.converse_joint(params, E, 0.0).value
     if converse < 0.0:
-        error = f"{error}; infeasible: converse_joint at E = {E:.6g} is {converse:.6g} < 0"
-        converse = None
-    return SummaryRow(n=params.n, ell=params.ell, alpha=params.alpha, k=params.k, E=E,
-                      converse_nats=converse, error=error)
+        errors.append(f"infeasible: converse_joint at E = {E:.6g} is {converse:.6g} < 0")
+    else:
+        cells["converse_nats"] = converse
+    return SummaryRow(**cells, error="; ".join(filter(None, errors)) or None)
 
 
 @dataclass
@@ -479,6 +462,9 @@ def sweep(
         raise ConfigError(f"N0 must be positive and finite, got {N0}")
     if not 0.0 < R_dot_fraction < math.inf:
         raise ConfigError(f"rate fraction must be positive and finite, got {R_dot_fraction}")
+    if trials < 0:
+        raise ConfigError(f"trials must be >= 0, got {trials}")
+    _worker_count(threads)
     rows: list[SummaryRow] = []
     for n in n_grid:
         try:
@@ -490,7 +476,7 @@ def sweep(
             sched = access.schedule(params, split)
         except InvalidRegimeError as e:
             # no schedule: E is the minimal vanishing-error energy ln(n)
-            rows.append(_unrated_row(params, math.log(n), str(e)))
+            rows.append(summary_row(params, math.log(n), error=str(e)))
             continue
         try:
             M = RateSpec.from_rate(R_dot_fraction / N0, sched.E).M
@@ -498,14 +484,14 @@ def sweep(
                                    trials=max(trials, 1), master_seed=mix_seed(master_seed, n))
             budget = analytic_budget(cfg)
         except OverflowError as e:
-            rows.append(_unrated_row(params, sched.E, f"rate or budget overflows: {e}"))
+            rows.append(summary_row(params, sched.E, error=f"rate or budget overflows: {e}"))
             continue
         try:
             summary = estimate_error(cfg, threads=threads) if trials > 0 else None
         except (ComplexityBudgetError, InvalidRegimeError) as e:
-            rows.append(summary_row(cfg, None, budget, error=str(e)))
+            rows.append(summary_row(params, sched.E, M, budget, error=str(e)))
             continue
-        rows.append(summary_row(cfg, summary, budget))
+        rows.append(summary_row(params, sched.E, M, budget, summary))
     good = [r for r in rows if r.k is not None]
     verdicts = {}
     if len(good) >= 3:
@@ -556,25 +542,35 @@ def _fmt(x) -> str:
     return str(x)
 
 
-def write_summary_csv(path, rows: list[SummaryRow]) -> None:
+def _columns(cls) -> list[str]:
+    """A dataclass's field names in order, a dataclass field expanded in place."""
+    return [c for f in fields(cls) for c in (_columns(f.type) if is_dataclass(f.type) else [f.name])]
+
+
+def _cells(obj) -> list[str]:
+    """obj's formatted values in _columns order."""
+    values = (getattr(obj, f.name) for f in fields(obj))
+    return [c for v in values for c in (_cells(v) if is_dataclass(v) else [_fmt(v)])]
+
+
+TRIAL_COLUMNS = _columns(TrialRecord)
+SUMMARY_COLUMNS = _columns(SummaryRow)
+
+
+def _write_csv(path, columns: list[str], rows) -> None:
+    """A table holds no timing, so identical seeds give identical bytes."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(SUMMARY_COLUMNS)
-        for row in rows:
-            writer.writerow(map(_fmt, astuple(row)))
+        writer.writerow(columns)
+        writer.writerows(map(_cells, rows))
+
+
+def write_summary_csv(path, rows: list[SummaryRow]) -> None:
+    _write_csv(path, SUMMARY_COLUMNS, rows)
 
 
 def write_trials_csv(path, records: tuple[TrialRecord, ...]) -> None:
-    """Per-trial CSV; it holds no timing, so identical seeds give identical bytes."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(TRIAL_COLUMNS)
-        for r in records:
-            writer.writerow([
-                r.trial, r.seed, r.k_true, r.d_hat_weight, r.kappa1, r.kappa2,
-                int(r.overflow), int(r.budget_abort), int(r.stats.joint_error),
-                r.stats.per_user_errors, _fmt(r.stats.ape),
-            ])
+    _write_csv(path, TRIAL_COLUMNS, records)
 
 
 def _flag(data: dict, key: str) -> bool:
@@ -597,18 +593,27 @@ def whole_number(value, key: str) -> int:
     raise TypeError(f"{key} must be a whole number, got {value!r}")
 
 
+# the config keys of every scheme; each scheme adds its split_key
+_CONFIG_KEYS = frozenset(("scheme", "n", "ell", "alpha", "N0", "M", "R_dot_nats", "rho", "lambda",
+                          "xi", "trials", "master_seed", "epsilon", "fixed_codebooks", "noiseless"))
+
+
 def config_from_dict(raw: dict, overrides: dict | None = None) -> ExperimentConfig:
-    """Build an ExperimentConfig from the documented JSON schema."""
+    """Build an ExperimentConfig from the documented JSON schema; a key
+    the scheme does not read is a ConfigError."""
     if not isinstance(raw, dict):
         raise ConfigError(f"config must be a JSON object, got {type(raw).__name__}")
     data = {**raw, **{k: v for k, v in (overrides or {}).items() if v is not None}}
+    scheme = data.get("scheme", "joint")
+    access = _lookup_scheme(scheme)
+    unknown = sorted(data.keys() - _CONFIG_KEYS - {access.split_key})
+    if unknown:
+        raise ConfigError(f"unknown config key {', '.join(map(repr, unknown))} for {scheme!r}")
     try:
         params = SystemParams(
             n=whole_number(data["n"], "n"), ell=whole_number(data["ell"], "ell"),
             alpha=float(data["alpha"]), N0=float(data.get("N0", 2.0)),
         )
-        scheme = data.get("scheme", "joint")
-        access = _lookup_scheme(scheme)
         split = float(data[access.split_key])
         sched = access.schedule(params, split)
         if "M" in data:
@@ -623,17 +628,12 @@ def config_from_dict(raw: dict, overrides: dict | None = None) -> ExperimentConf
             xi=whole_number(data.get("xi", BoundParams.xi), "xi"),
         )
         return ExperimentConfig(
-            scheme=scheme,
-            params=params,
-            split=split,
-            M=M,
-            bp=bp,
+            scheme=scheme, params=params, split=split, M=M, bp=bp,
             trials=whole_number(data.get("trials", ExperimentConfig.trials), "trials"),
             master_seed=whole_number(data.get("master_seed", ExperimentConfig.master_seed),
                                      "master_seed"),
             epsilon=float(data.get("epsilon", ExperimentConfig.epsilon)),
-            fixed_codebooks=_flag(data, "fixed_codebooks"),
-            noiseless=_flag(data, "noiseless"),
+            fixed_codebooks=_flag(data, "fixed_codebooks"), noiseless=_flag(data, "noiseless"),
         )
     except (KeyError, TypeError, OverflowError) as e:
         raise ConfigError(f"bad config: {e}") from e
@@ -641,8 +641,7 @@ def config_from_dict(raw: dict, overrides: dict | None = None) -> ExperimentConf
 
 def load_config(path, overrides: dict | None = None) -> ExperimentConfig:
     with open(path) as fh:
-        raw = json.load(fh)
-    return config_from_dict(raw, overrides)
+        return config_from_dict(json.load(fh), overrides)
 
 
 def load_family(path) -> GrowthFamily:

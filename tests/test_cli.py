@@ -190,6 +190,13 @@ class TestBoundsCmd:
         assert main(["bounds", "ortho_user_error_bound", "--params", json.dumps(params)]) == EXIT_CONFIG
         assert "noise level must be positive" in capsys.readouterr().err
 
+    def test_unknown_param_key(self, capsys):
+        # a misspelt "lambda" would otherwise run at the default lambda
+        params = {**BOUND_CASES["two_phase_error_budget"][0], "lamda": 0.1}
+        assert main(["bounds", "two_phase_error_budget", "--params", json.dumps(params)]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == "" and "takes no --params key 'lamda'" in captured.err
+
     def test_overflowing_bound(self, capsys):
         params = {"a": 2 / 3, **DECODE, "M": 1e300, "mu": 0.9}
         assert main(["bounds", "pr_type_error_ub", "--params", json.dumps(params)]) == EXIT_CONFIG
@@ -261,6 +268,22 @@ class TestSimulateCmd:
         assert main(["simulate", str(path), "--trials-csv", a]) == EXIT_OK
         assert main(["simulate", config_path, "--trials-csv", b]) == EXIT_OK
         assert Path(a).read_bytes() == Path(b).read_bytes()
+
+    @pytest.mark.parametrize("base,key,value", [
+        (JOINT_CONFIG, "fixed_codebook", True), (JOINT_CONFIG, "lamda", 0.1),
+        (JOINT_CONFIG, "t", 0.5), (ORTHO_CONFIG, "b", 0.5),
+    ], ids=["fixed_codebook", "lamda", "t-in-joint", "b-in-ortho"])
+    def test_unknown_config_key(self, tmp_path, capsys, base, key, value):
+        path = tmp_path / "unknown.json"
+        path.write_text(json.dumps(dict(base, **{key: value})))
+        assert main(["simulate", str(path)]) == EXIT_CONFIG
+        assert f"unknown config key {key!r}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("threads", ["0", "-3"])
+    def test_thread_count_below_one(self, config_path, capsys, monkeypatch, threads):
+        monkeypatch.setattr(harness, "run_trial", _no_work)
+        assert main(["simulate", config_path, "--threads", threads]) == EXIT_CONFIG
+        assert "threads must be >= 1" in capsys.readouterr().err
 
     def test_unknown_scheme(self, tmp_path, capsys):
         path = tmp_path / "scheme.json"
@@ -351,8 +374,11 @@ class TestSweepCmd:
 
     @pytest.mark.parametrize("option,value", [
         ("--split", "1.5"), ("--N0", "0"), ("--rate-fraction", "0"), ("--rate-fraction", "-1"),
+        ("--trials", "-5"), ("--threads", "0"), ("--threads", "-3"),
     ])
-    def test_invalid_global_option(self, tmp_path, family_path, capsys, option, value):
+    def test_invalid_global_option(self, tmp_path, family_path, capsys, option, value,
+                                   monkeypatch):
+        monkeypatch.setattr(harness, "run_trial", _no_work)
         out = tmp_path / "sweep.csv"
         rc = main(["sweep", "--family", family_path, "--n-grid", "256,1024,4096",
                    option, value, "--out", str(out)])
@@ -609,6 +635,40 @@ class TestMalformedInput:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert name in captured.err and "NaN in value" in captured.err
+
+    @pytest.mark.parametrize("name,params,field", [
+        ("e0_msg", {"a": 1, "rho": 1, "k_active": 1, "E_msg": 1e308, "n_msg": 1, "N0": 1},
+         "value"),
+        ("e0_msg", {**BOUND_CASES["e0_msg"][0], "E_msg": 1e308}, "value"),
+        ("e0_msg", {**BOUND_CASES["e0_msg"][0], "k_active": 1e308}, "value"),
+        ("f_msg", {**BOUND_CASES["f_msg"][0], "E_msg": 1e308}, "value"),
+        ("f_msg", {**BOUND_CASES["f_msg"][0], "E_msg": 1e-308}, "value"),
+        ("pr_type_error_ub", {**BOUND_CASES["pr_type_error_ub"][0], "E_msg": 1e308},
+         "terms.exponent"),
+        ("gallager_awgn", {**BOUND_CASES["gallager_awgn"][0], "P": 1e308}, "terms.exponent"),
+        ("gaussian_kl", {**BOUND_CASES["gaussian_kl"][0], "N0": 1e-308}, "value"),
+        ("ortho_code_bound", {**BOUND_CASES["ortho_code_bound"][0], "N0": 1e-308},
+         "terms.exponent"),
+        ("ortho_code_bound", {**BOUND_CASES["ortho_code_bound"][0], "R_dot_nats": 1e-308},
+         "terms.exponent"),
+    ])
+    def test_infinite_result_is_a_config_error(self, capsys, name, params, field):
+        assert main(["bounds", name, "--params", json.dumps(params)]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert name in captured.err and f"inf in {field}" in captured.err
+
+    @pytest.mark.parametrize("name,params,field", [
+        ("converse_joint", {**BOUND_CASES["converse_joint"][0], "Pe": 0.9}, "value"),
+        ("normal_tail", {"x": -1.0}, "upper_bound"),
+    ], ids=["invalid-converse", "vacuous-tail"])
+    def test_documented_infinity_exits_ok(self, capsys, name, params, field):
+        assert main(["bounds", name, "--params", json.dumps(params)]) == EXIT_OK
+        assert json.loads(capsys.readouterr().out)[field] == math.inf
+
+
+def _no_work(*args):
+    raise AssertionError("a trial ran before the options were checked")
 
 
 def _refuse_nan(constant):

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import hashlib
 import math
 import os
@@ -50,6 +51,11 @@ SUB_FAMILY = GrowthFamily(
 
 SUP_FAMILY = GrowthFamily(
     name="sup_linear", ell_of_n=lambda n: n, alpha_of_n=lambda n, ell: 1.0
+)
+
+# rated by the joint scheme at every point, with a negative converse from n = 128
+EDGE_FAMILY = GrowthFamily(
+    name="edge", ell_of_n=lambda n: math.ceil(n / 4), alpha_of_n=lambda n, ell: 0.5
 )
 
 
@@ -205,6 +211,30 @@ class TestEstimateError:
         assert serial.ape == threaded.ape
         assert [r.seed for r in serial.records] == [r.seed for r in threaded.records]
 
+    def test_thread_count_capped_at_cores(self, monkeypatch):
+        # a recorder stands in for the pool, so no thread is started
+        asked = []
+
+        class Recorder:
+            def __init__(self, max_workers):
+                asked.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(harness, "ThreadPoolExecutor", Recorder)
+        cfg = dataclasses.replace(TINY, trials=3)
+        records = estimate_error(cfg, threads=10**6).records
+        cores = os.cpu_count() or 1
+        assert asked == ([cores] if cores > 1 else [])
+        assert records == estimate_error(cfg).records
+
     def test_budget_dominates_empirical_when_meaningful(self):
         # guarded invariant: whenever the analytic total is < 1 the
         # empirical joint error must sit below it plus 3 Wilson sigmas;
@@ -272,6 +302,33 @@ class TestSweep:
         assert [r.converse_nats for r in res.rows] == [None] * 3
         assert all("infeasible" in r.error for r in res.rows)
         assert "converse_decreasing" not in res.verdicts
+
+    def test_rated_negative_converse_reads_infeasible(self):
+        # the rule above holds on rated rows too: these keep their rate and
+        # budget, lose the converse cell and give the trend no vote
+        res = sweep(EDGE_FAMILY, [64, 128, 256], R_dot_fraction=0.25)
+        first, *rest = res.rows
+        assert first.converse_nats == pytest.approx(0.0130016, abs=1e-6) and first.error is None
+        for row in rest:
+            assert row.R_dot_nats is not None and row.budget_total is not None
+            assert row.converse_nats is None
+            assert row.error.startswith("infeasible: converse_joint at E = ")
+        assert res.verdicts == {"regime": "superlinear"}
+
+    def test_error_parts_in_stage_order(self):
+        # ell = n/(2 ln n), alpha = 2/ell at twice the capacity per unit
+        # energy: no ortho budget, a slot too short for M + 1 pulse positions,
+        # and a negative converse
+        lean = GrowthFamily(name="lean", ell_of_n=lambda n: math.ceil(n / (2 * math.log(n))),
+                            alpha_of_n=lambda n, ell: 2.0 / ell)
+        [row] = sweep(lean, [256], R_dot_fraction=2.0, scheme="ortho", trials=2).rows
+        budget, trials, converse = row.error.split("; ")
+        assert budget.startswith("no error budget: rate 2.005")
+        assert budget.endswith("exceeds capacity per unit energy 0.5")
+        assert trials == "slot length 10 < M+1 = 39"
+        assert converse == "infeasible: converse_joint at E = 3.62763 is -0.264718 < 0"
+        assert row.budget_total is row.converse_nats is row.joint_err is None
+        assert row.R_dot_nats is not None
 
     def test_empty_grid(self):
         res = sweep(SUB_FAMILY, [], R_dot_fraction=0.25)
@@ -355,7 +412,7 @@ class TestConfigAndCsv:
 
     def test_summary_csv_columns(self, tmp_path):
         s = estimate_error(TINY)
-        row = summary_row(TINY, s, analytic_budget(TINY))
+        row = summary_row(TINY.params, TINY.schedule.E, TINY.M, analytic_budget(TINY), s)
         path = tmp_path / "summary.csv"
         write_summary_csv(path, [row])
         header = path.read_text().splitlines()[0]
@@ -364,6 +421,18 @@ class TestConfigAndCsv:
             "joint_err_ci_hi,ape,overflow_rate,budget_total,budget_valid,"
             "budget_aborts,converse_nats,error"
         )
+
+
+def _readme_columns(intro: str) -> list[str]:
+    """The comma-separated column list in the code block after `intro`."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split(intro, 1)[1].split("```", 2)[1]
+    return [name.strip() for name in block.split(",")]
+
+
+def test_csv_columns_match_readme():
+    assert harness.SUMMARY_COLUMNS == _readme_columns("use the fixed column order")
+    assert harness.TRIAL_COLUMNS == _readme_columns("(`simulate --trials-csv`) has columns")
 
 
 # Trials and partitions use numpy only; scipy.special (about 0.3 s of
