@@ -203,8 +203,6 @@ def detection_budget(
     kappa2 never exceeds the ell - |d| inactive users (v and |d| are also
     clamped to ell: the asymptotic v can exceed ell at desk scale).
     """
-    if sched.scheme != "joint":
-        raise ValueError("detection budget applies to the joint scheme")
     _require(0.0 < mu <= 1.0, f"mu must be in (0,1], got {mu}")
     if sched.c <= 0.0 or sched.E_sig <= 0.0:
         return BoundReport(value=math.inf, valid=False, terms={"overflow": math.inf})

@@ -57,18 +57,14 @@ class JointPlan:
 
 @dataclass(frozen=True)
 class OrthoPlan:
-    """Slotted code: every user reuses the deterministic `codebooks[0]` PPM
-    book in its own slot of `slot_len` channel uses (user i owns
+    """Slotted code: every user reuses the deterministic PPM `book` in its
+    own slot of `slot_len` channel uses (user i owns
     [i*slot_len, (i+1)*slot_len)); trailing channel uses stay idle."""
 
     ell: int
     M: int
-    codebooks: tuple[Codebook, ...]
+    book: Codebook
     slot_len: int
-
-    def __post_init__(self):
-        if len(self.codebooks) != 1:
-            raise ValueError("ortho plan needs a single shared codebook")
 
 
 def make_joint_plan(
@@ -86,7 +82,7 @@ def make_ortho_plan(params: SystemParams, sched: EnergySchedule, M: int) -> Orth
     """Deterministic pilot+PPM plan; each user gets n // ell channel uses."""
     slot = params.n // params.ell
     book = gen_ppm_codebook(M, slot, sched.E, sched.split)
-    return OrthoPlan(ell=params.ell, M=M, codebooks=(book,), slot_len=slot)
+    return OrthoPlan(ell=params.ell, M=M, book=book, slot_len=slot)
 
 
 def transmit_joint(plan: JointPlan, msgs: np.ndarray) -> np.ndarray:
@@ -102,16 +98,11 @@ def transmit_joint(plan: JointPlan, msgs: np.ndarray) -> np.ndarray:
 
 
 def transmit_ortho(plan: OrthoPlan, msgs: np.ndarray) -> np.ndarray:
-    """Clean slotted signal; user i's slot holds its PPM word (zero if inactive)."""
+    """Clean slotted signal: row i of the (ell, slot) table is user i's PPM
+    word, the all-zero word 0 if inactive."""
     if len(msgs) != plan.ell:
         raise ValueError(f"message vector length {len(msgs)} != ell {plan.ell}")
-    slot = plan.slot_len
-    book = plan.codebooks[0]
-    signal = np.zeros(plan.ell * slot)
-    for i, w in enumerate(msgs):
-        if w != 0:
-            signal[i * slot : (i + 1) * slot] = book.words[w]
-    return signal
+    return plan.book.words[msgs].ravel()
 
 
 def awgn(signal: np.ndarray, N0: float, rng: np.random.Generator) -> np.ndarray:

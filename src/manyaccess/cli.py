@@ -17,7 +17,7 @@ from . import harness
 from .codebooks import mu_chernoff_lb, mu_exact, mu_monte_carlo
 from .decoding import BoundParams
 from .errors import ComplexityBudgetError, ConfigError
-from .model import SystemParams, make_joint_schedule, single_user_capacity_pue
+from .model import SystemParams, single_user_capacity_pue
 from .partition import build_partition, partition_to_json, verify_partition
 from .rng import make_rng
 
@@ -28,7 +28,8 @@ EXIT_BUDGET = 3
 
 def _joint_inputs(n, ell, alpha, N0, b, rho, lam, xi):
     params = SystemParams(n, ell, alpha, N0)
-    return params, make_joint_schedule(params, b), BoundParams(rho=rho, lam=lam, xi=xi)
+    sched = harness.SCHEMES["joint"].schedule(params, b)  # refuses an empty phase
+    return params, sched, BoundParams(rho=rho, lam=lam, xi=xi)
 
 
 def _detection_budget(*args):

@@ -78,21 +78,19 @@ def gen_truncated_gaussian(
     sigma = math.sqrt(E / (2.0 * length))
     # rng.normal(0.0, sigma, size) computes 0.0 + sigma * z: same bytes, less overhead
     out = rng.standard_normal((count, length)) * sigma
-    bad = np.einsum("ij,ij->i", out, out) > E
+    # rows still over the cap, in increasing order: each round redraws them in that order
+    bad = np.flatnonzero(np.einsum("ij,ij->i", out, out) > E)
     rounds = 0
-    while bad.any():
+    while bad.size:
         rounds += 1
         if rounds > MAX_REJECTION_ROUNDS:
             raise RuntimeError(
                 f"rejection sampler exceeded {MAX_REJECTION_ROUNDS} rounds "
                 f"(count={count}, length={length}, E={E})"
             )
-        redraw = rng.standard_normal((int(bad.sum()), length)) * sigma
+        redraw = rng.standard_normal((bad.size, length)) * sigma
         out[bad] = redraw
-        bad_idx = np.flatnonzero(bad)
-        still = np.einsum("ij,ij->i", redraw, redraw) > E
-        bad = np.zeros(count, dtype=bool)
-        bad[bad_idx[still]] = True
+        bad = bad[np.einsum("ij,ij->i", redraw, redraw) > E]
     return out
 
 

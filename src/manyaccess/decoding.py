@@ -56,16 +56,19 @@ class TwoPhaseResult:
     budget_abort: bool = False
 
 
-def decode_ppm(y_slot: np.ndarray, M: int) -> int:
-    """ML decoding of one PPM slot given the user is active.
+def decode_ppm(y_slot: np.ndarray, M: int) -> int | np.ndarray:
+    """ML decoding of a PPM slot given the user is active.
 
     All nonzero words share the pilot coordinate and have equal energy, so
     ML reduces to the largest sample among the M message positions; ties
-    go to the smallest message index.
+    go to the smallest message index (argmax's first maximum).  One slot
+    gives an int; an (users, slot) table gives one message per row.
     """
-    if len(y_slot) < M + 1:
-        raise ValueError(f"slot length {len(y_slot)} < M+1 = {M + 1}")
-    return int(np.argmax(y_slot[1 : M + 1])) + 1
+    y_slot = np.asarray(y_slot)
+    if y_slot.shape[-1] < M + 1:
+        raise ValueError(f"slot length {y_slot.shape[-1]} < M+1 = {M + 1}")
+    w = np.argmax(y_slot[..., 1 : M + 1], axis=-1) + 1
+    return int(w) if w.ndim == 0 else w
 
 
 def _dead_end_elimination(
@@ -200,16 +203,14 @@ def ortho_receive(
     params: SystemParams,
     sched: EnergySchedule,
 ) -> np.ndarray:
-    """Per-slot pilot thresholding followed by PPM decoding of active slots."""
+    """Pilot thresholding and PPM decoding on the (ell, slot) table of
+    slots: the PPM message where the pilot passes its threshold, else 0."""
     slot = plan.slot_len
     if len(Y) < params.ell * slot:
         raise ValueError(f"received length {len(Y)} < ell*slot = {params.ell * slot}")
-    w_hat = np.zeros(params.ell, dtype=int)
-    for i in range(params.ell):
-        y_slot = Y[i * slot : (i + 1) * slot]
-        if detect_pilot(float(y_slot[0]), sched.split, sched.E):
-            w_hat[i] = decode_ppm(y_slot, plan.M)
-    return w_hat
+    slots = Y[: params.ell * slot].reshape(params.ell, slot)
+    active = detect_pilot(slots[:, 0], sched.split, sched.E)
+    return np.where(active, decode_ppm(slots, plan.M), 0)
 
 
 def score_errors(w_true: np.ndarray, w_hat: np.ndarray, overflow: bool) -> ErrorStats:

@@ -147,13 +147,17 @@ def detect_ls_exhaustive(
     return DetectionResult(d_hat=cands[best].astype(int), residual=float(residuals[best]))
 
 
-def detect_pilot(y_pilot: float, t: float, E: float) -> bool:
-    """Threshold test: user declared active iff y_pilot > sqrt(t*E)/2."""
+def detect_pilot(y_pilot: float | np.ndarray, t: float, E: float) -> bool | np.ndarray:
+    """Threshold test: user declared active iff y_pilot > sqrt(t*E)/2.
+
+    One pilot gives a bool; an array of pilots gives a boolean array.
+    """
     if not 0.0 < t < 1.0:
         raise ValueError(f"pilot fraction must be in (0,1), got {t}")
     if E <= 0.0:
         raise ValueError(f"energy must be positive, got {E}")
-    return bool(y_pilot > math.sqrt(t * E) / 2.0)
+    active = np.asarray(y_pilot) > math.sqrt(t * E) / 2.0
+    return bool(active) if active.ndim == 0 else active
 
 
 def detection_stats(d_true: np.ndarray, d_hat: np.ndarray) -> tuple[int, int]:

@@ -449,8 +449,9 @@ def sweep(
     is recorded in its row with what was computed before the failure, and
     the sweep continues: outside the scheme's regime there is no schedule,
     so the row's E is ln(n); a rate or budget that overflows keeps the
-    schedule's E; a detection search over its budget, or an ortho slot
-    too short for M + 1 positions, keeps the rate and budget too.
+    schedule's E; a detection search over its budget, an ortho slot too
+    short for M + 1 positions, or a codebook too large to allocate keeps
+    the rate and budget too.
     Verdicts over the points the family could evaluate: `regime`
     (load_regime, from 3 points) and `converse_decreasing` (from 2 that
     hold a converse).
@@ -488,8 +489,8 @@ def sweep(
             continue
         try:
             summary = estimate_error(cfg, threads=threads) if trials > 0 else None
-        except (ComplexityBudgetError, InvalidRegimeError) as e:
-            rows.append(summary_row(params, sched.E, M, budget, error=str(e)))
+        except (ComplexityBudgetError, InvalidRegimeError, MemoryError) as e:
+            rows.append(summary_row(params, sched.E, M, budget, error=str(e) or "out of memory"))
             continue
         rows.append(summary_row(params, sched.E, M, budget, summary))
     good = [r for r in rows if r.k is not None]

@@ -58,7 +58,6 @@ class EnergySchedule:
     where slot = n // ell channel uses are assigned to each user.
     """
 
-    scheme: str
     E: float
     split: float
     c: float
@@ -97,7 +96,6 @@ def make_joint_schedule(params: SystemParams, b: float) -> EnergySchedule:
     E_msg = E_total - E_sig
     # store E as the sum of its parts so the split identity is exact
     return EnergySchedule(
-        scheme="joint",
         E=E_sig + E_msg,
         split=b,
         c=c,
@@ -131,7 +129,6 @@ def make_ortho_schedule(params: SystemParams, t: float) -> EnergySchedule:
     E_sig = t * E_total
     E_msg = E_total - E_sig
     return EnergySchedule(
-        scheme="ortho",
         E=E_sig + E_msg,
         split=t,
         c=c,

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -7,7 +8,7 @@ from scipy.integrate import quad
 from manyaccess import bounds
 from manyaccess.codebooks import mu_exact
 from manyaccess.decoding import BoundParams
-from manyaccess.model import EnergySchedule, SystemParams, make_joint_schedule
+from manyaccess.model import SystemParams, make_joint_schedule
 from manyaccess.rng import make_rng
 
 
@@ -121,10 +122,7 @@ class TestDetectionBudget:
 
     def test_zero_signature_energy_vacuous(self):
         params, sched = self._sched()
-        degenerate = EnergySchedule(
-            scheme="joint", E=sched.E, split=sched.split, c=sched.c,
-            n_sig=sched.n_sig, n_msg=sched.n_msg, E_sig=0.0, E_msg=sched.E,
-        )
+        degenerate = dataclasses.replace(sched, E_sig=0.0, E_msg=sched.E)
         rep = bounds.detection_budget(params, degenerate, BoundParams(), 0.9)
         assert not rep.valid
 
@@ -150,11 +148,7 @@ class TestDetectionBudget:
         params, sched = self._sched()
         vals = []
         for scale in (0.5, 1.0, 2.0, 4.0):
-            s = EnergySchedule(
-                scheme="joint", E=sched.E, split=sched.split, c=sched.c,
-                n_sig=sched.n_sig, n_msg=sched.n_msg,
-                E_sig=sched.E_sig * scale, E_msg=sched.E_msg,
-            )
+            s = dataclasses.replace(sched, E_sig=sched.E_sig * scale)
             vals.append(bounds.detection_budget(params, s, BoundParams(), mu_exact(s.n_sig).value).value)
         assert all(b <= a for a, b in zip(vals, vals[1:]))
 

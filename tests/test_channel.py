@@ -144,7 +144,7 @@ class TestTransmitOrtho:
         plan = make_ortho_plan(params, sched, 2)
         msgs = np.array([2, 1])
         signal = transmit_ortho(plan, msgs)
-        book = plan.codebooks[0]
+        book = plan.book
         assert np.array_equal(signal, np.concatenate([book.words[2], book.words[1]]))
 
 

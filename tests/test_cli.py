@@ -197,6 +197,15 @@ class TestBoundsCmd:
         captured = capsys.readouterr()
         assert captured.out == "" and "takes no --params key 'lamda'" in captured.err
 
+    @pytest.mark.parametrize("name", ["detection_budget", "two_phase_error_budget"])
+    def test_empty_signature_phase(self, name, capsys):
+        # b = 0.001 leaves floor(0.256) = 0 signature symbols at n = 256
+        params = {**BOUND_CASES[name][0], "n": 256, "ell": 7, "alpha": 0.28, "b": 0.001}
+        assert main(["bounds", name, "--params", json.dumps(params)]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "signature length 0 and message length 256 must both be >= 1" in captured.err
+
     def test_overflowing_bound(self, capsys):
         params = {"a": 2 / 3, **DECODE, "M": 1e300, "mu": 0.9}
         assert main(["bounds", "pr_type_error_ub", "--params", json.dumps(params)]) == EXIT_CONFIG
@@ -398,6 +407,26 @@ class TestSweepCmd:
         assert float(row["E"]) == pytest.approx(make_joint_schedule(params, 0.5).E, rel=1e-11)
         assert row["R_dot_nats"] != "" and row["budget_total"] != ""
         assert row["joint_err"] == "" and "exceed the budget" in row["error"]
+
+    def test_unallocatable_codebook_is_a_failed_row(self, tmp_path, capsys):
+        # ell = ceil(n/(2 ln n)) at twice the capacity per unit energy: at
+        # n = 4096 the codebook takes 2.06 EiB, beyond any address space, so
+        # the allocation fails at once (n = 1024 asks 3.19 TiB, which a host
+        # that always overcommits could grant and then fill)
+        fam = tmp_path / "family.json"
+        fam.write_text(json.dumps({"name": "half", "ell_expr": "ceil(n/(2*log(n)))",
+                                   "alpha_expr": "2/ell"}))
+        out = tmp_path / "sweep.csv"
+        rc = main(["sweep", "--family", str(fam), "--n-grid", "64,128,4096",
+                   "--rate-fraction", "2.0", "--trials", "2", "--out", str(out)])
+        assert rc == EXIT_OK
+        capsys.readouterr()
+        rows = list(csv.DictReader(out.read_text().splitlines()))
+        assert [r["n"] for r in rows] == ["64", "128", "4096"]
+        assert all(r["error"] == "" and r["joint_err"] != "" for r in rows[:2])
+        assert "Unable to allocate 2.06 EiB" in rows[2]["error"]
+        assert rows[2]["R_dot_nats"] != "" and rows[2]["budget_total"] != ""
+        assert rows[2]["joint_err"] == ""
 
     def test_overflowing_rate_is_a_failed_row(self, tmp_path, family_path, capsys):
         out = tmp_path / "sweep.csv"

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import math
 import tracemalloc
@@ -27,7 +28,7 @@ from manyaccess.decoding import (
     two_phase_receive,
 )
 from manyaccess.errors import ComplexityBudgetError
-from manyaccess.harness import ExperimentConfig, estimate_error, write_trials_csv
+from manyaccess.harness import ExperimentConfig, config_from_dict, estimate_error, write_trials_csv
 from manyaccess.model import SystemParams, make_joint_schedule, make_ortho_schedule, sample_messages
 from manyaccess.rng import make_rng, substream
 
@@ -156,11 +157,11 @@ class TestDecodeJointMl:
 
         # message-part-only codebook for the joint decoder
         msg_book = Codebook(
-            M=plan.M, length=slot - 1, E=sched.E_msg, words=plan.codebooks[0].words[:, 1:]
+            M=plan.M, length=slot - 1, E=sched.E_msg, words=plan.book.words[:, 1:]
         )
         for _ in range(25):
             w = int(rng.integers(1, 5))
-            y_slot = plan.codebooks[0].words[w] + rng.standard_normal(slot) * 1.0
+            y_slot = plan.book.words[w] + rng.standard_normal(slot) * 1.0
             via_ppm = decode_ppm(y_slot, plan.M)
             joint_plan = JointPlan(
                 ell=1, M=plan.M, codebooks=(msg_book,),
@@ -248,6 +249,19 @@ def test_joint_n4096_trials_csv_pinned(tmp_path):
     write_trials_csv(path, estimate_error(cfg).records)
     digest = hashlib.sha256(path.read_bytes()).hexdigest()
     assert digest == "33066d75a87aa712cda2b4d006fa571d0fd712d9dfc0fcb051a46556d8987f98"
+
+
+def test_ortho_l1024_trials_csv_pinned(tmp_path):
+    # digest computed with the per-user transmit and receive loops; ell = 1024
+    # slots of 64 channel uses per trial, M = 11
+    cfg = config_from_dict({"scheme": "ortho", "n": 65536, "ell": 1024, "alpha": 0.05,
+                            "N0": 2.0, "t": 0.5, "R_dot_nats": 0.125,
+                            "trials": 100, "master_seed": 77})
+    assert cfg.M == 11
+    path = tmp_path / "trials.csv"
+    write_trials_csv(path, estimate_error(cfg).records)
+    digest = hashlib.sha256(path.read_bytes()).hexdigest()
+    assert digest == "b24ef285ef69c4d3237fe3b5de6774732779285f76fa9aa4454238e6bc0c8820"
 
 
 def _single_sig(slot, sched):
@@ -371,11 +385,20 @@ class TestMonteCarloAgainstBounds:
         w_true = np.where(rng.random(trials) < alpha, rng.integers(1, M + 1, trials), 0)
         noise = rng.standard_normal((trials, M + 1)) * math.sqrt(N0 / 2.0)
         slots = book.words[w_true] + noise
-        wrong = 0
+        # one pilot exactly at the threshold (inactive: the test is strict)
+        # and one tie between messages 3 and 7 (the smaller index wins)
+        slots[0, 0] = math.sqrt(t * E) / 2.0
+        slots[1, 0], slots[1, 3], slots[1, 7] = 10.0, 50.0, 50.0
+        # per-slot oracle: one scalar call per slot
+        oracle = np.zeros(trials, dtype=int)
         for i in range(trials):
-            active = detect_pilot(float(slots[i, 0]), t, E)
-            w_hat = decode_ppm(slots[i], M) if active else 0
-            wrong += int(w_hat != w_true[i])
+            if detect_pilot(float(slots[i, 0]), t, E):
+                oracle[i] = decode_ppm(slots[i], M)
+        assert oracle[0] == 0 and oracle[1] == 3
+        # the table calls ortho_receive makes give the oracle's decisions
+        active = detect_pilot(slots[:, 0], t, E)
+        assert np.array_equal(np.where(active, decode_ppm(slots, M), 0), oracle)
+        wrong = int(np.count_nonzero(oracle != w_true))
         rate = wrong / trials
         sigma = math.sqrt(max(rate * (1 - rate), 1e-9) / trials)
         assert rate <= bound + 3 * sigma
@@ -420,18 +443,14 @@ class TestMonteCarloAgainstBounds:
     def test_joint_error_non_increasing_in_energy(self):
         # smoke property: scaling the schedule energy up cannot hurt, up to
         # Monte Carlo noise (3 sigma per point)
-        from manyaccess.model import EnergySchedule
-
         params = SystemParams(n=256, ell=6, alpha=0.5, N0=2.0)
         base = make_joint_schedule(params, 0.5)
         bp = BoundParams(xi=8)
         trials = 150
         rates = []
         for scale in (0.5, 1.0, 2.0, 4.0):
-            sched = EnergySchedule(
-                scheme="joint", E=base.E * scale, split=base.split, c=base.c,
-                n_sig=base.n_sig, n_msg=base.n_msg,
-                E_sig=base.E_sig * scale, E_msg=base.E_msg * scale,
+            sched = dataclasses.replace(
+                base, E=base.E * scale, E_sig=base.E_sig * scale, E_msg=base.E_msg * scale
             )
             wrong = 0
             for seed in range(trials):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 from functools import lru_cache
@@ -93,10 +94,7 @@ class TestVCap:
     def test_invalid_c(self):
         params = SystemParams(n=1000, ell=16, alpha=0.125, N0=2.0)
         sched = make_joint_schedule(params, 0.5)
-        bad = type(sched)(
-            scheme="joint", E=sched.E, split=sched.split, c=-0.1,
-            n_sig=sched.n_sig, n_msg=sched.n_msg, E_sig=sched.E_sig, E_msg=sched.E_msg,
-        )
+        bad = dataclasses.replace(sched, c=-0.1)
         with pytest.raises(InvalidRegimeError):
             v_cap(params, bad)
 
