@@ -73,11 +73,18 @@ def gen_truncated_gaussian(
     """
     if count < 1 or length < 1:
         raise ValueError("count and length must be >= 1")
+    return _fill_truncated_gaussian(np.empty((count, length)), E, rng)
+
+
+def _fill_truncated_gaussian(out: np.ndarray, E: float, rng: np.random.Generator) -> np.ndarray:
+    """gen_truncated_gaussian's draws, written into the rows of `out`."""
     if E <= 0.0:
         raise ValueError(f"energy cap must be positive, got {E}")
+    count, length = out.shape
     sigma = math.sqrt(E / (2.0 * length))
     # rng.normal(0.0, sigma, size) computes 0.0 + sigma * z: same bytes, less overhead
-    out = rng.standard_normal((count, length)) * sigma
+    rng.standard_normal(out=out)
+    out *= sigma
     # rows still over the cap, in increasing order: each round redraws them in that order
     bad = np.flatnonzero(np.einsum("ij,ij->i", out, out) > E)
     rounds = 0
@@ -88,18 +95,23 @@ def gen_truncated_gaussian(
                 f"rejection sampler exceeded {MAX_REJECTION_ROUNDS} rounds "
                 f"(count={count}, length={length}, E={E})"
             )
-        redraw = rng.standard_normal((bad.size, length)) * sigma
+        redraw = rng.standard_normal((bad.size, length))
+        redraw *= sigma
         out[bad] = redraw
         bad = bad[np.einsum("ij,ij->i", redraw, redraw) > E]
     return out
 
 
 def gen_codebook(M: int, length: int, E: float, rng: np.random.Generator) -> Codebook:
-    """Random codebook: word 0 all-zero (inactive), words 1..M truncated Gaussian."""
+    """Random codebook: word 0 all-zero (inactive), words 1..M truncated
+    Gaussian, drawn straight into the book."""
     if M < 2:
         raise ValueError(f"message count must be >= 2, got {M}")
-    words = np.zeros((M + 1, length))
-    words[1:] = gen_truncated_gaussian(M, length, E, rng)
+    if length < 1:
+        raise ValueError(f"codeword length must be >= 1, got {length}")
+    words = np.empty((M + 1, length))
+    words[0] = 0.0
+    _fill_truncated_gaussian(words[1:], E, rng)
     return Codebook(M=M, length=length, E=E, words=words)
 
 

@@ -8,6 +8,8 @@ some message in 1..M, so a false alarm necessarily produces a message
 error for that user.
 """
 
+import functools
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -71,46 +73,104 @@ def decode_ppm(y_slot: np.ndarray, M: int) -> int | np.ndarray:
     return int(w) if w.ndim == 0 else w
 
 
-def _dead_end_elimination(
-    unary: list[np.ndarray], cross: dict[tuple[int, int], np.ndarray]
-) -> list[np.ndarray]:
-    """Boolean masks of the messages left after dead-end elimination.
+@functools.lru_cache(maxsize=64)
+def _user_indices(k: int, M: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Read-only index arrays of a k-user decode over M messages.
+
+    others[i, s] is the s-th user other than i (s for s < i, else s + 1).
+    For tuples g of shape (k, tuples), g[i] = i*M + w_i - 1, the rows of
+    place @ g + shift are where each tuple's terms sit in a row of
+    _gram_terms: its k user terms, then its pair terms (i, j), i < j, in
+    lexicographic order.
+    """
+    s = np.arange(k - 1)
+    others = s + (s >= np.arange(k)[:, None])
+    place = np.zeros((k + k * (k - 1) // 2, k), dtype=np.intp)
+    shift = np.zeros((len(place), 1), dtype=np.intp)
+    place[range(k), range(k)] = 1
+    for row, (i, j) in enumerate(itertools.combinations(range(k), 2), start=k):
+        # G[i, m, j-1, n] sits at k*M + (i*M + m)*(k-1)*M + (j-1)*M + n
+        place[row, i], place[row, j], shift[row] = (k - 1) * M, 1, (k - 1) * M
+    for a in (others, place, shift):
+        a.flags.writeable = False
+    return others, place, shift
+
+
+def _split(terms: np.ndarray, k: int, M: int) -> tuple[np.ndarray, np.ndarray]:
+    """Views of the U (2, k, M) and G (2, k, M, k-1, M) parts of _gram_terms."""
+    return (terms[:, : k * M].reshape(2, k, M),
+            terms[:, k * M :].reshape(2, k, M, k - 1, M))
+
+
+def _gram_terms(words: list[np.ndarray], Y_msg: np.ndarray) -> np.ndarray:
+    """The Gram expansion of ||Y - sum_i x~_i(w_i)||^2 - ||Y||^2, in one array.
+
+    Row 0 holds U, then G, flattened; row 1 is its negation (see _split).
+    U[i, m] = ||x~_i(m)||^2 - 2<x~_i(m), Y>, and G is the pair Gram
+    without its diagonal blocks: G[i, m, s, n] = 2<x~_i(m), x~_j(n)> for
+    the s-th user j other than i.  Each pair's block is its own product,
+    computed once and stored as G[i, :, j-1] and, transposed, as
+    G[j, :, i]: one product of all the words would round differently.
+    """
+    k, M = len(words), len(words[0])
+    terms = np.empty((2, k * M + k * (k - 1) * M * M))
+    (U, _), (G, _) = _split(terms, k, M)
+    wY = np.empty((k, M))
+    for i, wi in enumerate(words):
+        np.einsum("mj,mj->m", wi, wi, out=U[i])
+        np.matmul(wi, Y_msg, out=wY[i])
+        for j in range(i + 1, k):
+            np.matmul(wi, words[j].T, out=G[i, :, j - 1])
+            G[j, :, i] = G[i, :, j - 1].T
+    U -= 2.0 * wY
+    G *= 2.0  # exact, as is 2.0 * (wi @ wj.T)
+    np.negative(terms[0], out=terms[1])
+    return terms
+
+
+def _dead_end_elimination(terms: np.ndarray, k: int, M: int) -> np.ndarray:
+    """(k, M) mask of the messages left after dead-end elimination.
 
     Message m of user i is dropped when even its best case,
-    lo_i[m] = u_i[m] + sum_j min C_ij[m, alive_j], exceeds some surviving
-    message's worst case, min hi_i = u_i[m*] + sum_j max C_ij[m*, alive_j],
-    by more than tol.  Swapping m for m* then lowers every tuple by more
-    than tol, far above the rounding of the objective, so no dropped
-    tuple ties or beats the optimum.  Users are tested again whenever
-    another user loses a message, until nothing changes.  Extra memory is
-    O(k^2 M): the per-pair bounds are where= reductions, not copies.
+    lo[i, m] = U[i, m] + sum_s min G[i, m, s, alive], exceeds some
+    surviving message's worst case, min over alive m* of
+    hi[i, m*] = U[i, m*] + sum_s max G[i, m*, s, alive], by more than
+    tol; -hi comes exactly from the minima of -G.  Swapping m for m*
+    then lowers every tuple by more than tol, far above the rounding of
+    the objective, so no dropped tuple ties or beats the optimum.  Each
+    round tests every user at once, until a round drops nothing.
+    Dropping a message only raises lo and lowers hi, so a dropped
+    message stays dropped and never sets the threshold, and the rounds
+    reach the masks of testing one user at a time.  The bounds are
+    where= reductions over the terms, not copies.
     """
-    k = len(unary)
-    scale = sum(np.abs(u).sum() for u in unary) + sum(np.abs(c).sum() for c in cross.values())
-    tol = 1e-9 * max(1.0, float(scale))
-    alive = [np.ones(len(u), dtype=bool) for u in unary]
-    # pair_lo[i, j][m] / pair_hi[i, j][m]: min / max over alive_j of C_ij[m, .]
-    pair_lo, pair_hi = {}, {}
-    for (i, j), c in cross.items():
-        pair_lo[i, j], pair_hi[i, j] = c.min(axis=1), c.max(axis=1)
-        pair_lo[j, i], pair_hi[j, i] = c.min(axis=0), c.max(axis=0)
-    pending = list(range(k))
-    while pending:
-        i = pending.pop(0)
-        others = [j for j in range(k) if j != i]
-        lo = unary[i] + sum(pair_lo[i, j] for j in others)
-        hi = unary[i] + sum(pair_hi[i, j] for j in others)
-        dead = (lo > hi[alive[i]].min() + tol) & alive[i]
-        if not dead.any():
-            continue
-        alive[i] &= ~dead
-        for j in others:
-            c = cross[j, i] if j < i else cross[i, j].T
-            pair_lo[j, i] = np.minimum.reduce(c, axis=1, where=alive[i], initial=np.inf)
-            pair_hi[j, i] = np.maximum.reduce(c, axis=1, where=alive[i], initial=-np.inf)
-            if j not in pending:
-                pending.append(j)
-    return alive
+    base, pair = _split(terms, k, M)
+    size = np.abs(terms[0])  # G holds each pair block twice: halve its share
+    tol = 1e-9 * max(1.0, float(size[: k * M].sum() + 0.5 * size[k * M :].sum()))
+    others = _user_indices(k, M)[0]
+    alive, count = np.ones((k, M), dtype=bool), k * M
+    while True:
+        cols = alive[others][:, None]  # the alive messages of each other user
+        lo, neg_hi = base + np.min(pair, axis=4, where=cols, initial=np.inf).sum(axis=3)
+        alive = lo <= (tol - neg_hi.max(axis=1))[:, None]
+        left = np.count_nonzero(alive)
+        if left == count or k == 1:  # one user's bounds read no other user's messages
+            return alive
+        count = left
+
+
+def _objectives(terms: np.ndarray, g: np.ndarray, k: int, M: int) -> np.ndarray:
+    """||Y - sum_i x~_i(w_i)||^2 - ||Y||^2 of tuples g (k, tuples), g[i] =
+    i*M + w_i - 1: one gather of their terms in the full grid's order
+    (users, then pairs in lexicographic order), added by a sequential
+    np.cumsum, not sum's pairwise order, so each value is bitwise the
+    full grid's."""
+    _, place, shift = _user_indices(k, M)
+    return np.cumsum(terms[0, place @ g + shift], axis=0)[-1]
+
+
+# tuples scored per block, so scoring memory is O(k^2) blocks, not O(k^2 M^k)
+_SCORE_BLOCK = 1 << 14
 
 
 def decode_joint_ml(
@@ -122,15 +182,16 @@ def decode_joint_ml(
     """Exact joint ML over message tuples of the detected users.
 
     Minimizes ||Y - sum_i x~_i(w_i)||^2 over w in {1..M}^active via the
-    Gram expansion: per-user terms u_i(w_i) and pairwise terms
-    C_ij(w_i, w_j) = 2<x~_i(w_i), x~_j(w_j)>.  Dead-end elimination drops
-    messages that cannot be in any optimal tuple, then the surviving
-    product grid is scored densely, with the same additions in the same
-    order as a full-grid search, so every surviving tuple's objective is
-    bitwise the full grid's.  np.argmin's first-minimum rule over survivors
-    in increasing order gives the lexicographically smallest optimal
-    tuple.  The budget caps the nominal M^|active| grid.  Returns
-    {user: message}.
+    Gram expansion (_gram_terms): per-user terms U and pair terms G, each
+    pair's block from its own product 2.0 * (w_i @ w_j.T).  Dead-end
+    elimination drops messages that cannot be in any optimal tuple.  The
+    surviving tuples are scored in lexicographic order by _objectives,
+    which adds each tuple's terms in the full grid's order with a
+    sequential np.cumsum, so every surviving tuple's objective is bitwise
+    the full grid's.  np.argmin's first minimum, carried across scoring
+    blocks only by a strictly smaller value, gives the lexicographically
+    smallest optimal tuple.  The budget caps the nominal M^|active| grid.
+    Returns {user: message}.
     """
     active = sorted(active)
     k = len(active)
@@ -146,19 +207,20 @@ def decode_joint_ml(
     if any(w.shape[1] != len(Y_msg) for w in words):
         raise ValueError("codeword length does not match received message block")
 
-    unary = [np.einsum("mj,mj->m", wi, wi) - 2.0 * (wi @ Y_msg) for wi in words]
-    cross = {
-        (i, j): 2.0 * (words[i] @ words[j].T) for i in range(k) for j in range(i + 1, k)
-    }
-    survivors = [np.flatnonzero(a) for a in _dead_end_elimination(unary, cross)]
-    grid = np.ix_(*survivors)  # open mesh: grid[i] runs along axis i
-    objective = np.zeros([len(s) for s in survivors])
-    for i, u in enumerate(unary):
-        objective += u[grid[i]]
-    for (i, j), c in cross.items():  # lexicographic pair order, as built
-        objective += c[grid[i], grid[j]]
-    tup = np.unravel_index(int(np.argmin(objective)), objective.shape)
-    return {user: int(s[w]) + 1 for user, s, w in zip(active, survivors, tup)}
+    terms = _gram_terms(words, Y_msg)
+    alive = _dead_end_elimination(terms, k, M)
+    sizes = alive.sum(axis=1)
+    flat = np.flatnonzero(alive)  # i*M + w - 1 of every survivor, user after user
+    first = np.cumsum(sizes) - sizes  # where each user's survivors start in flat
+    total = math.prod(sizes.tolist())
+    for start in range(0, total, _SCORE_BLOCK):
+        pos = np.unravel_index(np.arange(start, min(start + _SCORE_BLOCK, total)), sizes)
+        g = flat[first[:, None] + pos]  # (k, tuples)
+        objective = _objectives(terms, g, k, M)
+        t = int(np.argmin(objective))
+        if start == 0 or objective[t] < best_value:
+            best, best_value = g[:, t], objective[t]
+    return {user: int(x) % M + 1 for user, x in zip(active, best)}
 
 
 def two_phase_receive(

@@ -218,10 +218,26 @@ def _worker_count(threads: int) -> int:
     return min(threads, os.cpu_count() or 1)
 
 
+def _check_array_sizes(cfg: ExperimentConfig) -> None:
+    """MemoryError, before any trial, for a point numpy cannot represent:
+    messages are int64 draws below M + 1, and a codebook holds at least
+    (M + 1) x n_msg float64 entries."""
+    if cfg.M >= 2**63:
+        raise MemoryError(f"M = {cfg.M} messages do not fit in int64")
+    entries = (cfg.M + 1) * cfg.schedule.n_msg
+    if entries * 8 > np.iinfo(np.intp).max:
+        raise MemoryError(
+            f"a codebook of (M + 1) x n_msg = {entries:.3g} float64 entries "
+            "exceeds numpy's largest array"
+        )
+
+
 def estimate_error(cfg: ExperimentConfig, threads: int = 1) -> ErrorSummary:
     """Run cfg.trials independent trials on at most one thread per core and
-    aggregate empirical rates; Bernoulli rates come with Wilson 95% intervals."""
+    aggregate empirical rates; Bernoulli rates come with Wilson 95% intervals.
+    A point numpy cannot represent raises MemoryError before any trial."""
     threads = _worker_count(threads)
+    _check_array_sizes(cfg)
     indices = range(cfg.trials)
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
@@ -450,8 +466,8 @@ def sweep(
     the sweep continues: outside the scheme's regime there is no schedule,
     so the row's E is ln(n); a rate or budget that overflows keeps the
     schedule's E; a detection search over its budget, an ortho slot too
-    short for M + 1 positions, or a codebook too large to allocate keeps
-    the rate and budget too.
+    short for M + 1 positions, or a message count or codebook too large
+    for numpy to represent or allocate keeps the rate and budget too.
     Verdicts over the points the family could evaluate: `regime`
     (load_regime, from 3 points) and `converse_decreasing` (from 2 that
     hold a converse).

@@ -428,6 +428,30 @@ class TestSweepCmd:
         assert rows[2]["R_dot_nats"] != "" and rows[2]["budget_total"] != ""
         assert rows[2]["joint_err"] == ""
 
+    def test_unrepresentable_codebook_is_a_failed_row(self, tmp_path, capsys, monkeypatch):
+        # the same family further out: at n = 8192, M = 1.97e17 words of
+        # 4096 uses are past numpy's largest array; at n = 16384, M = 6.2e20
+        # is past int64.  Both are refused before a trial runs.
+        def no_trial(cfg, i):
+            raise AssertionError("a trial ran")
+
+        monkeypatch.setattr(harness, "run_trial", no_trial)
+        fam = tmp_path / "family.json"
+        fam.write_text(json.dumps({"name": "half", "ell_expr": "ceil(n/(2*log(n)))",
+                                   "alpha_expr": "2/ell"}))
+        out = tmp_path / "sweep.csv"
+        rc = main(["sweep", "--family", str(fam), "--n-grid", "8192,16384",
+                   "--rate-fraction", "2.0", "--trials", "1", "--out", str(out)])
+        assert rc == EXIT_OK
+        capsys.readouterr()
+        rows = list(csv.DictReader(out.read_text().splitlines()))
+        assert [r["n"] for r in rows] == ["8192", "16384"]
+        assert "exceeds numpy's largest array" in rows[0]["error"]
+        assert "do not fit in int64" in rows[1]["error"]
+        for row in rows:
+            assert row["R_dot_nats"] != "" and row["budget_total"] != ""
+            assert row["joint_err"] == ""
+
     def test_overflowing_rate_is_a_failed_row(self, tmp_path, family_path, capsys):
         out = tmp_path / "sweep.csv"
         rc = main(["sweep", "--family", family_path, "--n-grid", "256,1024,4096",

@@ -67,6 +67,48 @@ def test_draws_match_normal_reference_bytes(count, length):
         assert rounds > 0  # the redraw path ran
 
 
+def _two_step_reference(count, length, E, rng):
+    """The sampler as first written: a fresh array of standard normals times
+    sigma, each round's redraws likewise, then copied into a zeroed book."""
+    sigma = math.sqrt(E / (2.0 * length))
+    out = rng.standard_normal((count, length)) * sigma
+    bad = np.flatnonzero(np.einsum("ij,ij->i", out, out) > E)
+    rounds = 0
+    while bad.size:
+        rounds += 1
+        redraw = rng.standard_normal((bad.size, length)) * sigma
+        out[bad] = redraw
+        bad = bad[np.einsum("ij,ij->i", redraw, redraw) > E]
+    words = np.zeros((count + 1, length))
+    words[1:] = out
+    return words, rounds
+
+
+@pytest.mark.parametrize("length", [1, 2, 3])
+def test_in_place_draws_match_two_step_bytes(length):
+    # at these lengths a word is over the cap 11-16% of the time, so the
+    # redraw rounds run in most books
+    rounds = 0
+    for seed in range(40):
+        count = 2 + seed % 11
+        ref, r = _two_step_reference(count, length, 1.5, make_rng(seed))
+        rounds += r
+        assert gen_codebook(count, length, 1.5, make_rng(seed)).words.tobytes() == ref.tobytes()
+        sigs = gen_signatures(count, length, 1.5, make_rng(seed))
+        assert sigs.matrix.tobytes() == ref[1:].T.copy().tobytes()
+    assert rounds >= 20
+
+
+def test_signature_matrix_is_c_contiguous():
+    # detection reads S.T @ Y and transmit S @ d; on a transposed view of
+    # the drawn rows instead of a copy, both products round differently
+    # (S.T @ Y in each of 200 random (2048, 16) draws, S @ d in over half),
+    # and every joint CSV would move
+    sm = gen_signatures(16, 2048, 3.0, make_rng(6))
+    assert sm.matrix.flags.c_contiguous
+    assert gen_signatures(1, 5, 3.0, make_rng(6)).matrix.flags.c_contiguous
+
+
 class TestCodebook:
     def test_zero_word_and_caps(self):
         cb = gen_codebook(8, 32, 5.0, make_rng(1))

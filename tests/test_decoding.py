@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from manyaccess import decoding
 from manyaccess.channel import (
     JointPlan,
     awgn,
@@ -21,6 +22,9 @@ from manyaccess.codebooks import Codebook, SignatureMatrix
 from manyaccess.decoding import (
     BoundParams,
     _dead_end_elimination,
+    _gram_terms,
+    _objectives,
+    _split,
     decode_joint_ml,
     decode_ppm,
     ortho_receive,
@@ -65,6 +69,39 @@ def dense_joint_ml(Y_msg, plan, active, budget=10**7):
     return {user: int(w) + 1 for user, w in zip(active, tup)}
 
 
+def dead_end_elimination_per_user(unary, cross):
+    """Reference: dead-end elimination one user at a time (the decoder's
+    first form), on per-user vectors unary[i] and per-pair matrices
+    cross[i, j], i < j.  A user is tested again whenever another user
+    loses a message, until nothing changes.  Returns one mask per user."""
+    k = len(unary)
+    scale = sum(np.abs(u).sum() for u in unary) + sum(np.abs(c).sum() for c in cross.values())
+    tol = 1e-9 * max(1.0, float(scale))
+    alive = [np.ones(len(u), dtype=bool) for u in unary]
+    # pair_lo[i, j][m] / pair_hi[i, j][m]: min / max over alive_j of C_ij[m, .]
+    pair_lo, pair_hi = {}, {}
+    for (i, j), c in cross.items():
+        pair_lo[i, j], pair_hi[i, j] = c.min(axis=1), c.max(axis=1)
+        pair_lo[j, i], pair_hi[j, i] = c.min(axis=0), c.max(axis=0)
+    pending = list(range(k))
+    while pending:
+        i = pending.pop(0)
+        others = [j for j in range(k) if j != i]
+        lo = unary[i] + sum(pair_lo[i, j] for j in others)
+        hi = unary[i] + sum(pair_hi[i, j] for j in others)
+        dead = (lo > hi[alive[i]].min() + tol) & alive[i]
+        if not dead.any():
+            continue
+        alive[i] &= ~dead
+        for j in others:
+            c = cross[j, i] if j < i else cross[i, j].T
+            pair_lo[j, i] = np.minimum.reduce(c, axis=1, where=alive[i], initial=np.inf)
+            pair_hi[j, i] = np.maximum.reduce(c, axis=1, where=alive[i], initial=-np.inf)
+            if j not in pending:
+                pending.append(j)
+    return alive
+
+
 def _plan_from_words(word_sets):
     """Joint plan whose user i sends word_sets[i][w - 1] for message w."""
     M, length = word_sets[0].shape
@@ -86,6 +123,25 @@ def _circle_words(rng, k, M, E=50.0):
 # the joint_n4096 benchmark point: n=4096, ell=16, alpha=2/16, M=10
 N4096_PARAMS = SystemParams(n=4096, ell=16, alpha=2 / 16, N0=2.0)
 N4096_SCHED = make_joint_schedule(N4096_PARAMS, 0.5)
+
+
+def _decode_case(k, M, case, seed):
+    """(plan, active, Y) of one property-test decode.  n4096: the benchmark
+    point's codebooks, k random users and channel noise; short: length-2
+    words of equal energy, where pruning is weak; ties: small integer words
+    from a pool of 3, whose duplicates give exact ties, whatever order the
+    float sums run in."""
+    rng = make_rng(seed)
+    if case == "n4096":
+        plan = make_joint_plan(N4096_PARAMS, N4096_SCHED, M, rng)
+        active = sorted(int(i) for i in rng.choice(N4096_PARAMS.ell, size=k, replace=False))
+        clean = sum(plan.codebooks[i].words[int(rng.integers(1, M + 1))] for i in active)
+        return plan, active, awgn(clean, N4096_PARAMS.N0, rng)
+    if case == "short":
+        return _plan_from_words(_circle_words(rng, k, M)), list(range(k)), rng.standard_normal(2)
+    pool = rng.integers(-2, 3, size=(3, 4)).astype(float)
+    plan = _plan_from_words([pool[rng.integers(0, 3, size=M)] for _ in range(k)])
+    return plan, list(range(k)), rng.integers(-3, 4, size=4).astype(float)
 
 
 class TestDecodePpm:
@@ -180,23 +236,7 @@ class TestPrunedSearchAgainstDense:
     )
     @settings(max_examples=150, deadline=None, derandomize=True)
     def test_matches_dense_oracle(self, k, M, case, seed):
-        rng = make_rng(seed)
-        if case == "n4096":
-            plan = make_joint_plan(N4096_PARAMS, N4096_SCHED, M, rng)
-            active = sorted(int(i) for i in rng.choice(N4096_PARAMS.ell, size=k, replace=False))
-            clean = sum(plan.codebooks[i].words[int(rng.integers(1, M + 1))] for i in active)
-            Y = awgn(clean, N4096_PARAMS.N0, rng)
-        elif case == "short":
-            plan = _plan_from_words(_circle_words(rng, k, M))
-            active = list(range(k))
-            Y = rng.standard_normal(2)
-        else:
-            # small integer words from a pool of 3: duplicate codewords give
-            # exact ties, whatever order the float sums run in
-            pool = rng.integers(-2, 3, size=(3, 4)).astype(float)
-            plan = _plan_from_words([pool[rng.integers(0, 3, size=M)] for _ in range(k)])
-            active = list(range(k))
-            Y = rng.integers(-3, 4, size=4).astype(float)
+        plan, active, Y = _decode_case(k, M, case, seed)
         got = decode_joint_ml(Y, plan, active)
         assert got == dense_joint_ml(Y, plan, active)
         if case == "ties":
@@ -212,13 +252,73 @@ class TestPrunedSearchAgainstDense:
             smallest = tuples[values.index(min(values))]
             assert got == dict(zip(active, smallest))
 
+    @given(
+        k=st.integers(min_value=1, max_value=7),
+        M=st.integers(min_value=2, max_value=6),
+        case=st.sampled_from(["n4096", "short", "ties"]),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    def test_rounds_match_per_user_oracle(self, k, M, case, seed):
+        plan, active, Y = _decode_case(k, M, case, seed)
+        words = [plan.codebooks[i].words[1:] for i in active]
+        terms = _gram_terms(words, Y)
+        (U, neg_U), (G, neg_G) = _split(terms, k, M)
+        # the terms are the per-user and per-pair expressions, bit for bit
+        unary = [np.einsum("mj,mj->m", w, w) - 2.0 * (w @ Y) for w in words]
+        cross = {(i, j): 2.0 * (words[i] @ words[j].T) for i in range(k) for j in range(i + 1, k)}
+        assert all(np.array_equal(u, U[i]) for i, u in enumerate(unary))
+        for (i, j), c in cross.items():
+            assert np.array_equal(c, G[i, :, j - 1]) and np.array_equal(c.T, G[j, :, i])
+        assert np.array_equal(neg_U, -U) and np.array_equal(neg_G, -G)
+        want = dead_end_elimination_per_user(unary, cross)
+        assert np.array_equal(_dead_end_elimination(terms, k, M), np.array(want))
+
+    @pytest.mark.parametrize("block", [1, 2, 5])
+    def test_scoring_blocks_keep_first_minimum(self, monkeypatch, block):
+        # the grids here span many scoring blocks; a later block's equal
+        # minimum must not displace an earlier one
+        monkeypatch.setattr(decoding, "_SCORE_BLOCK", block)
+        spanned = 0
+        for seed in range(60):
+            k, M, case = 2 + seed % 3, 2 + seed % 4, ("short", "ties")[seed % 2]
+            plan, active, Y = _decode_case(k, M, case, seed)
+            words = [plan.codebooks[i].words[1:] for i in active]
+            spanned += int(_dead_end_elimination(_gram_terms(words, Y), k, M).all(axis=1).prod())
+            assert decode_joint_ml(Y, plan, active) == dense_joint_ml(Y, plan, active)
+        assert spanned > 10  # grids that kept every tuple
+
+    @given(
+        k=st.integers(min_value=1, max_value=5),
+        M=st.integers(min_value=2, max_value=5),
+        case=st.sampled_from(["n4096", "short", "ties"]),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    def test_objectives_are_the_full_grids_bitwise(self, k, M, case, seed):
+        # the full grid, added as the dense oracle adds it
+        plan, active, Y = _decode_case(k, M, case, seed)
+        words = [plan.codebooks[i].words[1:] for i in active]
+        grid = np.zeros((M,) * k)
+        for i, w in enumerate(words):
+            unary = np.einsum("mj,mj->m", w, w) - 2.0 * (w @ Y)
+            grid += unary.reshape((M,) + (1,) * (k - 1 - i))
+        for i in range(k):
+            for j in range(i + 1, k):
+                cross = 2.0 * (words[i] @ words[j].T)
+                grid += cross.reshape((M,) + (1,) * (j - i - 1) + (M,) + (1,) * (k - 1 - j))
+        g = np.indices((M,) * k).reshape(k, -1) + M * np.arange(k)[:, None]
+        terms = _gram_terms(words, Y)
+        assert np.array_equal(_objectives(terms, g, k, M), grid.ravel())
+        # one tuple at a time, where a reduction would run down the terms
+        for t in range(0, g.shape[1], 7):
+            assert _objectives(terms, g[:, t : t + 1], k, M)[0] == grid.flat[t]
+
     def test_short_codewords_prune_nothing(self):
         # equal-energy length-2 words: the pair terms span +-2E and swamp the
         # unary spread, so every message survives and the grid is the full one
         words = _circle_words(make_rng(5), 4, 6)
-        unary = [np.einsum("mj,mj->m", w, w) for w in words]  # Y = 0
-        cross = {(i, j): 2.0 * (words[i] @ words[j].T) for i in range(4) for j in range(i + 1, 4)}
-        assert all(a.all() for a in _dead_end_elimination(unary, cross))
+        assert _dead_end_elimination(_gram_terms(words, np.zeros(2)), 4, 6).all()
 
     def test_k7_peak_memory_far_below_dense_grid(self):
         # the dense 10^7-cell float64 grid alone is 80 MB
