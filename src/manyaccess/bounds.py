@@ -3,10 +3,13 @@
 Every bound returns a BoundReport whose named terms recompute to the
 reported value, so downstream consumers (tests, CLI) can audit each
 piece.  All arithmetic is in nats; products of combinatorial factors are
-assembled in log domain.  Values outside the meaningful range (e.g.
-probability bounds above 1) are reported as-is with valid=False rather
-than clamped: finite-size evaluation of asymptotic expressions routinely
-leaves the meaningful range and callers need to see that.
+assembled in log domain, and every budget is summed from its log terms
+by _sum_exp, so a total beyond the float range is inf with valid=False
+and a reason rather than an OverflowError.  Values outside the
+meaningful range (e.g. probability bounds above 1) are reported as-is
+with valid=False rather than clamped: finite-size evaluation of
+asymptotic expressions routinely leaves the meaningful range and callers
+need to see that.
 """
 
 import math
@@ -18,9 +21,10 @@ import numpy as np
 from .codebooks import mu_exact
 from .decoding import BoundParams
 from .detection import v_cap
-from .model import EnergySchedule, SystemParams, binary_entropy
+from .model import EnergySchedule, SystemParams, activity_logpmf, binary_entropy, log_binomial
 
 RHO_GRID = (0.25, 0.5, 0.75, 1.0)
+MAX_ACTIVE = 10**6
 
 
 @dataclass(frozen=True)
@@ -34,7 +38,10 @@ class BoundReport:
     reason: str = ""
 
     def to_dict(self) -> dict:
-        return {"value": self.value, "valid": self.valid, "terms": dict(self.terms)}
+        out = {"value": self.value, "valid": self.valid, "terms": dict(self.terms)}
+        if self.reason:
+            out["reason"] = self.reason
+        return out
 
 
 def _require(cond: bool, msg: str) -> None:
@@ -42,16 +49,28 @@ def _require(cond: bool, msg: str) -> None:
         raise ValueError(msg)
 
 
-def _log_binom(n: int, k: int) -> float:
-    return math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1)
+def _sum_exp(log_terms) -> float:
+    """sum(exp(x) for x in log_terms), accumulated relative to the largest
+    term seen so far, so no term overflows on its own: 0 for no terms or
+    only -inf ones, inf for a total beyond the float range."""
+    top, scaled = -math.inf, 0.0
+    for x in log_terms:
+        if x == math.inf:
+            return math.inf
+        if x > top:
+            scaled = scaled * math.exp(top - x) + 1.0
+            top = x
+        elif x != -math.inf:  # a NaN term makes the total NaN
+            scaled += math.exp(x - top)
+    try:
+        return math.exp(top) * scaled
+    except OverflowError:
+        return math.inf
 
 
-def _binom_pmf(j: int, n: int, p: float) -> float:
-    if p >= 1.0:
-        return 1.0 if j == n else 0.0
-    if p <= 0.0:
-        return 1.0 if j == 0 else 0.0
-    return math.exp(_log_binom(n, j) + j * math.log(p) + (n - j) * math.log(1.0 - p))
+def _beyond_float(value: float, what: str) -> str:
+    """The reason of an infinite total, empty for a finite one."""
+    return f"{what} exceeds the float range" if math.isinf(value) else ""
 
 
 # ---------------------------------------------------------------------------
@@ -84,28 +103,34 @@ def pr_type_error_ub(
     """Union bound on Pr{fraction a of the k' decoded messages are wrong}:
 
         (1/mu)^(2k') C(k', a k') M^(a k' rho) exp(-n' E0(a, rho)).
+
+    k' is at most MAX_ACTIVE: the binomial costs O(k') and the decode
+    budget sums k' of them.
     """
     _require(M >= 2, f"message count must be >= 2, got {M}")
     _require(0.0 < mu <= 1.0, f"mu must be in (0,1], got {mu}")
+    _require(k_active <= MAX_ACTIVE, f"active count must be <= {MAX_ACTIVE}, got {k_active}")
     ak = a * k_active
     _require(abs(ak - round(ak)) < 1e-9 and round(ak) >= 1, f"a*k' must be a positive integer, got {ak}")
     ak = round(ak)
     e0 = e0_msg(a, rho, k_active, E_msg, n_msg, N0)
     log_mu_factor = -2.0 * k_active * math.log(mu)
-    log_binomial = _log_binom(k_active, ak)
+    log_binom = log_binomial(k_active, ak)
     log_rate_term = ak * rho * math.log(M)
     exponent = n_msg * e0
-    value = math.exp(log_mu_factor + log_binomial + log_rate_term - exponent)
+    log_value = log_mu_factor + log_binom + log_rate_term - exponent
+    value = _sum_exp([log_value])
     return BoundReport(
         value=value,
         valid=value <= 1.0,
         terms={
             "log_mu_factor": log_mu_factor,
-            "log_binomial": log_binomial,
+            "log_binomial": log_binom,
             "log_rate_term": log_rate_term,
             "exponent": exponent,
             "e0": e0,
         },
+        reason=_beyond_float(value, f"the bound e^{log_value:.6g}"),
     )
 
 
@@ -120,14 +145,15 @@ def decode_error_budget(
 ) -> BoundReport:
     """Decode-error budget for k' detected users: the sum of the type-error
     bounds over error fractions a in {1/k', ..., 1}."""
-    terms = {}
-    total = 0.0
+    terms, logs = {}, []
     for j in range(1, k_active + 1):
-        a = j / k_active
-        rep = pr_type_error_ub(a, rho, M, k_active, E_msg, n_msg, N0, mu)
+        rep = pr_type_error_ub(j / k_active, rho, M, k_active, E_msg, n_msg, N0, mu)
         terms[f"a={j}/{k_active}"] = rep.value
-        total += rep.value
-    return BoundReport(value=total, valid=total <= 1.0, terms=terms)
+        t = rep.terms
+        logs.append(t["log_mu_factor"] + t["log_binomial"] + t["log_rate_term"] - t["exponent"])
+    total = _sum_exp(logs)
+    return BoundReport(value=total, valid=total <= 1.0, terms=terms,
+                       reason=_beyond_float(total, "the sum over error fractions"))
 
 
 def f_msg(
@@ -205,7 +231,11 @@ def detection_budget(
     """
     _require(0.0 < mu <= 1.0, f"mu must be in (0,1], got {mu}")
     if sched.c <= 0.0 or sched.E_sig <= 0.0:
-        return BoundReport(value=math.inf, valid=False, terms={"overflow": math.inf})
+        return BoundReport(
+            value=math.inf, valid=False, terms={"overflow": math.inf},
+            reason=f"no detection budget at c = {sched.c:.6g}, E_sig = {sched.E_sig:.6g}: "
+                   "both must be positive",
+        )
     ell, alpha, k = params.ell, params.alpha, params.k
     v = v_cap(params, sched)
     v_eff = min(v, ell)
@@ -214,37 +244,38 @@ def detection_budget(
 
     overflow = math.exp(-k * sched.c / 3.0)
 
-    detect_sum = 0.0
-    for j in range(1, v_eff + 1):
-        pmf = _binom_pmf(j, ell, alpha)
-        if pmf == 0.0:
-            continue
-        inner = 0.0
-        for kappa1 in range(0, j + 1):
-            k2_hi = min(v, ell - j)
-            for kappa2 in range(0, k2_hi + 1):
-                if kappa1 + kappa2 < 1 or j + kappa2 > v + kappa1:
-                    continue
-                g = detect_exponent_g(
-                    bp.lam, bp.rho, kappa1, kappa2, j, ell, sched.n_sig, sched.E_sig
-                )
-                inner += math.exp((j + bp.rho * kappa2) * log_inv_mu - et * g)
-        detect_sum += pmf * inner
+    def detect_logs():
+        for j in range(1, v_eff + 1):
+            log_pmf = activity_logpmf(j, ell, alpha)
+            if log_pmf == -math.inf:
+                continue
+            for kappa1 in range(0, j + 1):
+                for kappa2 in range(0, min(v, ell - j) + 1):
+                    if kappa1 + kappa2 < 1 or j + kappa2 > v + kappa1:
+                        continue
+                    g = detect_exponent_g(
+                        bp.lam, bp.rho, kappa1, kappa2, j, ell, sched.n_sig, sched.E_sig
+                    )
+                    yield log_pmf + (j + bp.rho * kappa2) * log_inv_mu - et * g
 
-    p_zero = _binom_pmf(0, ell, alpha)
-    zero_sum = 0.0
-    for kappa2 in range(1, min(v, ell) + 1):
-        qp = (sched.n_sig / (2.0 * et)) * math.log1p(kappa2 * et / (4.0 * sched.n_sig))
-        up = (ell / et) * binary_entropy(kappa2 / ell)
-        zero_sum += math.exp(kappa2 * log_inv_mu - et * (qp - up))
-    zero_active = p_zero * zero_sum
+    def zero_logs():
+        log_p_zero = activity_logpmf(0, ell, alpha)
+        for kappa2 in range(1, min(v, ell) + 1):
+            qp = (sched.n_sig / (2.0 * et)) * math.log1p(kappa2 * et / (4.0 * sched.n_sig))
+            up = (ell / et) * binary_entropy(kappa2 / ell)
+            yield log_p_zero + kappa2 * log_inv_mu - et * (qp - up)
 
+    detect_sum = _sum_exp(detect_logs())
+    zero_active = _sum_exp(zero_logs())
     value = overflow + detect_sum + zero_active
     valid = overflow <= 1.0 and detect_sum <= 1.0 and zero_active <= 1.0 and value <= 1.0
+    reason = "; ".join(filter(None, (_beyond_float(detect_sum, "detect_sum"),
+                                     _beyond_float(zero_active, "zero_active"))))
     return BoundReport(
         value=value,
         valid=valid,
         terms={"overflow": overflow, "detect_sum": detect_sum, "zero_active": zero_active},
+        reason=reason,
     )
 
 
@@ -266,22 +297,28 @@ def two_phase_error_budget(
     mu_msg = mu_exact(sched.n_msg).value
     det = detection_budget(params, sched, bp, mu_sig)
     cap = min(math.floor(bp.xi * params.k), params.ell)
-    decode = 0.0
-    for k_active in range(1, cap + 1):
-        pmf = _binom_pmf(k_active, params.ell, params.alpha)
-        if pmf == 0.0:
-            continue
-        best = min(
-            decode_error_budget(rho, M, k_active, sched.E_msg, sched.n_msg, params.N0, mu_msg).value
-            for rho in RHO_GRID
-        )
-        decode += pmf * best
+
+    def decode_logs():
+        for k_active in range(1, cap + 1):
+            log_pmf = activity_logpmf(k_active, params.ell, params.alpha)
+            if log_pmf == -math.inf:
+                continue
+            best = min(
+                decode_error_budget(rho, M, k_active, sched.E_msg, sched.n_msg, params.N0,
+                                    mu_msg).value
+                for rho in RHO_GRID
+            )
+            yield log_pmf + (math.log(best) if best > 0.0 else -math.inf)
+
+    decode = _sum_exp(decode_logs())
     markov = 1.0 / bp.xi
     value = det.value + decode + markov
+    reason = "; ".join(filter(None, (det.reason, _beyond_float(decode, "decode"))))
     return BoundReport(
         value=value,
         valid=value <= 1.0,
         terms={"detection": det.value, "decode": decode, "markov": markov},
+        reason=reason,
     )
 
 
@@ -422,7 +459,7 @@ def joint_error_lb(E: float, ell: int, N0: float, alpha: float) -> BoundReport:
     _require(N0 > 0.0, f"noise level must be positive, got {N0}")
     _require(0.0 < alpha <= 1.0, f"activity probability must be in (0,1], got {alpha}")
     typ = max(0.0, 1.0 - (256.0 * E / N0 + math.log(2.0)) / math.log(ell))
-    some_active = 1.0 - (1.0 - alpha) ** ell
+    some_active = -math.expm1(activity_logpmf(0, ell, alpha))
     value = typ * some_active
     return BoundReport(
         value=value, valid=True, terms={"per_type": typ, "some_active": some_active}

@@ -132,15 +132,15 @@ def _cmd_bounds(args) -> int:
         raise ConfigError(f"--params: {e}") from e
     try:
         result = _bound_dispatch(args.name, params)
-    except OverflowError as e:  # e.g. math.exp of a huge M**rho
+    except OverflowError as e:  # e.g. math.floor of an infinite xi * k
         raise ConfigError(f"{args.name} overflows at these --params: {e}") from e
     if isinstance(result, bnd.BoundReport):
         result = result.to_dict()
     elif not isinstance(result, dict):
         result = {"value": result}
     # documented infinities: a result marked invalid (a converse past its
-    # denominator, detection_budget at c <= 0) and normal_tail's vacuous
-    # upper bound at x <= 0
+    # denominator, detection_budget at c <= 0, a budget beyond the float
+    # range) and normal_tail's vacuous upper bound at x <= 0
     inf_ok = result.get("valid") is False or (args.name == "normal_tail" and params["x"] <= 0)
     bad = _nonfinite_fields(result, inf_ok)
     if bad:

@@ -464,10 +464,12 @@ def sweep(
     options are a ConfigError before any point runs.  A point that fails
     is recorded in its row with what was computed before the failure, and
     the sweep continues: outside the scheme's regime there is no schedule,
-    so the row's E is ln(n); a rate or budget that overflows keeps the
-    schedule's E; a detection search over its budget, an ortho slot too
-    short for M + 1 positions, or a message count or codebook too large
-    for numpy to represent or allocate keeps the rate and budget too.
+    so the row's E is ln(n); a rate that overflows keeps the schedule's
+    E; a budget beyond the float range keeps the rate, and summary_row
+    gives its reason; a detection search over its budget, an ortho slot
+    too short for M + 1 positions, or a message count or codebook too
+    large for numpy to represent or allocate keeps the rate and budget
+    too.
     Verdicts over the points the family could evaluate: `regime`
     (load_regime, from 3 points) and `converse_decreasing` (from 2 that
     hold a converse).
@@ -497,12 +499,12 @@ def sweep(
             continue
         try:
             M = RateSpec.from_rate(R_dot_fraction / N0, sched.E).M
-            cfg = ExperimentConfig(scheme=scheme, params=params, split=split, M=M,
-                                   trials=max(trials, 1), master_seed=mix_seed(master_seed, n))
-            budget = analytic_budget(cfg)
         except OverflowError as e:
-            rows.append(summary_row(params, sched.E, error=f"rate or budget overflows: {e}"))
+            rows.append(summary_row(params, sched.E, error=f"rate overflows: {e}"))
             continue
+        cfg = ExperimentConfig(scheme=scheme, params=params, split=split, M=M,
+                               trials=max(trials, 1), master_seed=mix_seed(master_seed, n))
+        budget = analytic_budget(cfg)
         try:
             summary = estimate_error(cfg, threads=threads) if trials > 0 else None
         except (ComplexityBudgetError, InvalidRegimeError, MemoryError) as e:

@@ -23,6 +23,29 @@ def binary_entropy(p: float) -> float:
     return -p * math.log(p) - (1.0 - p) * math.log(1.0 - p)
 
 
+def log_binomial(n: int, k: int) -> float:
+    """ln C(n, k) = k ln n + sum_{i<k} log1p(-i/n) - ln k!, with k taken as
+    min(k, n - k).  No two large terms cancel, so the result keeps about
+    k ulps of ln n however large n is; the cost is O(min(k, n - k))."""
+    if not 0 <= k <= n:
+        raise ValueError(f"need 0 <= k <= n, got k = {k}, n = {n}")
+    k = min(k, n - k)
+    if k == 0:  # also n = 0, where ln n is undefined
+        return 0.0
+    return k * math.log(n) + sum(math.log1p(-i / n) for i in range(k)) - math.lgamma(k + 1)
+
+
+def activity_logpmf(j: int, ell: int, alpha: float) -> float:
+    """ln Pr{exactly j of ell users active}: the Binomial(ell, alpha) law
+    of sample_messages, -inf where the probability is 0 (alpha of 0 or 1
+    puts all mass on j = 0 or j = ell)."""
+    if alpha >= 1.0:
+        return 0.0 if j == ell else -math.inf
+    if alpha <= 0.0:
+        return 0.0 if j == 0 else -math.inf
+    return log_binomial(ell, j) + j * math.log(alpha) + (ell - j) * math.log1p(-alpha)
+
+
 @dataclass(frozen=True)
 class SystemParams:
     """Blocklength, user count, activity probability, and noise level."""

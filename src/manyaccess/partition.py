@@ -40,6 +40,7 @@ from itertools import combinations
 import numpy as np
 
 from .errors import ComplexityBudgetError
+from .model import activity_logpmf
 
 DEFAULT_ENUM_BUDGET = 10**6
 
@@ -411,7 +412,9 @@ def verify_partition(p: Partition, ell: int) -> PartitionReport:
 def typeclass_probability(ell: int, M: int, t: int, alpha: float) -> float:
     """Probability that the message vector has exactly t active entries:
 
-        (1-alpha)^(ell-t) (alpha/M)^t |T^t|  with  |T^t| = C(ell,t) M^t.
+        (1-alpha)^(ell-t) (alpha/M)^t |T^t|  with  |T^t| = C(ell,t) M^t,
+
+    in which M cancels: the activity law model.activity_logpmf at t.
     """
     if not 0 <= t <= ell:
         raise ValueError(f"weight must be in 0..{ell}, got {t}")
@@ -419,7 +422,7 @@ def typeclass_probability(ell: int, M: int, t: int, alpha: float) -> float:
         raise ValueError(f"message count must be >= 1, got {M}")
     if not 0.0 <= alpha <= 1.0:
         raise ValueError(f"activity probability must be in [0,1], got {alpha}")
-    return (1.0 - alpha) ** (ell - t) * (alpha / M) ** t * type_class_size(ell, M, t)
+    return math.exp(activity_logpmf(t, ell, alpha))
 
 
 def partition_to_json(p: Partition, report: PartitionReport) -> str:

@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import math
 
 import numpy as np
@@ -8,7 +9,7 @@ from scipy.integrate import quad
 from manyaccess import bounds
 from manyaccess.codebooks import mu_exact
 from manyaccess.decoding import BoundParams
-from manyaccess.model import SystemParams, make_joint_schedule
+from manyaccess.model import RateSpec, SystemParams, make_joint_schedule
 from manyaccess.rng import make_rng
 
 
@@ -69,6 +70,12 @@ class TestPrTypeErrorUb:
         with pytest.raises(ValueError):
             bounds.pr_type_error_ub(0.4, 0.5, 4, 2, 10.0, 200, 2.0, 0.95)
 
+    def test_active_count_capped(self):
+        # the binomial costs O(k'): 10**20 users would never return
+        bounds.pr_type_error_ub(1.0, 0.5, 4, bounds.MAX_ACTIVE, 10.0, 200, 2.0, 0.95)
+        with pytest.raises(ValueError, match="active count must be <="):
+            bounds.pr_type_error_ub(0.5, 0.5, 4, bounds.MAX_ACTIVE + 2, 10.0, 200, 2.0, 0.95)
+
 
 class TestDecodeBudget:
     def test_sums_type_bounds(self):
@@ -124,7 +131,9 @@ class TestDetectionBudget:
         params, sched = self._sched()
         degenerate = dataclasses.replace(sched, E_sig=0.0, E_msg=sched.E)
         rep = bounds.detection_budget(params, degenerate, BoundParams(), 0.9)
-        assert not rep.valid
+        assert not rep.valid and rep.value == math.inf
+        assert rep.to_dict()["reason"] == rep.reason
+        assert "E_sig = 0: both must be positive" in rep.reason
 
     def test_regression_fixture(self):
         # frozen on first computation; the value is far above 1 at desk
@@ -394,6 +403,49 @@ class TestTwoPhaseBudget:
         rep = bounds.two_phase_error_budget(params, sched, BoundParams(xi=8), 4)
         recompute_from_terms(rep, lambda t: t["detection"] + t["decode"] + t["markov"])
         assert rep.terms["markov"] == pytest.approx(1.0 / 8.0)
+        assert "reason" not in rep.to_dict()
+
+    def test_decode_sum_beyond_float_range_is_infinite(self, monkeypatch):
+        # cube-root family at n = 2^60, b = 0.5: the largest log term of the
+        # decode sum is about 106, 637 and 1698 at rate fractions 0.5, 1 and
+        # 2.  The detection term does not depend on M: it is computed once.
+        monkeypatch.setattr(bounds, "detection_budget", functools.cache(bounds.detection_budget))
+        n = 2**60
+        ell = math.ceil(n ** (1 / 3))
+        params = SystemParams(n=n, ell=ell, alpha=2 / ell, N0=2.0)
+        sched = make_joint_schedule(params, 0.5)
+        reps = {}
+        for fraction in (0.5, 1.0, 2.0):
+            M = RateSpec.from_rate(fraction / params.N0, sched.E).M
+            reps[fraction] = bounds.two_phase_error_budget(params, sched, BoundParams(), M)
+        for fraction in (0.5, 1.0):
+            rep = reps[fraction]
+            assert 1.0 < rep.value < math.inf and not rep.valid and rep.reason == ""
+        rep = reps[2.0]
+        assert rep.value == rep.terms["decode"] == math.inf and not rep.valid
+        assert rep.reason == "decode exceeds the float range"
+        assert rep.terms["detection"] == reps[0.5].terms["detection"] < math.inf
+
+
+class TestSumExp:
+    def test_empty_and_zero_terms(self):
+        assert bounds._sum_exp([]) == bounds._sum_exp([-math.inf, -math.inf]) == 0.0
+
+    def test_matches_plain_sum(self):
+        logs = [-3.0, 2.5, -math.inf, 0.0, 2.5, -700.0]
+        plain = sum(math.exp(x) for x in logs)
+        assert bounds._sum_exp(logs) == pytest.approx(plain, rel=1e-15)
+        assert bounds._sum_exp(x - 1000.0 for x in logs) == pytest.approx(
+            plain * math.exp(-1000.0), rel=1e-12)
+
+    def test_beyond_float_range(self):
+        assert bounds._sum_exp([700.0, 709.0]) == pytest.approx(math.exp(700) + math.exp(709))
+        assert bounds._sum_exp([709.5, 709.5]) == math.inf  # each term is a float
+        assert bounds._sum_exp([1061.0, 0.0]) == math.inf
+        assert bounds._sum_exp([0.0, math.inf, math.inf]) == math.inf
+
+    def test_nan_term_is_kept(self):
+        assert math.isnan(bounds._sum_exp([0.0, math.nan, 1.0]))
 
 
 class TestOrthoUserErrorBound:

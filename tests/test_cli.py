@@ -207,9 +207,15 @@ class TestBoundsCmd:
         assert "signature length 0 and message length 256 must both be >= 1" in captured.err
 
     def test_overflowing_bound(self, capsys):
+        # M^(a k' rho) = e^1036: a bound beyond the float range prints as
+        # Infinity, marked invalid, with its reason
         params = {"a": 2 / 3, **DECODE, "M": 1e300, "mu": 0.9}
-        assert main(["bounds", "pr_type_error_ub", "--params", json.dumps(params)]) == EXIT_CONFIG
-        assert "overflows" in capsys.readouterr().err
+        assert main(["bounds", "pr_type_error_ub", "--params", json.dumps(params)]) == EXIT_OK
+        captured = capsys.readouterr()
+        assert captured.err == "" and '"value": Infinity' in captured.out
+        payload = json.loads(captured.out)
+        assert payload["value"] == math.inf and payload["valid"] is False
+        assert payload["reason"] == "the bound e^1035.78 exceeds the float range"
 
 
 class TestSimulateCmd:
@@ -453,17 +459,25 @@ class TestSweepCmd:
             assert row["joint_err"] == ""
 
     def test_overflowing_rate_is_a_failed_row(self, tmp_path, family_path, capsys):
+        # rate 50 nats: at n = 256 and 1024 M = e^(50 E) is a float, but the
+        # decode sum is not; at n = 4096 M itself is beyond the float range
         out = tmp_path / "sweep.csv"
         rc = main(["sweep", "--family", family_path, "--n-grid", "256,1024,4096",
                    "--rate-fraction", "100", "--out", str(out)])
         assert rc == EXIT_OK
         capsys.readouterr()
         family = harness.load_family(family_path)
-        for row in csv.DictReader(out.read_text().splitlines()):
-            assert "overflows" in row["error"]
+        rows = list(csv.DictReader(out.read_text().splitlines()))
+        assert [row["n"] for row in rows] == ["256", "1024", "4096"]
+        for row in rows:
             sched = make_joint_schedule(family.params_at(int(row["n"])), 0.5)
             assert float(row["E"]) == pytest.approx(sched.E, rel=1e-11) and row["converse_nats"]
-            assert row["R_dot_nats"] == row["budget_total"] == ""
+            assert row["budget_total"] == row["budget_valid"] == ""
+        for row in rows[:2]:
+            assert row["error"] == "no error budget: decode exceeds the float range"
+            assert float(row["R_dot_nats"]) == pytest.approx(50.0, rel=1e-12)
+        assert rows[2]["error"] == "rate overflows: math range error"
+        assert rows[2]["R_dot_nats"] == rows[2]["R_dot_bits"] == ""
 
     def test_ortho_slot_condition_is_not_the_load_regime(self, tmp_path, capsys):
         # ell = ceil(2n/ln n) breaks the orthogonal scheme's ell*ln(n) < n at

@@ -10,7 +10,9 @@ from manyaccess.errors import InvalidRegimeError
 from manyaccess.model import (
     RateSpec,
     SystemParams,
+    activity_logpmf,
     binary_entropy,
+    log_binomial,
     make_joint_schedule,
     make_ortho_schedule,
     sample_messages,
@@ -40,6 +42,36 @@ class TestBinaryEntropy:
     @given(st.floats(min_value=0.0, max_value=1.0, allow_nan=False))
     def test_symmetric(self, p):
         assert binary_entropy(p) == pytest.approx(binary_entropy(1.0 - p), abs=1e-12)
+
+
+class TestActivityLaw:
+    # ell up to 2^40 (the cube-root family at n = 2^120) and j up to 160 (the
+    # detection weight cap there), alpha = 2/ell; the oracle takes the log
+    # of the exact integer C(ell, j)
+    @pytest.mark.parametrize("ell", [8, 16, 26, 10_322, 2**27, 2**40])
+    def test_matches_exact_binomial(self, ell):
+        alpha = 2 / ell
+        for j in (0, 1, 3, 30, 80, 160):
+            if j > ell:
+                continue
+            oracle = (math.log(math.comb(ell, j)) + j * math.log(alpha)
+                      + (ell - j) * math.log1p(-alpha))
+            assert abs(math.expm1(activity_logpmf(j, ell, alpha) - oracle)) <= 5e-13, j
+
+    def test_sums_to_one(self):
+        assert sum(math.exp(activity_logpmf(j, 30, 0.3)) for j in range(31)) == pytest.approx(
+            1.0, abs=1e-13)
+
+    def test_degenerate_activity(self):
+        assert activity_logpmf(0, 5, 0.0) == activity_logpmf(5, 5, 1.0) == 0.0
+        assert activity_logpmf(1, 5, 0.0) == activity_logpmf(4, 5, 1.0) == -math.inf
+
+    def test_log_binomial(self):
+        assert log_binomial(0, 0) == log_binomial(7, 0) == log_binomial(7, 7) == 0.0
+        assert log_binomial(50, 20) == log_binomial(50, 30) == pytest.approx(
+            math.log(math.comb(50, 20)), rel=1e-15)
+        with pytest.raises(ValueError):
+            log_binomial(5, 6)
 
 
 class TestJointSchedule:

@@ -133,8 +133,12 @@ class TestTypeClass:
         assert tc.size == type_class_size(6, 3, 2) == math.comb(6, 2) * 9
 
     def test_budget(self):
+        # one member over the budget refuses a class that would take 2.6 MB;
+        # the budget that just holds it builds it
+        size = type_class_size(10, 4, 5)
         with pytest.raises(ComplexityBudgetError):
-            enumerate_type_class(30, 4, 15, budget=10**4)
+            enumerate_type_class(10, 4, 5, budget=size - 1)
+        assert enumerate_type_class(10, 4, 5, budget=size).size == size
 
     def test_members_have_correct_weight(self):
         tc = enumerate_type_class(5, 2, 3)
@@ -514,6 +518,16 @@ class TestTypeclassProbability:
     def test_sums_to_one(self):
         total = sum(typeclass_probability(6, 3, t, 0.4) for t in range(7))
         assert total == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("ell,M,t,alpha", [(400, 10**6, 60, 0.1), (2000, 10, 400, 0.2)])
+    def test_large_class_is_the_activity_pmf(self, ell, M, t, alpha):
+        # |T^t| (alpha/M)^t leaves the floats at both; M cancels from it
+        pmf = math.exp(math.log(math.comb(ell, t)) + t * math.log(alpha)
+                       + (ell - t) * math.log1p(-alpha))
+        value = typeclass_probability(ell, M, t, alpha)
+        assert value == pytest.approx(pmf, rel=5e-13)
+        assert typeclass_probability(ell, 1, t, alpha) == value
+        assert typeclass_probability(ell, 3 * M, t, alpha) == value
 
 
 def test_birge_composition_with_joint_error_lb():
