@@ -104,8 +104,8 @@ def pr_type_error_ub(
 
         (1/mu)^(2k') C(k', a k') M^(a k' rho) exp(-n' E0(a, rho)).
 
-    k' is at most MAX_ACTIVE: the binomial costs O(k') and the decode
-    budget sums k' of them.
+    k' is at most MAX_ACTIVE: the binomial's running sum of log1p terms
+    (model.log_binomial) costs O(k') time and memory.
     """
     _require(M >= 2, f"message count must be >= 2, got {M}")
     _require(0.0 < mu <= 1.0, f"mu must be in (0,1], got {mu}")
@@ -144,7 +144,8 @@ def decode_error_budget(
     mu: float,
 ) -> BoundReport:
     """Decode-error budget for k' detected users: the sum of the type-error
-    bounds over error fractions a in {1/k', ..., 1}."""
+    bounds over error fractions a in {1/k', ..., 1}.  Its k' binomials
+    share one running sum, so the budget costs O(k')."""
     terms, logs = {}, []
     for j in range(1, k_active + 1):
         rep = pr_type_error_ub(j / k_active, rho, M, k_active, E_msg, n_msg, N0, mu)

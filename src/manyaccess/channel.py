@@ -13,7 +13,7 @@ import numpy as np
 
 from .codebooks import Codebook, SignatureMatrix, gen_codebook, gen_ppm_codebook, gen_signatures
 from .model import EnergySchedule, SystemParams
-from .rng import substream
+from .rng import make_rng, mix_seed, rekey
 
 
 class UserCodebooks(Sequence):
@@ -21,13 +21,16 @@ class UserCodebooks(Sequence):
 
     User i's book is gen_codebook(M, length, E, substream(key, i)), so its
     bytes do not depend on which other books are read, or in what order.
-    A built book is cached; a plan never leaves its trial, so the cache
-    needs no lock.
+    The plan keeps one generator and re-keys it to mix_seed(key, i) for
+    each book, which gives substream(key, i)'s bytes without building a
+    generator per book.  A built book is cached; a plan never leaves its
+    trial, so neither the cache nor the generator needs a lock.
     """
 
     def __init__(self, ell: int, M: int, length: int, E: float, key: int):
         self.M, self.length, self.E, self.key = M, length, E, key
         self._books: list[Codebook | None] = [None] * ell
+        self._rng = make_rng(key)
 
     def __len__(self) -> int:
         return len(self._books)
@@ -35,7 +38,8 @@ class UserCodebooks(Sequence):
     def __getitem__(self, i: int) -> Codebook:
         i = range(len(self._books))[i]  # IndexError past the end; -1 is the last user
         if self._books[i] is None:
-            self._books[i] = gen_codebook(self.M, self.length, self.E, substream(self.key, i))
+            rng = rekey(self._rng, mix_seed(self.key, i))
+            self._books[i] = gen_codebook(self.M, self.length, self.E, rng)
         return self._books[i]
 
 
@@ -90,11 +94,13 @@ def transmit_joint(plan: JointPlan, msgs: np.ndarray) -> np.ndarray:
     if len(msgs) != plan.ell:
         raise ValueError(f"message vector length {len(msgs)} != ell {plan.ell}")
     d = (np.asarray(msgs) != 0).astype(float)
-    sig_part = plan.signatures.matrix @ d
-    msg_part = np.zeros(plan.n_msg)
+    rows = plan.signatures.matrix.T  # (ell, n_sig): the signatures as drawn
+    n_sig = rows.shape[1]
+    out = np.zeros(n_sig + plan.n_msg)
+    np.matmul(d, rows, out=out[:n_sig])  # S d
     for i in np.flatnonzero(d):
-        msg_part += plan.codebooks[i].words[msgs[i]]
-    return np.concatenate([sig_part, msg_part])
+        out[n_sig:] += plan.codebooks[i].words[msgs[i]]
+    return out
 
 
 def transmit_ortho(plan: OrthoPlan, msgs: np.ndarray) -> np.ndarray:
@@ -111,4 +117,7 @@ def awgn(signal: np.ndarray, N0: float, rng: np.random.Generator) -> np.ndarray:
         raise ValueError(f"noise level must be >= 0, got {N0}")
     if N0 == 0.0:
         return np.array(signal, copy=True)
-    return signal + rng.standard_normal(len(signal)) * np.sqrt(N0 / 2.0)
+    out = rng.standard_normal(len(signal))
+    out *= np.sqrt(N0 / 2.0)
+    out += signal
+    return out

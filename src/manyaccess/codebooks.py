@@ -24,21 +24,27 @@ TAU = 1.0 - math.log(2.0)
 
 @dataclass(frozen=True)
 class Codebook:
-    """M+1 codewords of a common length; index 0 is the all-zero word."""
+    """M+1 codewords of a common length; index 0 is the all-zero word.
+    energies[m] = ||words[m]||^2, computed here when not given."""
 
     M: int
     length: int
     E: float
     words: np.ndarray  # shape (M+1, length)
+    energies: np.ndarray | None = None  # shape (M+1,)
 
     def __post_init__(self):
         if self.words.shape != (self.M + 1, self.length):
             raise ValueError("codebook array shape does not match (M+1, length)")
+        if self.energies is None:
+            object.__setattr__(self, "energies", _row_energies(self.words))
 
 
 @dataclass(frozen=True)
 class SignatureMatrix:
-    """Per-user signature columns; column i is user i's signature."""
+    """Per-user signature columns; column i is user i's signature.  Drawn
+    signatures are a view of their (ell, n_sig) rows: matrix.T is the
+    C-contiguous array the draws were written to."""
 
     matrix: np.ndarray  # shape (n_sig, ell)
     E_sig: float
@@ -73,11 +79,21 @@ def gen_truncated_gaussian(
     """
     if count < 1 or length < 1:
         raise ValueError("count and length must be >= 1")
-    return _fill_truncated_gaussian(np.empty((count, length)), E, rng)
+    out = np.empty((count, length))
+    _fill_truncated_gaussian(out, E, rng)
+    return out
+
+
+def _row_energies(rows: np.ndarray) -> np.ndarray:
+    """||row||^2 of each row of a 2-D array."""
+    return np.einsum("ij,ij->i", rows, rows)
 
 
 def _fill_truncated_gaussian(out: np.ndarray, E: float, rng: np.random.Generator) -> np.ndarray:
-    """gen_truncated_gaussian's draws, written into the rows of `out`."""
+    """gen_truncated_gaussian's draws, written into the rows of `out`;
+    returns the rows' energies from the rejection test, bitwise
+    _row_energies(out) since each row's sum does not depend on its
+    neighbours."""
     if E <= 0.0:
         raise ValueError(f"energy cap must be positive, got {E}")
     count, length = out.shape
@@ -86,7 +102,8 @@ def _fill_truncated_gaussian(out: np.ndarray, E: float, rng: np.random.Generator
     rng.standard_normal(out=out)
     out *= sigma
     # rows still over the cap, in increasing order: each round redraws them in that order
-    bad = np.flatnonzero(np.einsum("ij,ij->i", out, out) > E)
+    energies = _row_energies(out)
+    bad = np.flatnonzero(energies > E)
     rounds = 0
     while bad.size:
         rounds += 1
@@ -98,8 +115,9 @@ def _fill_truncated_gaussian(out: np.ndarray, E: float, rng: np.random.Generator
         redraw = rng.standard_normal((bad.size, length))
         redraw *= sigma
         out[bad] = redraw
-        bad = bad[np.einsum("ij,ij->i", redraw, redraw) > E]
-    return out
+        energies[bad] = redrawn = _row_energies(redraw)
+        bad = bad[redrawn > E]
+    return energies
 
 
 def gen_codebook(M: int, length: int, E: float, rng: np.random.Generator) -> Codebook:
@@ -111,18 +129,20 @@ def gen_codebook(M: int, length: int, E: float, rng: np.random.Generator) -> Cod
         raise ValueError(f"codeword length must be >= 1, got {length}")
     words = np.empty((M + 1, length))
     words[0] = 0.0
-    _fill_truncated_gaussian(words[1:], E, rng)
-    return Codebook(M=M, length=length, E=E, words=words)
+    energies = np.zeros(M + 1)
+    energies[1:] = _fill_truncated_gaussian(words[1:], E, rng)
+    return Codebook(M=M, length=length, E=E, words=words, energies=energies)
 
 
 def gen_signatures(
     ell: int, n_sig: int, E_sig: float, rng: np.random.Generator
 ) -> SignatureMatrix:
-    """ell independent truncated-Gaussian signature columns."""
+    """ell independent truncated-Gaussian signature columns, drawn as the
+    rows of an (ell, n_sig) array and kept in that layout."""
     if ell < 1:
         raise ValueError(f"user count must be >= 1, got {ell}")
-    cols = gen_truncated_gaussian(ell, n_sig, E_sig, rng)
-    return SignatureMatrix(matrix=cols.T.copy(), E_sig=E_sig)
+    rows = gen_truncated_gaussian(ell, n_sig, E_sig, rng)
+    return SignatureMatrix(matrix=rows.T, E_sig=E_sig)
 
 
 def gen_ppm_codebook(M: int, slot_len: int, E: float, t: float) -> Codebook:

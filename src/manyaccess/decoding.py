@@ -102,11 +102,14 @@ def _split(terms: np.ndarray, k: int, M: int) -> tuple[np.ndarray, np.ndarray]:
             terms[:, k * M :].reshape(2, k, M, k - 1, M))
 
 
-def _gram_terms(words: list[np.ndarray], Y_msg: np.ndarray) -> np.ndarray:
+def _gram_terms(
+    words: list[np.ndarray], energies: list[np.ndarray], Y_msg: np.ndarray
+) -> np.ndarray:
     """The Gram expansion of ||Y - sum_i x~_i(w_i)||^2 - ||Y||^2, in one array.
 
     Row 0 holds U, then G, flattened; row 1 is its negation (see _split).
-    U[i, m] = ||x~_i(m)||^2 - 2<x~_i(m), Y>, and G is the pair Gram
+    U[i, m] = ||x~_i(m)||^2 - 2<x~_i(m), Y>, with the squared norms
+    energies[i] of user i's words as its book recorded them, and G is the pair Gram
     without its diagonal blocks: G[i, m, s, n] = 2<x~_i(m), x~_j(n)> for
     the s-th user j other than i.  Each pair's block is its own product,
     computed once and stored as G[i, :, j-1] and, transposed, as
@@ -116,8 +119,8 @@ def _gram_terms(words: list[np.ndarray], Y_msg: np.ndarray) -> np.ndarray:
     terms = np.empty((2, k * M + k * (k - 1) * M * M))
     (U, _), (G, _) = _split(terms, k, M)
     wY = np.empty((k, M))
+    U[:] = energies
     for i, wi in enumerate(words):
-        np.einsum("mj,mj->m", wi, wi, out=U[i])
         np.matmul(wi, Y_msg, out=wY[i])
         for j in range(i + 1, k):
             np.matmul(wi, words[j].T, out=G[i, :, j - 1])
@@ -141,17 +144,21 @@ def _dead_end_elimination(terms: np.ndarray, k: int, M: int) -> np.ndarray:
     round tests every user at once, until a round drops nothing.
     Dropping a message only raises lo and lowers hi, so a dropped
     message stays dropped and never sets the threshold, and the rounds
-    reach the masks of testing one user at a time.  The bounds are
-    where= reductions over the terms, not copies.
+    reach the masks of testing one user at a time.  The masked minima
+    are plain minima over a copy of G with the other user's message
+    first: a dropped message's slab is set to inf, and the minimum runs
+    across M slabs rather than along M-long rows.
     """
     base, pair = _split(terms, k, M)
     size = np.abs(terms[0])  # G holds each pair block twice: halve its share
     tol = 1e-9 * max(1.0, float(size[: k * M].sum() + 0.5 * size[k * M :].sum()))
     others = _user_indices(k, M)[0]
+    by_n = np.moveaxis(pair, 4, 0).copy()  # (M, 2, k, M, k-1)
     alive, count = np.ones((k, M), dtype=bool), k * M
     while True:
-        cols = alive[others][:, None]  # the alive messages of each other user
-        lo, neg_hi = base + np.min(pair, axis=4, where=cols, initial=np.inf).sum(axis=3)
+        # cols[n, 0, i, 0, s]: message n of the s-th user other than i is alive
+        cols = alive[others].transpose(2, 0, 1)[:, None, :, None]
+        lo, neg_hi = base + np.where(cols, by_n, np.inf).min(axis=0).sum(axis=3)
         alive = lo <= (tol - neg_hi.max(axis=1))[:, None]
         left = np.count_nonzero(alive)
         if left == count or k == 1:  # one user's bounds read no other user's messages
@@ -203,11 +210,12 @@ def decode_joint_ml(
             f"M^|active| = {M}^{k} exceeds the tuple budget of {budget}"
         )
     Y_msg = np.asarray(Y_msg, dtype=float)
-    words = [plan.codebooks[i].words[1:] for i in active]  # (M, n_msg) each
+    books = [plan.codebooks[i] for i in active]
+    words = [b.words[1:] for b in books]  # (M, n_msg) each
     if any(w.shape[1] != len(Y_msg) for w in words):
         raise ValueError("codeword length does not match received message block")
 
-    terms = _gram_terms(words, Y_msg)
+    terms = _gram_terms(words, [b.energies[1:] for b in books], Y_msg)
     alive = _dead_end_elimination(terms, k, M)
     sizes = alive.sum(axis=1)
     flat = np.flatnonzero(alive)  # i*M + w - 1 of every survivor, user after user

@@ -137,8 +137,9 @@ def detect_ls_exhaustive(
         )
     if not np.isfinite(Y_sig).all():
         raise ValueError("received signature block is not finite")
-    gram = S.matrix.T @ S.matrix
-    corr = S.matrix.T @ Y_sig
+    rows = S.matrix.T  # (ell, n_sig): the signatures as drawn
+    gram = rows @ rows.T
+    corr = rows @ Y_sig
     base = float(Y_sig @ Y_sig)
     scale = base + 2.0 * float(np.abs(corr).sum()) + float(np.abs(gram).sum())
     cands = _surviving_supports(gram, corr, min(v, S.ell), 1e-9 * max(1.0, scale))

@@ -23,16 +23,42 @@ def binary_entropy(p: float) -> float:
     return -p * math.log(p) - (1.0 - p) * math.log(1.0 - p)
 
 
+# _LOG1P_SUMS[n][k] = sum_{i<k} log1p(-i/n): log_binomial's running sums,
+# shared by every k of one n, since a decode budget asks for C(k', j) at
+# every j.  A kept list is never changed, only replaced by a longer one;
+# every kept list is a correct prefix, so threads growing the same n at
+# once only repeat work.
+_LOG1P_SUMS: dict[int, list[float]] = {}
+_LOG1P_SUMS_KEPT = 256  # distinct n; past it the sums start afresh
+
+
+def _log1p_sum(n: int, k: int) -> float:
+    """sum_{i<k} log1p(-i/n), added in order of i, for 0 <= k <= n // 2.
+    The kept sums at least double when they grow, so all the k of one n
+    cost O(max k) log1p calls."""
+    sums = _LOG1P_SUMS.get(n, [0.0])
+    if k >= len(sums):
+        sums = sums.copy()
+        for i in range(len(sums) - 1, max(k, min(2 * len(sums), n // 2 + 1) - 1)):
+            sums.append(sums[-1] + math.log1p(-i / n))
+        if len(_LOG1P_SUMS) >= _LOG1P_SUMS_KEPT:
+            _LOG1P_SUMS.clear()
+        _LOG1P_SUMS[n] = sums
+    return sums[k]
+
+
 def log_binomial(n: int, k: int) -> float:
     """ln C(n, k) = k ln n + sum_{i<k} log1p(-i/n) - ln k!, with k taken as
     min(k, n - k).  No two large terms cancel, so the result keeps about
-    k ulps of ln n however large n is; the cost is O(min(k, n - k))."""
+    k ulps of ln n however large n is.  The sum is added in order of i
+    and shared across k (_log1p_sum): O(min(k, n - k)) for the first k
+    of an n, O(1) for a smaller one."""
     if not 0 <= k <= n:
         raise ValueError(f"need 0 <= k <= n, got k = {k}, n = {n}")
     k = min(k, n - k)
     if k == 0:  # also n = 0, where ln n is undefined
         return 0.0
-    return k * math.log(n) + sum(math.log1p(-i / n) for i in range(k)) - math.lgamma(k + 1)
+    return k * math.log(n) + _log1p_sum(n, k) - math.lgamma(k + 1)
 
 
 def activity_logpmf(j: int, ell: int, alpha: float) -> float:

@@ -6,7 +6,9 @@ Substreams are derived by a SplitMix64 hash of (seed, index path): a
 trial's stream from (master seed, trial index), and user i's codebook
 within a trial from (codebook key, i), the key being one 64-bit word of
 the trial stream.  Any run is therefore reproducible from the master
-seed alone.  Conformance of both pieces is pinned by test vectors in
+seed alone.  A generator may be re-keyed in place to another 64-bit
+key, which costs far less than building a new one and gives the same
+bytes.  Conformance of both pieces is pinned by test vectors in
 tests/test_rng.py.
 """
 
@@ -44,3 +46,18 @@ def make_rng(seed: int) -> np.random.Generator:
 def substream(master_seed: int, *indices: int) -> np.random.Generator:
     """Generator for the substream addressed by the given index path."""
     return make_rng(mix_seed(master_seed, *indices))
+
+
+def rekey(rng: np.random.Generator, seed: int) -> np.random.Generator:
+    """Reset a make_rng generator in place to the stream of make_rng(seed):
+    the key, a zero counter and an empty output buffer.  Returns rng."""
+    rng.bit_generator.state = {
+        "bit_generator": "Philox",
+        "state": {"counter": np.zeros(4, dtype=np.uint64),
+                  "key": np.array([seed & _MASK64, 0], dtype=np.uint64)},
+        "buffer": np.zeros(4, dtype=np.uint64),
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+    return rng

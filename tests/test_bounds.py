@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from manyaccess import bounds
+from manyaccess import bounds, model
 from manyaccess.codebooks import mu_exact
 from manyaccess.decoding import BoundParams
 from manyaccess.model import RateSpec, SystemParams, make_joint_schedule
@@ -86,6 +86,39 @@ class TestDecodeBudget:
         ]
         assert rep.value == pytest.approx(sum(parts), rel=1e-12)
         recompute_from_terms(rep, lambda t: sum(t.values()))
+
+    def test_linear_in_active_count(self, monkeypatch):
+        # the k' binomials share one running log1p sum: O(k') log1p calls,
+        # where one sum per binomial makes about k'^2/4
+        calls = []
+        log1p = math.log1p
+
+        def counting_log1p(x):
+            calls.append(x)
+            return log1p(x)
+
+        monkeypatch.setattr(model, "_LOG1P_SUMS", {})
+        monkeypatch.setattr(math, "log1p", counting_log1p)
+        bounds.decode_error_budget(0.75, 4, 3000, 12.0, 300, 2.0, 0.95)
+        assert len(calls) <= 3 * 3000
+
+    @pytest.mark.parametrize("k_active", [1, 2, 7, 50, 3000])
+    def test_binomials_are_the_sequential_sums(self, monkeypatch, k_active):
+        # each term's log_binomial is bitwise k ln n + (log1p terms added
+        # one after another in order) - ln k!, whatever was asked before
+        def sequential(n, k):
+            k = min(k, n - k)
+            acc = 0.0
+            for i in range(k):
+                acc += math.log1p(-i / n)
+            return k * math.log(n) + acc - math.lgamma(k + 1) if k else 0.0
+
+        monkeypatch.setattr(model, "_LOG1P_SUMS", {})
+        want = [sequential(k_active, j) for j in range(1, k_active + 1)]
+        for order in (range(k_active, 0, -1), range(1, k_active + 1)):
+            for j in order:
+                rep = bounds.pr_type_error_ub(j / k_active, 0.75, 4, k_active, 12.0, 300, 2.0, 0.95)
+                assert rep.terms["log_binomial"] == want[j - 1], j
 
 
 class TestFMsg:

@@ -109,6 +109,22 @@ class TestJointCodebooks:
         assert read(range(params.ell))[3] == alone
         assert read(reversed(range(params.ell))) == read(range(params.ell))
 
+    def test_rekeyed_books_match_substreams_in_any_read_order(self, joint_setup):
+        # the plan re-keys one generator per book: every book must still
+        # carry substream(key, i)'s bytes, whatever was read before it
+        params, sched, _ = joint_setup
+        rng = make_rng(10)
+        gen_signatures(params.ell, sched.n_sig, sched.E_sig, rng)
+        key = int(rng.integers(0, 1 << 64, dtype=np.uint64))
+        want = [gen_codebook(4, sched.n_msg, sched.E_msg, substream(key, i)) for i in range(params.ell)]
+        order_rng = make_rng(77)
+        for _ in range(8):
+            plan = make_joint_plan(params, sched, 4, make_rng(10))
+            for i in order_rng.permutation(params.ell)[: 1 + int(order_rng.integers(params.ell))]:
+                book = plan.codebooks[int(i)]
+                assert book.words.tobytes() == want[i].words.tobytes()
+                assert book.energies.tobytes() == want[i].energies.tobytes()
+
     def test_books_are_cached_and_read_only(self, joint_setup):
         params, _, plan = joint_setup
         assert len(plan.codebooks) == params.ell
@@ -162,6 +178,13 @@ class TestAwgn:
         assert abs(noise.mean()) <= 3.0 * math.sqrt(1.0 / n)
         var_sigma = math.sqrt(2.0 / n)  # var of sample variance of N(0,1)
         assert abs(noise.var() - 1.0) <= 3.0 * var_sigma
+
+    def test_noise_bytes(self):
+        # the noise is scaled and added in place: the same bytes as
+        # signal + z * sqrt(N0/2)
+        x = make_rng(4).standard_normal(257)
+        z = make_rng(5).standard_normal(257)
+        assert awgn(x, 3.0, make_rng(5)).tobytes() == (x + z * np.sqrt(1.5)).tobytes()
 
     def test_seed_determinism(self):
         x = np.ones(32)

@@ -63,6 +63,7 @@ def test_draws_match_normal_reference_bytes(count, length):
         assert book.words[1:].tobytes() == ref.tobytes()
         sigs = gen_signatures(count, length, 3.0, make_rng(seed))
         assert sigs.matrix.tobytes() == ref.T.copy().tobytes()
+        assert sigs.matrix.T.flags.c_contiguous  # the rows as drawn, not a copy
     if length <= 8:
         assert rounds > 0  # the redraw path ran
 
@@ -99,14 +100,15 @@ def test_in_place_draws_match_two_step_bytes(length):
     assert rounds >= 20
 
 
-def test_signature_matrix_is_c_contiguous():
-    # detection reads S.T @ Y and transmit S @ d; on a transposed view of
-    # the drawn rows instead of a copy, both products round differently
-    # (S.T @ Y in each of 200 random (2048, 16) draws, S @ d in over half),
-    # and every joint CSV would move
-    sm = gen_signatures(16, 2048, 3.0, make_rng(6))
-    assert sm.matrix.flags.c_contiguous
-    assert gen_signatures(1, 5, 3.0, make_rng(6)).matrix.flags.c_contiguous
+@pytest.mark.parametrize("length", [1, 3, 2048, 10000])
+def test_book_energies_are_the_row_energies(length):
+    # the energies kept from the rejection test, redrawn rows included,
+    # are bitwise the squared norms of the finished words
+    for seed in range(10):
+        book = gen_codebook(2 + seed, length, 1.5, make_rng(seed))
+        assert book.energies.tobytes() == np.einsum("ij,ij->i", book.words, book.words).tobytes()
+    ppm = gen_ppm_codebook(4, 6, 2.0, 0.3)
+    assert ppm.energies.tobytes() == np.einsum("ij,ij->i", ppm.words, ppm.words).tobytes()
 
 
 class TestCodebook:

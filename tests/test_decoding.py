@@ -262,7 +262,7 @@ class TestPrunedSearchAgainstDense:
     def test_rounds_match_per_user_oracle(self, k, M, case, seed):
         plan, active, Y = _decode_case(k, M, case, seed)
         words = [plan.codebooks[i].words[1:] for i in active]
-        terms = _gram_terms(words, Y)
+        terms = _gram_terms(words, [plan.codebooks[i].energies[1:] for i in active], Y)
         (U, neg_U), (G, neg_G) = _split(terms, k, M)
         # the terms are the per-user and per-pair expressions, bit for bit
         unary = [np.einsum("mj,mj->m", w, w) - 2.0 * (w @ Y) for w in words]
@@ -283,8 +283,9 @@ class TestPrunedSearchAgainstDense:
         for seed in range(60):
             k, M, case = 2 + seed % 3, 2 + seed % 4, ("short", "ties")[seed % 2]
             plan, active, Y = _decode_case(k, M, case, seed)
-            words = [plan.codebooks[i].words[1:] for i in active]
-            spanned += int(_dead_end_elimination(_gram_terms(words, Y), k, M).all(axis=1).prod())
+            books = [plan.codebooks[i] for i in active]
+            terms = _gram_terms([b.words[1:] for b in books], [b.energies[1:] for b in books], Y)
+            spanned += int(_dead_end_elimination(terms, k, M).all(axis=1).prod())
             assert decode_joint_ml(Y, plan, active) == dense_joint_ml(Y, plan, active)
         assert spanned > 10  # grids that kept every tuple
 
@@ -308,7 +309,7 @@ class TestPrunedSearchAgainstDense:
                 cross = 2.0 * (words[i] @ words[j].T)
                 grid += cross.reshape((M,) + (1,) * (j - i - 1) + (M,) + (1,) * (k - 1 - j))
         g = np.indices((M,) * k).reshape(k, -1) + M * np.arange(k)[:, None]
-        terms = _gram_terms(words, Y)
+        terms = _gram_terms(words, [plan.codebooks[i].energies[1:] for i in active], Y)
         assert np.array_equal(_objectives(terms, g, k, M), grid.ravel())
         # one tuple at a time, where a reduction would run down the terms
         for t in range(0, g.shape[1], 7):
@@ -318,7 +319,8 @@ class TestPrunedSearchAgainstDense:
         # equal-energy length-2 words: the pair terms span +-2E and swamp the
         # unary spread, so every message survives and the grid is the full one
         words = _circle_words(make_rng(5), 4, 6)
-        assert _dead_end_elimination(_gram_terms(words, np.zeros(2)), 4, 6).all()
+        energies = [np.einsum("mj,mj->m", w, w) for w in words]
+        assert _dead_end_elimination(_gram_terms(words, energies, np.zeros(2)), 4, 6).all()
 
     def test_k7_peak_memory_far_below_dense_grid(self):
         # the dense 10^7-cell float64 grid alone is 80 MB
@@ -349,6 +351,25 @@ def test_joint_n4096_trials_csv_pinned(tmp_path):
     write_trials_csv(path, estimate_error(cfg).records)
     digest = hashlib.sha256(path.read_bytes()).hexdigest()
     assert digest == "33066d75a87aa712cda2b4d006fa571d0fd712d9dfc0fcb051a46556d8987f98"
+
+
+@pytest.mark.parametrize("n,seed,digest", [
+    (256, 1111, "053dba4bf8e65e7ab2478d4bb5c27b19b87a933f6d9a7fc7b6658a3751d6e538"),
+    (1024, 1112, "ec6b99634ceffe204f9c7ab386687f9f23803fecd989885dc13224537c50458b"),
+], ids=["n256", "n1024"])
+def test_growth_point_trials_csv_pinned(tmp_path, n, seed, digest):
+    # the first 200 trials of criterion 11's points at n = 256 and 1024
+    # (seeds 1111, 1112), computed with C-contiguous (n_sig, ell)
+    # signatures: reading the drawn rows rounds S^T Y and S d differently
+    # in the last bit, and no decision may move
+    ell = math.ceil(n ** (1 / 3))
+    params = SystemParams(n=n, ell=ell, alpha=2.0 / ell, N0=2.0)
+    M = max(2, round(math.exp(0.125 * make_joint_schedule(params, 0.5).E)))
+    cfg = ExperimentConfig(scheme="joint", params=params, split=0.5, M=M,
+                           bp=BoundParams(xi=8), trials=200, master_seed=seed)
+    path = tmp_path / "trials.csv"
+    write_trials_csv(path, estimate_error(cfg).records)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
 
 def test_ortho_l1024_trials_csv_pinned(tmp_path):

@@ -85,12 +85,13 @@ class TestRunTrial:
 
     def test_draws_only_the_books_it_reads(self, monkeypatch):
         # a trial draws user i's book once, and only for the users it
-        # transmits for (active) or decodes (detected)
+        # transmits for (active) or decodes (detected); the plan re-keys
+        # its generator to mix_seed(key, i) for each book it draws
         users = []
 
-        def recording_substream(key, i):
+        def recording_mix_seed(key, i):
             users.append(i)
-            return substream(key, i)
+            return mix_seed(key, i)
 
         calls = []
 
@@ -98,7 +99,7 @@ class TestRunTrial:
             calls.append(args)
             return gen_codebook(*args)
 
-        monkeypatch.setattr(channel, "substream", recording_substream)
+        monkeypatch.setattr(channel, "mix_seed", recording_mix_seed)
         monkeypatch.setattr(channel, "gen_codebook", counting_gen_codebook)
         for i in range(40):
             users.clear()

@@ -7,7 +7,7 @@ reference output.
 
 import numpy as np
 
-from manyaccess.rng import make_rng, mix_seed, splitmix64, substream
+from manyaccess.rng import make_rng, mix_seed, rekey, splitmix64, substream
 
 SPLITMIX64_VECTORS = {
     0x0000000000000000: 0xE220A8397B1DCDAF,
@@ -56,3 +56,17 @@ def test_substreams_are_distinct_and_reproducible():
 
 def test_make_rng_streams_match_for_equal_seeds():
     assert np.array_equal(make_rng(7).random(16), make_rng(7).random(16))
+
+
+def test_rekey_gives_the_bytes_of_a_fresh_generator():
+    # whatever the generator drew before (whole words, a buffered half
+    # word, normals), re-keying restarts it at make_rng(seed)'s stream
+    rng = make_rng(1)
+    for i, seed in enumerate([0, 5, mix_seed(3, 2), (1 << 64) - 1, 1 << 64]):
+        rng.integers(0, 1 << 32, size=i + 1, dtype=np.uint32)
+        rng.standard_normal(i)
+        assert rekey(rng, seed) is rng
+        assert rng.integers(0, 1 << 32, size=3, dtype=np.uint32).tobytes() == (
+            make_rng(seed).integers(0, 1 << 32, size=3, dtype=np.uint32).tobytes())
+        rekey(rng, seed)
+        assert rng.standard_normal(9).tobytes() == make_rng(seed).standard_normal(9).tobytes()
