@@ -29,6 +29,20 @@ whatever their size or sign.  Verify keeps only the pairs that two or
 more rows of a run hold, which leaves a weight-1 class over a wide
 alphabet ell columns wide.  Each one-hot or distance table holds at most
 _TABLE entries; a cell's Gram blocks take _BLOCK rows at a time.
+
+Verify bounds its work by the type, not only by the cell size.  Two
+members x, y differ in at most min(ell, w_x + w_y, r_x + r_y), w the
+number of nonzero entries and r the distance to a pivot (the cell's
+center, or its first member).  A cell larger than one Gram block is
+scanned with its rows in descending order of r: the scan ends once it
+finds a pair at the cell's cap, and skips a block whose two leading radii
+sum to no more than the largest distance found so far.  Every diameter
+stays exact; (13,15,3), 965 250 members in 22 cells of up to 133 745,
+verifies in about 1.6 s on 2 vCPUs, against about 2 minutes for the
+all-pairs scan.  A cell whose diameter is below every cap still takes all
+its pairs.  The cover is counted, not compared with a fresh enumeration:
+distinct rows, each in {0..M}^ell with t nonzero entries, as many as the
+class has, are the class.
 """
 
 import json
@@ -122,26 +136,43 @@ def _encode_shared(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def _gram_blocks(x: np.ndarray):
+def _gram_blocks(x: np.ndarray, skip=None):
     """Agreements of each _BLOCK rows of x with themselves and every later
     row, in Gram blocks of at most _TABLE entries, each with whether it
-    holds the block's diagonal, where a row meets itself."""
+    holds the block's diagonal, where a row meets itself.  A block whose
+    first row and first column s, c give skip(s, c) true is not computed."""
     # at least _BLOCK columns, so a block's diagonal lies in its first table
     width = max(_BLOCK, _rows_per_table(_BLOCK))
     for s in range(0, len(x), _BLOCK):
         for c in range(s, len(x), width):
-            yield x[s : s + _BLOCK] @ x[c : c + width].T, c == s
+            if skip is None or not skip(s, c):
+                yield x[s : s + _BLOCK] @ x[c : c + width].T, c == s
 
 
-def _diameter(x: np.ndarray, ell: int) -> int:
+def _diameter(x: np.ndarray, ell: int, cap: int, radius=None) -> int:
     """Largest distance between two rows of x, one-hot over the pairs two
     rows share: ell minus their fewest agreements; 0 for fewer than two.
     A row meets itself in ell minus the pairs no other row holds, and it
     differs from every other row at those positions, so no diagonal entry
-    is below the least off-diagonal one."""
+    is below the least off-diagonal one.
+
+    The scan ends once it reaches `cap`, a bound on every distance in x.
+    `radius`, non-increasing, holds each row's distance to one pivot, so
+    two rows differ in at most the sum of their radii, and a block whose
+    first row and first column sum to no more than the largest distance
+    found so far is skipped: the result stays exact."""
     if len(x) < 2:
         return 0
-    return ell - int(min(agree.min() for agree, _ in _gram_blocks(x)))
+    best = 0
+
+    def beaten(s, c):
+        return radius[s] + radius[c] <= best
+
+    for agree, _ in _gram_blocks(x, None if radius is None else beaten):
+        best = max(best, ell - int(agree.min()))
+        if best >= cap:
+            break
+    return best
 
 
 def _min_distance(x: np.ndarray, ell: int) -> int:
@@ -155,18 +186,45 @@ def _min_distance(x: np.ndarray, ell: int) -> int:
     return ell - int(most)
 
 
-def _diameters(rows: np.ndarray, sizes, ell: int, run: int) -> tuple[int, ...]:
+def _diameters(p: "Partition", run: int) -> tuple[int, ...]:
     """Each cell's diameter.  The cells that start within the same `run`
     rows are encoded together, so a run holds at most `run` rows beside its
-    largest cell."""
+    largest cell.
+
+    A cell of more than _BLOCK rows, so more than one Gram block, is
+    scanned in descending order of each row's distance r to a pivot: its
+    center when `center_rows` has one per cell in a dtype the rows hold,
+    else its first member.  Two members x, y differ in at most
+    min(ell, w_x + w_y, r_x + r_y), w the number of nonzero entries, so
+    the cell's cap is ell, its two largest weights or its two largest
+    radii summed, whichever is least."""
+    ell, rows = p.ell, p.rows
+    sizes = np.asarray(p.sizes, dtype=np.intp)
     ends = np.cumsum(sizes, dtype=np.intp)
     starts = ends - sizes
+    caps = [ell] * len(sizes)
+    radii = {}
+    big = np.flatnonzero(sizes > _BLOCK)
+    if len(big):
+        rows = rows.copy()
+        centers = len(p.center_rows) == len(sizes) and np.can_cast(p.center_rows.dtype, rows.dtype)
+        for c in big.tolist():
+            cell = rows[starts[c] : ends[c]]
+            r = np.count_nonzero(cell != (p.center_rows[c] if centers else cell[0]), axis=1)
+            order = np.argsort(-r, kind="stable")
+            cell[:] = cell[order]
+            radii[c] = r = r[order]
+            w = np.sort(np.count_nonzero(cell, axis=1))
+            caps[c] = min(ell, int(w[-2] + w[-1]), int(r[0] + r[1]))
     out: list[int] = []
     for cells in np.split(np.arange(len(sizes)), np.flatnonzero(np.diff(starts // run)) + 1):
         if len(cells):
             a = starts[cells[0]]
             x = _encode_shared(rows[a : ends[cells[-1]]])
-            out.extend(_diameter(x[starts[c] - a : ends[c] - a], ell) for c in cells)
+            out.extend(
+                _diameter(x[starts[c] - a : ends[c] - a], ell, caps[c], radii.get(c))
+                for c in cells.tolist()
+            )
     return tuple(out)
 
 
@@ -201,10 +259,9 @@ def type_class_size(ell: int, M: int, t: int) -> int:
     return math.comb(ell, t) * M**t
 
 
-def enumerate_type_class(
-    ell: int, M: int, t: int, budget: int = DEFAULT_ENUM_BUDGET
-) -> TypeClass:
-    """Enumerate the class in lexicographic order of the message vectors."""
+def _budgeted_size(ell: int, M: int, t: int, budget: int) -> int:
+    """The class size, after checking that the class exists (ValueError)
+    and is within the enumeration budget (ComplexityBudgetError)."""
     if not 0 <= t <= ell:
         raise ValueError(f"weight must be in 0..{ell}, got {t}")
     if M < 1:
@@ -212,6 +269,14 @@ def enumerate_type_class(
     size = type_class_size(ell, M, t)
     if size > budget:
         raise ComplexityBudgetError(f"type class size {size} exceeds the budget {budget}")
+    return size
+
+
+def enumerate_type_class(
+    ell: int, M: int, t: int, budget: int = DEFAULT_ENUM_BUDGET
+) -> TypeClass:
+    """Enumerate the class in lexicographic order of the message vectors."""
+    size = _budgeted_size(ell, M, t, budget)
     dtype = np.min_scalar_type(M)
     supports = np.array(list(combinations(range(ell), t)), dtype=np.intp)
     supports = supports.reshape(math.comb(ell, t), t)
@@ -381,17 +446,23 @@ class PartitionReport:
 def verify_partition(p: Partition, ell: int) -> PartitionReport:
     """Check disjoint cover, |cell| >= ell+1, and diameter <= 8.
 
-    Failures are carried in the report, not raised.  The members, sorted,
-    are compared row by row with a freshly enumerated class: equal
-    neighbours mean a member in two places, and a member with a value
-    outside 0..M is never covered.  Distances come from a one-hot encoding
-    of the partition's own members, not from the one build used."""
+    Failures are carried in the report, not raised; a class that does not
+    exist, or is beyond the enumeration budget, raises as
+    enumerate_type_class does.  The members, sorted, show a member in two
+    places as equal neighbours.  They cover the class when they are as
+    many as it has, each in {0..M}^ell with exactly t nonzero entries, and
+    no two equal.  Distances come from a one-hot encoding of the
+    partition's own members, not from the one build used."""
+    size = _budgeted_size(p.ell, p.M, p.t, DEFAULT_ENUM_BUDGET)
     sizes = p.sizes
     s = _lex_sorted(p.rows)
     disjoint = not (s[1:] == s[:-1]).all(axis=1).any()
-    full = enumerate_type_class(p.ell, p.M, p.t).rows
-    cover = s.shape == full.shape and bool((s == full).all())
-    diameters = _diameters(p.rows, sizes, p.ell, _rows_per_table(p.ell * (p.M + 1)))
+    cover = (
+        len(s) == size
+        and bool(((s >= 0) & (s <= p.M)).all())
+        and bool((np.count_nonzero(s, axis=1) == p.t).all())
+    )
+    diameters = _diameters(p, _rows_per_table(p.ell * (p.M + 1)))
     center_d = (
         _min_distance(_encode_shared(p.center_rows), p.ell) if len(p.center_rows) > 1 else None
     )
@@ -425,15 +496,37 @@ def typeclass_probability(ell: int, M: int, t: int, alpha: float) -> float:
     return math.exp(activity_logpmf(t, ell, alpha))
 
 
+def _json_list(items: list[str], depth: int) -> str:
+    """Items already in JSON as json.dumps(..., indent=2) lists them
+    `depth` lists deep."""
+    if not items:
+        return "[]"
+    pad = "\n" + "  " * depth
+    return "[" + pad + "  " + ("," + pad + "  ").join(items) + pad + "]"
+
+
+def _json_rows(x: np.ndarray, depth: int) -> str:
+    """The integer rows of x as json.dumps(x.tolist(), indent=2) writes
+    them `depth` lists deep, in one %-format over every entry."""
+    row = _json_list(["%d"] * x.shape[1], depth + 1)
+    return _json_list([row] * len(x), depth) % tuple(x.ravel().tolist())
+
+
 def partition_to_json(p: Partition, report: PartitionReport) -> str:
-    """Dump a partition and its verification report as JSON."""
+    """Dump a partition and its verification report as JSON, the text of
+    json.dumps(payload, indent=2).  The integer rows are formatted
+    directly: json's indenting encoder is pure Python, a call per entry."""
+    arrays = {
+        '"@centers"': _json_rows(p.center_rows, 1),
+        '"@sets"': _json_list([_json_rows(cell, 2) for cell in _split(p.rows, p.sizes)], 1),
+    }
     payload = {
         "ell": p.ell,
         "M": p.M,
         "t": p.t,
         "num_sets": p.num_sets,
-        "centers": p.center_rows.tolist(),
-        "sets": [cell.tolist() for cell in _split(p.rows, p.sizes)],
+        "centers": "@centers",
+        "sets": "@sets",
         "report": {
             "disjoint_cover": report.disjoint_cover,
             "min_set_size": report.min_set_size,
@@ -442,4 +535,7 @@ def partition_to_json(p: Partition, report: PartitionReport) -> str:
             "ok": report.ok,
         },
     }
-    return json.dumps(payload, indent=2)
+    text = json.dumps(payload, indent=2)
+    for marker, rows in arrays.items():
+        text = text.replace(marker, rows, 1)
+    return text

@@ -275,11 +275,16 @@ KERNEL_VALUES = st.sampled_from([-1, 0, 1, 2, 255, 256, 2**40])
 
 
 @st.composite
-def hand_built(draw):
+def hand_built(draw, centered=False):
+    """A partition of arbitrary members; with `centered`, one center per
+    cell, which the diameter scan of a large cell takes as its pivot."""
     ell = draw(st.integers(min_value=1, max_value=9))
     member = st.tuples(*[KERNEL_VALUES] * ell)
     cells = draw(st.lists(st.lists(member, max_size=6), max_size=4))
-    centers = draw(st.lists(member, max_size=5))
+    if centered:
+        centers = draw(st.lists(member, min_size=len(cells), max_size=len(cells)))
+    else:
+        centers = draw(st.lists(member, max_size=5))
     M = draw(st.integers(min_value=1, max_value=3))
     t = draw(st.integers(min_value=0, max_value=min(ell, 3)))
     return Partition.from_sets(ell, M, t, centers=centers, sets=cells)
@@ -327,14 +332,90 @@ class TestDistanceKernel:
     @pytest.mark.parametrize("ell,M,t", [(6, 3, 3), (6, 3, 5), (8, 2, 5)])
     def test_small_tables_same_partition(self, ell, M, t, monkeypatch):
         # every table a few rows: the greedy code and the ownership cross
-        # block boundaries, and each cell takes many Gram blocks
+        # block boundaries, and each cell of more than 16 members takes the
+        # capped, radius-ordered scan over many Gram blocks
         monkeypatch.setattr(partition_module, "_TABLE", 100)
+        monkeypatch.setattr(partition_module, "_BLOCK", 16)
         p = build_partition(ell, M, t)
         payload = partition_to_json(p, verify_partition(p, ell))
         assert hashlib.sha256(payload.encode()).hexdigest() == CRITERION_08_DIGESTS[ell, M, t]
         tc = enumerate_type_class(ell, M, t)
         for dmin in (2, 4, 6):
             assert as_tuples(greedy_min_dist_code(tc, dmin)) == oracle_greedy_code(tc, dmin)
+
+
+def _count_gram_blocks(monkeypatch):
+    """A one-element list that counts every Gram product computed from now."""
+    count = [0]
+    blocks = partition_module._gram_blocks
+
+    def counted(*args):
+        for block in blocks(*args):
+            count[0] += 1
+            yield block
+
+    monkeypatch.setattr(partition_module, "_gram_blocks", counted)
+    return count
+
+
+def _small_blocks(mp):
+    """Gram blocks of 2 rows by 2 columns, so a cell of 3 or more members
+    takes the capped, radius-ordered scan and spans several blocks."""
+    mp.setattr(partition_module, "_BLOCK", 2)
+    mp.setattr(partition_module, "_TABLE", 4)
+
+
+class TestCappedScan:
+    def test_fewer_gram_products(self, monkeypatch):
+        # the all-pairs scan of the same class computes 28 products
+        count = _count_gram_blocks(monkeypatch)
+        p = build_partition(7, 3, 5)
+        payload = partition_to_json(p, verify_partition(p, 7))
+        assert hashlib.sha256(payload.encode()).hexdigest() == CRITERION_08_DIGESTS[7, 3, 5]
+        assert count[0] < 28
+
+    def test_diameter_below_every_cap(self, monkeypatch):
+        # every member has weight 3 and lies at distance 6 from the center,
+        # so the caps read min(8, 3 + 3, 6 + 6) = 6 against a diameter of
+        # 3: no block can be skipped or cut, the quadratic worst case
+        _small_blocks(monkeypatch)
+        cell = [(a, b, c, 0, 0, 0, 0, 0) for a, b, c in product((1, 2), repeat=3)]
+        p = Partition.from_sets(8, 2, 3, centers=[(0, 0, 0, 0, 0, 1, 1, 1)], sets=[cell])
+        count = _count_gram_blocks(monkeypatch)
+        rep = verify_partition(p, 8)
+        assert rep == oracle_verify(p, 8) and rep.set_diameters == (3,)
+        # row blocks of 2 against every later column block of 2: 4+3+2+1
+        assert count[0] == 10
+
+    def test_only_diameter_pair_in_last_block(self, monkeypatch):
+        # a and b, the only pair at distance 4, are nearest the center 0
+        # (radius 2 against 3), so the radius order puts them last, in the
+        # last row block; every other pair is at distance 3 or less
+        _small_blocks(monkeypatch)
+        a, b = (1, 1, 0, 0, 0, 0, 0, 0), (0, 0, 1, 1, 0, 0, 0, 0)
+        fill = [(1, 1, 1, 0, 0, 0, 0, 0), (1, 0, 1, 1, 0, 0, 0, 0),
+                (0, 1, 1, 1, 0, 0, 0, 0), (1, 1, 0, 1, 0, 0, 0, 0)]
+        p = Partition.from_sets(8, 1, 2, centers=[(0,) * 8], sets=[[a, b] + fill])
+        rep = verify_partition(p, 8)
+        assert rep == oracle_verify(p, 8) and rep.set_diameters == (4,)
+
+    def test_farthest_pair_given_last(self, monkeypatch):
+        # a and b lie at radius 4 from the center 0, the rest at radius 1;
+        # given last, they must be moved first, or the blocks that hold
+        # them would read as radius 1 + 1 and be skipped
+        _small_blocks(monkeypatch)
+        a, b = (1, 1, 1, 1, 0, 0, 0, 0), (0, 0, 0, 0, 1, 1, 1, 1)
+        near = [tuple(int(j == i) for j in range(8)) for i in (0, 1, 4, 5)]
+        p = Partition.from_sets(8, 1, 2, centers=[(0,) * 8], sets=[near + [a, b]])
+        rep = verify_partition(p, 8)
+        assert rep == oracle_verify(p, 8) and rep.set_diameters == (8,)
+
+    @given(st.one_of(hand_built(), hand_built(centered=True)))
+    @settings(max_examples=150, deadline=None)
+    def test_hand_built_against_oracle_small_blocks(self, p):
+        with pytest.MonkeyPatch.context() as mp:
+            _small_blocks(mp)
+            assert verify_partition(p, p.ell) == oracle_verify(p, p.ell)
 
 
 class TestPartitionArrays:
@@ -409,6 +490,51 @@ class TestBadPartitionsAgainstOracle:
             verify_partition(_edited(good, lambda c: c[0].append((1, 1, 1))), 6)
         with pytest.raises(ValueError):
             verify_partition(_edited(good, lambda c: c.append([(1, 1, 1)])), 6)
+
+
+class TestCountedCover:
+    """Rows as many as the class has, distinct, each in {0..M}^ell with t
+    nonzero entries, are the class; each case below breaks one of these."""
+
+    @pytest.fixture
+    def good(self):
+        return build_partition(6, 2, 3)
+
+    def test_duplicate_beside_missing_member(self, good):
+        def edit(cells):
+            cells[0][-1] = cells[1][0]
+
+        bad = _edited(good, edit)
+        assert len(bad.rows) == type_class_size(6, 2, 3)
+        rep = verify_partition(bad, 6)
+        assert rep == oracle_verify(bad, 6) and not rep.disjoint_cover
+
+    @pytest.mark.parametrize(
+        "new",
+        [(1, 1, 0, 0, 0, 0), (3, 1, 1, 0, 0, 0), (-1, 1, 1, 0, 0, 0)],
+        ids=["weight_t_minus_1", "value_M_plus_1", "negative_value"],
+    )
+    def test_row_outside_class(self, good, new):
+        def edit(cells):
+            cells[0][-1] = new
+
+        bad = _edited(good, edit)
+        assert len(bad.rows) == type_class_size(6, 2, 3)
+        rep = verify_partition(bad, 6)
+        assert rep == oracle_verify(bad, 6) and not rep.disjoint_cover
+
+    @pytest.mark.parametrize("M,t", [(2, -1), (2, 7), (0, 3)])
+    def test_class_that_does_not_exist_raises(self, good, M, t):
+        p = Partition.from_sets(6, M, t, centers=good.centers, sets=good.sets)
+        with pytest.raises(ValueError):
+            verify_partition(p, 6)
+
+    def test_class_over_budget_raises(self):
+        # two members of a class of C(20, 10) 3^10, about 1.1e10
+        a, b = (1,) * 10 + (0,) * 10, (0,) * 10 + (1,) * 10
+        p = Partition.from_sets(20, 3, 10, centers=[a], sets=[[a, b]])
+        with pytest.raises(ComplexityBudgetError):
+            verify_partition(p, 20)
 
 
 class TestMemberValues:
