@@ -21,14 +21,12 @@ Every Hamming distance table is one BLAS product.  A vector is encoded
 one-hot over its (position, value) pairs, ell x (distinct values) float32
 columns, so two vectors agree in <onehot(a), onehot(b)> positions and
 d(a, b) = ell - <onehot(a), onehot(b)>.  Each sum counts at most ell
-ones, far below 2^24, so float32 holds it exactly.  No table is built for
-a whole class: build encodes the class with the values 0..M a block of
-rows at a time, and verify encodes runs of consecutive cells over the
-distinct values they hold (np.unique), so no two values share a column
-whatever their size or sign.  Verify keeps only the pairs that two or
-more rows of a run hold, which leaves a weight-1 class over a wide
-alphabet ell columns wide.  Each one-hot or distance table holds at most
-_TABLE entries; a cell's Gram blocks take _BLOCK rows at a time.
+ones, far below 2^24, so float32 holds it exactly.  One encoder serves
+both sides, a block of rows at a time: build encodes the class over the
+values 0..M, and verify encodes each Gram block's rows and columns over
+the partition's distinct values (np.unique), so no two values share a
+column whatever their size or sign.  No one-hot or distance table holds
+more than _TABLE entries, and a Gram block at most _BLOCK rows.
 
 Verify bounds its work by the type, not only by the cell size.  Two
 members x, y differ in at most min(ell, w_x + w_y, r_x + r_y), w the
@@ -38,11 +36,12 @@ scanned with its rows in descending order of r: the scan ends once it
 finds a pair at the cell's cap, and skips a block whose two leading radii
 sum to no more than the largest distance found so far.  Every diameter
 stays exact; (13,15,3), 965 250 members in 22 cells of up to 133 745,
-verifies in about 1.6 s on 2 vCPUs, against about 2 minutes for the
-all-pairs scan.  A cell whose diameter is below every cap still takes all
-its pairs.  The cover is counted, not compared with a fresh enumeration:
-distinct rows, each in {0..M}^ell with t nonzero entries, as many as the
-class has, are the class.
+verifies in about 0.75 s with a 36 MB tracemalloc peak on 2 vCPUs,
+against about 2 minutes for the all-pairs scan, and (5,316,2), one cell
+of 998 560, in about 5.5 s with a 50 MB peak.  A cell whose diameter is
+below every cap still takes all its pairs.  The cover is counted, not
+compared with a fresh enumeration: distinct rows, each in {0..M}^ell with
+t nonzero entries, as many as the class has, are the class.
 """
 
 import json
@@ -87,8 +86,15 @@ def _rows(members, ell: int) -> np.ndarray:
         x = np.empty(0)
     if x.shape != (len(members), ell):
         raise ValueError(f"every member must have length {ell}")
-    # a float array holds a fraction or an integer beyond 64 bits, an
-    # object array an integer beyond 64 bits or a value that is no number
+    if x.dtype.kind == "f":
+        # np.array gives float64 to a value at or above 2**63 beside a small
+        # one; when all are non-negative integers, uint64 holds them exactly
+        values = [v for w in members for v in w]
+        if all(isinstance(v, (int, np.integer)) for v in values) and min(values) >= 0:
+            x = np.array(members, dtype=np.uint64)
+    # a float array still holds a fraction, or a negative value beside one
+    # at or above 2**63, which no 64-bit dtype holds both of; an object
+    # array an integer beyond 64 bits or a value that is no number
     if x.dtype.kind not in "biu":
         raise ValueError(f"member values must be integers within 64 bits, got dtype {x.dtype}")
     dtype = np.result_type(np.min_scalar_type(int(x.min())), np.min_scalar_type(int(x.max())))
@@ -118,43 +124,34 @@ def _onehot(codes: np.ndarray, width: int) -> np.ndarray:
     return out
 
 
-def _encode_shared(x: np.ndarray) -> np.ndarray:
-    """One-hot rows of x over the (position, value) pairs that two or more
-    rows hold.  A pair held by one row agrees with no other row, so the
-    product of two distinct rows still counts their agreements exactly;
-    only a row with itself may count fewer than ell."""
-    n, ell = x.shape
-    pair = np.searchsorted(np.unique(x), x)
-    pair *= ell
-    pair += np.arange(ell)
-    shared = np.bincount(pair.ravel(), minlength=1) >= 2
-    # shared pairs get columns 1.., every other pair the column 0, cleared
-    column = np.where(shared, np.cumsum(shared), 0)
-    out = np.zeros((n, int(column.max()) + 1), dtype=np.float32)
-    out[np.arange(n)[:, None], column[pair]] = 1.0
-    out[:, 0] = 0.0
-    return out
+def _gram_blocks(x: np.ndarray, values: np.ndarray, skip=None):
+    """Agreements of each block of rows of x with themselves and every
+    later row, each with whether it holds the block's diagonal, where a row
+    meets itself.  Rows are encoded one-hot over `values`, sorted and
+    holding every entry of x, a row block and a column block at a time, so
+    no one-hot or Gram table holds more than _TABLE entries; a cell that
+    fits one row block is encoded once.  A block whose first row and first
+    column s, c give skip(s, c) true is not computed."""
+    width, columns = len(values), x.shape[1] * len(values)
 
+    def encode(block):
+        return _onehot(np.searchsorted(values, block), width)
 
-def _gram_blocks(x: np.ndarray, skip=None):
-    """Agreements of each _BLOCK rows of x with themselves and every later
-    row, in Gram blocks of at most _TABLE entries, each with whether it
-    holds the block's diagonal, where a row meets itself.  A block whose
-    first row and first column s, c give skip(s, c) true is not computed."""
-    # at least _BLOCK columns, so a block's diagonal lies in its first table
-    width = max(_BLOCK, _rows_per_table(_BLOCK))
-    for s in range(0, len(x), _BLOCK):
-        for c in range(s, len(x), width):
+    step = min(_BLOCK, _rows_per_table(columns))
+    # at least `step` columns, so a block's diagonal lies in its first table
+    span = max(step, _rows_per_table(max(step, columns)))
+    for s in range(0, len(x), step):
+        rows = encode(x[s : s + step])
+        for c in range(s, len(x), span):
             if skip is None or not skip(s, c):
-                yield x[s : s + _BLOCK] @ x[c : c + width].T, c == s
+                cols = rows if len(x) <= step else encode(x[c : c + span])
+                yield rows @ cols.T, c == s
 
 
-def _diameter(x: np.ndarray, ell: int, cap: int, radius=None) -> int:
-    """Largest distance between two rows of x, one-hot over the pairs two
-    rows share: ell minus their fewest agreements; 0 for fewer than two.
-    A row meets itself in ell minus the pairs no other row holds, and it
-    differs from every other row at those positions, so no diagonal entry
-    is below the least off-diagonal one.
+def _diameter(x: np.ndarray, values: np.ndarray, ell: int, cap: int, radius=None) -> int:
+    """Largest distance between two rows of x, one-hot over `values`: ell
+    minus their fewest agreements; 0 for fewer than two.  A row meets
+    itself in all ell positions, so the diagonal never sets the result.
 
     The scan ends once it reaches `cap`, a bound on every distance in x.
     `radius`, non-increasing, holds each row's distance to one pivot, so
@@ -168,7 +165,7 @@ def _diameter(x: np.ndarray, ell: int, cap: int, radius=None) -> int:
     def beaten(s, c):
         return radius[s] + radius[c] <= best
 
-    for agree, _ in _gram_blocks(x, None if radius is None else beaten):
+    for agree, _ in _gram_blocks(x, values, None if radius is None else beaten):
         best = max(best, ell - int(agree.min()))
         if best >= cap:
             break
@@ -176,55 +173,39 @@ def _diameter(x: np.ndarray, ell: int, cap: int, radius=None) -> int:
 
 
 def _min_distance(x: np.ndarray, ell: int) -> int:
-    """Smallest distance between two distinct one-hot rows of x (at least
-    two), ell minus their most agreements."""
+    """Smallest distance between two distinct rows of x (at least two),
+    ell minus their most agreements."""
     most = 0.0
-    for agree, diagonal in _gram_blocks(x):
+    for agree, diagonal in _gram_blocks(x, np.unique(x)):
         if diagonal:
             np.fill_diagonal(agree, 0)
         most = max(most, agree.max())
     return ell - int(most)
 
 
-def _diameters(p: "Partition", run: int) -> tuple[int, ...]:
-    """Each cell's diameter.  The cells that start within the same `run`
-    rows are encoded together, so a run holds at most `run` rows beside its
-    largest cell.
+def _diameters(p: "Partition") -> tuple[int, ...]:
+    """Each cell's diameter, its rows one-hot over the partition's distinct
+    values.
 
-    A cell of more than _BLOCK rows, so more than one Gram block, is
+    A cell of more than _BLOCK rows, so more than one row block, is
     scanned in descending order of each row's distance r to a pivot: its
     center when `center_rows` has one per cell in a dtype the rows hold,
     else its first member.  Two members x, y differ in at most
     min(ell, w_x + w_y, r_x + r_y), w the number of nonzero entries, so
     the cell's cap is ell, its two largest weights or its two largest
     radii summed, whichever is least."""
-    ell, rows = p.ell, p.rows
-    sizes = np.asarray(p.sizes, dtype=np.intp)
-    ends = np.cumsum(sizes, dtype=np.intp)
-    starts = ends - sizes
-    caps = [ell] * len(sizes)
-    radii = {}
-    big = np.flatnonzero(sizes > _BLOCK)
-    if len(big):
-        rows = rows.copy()
-        centers = len(p.center_rows) == len(sizes) and np.can_cast(p.center_rows.dtype, rows.dtype)
-        for c in big.tolist():
-            cell = rows[starts[c] : ends[c]]
+    ell, values = p.ell, np.unique(p.rows)
+    centers = len(p.center_rows) == len(p.sizes) and np.can_cast(p.center_rows.dtype, p.rows.dtype)
+    out: list[int] = []
+    for c, cell in enumerate(_split(p.rows, p.sizes)):
+        cap, r = ell, None
+        if len(cell) > _BLOCK:
             r = np.count_nonzero(cell != (p.center_rows[c] if centers else cell[0]), axis=1)
             order = np.argsort(-r, kind="stable")
-            cell[:] = cell[order]
-            radii[c] = r = r[order]
+            cell, r = cell[order], r[order]
             w = np.sort(np.count_nonzero(cell, axis=1))
-            caps[c] = min(ell, int(w[-2] + w[-1]), int(r[0] + r[1]))
-    out: list[int] = []
-    for cells in np.split(np.arange(len(sizes)), np.flatnonzero(np.diff(starts // run)) + 1):
-        if len(cells):
-            a = starts[cells[0]]
-            x = _encode_shared(rows[a : ends[cells[-1]]])
-            out.extend(
-                _diameter(x[starts[c] - a : ends[c] - a], ell, caps[c], radii.get(c))
-                for c in cells.tolist()
-            )
+            cap = min(ell, int(w[-2] + w[-1]), int(r[0] + r[1]))
+        out.append(_diameter(cell, values, ell, cap, r))
     return tuple(out)
 
 
@@ -451,8 +432,8 @@ def verify_partition(p: Partition, ell: int) -> PartitionReport:
     enumerate_type_class does.  The members, sorted, show a member in two
     places as equal neighbours.  They cover the class when they are as
     many as it has, each in {0..M}^ell with exactly t nonzero entries, and
-    no two equal.  Distances come from a one-hot encoding of the
-    partition's own members, not from the one build used."""
+    no two equal.  Distances come from build's one-hot encoder, over the
+    values the partition's own members hold rather than 0..M."""
     size = _budgeted_size(p.ell, p.M, p.t, DEFAULT_ENUM_BUDGET)
     sizes = p.sizes
     s = _lex_sorted(p.rows)
@@ -462,10 +443,8 @@ def verify_partition(p: Partition, ell: int) -> PartitionReport:
         and bool(((s >= 0) & (s <= p.M)).all())
         and bool((np.count_nonzero(s, axis=1) == p.t).all())
     )
-    diameters = _diameters(p, _rows_per_table(p.ell * (p.M + 1)))
-    center_d = (
-        _min_distance(_encode_shared(p.center_rows), p.ell) if len(p.center_rows) > 1 else None
-    )
+    diameters = _diameters(p)
+    center_d = _min_distance(p.center_rows, p.ell) if len(p.center_rows) > 1 else None
     min_size = min(sizes) if sizes else 0
     max_diam = max(diameters) if diameters else 0
     return PartitionReport(

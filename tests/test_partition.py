@@ -329,6 +329,18 @@ class TestDistanceKernel:
             tracemalloc.stop()
         assert peak < 16 * 1024 * 1024
 
+    def test_cells_encoded_a_block_at_a_time(self):
+        # 120 000 members in 10 cells of up to 27 751: one-hot over 11
+        # values, the largest cell whole would take 12 MB of float32
+        p = build_partition(10, 10, 3)
+        tracemalloc.start()
+        try:
+            assert verify_partition(p, 10).ok
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 1024 * 1024
+
     @pytest.mark.parametrize("ell,M,t", [(6, 3, 3), (6, 3, 5), (8, 2, 5)])
     def test_small_tables_same_partition(self, ell, M, t, monkeypatch):
         # every table a few rows: the greedy code and the ownership cross
@@ -359,10 +371,12 @@ def _count_gram_blocks(monkeypatch):
 
 
 def _small_blocks(mp):
-    """Gram blocks of 2 rows by 2 columns, so a cell of 3 or more members
-    takes the capped, radius-ordered scan and spans several blocks."""
+    """Row blocks of 2, so a cell of 3 or more members takes the capped,
+    radius-ordered scan and spans several blocks.  Tables of 48 entries
+    hold 2 one-hot rows of 8 positions over three values, so such a cell
+    takes Gram blocks of 2 rows by 2 columns (2 by 3 over two values)."""
     mp.setattr(partition_module, "_BLOCK", 2)
-    mp.setattr(partition_module, "_TABLE", 4)
+    mp.setattr(partition_module, "_TABLE", 48)
 
 
 class TestCappedScan:
@@ -565,6 +579,23 @@ class TestMemberValues:
             verify_partition(Partition.from_sets(6, 2, 3, (self.a,), ((self.a, b),)), 6)
         with pytest.raises(ValueError):
             verify_partition(Partition.from_sets(6, 2, 3, (self.a, b), ((self.a,),)), 6)
+
+    def test_small_beside_top_uint64_values(self):
+        # np.array makes 2**64 - 1 beside 0 a float64, which would merge
+        # 2**64 - 1 and 2**64 - 2; uint64 holds both exactly
+        cell = ((2**64 - 1, 0), (2**64 - 2, 0))
+        p = Partition.from_sets(2, 1, 1, centers=cell, sets=(cell,))
+        assert p.rows.dtype == np.uint64 and p.sets == (cell,)
+        rep = verify_partition(p, 2)
+        assert rep == oracle_verify(p, 2)
+        assert rep.set_diameters == (1,) and rep.min_center_distance == 1
+
+    @pytest.mark.parametrize("b", [(2**64 - 1, 0.5), (2**63, -1)], ids=["fraction", "negative"])
+    def test_no_64_bit_dtype_raises(self, b):
+        # both mixes come out float64 too, and no 64-bit integer dtype holds them
+        cell = ((2**64 - 1, 0), b)
+        with pytest.raises(ValueError):
+            Partition.from_sets(2, 1, 1, centers=cell[:1], sets=(cell,))
 
 
 # sha256 of partition_to_json(p, verify_partition(p, ell)) for every cell of
