@@ -25,23 +25,29 @@ ones, far below 2^24, so float32 holds it exactly.  One encoder serves
 both sides, a block of rows at a time: build encodes the class over the
 values 0..M, and verify encodes each Gram block's rows and columns over
 the partition's distinct values (np.unique), so no two values share a
-column whatever their size or sign.  No one-hot or distance table holds
-more than _TABLE entries, and a Gram block at most _BLOCK rows.
+column whatever their size or sign.  Where a column for every value
+would leave fewer than _BLOCK rows to a table, as the 15 005 columns of
+(5,3000,1) would, verify gives columns only to the (position, value)
+pairs that two members of the cell share: 10 there.  A one-hot or
+distance table holds at most _TABLE entries, or one row where a row is
+wider, and a Gram block at most _BLOCK rows.
 
 Verify bounds its work by the type, not only by the cell size.  Two
 members x, y differ in at most min(ell, w_x + w_y, r_x + r_y), w the
 number of nonzero entries and r the distance to a pivot (the cell's
-center, or its first member).  A cell larger than one Gram block is
+center, or its first member).  A cell larger than one row block is
 scanned with its rows in descending order of r: the scan ends once it
 finds a pair at the cell's cap, and skips a block whose two leading radii
 sum to no more than the largest distance found so far.  Every diameter
 stays exact; (13,15,3), 965 250 members in 22 cells of up to 133 745,
-verifies in about 0.75 s with a 36 MB tracemalloc peak on 2 vCPUs,
-against about 2 minutes for the all-pairs scan, and (5,316,2), one cell
-of 998 560, in about 5.5 s with a 50 MB peak.  A cell whose diameter is
-below every cap still takes all its pairs.  The cover is counted, not
-compared with a fresh enumeration: distinct rows, each in {0..M}^ell with
-t nonzero entries, as many as the class has, are the class.
+verifies in about 0.8 s with a 36 MB tracemalloc peak on 2 vCPUs,
+against about 2 minutes for the all-pairs scan, (5,316,2), one cell of
+998 560, in about 5 s with a 50 MB peak, and (5,200000,1), one cell of
+10^6 over 200 001 values, in about 0.9 s with a 77 MB peak.  A cell
+whose diameter is below every cap still takes all its pairs.  The cover
+is counted, not compared with a fresh enumeration: distinct rows, each in
+{0..M}^ell with t nonzero entries, as many as the class has, are the
+class.
 """
 
 import json
@@ -124,48 +130,89 @@ def _onehot(codes: np.ndarray, width: int) -> np.ndarray:
     return out
 
 
-def _gram_blocks(x: np.ndarray, values: np.ndarray, skip=None):
-    """Agreements of each block of rows of x with themselves and every
-    later row, each with whether it holds the block's diagonal, where a row
-    meets itself.  Rows are encoded one-hot over `values`, sorted and
-    holding every entry of x, a row block and a column block at a time, so
-    no one-hot or Gram table holds more than _TABLE entries; a cell that
-    fits one row block is encoded once.  A block whose first row and first
-    column s, c give skip(s, c) true is not computed."""
-    width, columns = len(values), x.shape[1] * len(values)
+def _encoder(x: np.ndarray, values: np.ndarray):
+    """A one-hot encoder for blocks of rows of x, all in the sorted
+    `values`, with the rows it takes per row block and per column block.
+
+    A column for each (position, value) pair, unless rows that wide would
+    split x into row blocks of fewer than _BLOCK rows: then only the pairs
+    two rows of x share get columns, coded 1, 2, ... at each position, and
+    every other pair code 0, whose columns are cleared.  Two distinct rows
+    still agree in exactly <encode(a), encode(b)> positions; (5,3000,1)
+    takes 5 x 2 columns, not 5 x 3001."""
+    ell, n = x.shape[1], len(values)
+    positions, code, width = np.arange(ell), None, n
+    if _rows_per_table(ell * n) < min(len(x), _BLOCK):
+        counts = np.zeros(ell * n, dtype=np.intp)
+        for s in range(0, len(x), _rows_per_table(ell)):
+            pairs = np.searchsorted(values, x[s : s + _rows_per_table(ell)]) + positions * n
+            counts += np.bincount(pairs.ravel(), minlength=ell * n)
+        shared = counts.reshape(ell, n) >= 2
+        code = np.where(shared, shared.cumsum(axis=1), 0)
+        width = int(code.max(initial=0)) + 1
 
     def encode(block):
-        return _onehot(np.searchsorted(values, block), width)
+        ranks = np.searchsorted(values, block)
+        if code is None:
+            return _onehot(ranks, width)
+        out = _onehot(code[positions, ranks], width)
+        out[:, ::width] = 0.0
+        return out
 
-    step = min(_BLOCK, _rows_per_table(columns))
-    # at least `step` columns, so a block's diagonal lies in its first table
-    span = max(step, _rows_per_table(max(step, columns)))
+    step = min(_BLOCK, _rows_per_table(ell * width))
+    return encode, step, max(step, _rows_per_table(max(step, ell * width)))
+
+
+def _gram_blocks(x: np.ndarray, encode, step: int, span: int, skip=None):
+    """Agreements of each block of `step` rows of x with themselves and
+    every later row, `span` columns at a time, each with whether it holds
+    the block's diagonal, where a row meets itself.  Rows are encoded a row
+    block and a column block at a time; a cell that fits one row block is
+    encoded once.  A block whose first row and first column s, c give
+    skip(s, c) true is not computed, nor is any later block of its row
+    block, and skip(s, s) ends the scan: skip must hold for every block
+    after one it holds for."""
     for s in range(0, len(x), step):
+        if skip is not None and skip(s, s):
+            return
         rows = encode(x[s : s + step])
         for c in range(s, len(x), span):
-            if skip is None or not skip(s, c):
-                cols = rows if len(x) <= step else encode(x[c : c + span])
-                yield rows @ cols.T, c == s
+            if c > s and skip is not None and skip(s, c):
+                break
+            cols = rows if len(x) <= step else encode(x[c : c + span])
+            yield rows @ cols.T, c == s
 
 
-def _diameter(x: np.ndarray, values: np.ndarray, ell: int, cap: int, radius=None) -> int:
-    """Largest distance between two rows of x, one-hot over `values`: ell
-    minus their fewest agreements; 0 for fewer than two.  A row meets
-    itself in all ell positions, so the diagonal never sets the result.
+def _diameter(x: np.ndarray, values: np.ndarray, ell: int, pivot: np.ndarray) -> int:
+    """Largest distance between two rows of x, each in `values`: ell minus
+    their fewest agreements; 0 for fewer than two.  A row meets itself in
+    ell positions less the pairs cleared as held by no other row, and it
+    differs from every other row at those, so no diagonal entry is below
+    the least off-diagonal one.
 
-    The scan ends once it reaches `cap`, a bound on every distance in x.
-    `radius`, non-increasing, holds each row's distance to one pivot, so
-    two rows differ in at most the sum of their radii, and a block whose
-    first row and first column sum to no more than the largest distance
-    found so far is skipped: the result stays exact."""
+    Rows that span more than one row block are scanned in descending order
+    of each row's distance r to `pivot`.  Two rows x, y differ in at most
+    min(ell, w_x + w_y, r_x + r_y), w the number of nonzero entries, so the
+    scan ends once it reaches the cap: ell, the two largest weights or the
+    two largest radii summed, whichever is least.  A block whose first row
+    and first column sum to no more than the largest distance found so far
+    is skipped, with every later one: the result stays exact."""
     if len(x) < 2:
         return 0
+    encode, step, span = _encoder(x, values)
+    cap, radius = ell, None
+    if len(x) > step:
+        radius = np.count_nonzero(x != pivot, axis=1)
+        order = np.argsort(-radius, kind="stable")
+        x, radius = x[order], radius[order]
+        w = np.sort(np.count_nonzero(x, axis=1))
+        cap = min(ell, int(w[-2] + w[-1]), int(radius[0] + radius[1]))
     best = 0
 
     def beaten(s, c):
         return radius[s] + radius[c] <= best
 
-    for agree, _ in _gram_blocks(x, values, None if radius is None else beaten):
+    for agree, _ in _gram_blocks(x, encode, step, span, None if radius is None else beaten):
         best = max(best, ell - int(agree.min()))
         if best >= cap:
             break
@@ -176,7 +223,7 @@ def _min_distance(x: np.ndarray, ell: int) -> int:
     """Smallest distance between two distinct rows of x (at least two),
     ell minus their most agreements."""
     most = 0.0
-    for agree, diagonal in _gram_blocks(x, np.unique(x)):
+    for agree, diagonal in _gram_blocks(x, *_encoder(x, np.unique(x))):
         if diagonal:
             np.fill_diagonal(agree, 0)
         most = max(most, agree.max())
@@ -184,29 +231,15 @@ def _min_distance(x: np.ndarray, ell: int) -> int:
 
 
 def _diameters(p: "Partition") -> tuple[int, ...]:
-    """Each cell's diameter, its rows one-hot over the partition's distinct
-    values.
-
-    A cell of more than _BLOCK rows, so more than one row block, is
-    scanned in descending order of each row's distance r to a pivot: its
-    center when `center_rows` has one per cell in a dtype the rows hold,
-    else its first member.  Two members x, y differ in at most
-    min(ell, w_x + w_y, r_x + r_y), w the number of nonzero entries, so
-    the cell's cap is ell, its two largest weights or its two largest
-    radii summed, whichever is least."""
-    ell, values = p.ell, np.unique(p.rows)
+    """Each cell's diameter over the partition's distinct values, its pivot
+    the cell's center when `center_rows` has one per cell in a dtype the
+    rows hold, else its first member."""
+    values = np.unique(p.rows)
     centers = len(p.center_rows) == len(p.sizes) and np.can_cast(p.center_rows.dtype, p.rows.dtype)
-    out: list[int] = []
-    for c, cell in enumerate(_split(p.rows, p.sizes)):
-        cap, r = ell, None
-        if len(cell) > _BLOCK:
-            r = np.count_nonzero(cell != (p.center_rows[c] if centers else cell[0]), axis=1)
-            order = np.argsort(-r, kind="stable")
-            cell, r = cell[order], r[order]
-            w = np.sort(np.count_nonzero(cell, axis=1))
-            cap = min(ell, int(w[-2] + w[-1]), int(r[0] + r[1]))
-        out.append(_diameter(cell, values, ell, cap, r))
-    return tuple(out)
+    return tuple(
+        _diameter(cell, values, p.ell, p.center_rows[c] if centers else cell[:1])
+        for c, cell in enumerate(_split(p.rows, p.sizes))
+    )
 
 
 def _split(x: np.ndarray, sizes) -> list[np.ndarray]:
