@@ -13,7 +13,7 @@ import numpy as np
 
 from .codebooks import Codebook, SignatureMatrix, gen_codebook, gen_ppm_codebook, gen_signatures
 from .model import EnergySchedule, SystemParams
-from .rng import make_rng, mix_seed, rekey
+from .rng import mix_seed, thread_rng
 
 
 class UserCodebooks(Sequence):
@@ -21,16 +21,15 @@ class UserCodebooks(Sequence):
 
     User i's book is gen_codebook(M, length, E, substream(key, i)), so its
     bytes do not depend on which other books are read, or in what order.
-    The plan keeps one generator and re-keys it to mix_seed(key, i) for
-    each book, which gives substream(key, i)'s bytes without building a
-    generator per book.  A built book is cached; a plan never leaves its
-    trial, so neither the cache nor the generator needs a lock.
+    Each book is drawn on the thread's "books" generator re-keyed to
+    mix_seed(key, i) (rng.thread_rng), which gives substream(key, i)'s
+    bytes without building a generator.  A built book is cached; a plan
+    never leaves its trial, so the cache needs no lock.
     """
 
     def __init__(self, ell: int, M: int, length: int, E: float, key: int):
         self.M, self.length, self.E, self.key = M, length, E, key
         self._books: list[Codebook | None] = [None] * ell
-        self._rng = make_rng(key)
 
     def __len__(self) -> int:
         return len(self._books)
@@ -38,7 +37,7 @@ class UserCodebooks(Sequence):
     def __getitem__(self, i: int) -> Codebook:
         i = range(len(self._books))[i]  # IndexError past the end; -1 is the last user
         if self._books[i] is None:
-            rng = rekey(self._rng, mix_seed(self.key, i))
+            rng = thread_rng("books", mix_seed(self.key, i))
             self._books[i] = gen_codebook(self.M, self.length, self.E, rng)
         return self._books[i]
 
@@ -75,9 +74,11 @@ def make_joint_plan(
     params: SystemParams, sched: EnergySchedule, M: int, rng: np.random.Generator
 ) -> JointPlan:
     """Fresh random signatures from `rng`, then one 64-bit key from `rng`
-    that addresses the per-user codebook substreams (see UserCodebooks)."""
+    that addresses the per-user codebook substreams (see UserCodebooks).
+    The key is the next raw Philox word, which is what
+    rng.integers(0, 2**64, dtype=np.uint64) returns, without its checks."""
     sigs = gen_signatures(params.ell, sched.n_sig, sched.E_sig, rng)
-    key = int(rng.integers(0, 1 << 64, dtype=np.uint64))
+    key = int(rng.bit_generator.random_raw())
     books = UserCodebooks(params.ell, M, sched.n_msg, sched.E_msg, key)
     return JointPlan(ell=params.ell, M=M, codebooks=books, signatures=sigs, n_msg=sched.n_msg)
 
@@ -93,12 +94,12 @@ def transmit_joint(plan: JointPlan, msgs: np.ndarray) -> np.ndarray:
     """Clean superposed signal sum_i (s_i, x~_i(w_i)) over active users."""
     if len(msgs) != plan.ell:
         raise ValueError(f"message vector length {len(msgs)} != ell {plan.ell}")
-    d = (np.asarray(msgs) != 0).astype(float)
+    active = np.asarray(msgs) != 0
     rows = plan.signatures.matrix.T  # (ell, n_sig): the signatures as drawn
     n_sig = rows.shape[1]
     out = np.zeros(n_sig + plan.n_msg)
-    np.matmul(d, rows, out=out[:n_sig])  # S d
-    for i in np.flatnonzero(d):
+    np.matmul(active.astype(float), rows, out=out[:n_sig])  # S d
+    for i in active.nonzero()[0]:
         out[n_sig:] += plan.codebooks[i].words[msgs[i]]
     return out
 

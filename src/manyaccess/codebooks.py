@@ -103,7 +103,7 @@ def _fill_truncated_gaussian(out: np.ndarray, E: float, rng: np.random.Generator
     out *= sigma
     # rows still over the cap, in increasing order: each round redraws them in that order
     energies = _row_energies(out)
-    bad = np.flatnonzero(energies > E)
+    bad = (energies > E).nonzero()[0]
     rounds = 0
     while bad.size:
         rounds += 1

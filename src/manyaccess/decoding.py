@@ -5,7 +5,11 @@ followed by exact joint ML decoding of the detected users, with an
 overflow abort when more than floor(xi*k) users are detected) and the
 slotted pilot+PPM receiver.  A user detected active is always decoded to
 some message in 1..M, so a false alarm necessarily produces a message
-error for that user.
+error for that user.  The joint decoder writes every term of the Gram
+expansion into one array (_gram_terms), its pair terms one slab per
+message of the other user, so dead-end elimination is a few reductions
+across slabs per round, and scores the survivors with one gather and
+one running sum per block of tuples.
 """
 
 import functools
@@ -89,17 +93,26 @@ def _user_indices(k: int, M: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     shift = np.zeros((len(place), 1), dtype=np.intp)
     place[range(k), range(k)] = 1
     for row, (i, j) in enumerate(itertools.combinations(range(k), 2), start=k):
-        # G[i, m, j-1, n] sits at k*M + (i*M + m)*(k-1)*M + (j-1)*M + n
-        place[row, i], place[row, j], shift[row] = (k - 1) * M, 1, (k - 1) * M
+        # G[i, m, j-1, n], m = g[i] - i*M, n = g[j] - j*M, sits in slab n
+        # at k*M + ((n*k + i)*(k-1) + j-1)*M + m
+        place[row, i], place[row, j] = 1, k * (k - 1) * M
+        shift[row] = k * M + (j - 1) * M + i * (k - 2) * M - j * k * (k - 1) * M * M
     for a in (others, place, shift):
         a.flags.writeable = False
     return others, place, shift
 
 
 def _split(terms: np.ndarray, k: int, M: int) -> tuple[np.ndarray, np.ndarray]:
-    """Views of the U (2, k, M) and G (2, k, M, k-1, M) parts of _gram_terms."""
-    return (terms[:, : k * M].reshape(2, k, M),
-            terms[:, k * M :].reshape(2, k, M, k - 1, M))
+    """Views of the U (2, k, M) and G (2, k, M, k-1, M) parts of _gram_terms;
+    G is a transposed view of the slabs (see _slabs)."""
+    return terms[:, : k * M].reshape(2, k, M), _slabs(terms, k, M).transpose(0, 2, 4, 3, 1)
+
+
+def _slabs(terms: np.ndarray, k: int, M: int) -> np.ndarray:
+    """The G part of _gram_terms as stored, (2, M, k, k-1, M):
+    slabs[:, n, i, s, m] = G[:, i, m, s, n], one slab per message n of the
+    other user."""
+    return terms[:, k * M :].reshape(2, M, k, k - 1, M)
 
 
 def _gram_terms(
@@ -111,22 +124,26 @@ def _gram_terms(
     U[i, m] = ||x~_i(m)||^2 - 2<x~_i(m), Y>, with the squared norms
     energies[i] of user i's words as its book recorded them, and G is the pair Gram
     without its diagonal blocks: G[i, m, s, n] = 2<x~_i(m), x~_j(n)> for
-    the s-th user j other than i.  Each pair's block is its own product,
-    computed once and stored as G[i, :, j-1] and, transposed, as
-    G[j, :, i]: one product of all the words would round differently.
+    the s-th user j other than i, stored with the other user's message n
+    first (_slabs), so a minimum over n is a minimum across M slabs.  Each
+    pair's block is its own product w_i @ w_j.T, computed once into user
+    j's slabs (G[j, :, i], whose rows there are unit-strided) and copied
+    into user i's (G[i, :, j-1]): one product of all the words would
+    round differently.
     """
     k, M = len(words), len(words[0])
     terms = np.empty((2, k * M + k * (k - 1) * M * M))
-    (U, _), (G, _) = _split(terms, k, M)
+    U = terms[0, : k * M].reshape(k, M)
+    slabs = _slabs(terms, k, M)[0]
     wY = np.empty((k, M))
     U[:] = energies
     for i, wi in enumerate(words):
         np.matmul(wi, Y_msg, out=wY[i])
         for j in range(i + 1, k):
-            np.matmul(wi, words[j].T, out=G[i, :, j - 1])
-            G[j, :, i] = G[i, :, j - 1].T
+            np.matmul(wi, words[j].T, out=slabs[:, j, i])  # G[j, :, i], transposed
+            slabs[:, i, j - 1] = slabs[:, j, i].T
     U -= 2.0 * wY
-    G *= 2.0  # exact, as is 2.0 * (wi @ wj.T)
+    slabs *= 2.0  # exact, as is 2.0 * (wi @ wj.T)
     np.negative(terms[0], out=terms[1])
     return terms
 
@@ -144,36 +161,36 @@ def _dead_end_elimination(terms: np.ndarray, k: int, M: int) -> np.ndarray:
     round tests every user at once, until a round drops nothing.
     Dropping a message only raises lo and lowers hi, so a dropped
     message stays dropped and never sets the threshold, and the rounds
-    reach the masks of testing one user at a time.  The masked minima
-    are plain minima over a copy of G with the other user's message
-    first: a dropped message's slab is set to inf, and the minimum runs
-    across M slabs rather than along M-long rows.
+    reach the masks of testing one user at a time.  The minima run
+    across G's M slabs (_slabs), not along M-long rows: round one, with
+    every message alive, is a plain minimum, and a later round skips the
+    slabs of dropped messages.
     """
-    base, pair = _split(terms, k, M)
+    base, slabs = terms[:, : k * M].reshape(2, k, M), _slabs(terms, k, M)
     size = np.abs(terms[0])  # G holds each pair block twice: halve its share
-    tol = 1e-9 * max(1.0, float(size[: k * M].sum() + 0.5 * size[k * M :].sum()))
+    tol = 1e-9 * max(1.0, float(np.add.reduce(size[: k * M]) + 0.5 * np.add.reduce(size[k * M :])))
     others = _user_indices(k, M)[0]
-    by_n = np.moveaxis(pair, 4, 0).copy()  # (M, 2, k, M, k-1)
-    alive, count = np.ones((k, M), dtype=bool), k * M
+    minima, count = np.minimum.reduce(slabs, axis=1), k * M  # (2, k, k-1, M)
     while True:
-        # cols[n, 0, i, 0, s]: message n of the s-th user other than i is alive
-        cols = alive[others].transpose(2, 0, 1)[:, None, :, None]
-        lo, neg_hi = base + np.where(cols, by_n, np.inf).min(axis=0).sum(axis=3)
-        alive = lo <= (tol - neg_hi.max(axis=1))[:, None]
+        lo, neg_hi = base + np.add.reduce(minima, axis=2)
+        alive = lo <= (tol - np.maximum.reduce(neg_hi, axis=1))[:, None]
         left = np.count_nonzero(alive)
         if left == count or k == 1:  # one user's bounds read no other user's messages
             return alive
         count = left
+        # cols[n, i, s, 0]: message n of the s-th user other than i is alive
+        cols = alive[others].transpose(2, 0, 1)[..., None]
+        minima = np.minimum.reduce(slabs, axis=1, where=cols, initial=np.inf)
 
 
 def _objectives(terms: np.ndarray, g: np.ndarray, k: int, M: int) -> np.ndarray:
     """||Y - sum_i x~_i(w_i)||^2 - ||Y||^2 of tuples g (k, tuples), g[i] =
     i*M + w_i - 1: one gather of their terms in the full grid's order
     (users, then pairs in lexicographic order), added by a sequential
-    np.cumsum, not sum's pairwise order, so each value is bitwise the
-    full grid's."""
+    running sum (np.add.accumulate, which np.cumsum calls), not sum's
+    pairwise order, so each value is bitwise the full grid's."""
     _, place, shift = _user_indices(k, M)
-    return np.cumsum(terms[0, place @ g + shift], axis=0)[-1]
+    return np.add.accumulate(terms[0, place @ g + shift], axis=0)[-1]
 
 
 # tuples scored per block, so scoring memory is O(k^2) blocks, not O(k^2 M^k)
@@ -194,7 +211,7 @@ def decode_joint_ml(
     elimination drops messages that cannot be in any optimal tuple.  The
     surviving tuples are scored in lexicographic order by _objectives,
     which adds each tuple's terms in the full grid's order with a
-    sequential np.cumsum, so every surviving tuple's objective is bitwise
+    sequential running sum, so every surviving tuple's objective is bitwise
     the full grid's.  np.argmin's first minimum, carried across scoring
     blocks only by a strictly smaller value, gives the lexicographically
     smallest optimal tuple.  The budget caps the nominal M^|active| grid.
@@ -217,15 +234,15 @@ def decode_joint_ml(
 
     terms = _gram_terms(words, [b.energies[1:] for b in books], Y_msg)
     alive = _dead_end_elimination(terms, k, M)
-    sizes = alive.sum(axis=1)
-    flat = np.flatnonzero(alive)  # i*M + w - 1 of every survivor, user after user
-    first = np.cumsum(sizes) - sizes  # where each user's survivors start in flat
+    sizes = np.add.reduce(alive, axis=1)
+    flat = alive.ravel().nonzero()[0]  # i*M + w - 1 of every survivor, user after user
+    first = sizes.cumsum() - sizes  # where each user's survivors start in flat
     total = math.prod(sizes.tolist())
     for start in range(0, total, _SCORE_BLOCK):
         pos = np.unravel_index(np.arange(start, min(start + _SCORE_BLOCK, total)), sizes)
         g = flat[first[:, None] + pos]  # (k, tuples)
         objective = _objectives(terms, g, k, M)
-        t = int(np.argmin(objective))
+        t = objective.argmin()
         if start == 0 or objective[t] < best_value:
             best, best_value = g[:, t], objective[t]
     return {user: int(x) % M + 1 for user, x in zip(active, best)}
@@ -258,7 +275,7 @@ def two_phase_receive(
         return TwoPhaseResult(w_hat=w_hat, detection=det, overflow=True)
     try:
         decoded = decode_joint_ml(
-            Y[sched.n_sig :], plan, list(np.flatnonzero(det.d_hat)), budget=tuple_budget
+            Y[sched.n_sig :], plan, det.d_hat.nonzero()[0].tolist(), budget=tuple_budget
         )
     except ComplexityBudgetError:
         return TwoPhaseResult(w_hat=w_hat, detection=det, overflow=False, budget_abort=True)

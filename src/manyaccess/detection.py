@@ -8,7 +8,10 @@ lexicographically smallest support, making the output deterministic.
 The search is a branch-and-bound over {0,1}^ell (Fincke & Pohst 1985;
 Agrell, Eriksson, Vardy & Zeger 2002): it discards only supports that
 provably lose to a known one, then scores the few survivors the way the
-full enumeration scores every candidate.
+full enumeration scores every candidate.  Its frontier is usually a
+node or two, so its cost is numpy's per-call cost: the search fixes
+_BLOCK users per step, and everything a step adds that does not depend
+on the node is built for every step at once before it starts.
 """
 
 import math
@@ -26,11 +29,18 @@ DEFAULT_CANDIDATE_BUDGET = 10**7
 # the search keeps, numpy's per-call cost dominates a step, so four users
 # (16 children per node) cover ell = 16 in 4 steps instead of 16.
 _BLOCK = 4
-# every setting of _BLOCK users, lexicographically descending (all on
-# first); every 2^(_BLOCK - r)-th row, cut to its first r columns, gives
-# the same order for r users
+# every setting of _BLOCK users, lexicographically descending (all on first)
 _PATTERNS = ((np.arange(2**_BLOCK)[::-1, None] >> np.arange(_BLOCK)[::-1]) & 1).astype(float)
-_PATTERNS.setflags(write=False)
+# _ROWS[r]: the settings whose last _BLOCK - r users are off, which list the
+# settings of the first r users in the same order; a last block of r < _BLOCK
+# users is padded with users that have no terms and stay off
+_ROWS = tuple(slice(2 ** (_BLOCK - r) - 1, None, 2 ** (_BLOCK - r)) for r in range(_BLOCK + 1))
+_WEIGHTS = _PATTERNS.sum(axis=1)
+# (a block's G, flattened) @ _PAIRS = 2 sum_{i<j} s_i s_j G_ij for every setting s
+_PAIRS = 2.0 * np.triu(_PATTERNS[:, :, None] * _PATTERNS[:, None, :], 1).reshape(2**_BLOCK, -1).T
+_DOUBLED = 2.0 * _PATTERNS
+for _table in (_PATTERNS, _WEIGHTS, _PAIRS, _DOUBLED):
+    _table.setflags(write=False)
 
 
 @dataclass(frozen=True)
@@ -54,8 +64,12 @@ def v_cap(params: SystemParams, sched: EnergySchedule) -> int:
 
 
 def candidate_count(ell: int, v: int) -> int:
-    """Number of binary vectors with weight 0..min(v, ell)."""
-    return sum(math.comb(ell, j) for j in range(min(v, ell) + 1))
+    """Number of binary vectors with weight 0..min(v, ell): a sum of
+    binomials over the weights up to v, or 2^ell less the sum over the
+    weights above v, whichever has fewer terms."""
+    if 2 * v < ell:
+        return sum(math.comb(ell, j) for j in range(v + 1))
+    return 2**ell - sum(math.comb(ell, j) for j in range(v + 1, ell + 1))
 
 
 def _surviving_supports(gram: np.ndarray, corr: np.ndarray, v: int, tol: float) -> np.ndarray:
@@ -63,49 +77,64 @@ def _surviving_supports(gram: np.ndarray, corr: np.ndarray, v: int, tol: float) 
 
     q(d) = ||Y - S d||^2 - ||Y||^2 = sum_j d_j a_j + 2 sum_{i<j} d_i d_j G_ij
     with a_j = G_jj - 2 c_j.  Users are fixed in index order, _BLOCK at a
-    time, each step over the whole frontier.  A node carries its partial
-    value p (its fixed-on users alone) and, for each free user j, the
-    field h_j = a_j + 2 sum_{fixed-on i} G_ij.  Any completion adds at
-    least sum_j min(0, h_j + sum_{free l != j} min(0, G_jl)) to p, so a
+    time, each step over the whole frontier.  A node is one row: its
+    partial value p (its fixed-on users alone), its weight, its support
+    bits, and for each user j not yet fixed the field
+    h_j = a_j + 2 sum_{fixed-on i} G_ij, from user L-1 down, so the users
+    fixed next are the last columns and a step drops them.  Any
+    completion adds at least
+    sum_{free j} min(0, h_j + sum_{free l != j} min(0, G_jl)) to p, so a
     node is dropped when that lower bound exceeds the best known value by
     more than tol: every leaf below it loses by more than rounding can
     account for.  Each node with its free users off is itself a leaf,
-    which tightens the best known value as the tree deepens.  Children
-    follow their parent in _PATTERNS order, which keeps equal-weight
-    supports in lexicographic order; a stable sort on weight finishes it.
+    which tightens the best known value as the tree deepens.
+
+    What a setting s of a block adds to a child does not depend on the
+    node, except the linear term h_block . s: its pair terms, its weight,
+    its bits and 2 s G_block on every field.  Those rows are built for
+    every block before the search, in a few batched products over G
+    padded to whole blocks, so a step is one broadcast add, one product
+    for the linear terms, the bound and the cut.  Children follow their
+    parent in _PATTERNS order, which keeps equal-weight supports in
+    lexicographic order; a stable sort on weight finishes it.
     """
     ell = len(corr)
-    a = np.diag(gram) - 2.0 * corr
-    off = gram - np.diag(np.diag(gram))
-    # neg_tail[j, t] = sum_{l >= t} min(0, G_jl), zero at t = ell
-    neg_tail = np.zeros((ell, ell + 1))
-    neg_tail[:, :ell] = np.cumsum(np.minimum(off, 0.0)[:, ::-1], axis=1)[:, ::-1]
+    blocks = -(-ell // _BLOCK)
+    L = blocks * _BLOCK
+    a = gram.diagonal() - 2.0 * corr
+    # G without its diagonal, padded to L users
+    off = np.zeros((L, L))
+    off[:ell, :ell] = gram
+    off.flat[:: L + 1] = 0.0
+    # neg_tail[L - 1 - t, L - 1 - j] = sum_{l >= t} min(0, G_lj), G being symmetric
+    neg_tail = np.minimum(off, 0.0)[::-1, ::-1].cumsum(axis=0)
+    # steps[b, s] = what setting s of block b adds to a node, apart from the linear term
+    width = 2 + 2 * L
+    diag = np.arange(blocks)
+    steps = np.zeros((blocks, 2**_BLOCK, width))
+    steps[:, :, 0] = off.reshape(blocks, _BLOCK, blocks, _BLOCK)[diag, :, diag].reshape(blocks, -1) @ _PAIRS
+    steps[:, :, 1] = _WEIGHTS
+    steps[:, :, 2 : 2 + L].reshape(blocks, 2**_BLOCK, blocks, _BLOCK)[diag, :, diag] = _PATTERNS
+    np.matmul(_DOUBLED, off[:, ::-1].reshape(blocks, _BLOCK, L), out=steps[:, :, 2 + L :])
     # start point: the users whose own term is negative, at most v of them
+    order = a.argsort(kind="stable")[:v]
     start = np.zeros(ell)
-    start[[j for j in np.argsort(a, kind="stable")[:v] if a[j] < 0.0]] = 1.0
+    start[order] = a[order] < 0.0
     best = min(0.0, float(start @ gram @ start - 2.0 * (start @ corr)))
 
-    # one row per node: p, weight, the ell support bits, then h of the free
-    # users in reverse order, so the users fixed next are the last columns
-    nodes = np.concatenate([[0.0, 0.0], np.zeros(ell), a[::-1]])[None, :]
-    for t in range(0, ell, _BLOCK):
-        r = min(_BLOCK, ell - t)
-        pat = _PATTERNS[:: 2 ** (_BLOCK - r), :r]  # the settings of users t..t+r-1
-        width = nodes.shape[1] - r
-        # what each setting adds to a node, apart from its own fields
-        step = np.zeros((len(pat), width))
-        step[:, 0] = ((pat @ off[t : t + r, t : t + r]) * pat).sum(axis=1)
-        step[:, 1] = pat.sum(axis=1)
-        step[:, 2 + t : 2 + t + r] = pat
-        step[:, 2 + ell :] = 2.0 * pat @ gram[t : t + r, ell - 1 : t + r - 1 : -1]
-        children = (nodes[:, None, :width] + step).reshape(-1, width)
-        children[:, 0] += (nodes[:, : width - 1 : -1] @ pat.T).ravel()
+    nodes = np.zeros((1, width))
+    nodes[0, width - ell :] = a[::-1]
+    for b in range(blocks):
+        t = b * _BLOCK  # the block's first user; the block's fields are the nodes' last columns
+        rows, free, w = _ROWS[min(_BLOCK, ell - t)], t + _BLOCK, width - t - _BLOCK
+        children = nodes[:, None, :w] + steps[b, rows, :w]
+        children[:, :, 0] += nodes[:, w:] @ _PATTERNS[rows, ::-1].T
+        children = children.reshape(-1, w)
         p, feasible = children[:, 0], children[:, 1] <= v
-        best = min(best, float(p.min(where=feasible, initial=np.inf)))
-        free_tail = neg_tail[ell - 1 : t + r - 1 : -1, t + r]
-        lower = p + np.minimum(children[:, 2 + ell :] + free_tail, 0.0).sum(axis=1)
-        nodes = children[feasible & (lower <= best + tol)]
-    return nodes[np.argsort(nodes[:, 1], kind="stable"), 2 : 2 + ell]
+        best = min(best, float(np.minimum.reduce(p, where=feasible, initial=np.inf)))
+        slack = np.minimum(children[:, 2 + L :] + neg_tail[L - 1 - free, : L - free], 0.0)
+        nodes = children[feasible & (p + np.add.reduce(slack, axis=1) <= best + tol)]
+    return nodes[nodes[:, 1].argsort(kind="stable"), 2 : 2 + ell]
 
 
 def detect_ls_exhaustive(
@@ -135,16 +164,16 @@ def detect_ls_exhaustive(
         raise ComplexityBudgetError(
             f"{n_cands} candidates exceed the budget of {budget} (ell={S.ell}, v={v})"
         )
-    if not np.isfinite(Y_sig).all():
-        raise ValueError("received signature block is not finite")
+    base = float(Y_sig @ Y_sig)
+    if not math.isfinite(base):
+        raise ValueError("received signature block is not finite, or its energy overflows")
     rows = S.matrix.T  # (ell, n_sig): the signatures as drawn
     gram = rows @ rows.T
     corr = rows @ Y_sig
-    base = float(Y_sig @ Y_sig)
     scale = base + 2.0 * float(np.abs(corr).sum()) + float(np.abs(gram).sum())
     cands = _surviving_supports(gram, corr, min(v, S.ell), 1e-9 * max(1.0, scale))
     residuals = base - 2.0 * (cands @ corr) + np.einsum("ij,ij->i", cands @ gram, cands)
-    best = int(np.argmin(residuals))
+    best = residuals.argmin()
     return DetectionResult(d_hat=cands[best].astype(int), residual=float(residuals[best]))
 
 
@@ -163,8 +192,8 @@ def detect_pilot(y_pilot: float | np.ndarray, t: float, E: float) -> bool | np.n
 
 def detection_stats(d_true: np.ndarray, d_hat: np.ndarray) -> tuple[int, int]:
     """Counts (misses, false alarms) between true and estimated activity."""
-    d_true = np.asarray(d_true).astype(bool)
-    d_hat = np.asarray(d_hat).astype(bool)
+    d_true = np.asarray(d_true, dtype=bool)
+    d_hat = np.asarray(d_hat, dtype=bool)
     if d_true.shape != d_hat.shape:
         raise ValueError(f"length mismatch: {d_true.shape} vs {d_hat.shape}")
     kappa1 = int(np.count_nonzero(d_true & ~d_hat))

@@ -15,6 +15,7 @@ trial index and therefore order-independent.
 
 import ast
 import csv
+import functools
 import json
 import math
 import operator
@@ -30,7 +31,7 @@ from .channel import awgn, make_joint_plan, make_ortho_plan, transmit_joint, tra
 from .decoding import BoundParams, ErrorStats, ortho_receive, score_errors, two_phase_receive
 from .errors import ComplexityBudgetError, ConfigError, InvalidRegimeError
 from .model import EnergySchedule, RateSpec, SystemParams, make_joint_schedule, make_ortho_schedule, sample_messages
-from .rng import make_rng, mix_seed
+from .rng import make_rng, mix_seed, thread_rng
 from .detection import detection_stats
 
 # substream tag for the fixed-codebook mode
@@ -142,8 +143,9 @@ class ExperimentConfig:
     def access(self) -> JointScheme | OrthoScheme:
         return SCHEMES[self.scheme]
 
-    @property
+    @functools.cached_property
     def schedule(self) -> EnergySchedule:
+        """The scheme's schedule, built on first read: every trial of a run reads it."""
         return self.access.schedule(self.params, self.split)
 
 
@@ -163,7 +165,7 @@ class TrialRecord:
 def run_trial(cfg: ExperimentConfig, trial_index: int) -> TrialRecord:
     """One end-to-end transmission; fully determined by (config, index)."""
     seed = mix_seed(cfg.master_seed, trial_index)
-    rng = make_rng(seed)
+    rng = thread_rng("trial", seed)
     access = cfg.access
     sched = cfg.schedule
     msgs = sample_messages(cfg.params, cfg.M, rng)
@@ -172,14 +174,14 @@ def run_trial(cfg: ExperimentConfig, trial_index: int) -> TrialRecord:
     Y = awgn(access.transmit(plan, msgs), 0.0 if cfg.noiseless else cfg.params.N0, rng)
     w_hat, d_hat, overflow, budget_abort = access.receive(Y, plan, cfg, sched)
 
-    d_true = (msgs != 0).astype(int)
+    d_true = msgs != 0
     kappa1, kappa2 = detection_stats(d_true, d_hat)
     stats = score_errors(msgs, w_hat, overflow or budget_abort)
     return TrialRecord(
         trial=trial_index,
         seed=seed,
-        k_true=int(d_true.sum()),
-        d_hat_weight=int(d_hat.sum()),
+        k_true=int(np.count_nonzero(d_true)),
+        d_hat_weight=int(np.count_nonzero(d_hat)),
         kappa1=kappa1,
         kappa2=kappa2,
         overflow=overflow,

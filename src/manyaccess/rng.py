@@ -8,9 +8,12 @@ within a trial from (codebook key, i), the key being one 64-bit word of
 the trial stream.  Any run is therefore reproducible from the master
 seed alone.  A generator may be re-keyed in place to another 64-bit
 key, which costs far less than building a new one and gives the same
-bytes.  Conformance of both pieces is pinned by test vectors in
+bytes; thread_rng keeps one such generator per thread and name.
+Conformance of both pieces is pinned by test vectors in
 tests/test_rng.py.
 """
+
+import threading
 
 import numpy as np
 
@@ -53,11 +56,24 @@ def rekey(rng: np.random.Generator, seed: int) -> np.random.Generator:
     the key, a zero counter and an empty output buffer.  Returns rng."""
     rng.bit_generator.state = {
         "bit_generator": "Philox",
-        "state": {"counter": np.zeros(4, dtype=np.uint64),
-                  "key": np.array([seed & _MASK64, 0], dtype=np.uint64)},
-        "buffer": np.zeros(4, dtype=np.uint64),
+        "state": {"counter": (0, 0, 0, 0), "key": (seed & _MASK64, 0)},
+        "buffer": (0, 0, 0, 0),
         "buffer_pos": 4,
         "has_uint32": 0,
         "uinteger": 0,
     }
     return rng
+
+
+_LOCAL = threading.local()
+
+
+def thread_rng(name: str, seed: int) -> np.random.Generator:
+    """make_rng(seed)'s stream on the generator this thread keeps as `name`,
+    re-keyed in place: building a generator costs several re-keys, most of
+    it in code a trial has pushed out of the caches.  The stream is valid
+    until this thread next asks for `name`."""
+    generators = _LOCAL.__dict__
+    if name not in generators:
+        generators[name] = make_rng(seed)
+    return rekey(generators[name], seed)

@@ -6,6 +6,7 @@ term-by-term evaluation, brute-force counting, closed-form special
 cases), never from the code paths under test.
 """
 
+import hashlib
 import json
 import math
 
@@ -18,7 +19,7 @@ from manyaccess.cli import EXIT_OK, main
 from manyaccess.codebooks import gen_signatures, mu_chernoff_lb, mu_exact, mu_monte_carlo
 from manyaccess.decoding import BoundParams, decode_ppm
 from manyaccess.detection import detect_ls_exhaustive, v_cap
-from manyaccess.harness import ExperimentConfig, estimate_error, wilson_interval
+from manyaccess.harness import ExperimentConfig, estimate_error, wilson_interval, write_trials_csv
 from manyaccess.model import SystemParams, make_joint_schedule
 from manyaccess.partition import build_partition, typeclass_probability, verify_partition
 from manyaccess.rng import make_rng, substream
@@ -251,17 +252,10 @@ def test_criterion_10_converse_trends():
     assert ok
 
 
-def test_criterion_11_phase_transition_witness():
-    # achievability half of the phase transition along the sublinear
-    # growth family: the average per-user error (ape = wrong/ell) must
-    # fall strictly at each step, each drop separated at 99.9%
-    # (gap > 3.29 combined standard errors).  Signature coordinates have
-    # variance E_sig/(2 n_sig), so per-user LS detection flips with
-    # probability about Q(sqrt(E_sig/(4 N0))) ~ 0.24 -> 0.19 -> 0.14 here.
-    # With ell growing 7 -> 16 the joint error (some user wrong) stays near
-    # 0.91-0.96 at any desk-scale n, and the paper sets no finite-n target
-    # for it, so it is reported with its Wilson interval but not asserted
-    z = 3.290526731491926  # two-sided 99.9% normal quantile
+@pytest.fixture(scope="module")
+def criterion_11_summaries():
+    """The 1000 trials of each growth point n = 256, 1024, 4096 (master
+    seeds 1111-1113), run once for criterion 11 and its digest pins."""
     summaries = []
     for idx, n in enumerate((256, 1024, 4096)):
         ell = math.ceil(n ** (1 / 3))
@@ -273,6 +267,21 @@ def test_criterion_11_phase_transition_witness():
             bp=BoundParams(xi=8), trials=1000, master_seed=1111 + idx,
         )
         summaries.append(estimate_error(cfg))
+    return summaries
+
+
+def test_criterion_11_phase_transition_witness(criterion_11_summaries):
+    # achievability half of the phase transition along the sublinear
+    # growth family: the average per-user error (ape = wrong/ell) must
+    # fall strictly at each step, each drop separated at 99.9%
+    # (gap > 3.29 combined standard errors).  Signature coordinates have
+    # variance E_sig/(2 n_sig), so per-user LS detection flips with
+    # probability about Q(sqrt(E_sig/(4 N0))) ~ 0.24 -> 0.19 -> 0.14 here.
+    # With ell growing 7 -> 16 the joint error (some user wrong) stays near
+    # 0.91-0.96 at any desk-scale n, and the paper sets no finite-n target
+    # for it, so it is reported with its Wilson interval but not asserted
+    z = 3.290526731491926  # two-sided 99.9% normal quantile
+    summaries = criterion_11_summaries
     steps = list(zip(summaries, summaries[1:]))
     drops = [a.ape - b.ape for a, b in steps]
     needed = [z * math.hypot(a.ape_stderr, b.ape_stderr) for a, b in steps]
@@ -286,6 +295,20 @@ def test_criterion_11_phase_transition_witness():
                          for s in summaries)
            + " (reported only)")
     assert ok
+
+
+@pytest.mark.parametrize("point,digest", [
+    (0, "73a2c445721b6b63e2a8bf2da1b12906286a75375cb94fa092ddcb172303d904"),
+    (1, "7f78cff12be4c1cb3074414e6b9e239c7f8bec859bd1bba05f3a2ef150876e2a"),
+    (2, "65dc7be579590879e6bec5072c9edc96b88872d4bc348458454aff71de58909a"),
+], ids=["n256", "n1024", "n4096"])
+def test_criterion_11_trials_csv_pinned(criterion_11_summaries, tmp_path, point, digest):
+    # every one of criterion 11's 3 x 1000 trial records, byte for byte, as
+    # the README's Reproducibility section promises: a receiver change that
+    # moves any decision changes a digest
+    path = tmp_path / "trials.csv"
+    write_trials_csv(path, criterion_11_summaries[point].records)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
 
 def test_criterion_12_simulate_determinism(tmp_path, capsys):

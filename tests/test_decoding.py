@@ -144,6 +144,26 @@ def _decode_case(k, M, case, seed):
     return plan, list(range(k)), rng.integers(-3, 4, size=4).astype(float)
 
 
+def _assert_matches_dense(k, M, case, seed):
+    """The pruned decoder returns the dense grid's tuple; on ties, the
+    lexicographically first of the exact integer minima."""
+    plan, active, Y = _decode_case(k, M, case, seed)
+    got = decode_joint_ml(Y, plan, active)
+    assert got == dense_joint_ml(Y, plan, active)
+    if case == "ties":
+        books = [plan.codebooks[i].words.astype(int) for i in active]
+        y = Y.astype(int)
+
+        def residual(tup):
+            r = y - sum(b[w] for b, w in zip(books, tup))
+            return int(r @ r)
+
+        tuples = list(product(range(1, M + 1), repeat=k))  # lexicographic
+        values = [residual(t) for t in tuples]
+        smallest = tuples[values.index(min(values))]
+        assert got == dict(zip(active, smallest))
+
+
 class TestDecodePpm:
     def test_noiseless(self):
         slot = np.zeros(6)
@@ -236,21 +256,19 @@ class TestPrunedSearchAgainstDense:
     )
     @settings(max_examples=150, deadline=None, derandomize=True)
     def test_matches_dense_oracle(self, k, M, case, seed):
-        plan, active, Y = _decode_case(k, M, case, seed)
-        got = decode_joint_ml(Y, plan, active)
-        assert got == dense_joint_ml(Y, plan, active)
-        if case == "ties":
-            books = [plan.codebooks[i].words.astype(int) for i in active]
-            y = Y.astype(int)
+        _assert_matches_dense(k, M, case, seed)
 
-            def residual(tup):
-                r = y - sum(b[w] for b, w in zip(books, tup))
-                return int(r @ r)
-
-            tuples = list(product(range(1, M + 1), repeat=k))  # lexicographic
-            values = [residual(t) for t in tuples]
-            smallest = tuples[values.index(min(values))]
-            assert got == dict(zip(active, smallest))
+    @given(
+        k=st.integers(min_value=6, max_value=7),
+        M=st.integers(min_value=2, max_value=3),
+        case=st.sampled_from(["n4096", "short", "ties"]),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    def test_matches_dense_oracle_at_large_k(self, k, M, case, seed):
+        # the elimination rounds do the most work at large k; M <= 3 keeps
+        # the dense grid at 3^7 = 2187 tuples or fewer
+        _assert_matches_dense(k, M, case, seed)
 
     @given(
         k=st.integers(min_value=1, max_value=7),

@@ -2,7 +2,6 @@ import dataclasses
 import math
 import tracemalloc
 from functools import lru_cache
-from itertools import combinations
 
 import numpy as np
 import pytest
@@ -25,14 +24,13 @@ from manyaccess.rng import make_rng, substream
 
 @lru_cache(maxsize=4)
 def _candidate_matrix(ell: int, v: int) -> np.ndarray:
-    """All weight <= v activity vectors, ordered by (weight, support lex)."""
-    rows = [np.zeros(ell)]
-    for j in range(1, min(v, ell) + 1):
-        for support in combinations(range(ell), j):
-            row = np.zeros(ell)
-            row[list(support)] = 1.0
-            rows.append(row)
-    return np.array(rows)
+    """All weight <= v activity vectors, ordered by (weight, support lex).
+    Within a weight, lexicographic supports are descending binary numbers
+    with user 0 as the leading bit."""
+    bits = (np.arange(2**ell)[::-1, None] >> np.arange(ell)[::-1]) & 1
+    weight = bits.sum(axis=1)
+    order = np.argsort(weight, kind="stable")
+    return bits[order][weight[order] <= v].astype(float)
 
 
 def dense_ls(Y_sig, S, v):
@@ -65,6 +63,28 @@ def ls_instances(draw):
         Y = matrix @ (rng.random(ell) < 0.3) + rng.standard_normal(n_sig) * draw(
             st.sampled_from([0.0, 0.5, 2.0])
         )
+    return Y, SignatureMatrix(matrix=matrix, E_sig=1.0), v
+
+
+@st.composite
+def wide_tie_instances(draw):
+    """ell 11..16, three or four blocks of the search: small-integer
+    signatures with duplicated columns, whose objective values are exact
+    and tie, received either as an exact fit or as integer noise; the
+    weight cap below ell or at least ell."""
+    ell = draw(st.integers(min_value=11, max_value=16))
+    v = draw(st.one_of(st.integers(min_value=0, max_value=ell - 1),
+                       st.integers(min_value=ell, max_value=ell + 2)))
+    n_sig = draw(st.integers(min_value=1, max_value=12))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    matrix = rng.integers(-2, 3, size=(n_sig, ell)).astype(float)
+    pairs = st.tuples(st.integers(0, ell - 1), st.integers(0, ell - 1))
+    for i, j in draw(st.lists(pairs, min_size=1, max_size=5)):
+        matrix[:, j] = matrix[:, i]
+    if draw(st.booleans()):
+        Y = matrix @ (rng.random(ell) < 0.3)
+    else:
+        Y = rng.integers(-3, 4, size=n_sig).astype(float)
     return Y, SignatureMatrix(matrix=matrix, E_sig=1.0), v
 
 
@@ -172,6 +192,18 @@ class TestBranchAndBound:
         res = detect_ls_exhaustive(Y, S, v)
         assert np.array_equal(res.d_hat, d_dense)
         assert res.residual == pytest.approx(r_dense, rel=1e-12, abs=1e-9)
+
+    @given(wide_tie_instances())
+    @settings(max_examples=120, derandomize=True, deadline=None)
+    def test_wide_ties_match_dense_scan(self, instance):
+        # three or four blocks, a padded last block below ell = 12 and 16,
+        # exact ties between duplicated users: the first minimum in
+        # (weight, lex) order must survive every step
+        Y, S, v = instance
+        d_dense, r_dense = dense_ls(Y, S, v)
+        res = detect_ls_exhaustive(Y, S, v)
+        assert np.array_equal(res.d_hat, d_dense)
+        assert res.residual == r_dense
 
     def test_growth_point_matches_dense_scan(self):
         for seed in range(20):

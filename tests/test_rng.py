@@ -5,9 +5,12 @@ simulation streams; splitmix64(0) matches the published SplitMix64
 reference output.
 """
 
+import sys
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 
-from manyaccess.rng import make_rng, mix_seed, rekey, splitmix64, substream
+from manyaccess.rng import make_rng, mix_seed, rekey, splitmix64, substream, thread_rng
 
 SPLITMIX64_VECTORS = {
     0x0000000000000000: 0xE220A8397B1DCDAF,
@@ -70,3 +73,26 @@ def test_rekey_gives_the_bytes_of_a_fresh_generator():
             make_rng(seed).integers(0, 1 << 32, size=3, dtype=np.uint32).tobytes())
         rekey(rng, seed)
         assert rng.standard_normal(9).tobytes() == make_rng(seed).standard_normal(9).tobytes()
+
+
+def test_thread_rng_streams_are_per_thread():
+    # four threads on two cores, switching every microsecond, each re-key
+    # and draw at once: a generator shared across threads would hand one
+    # thread another's stream
+    def draws_match(base):
+        rng = thread_rng("test", base)
+        for seed in range(base, base + 300):
+            assert thread_rng("test", seed) is rng
+            if rng.standard_normal(8).tobytes() != make_rng(seed).standard_normal(8).tobytes():
+                return False
+        return True
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            results = list(pool.map(draws_match, range(0, 4000, 1000), timeout=120))
+    finally:
+        sys.setswitchinterval(interval)
+    assert results == [True] * 4
+
