@@ -74,11 +74,9 @@ def make_joint_plan(
     params: SystemParams, sched: EnergySchedule, M: int, rng: np.random.Generator
 ) -> JointPlan:
     """Fresh random signatures from `rng`, then one 64-bit key from `rng`
-    that addresses the per-user codebook substreams (see UserCodebooks).
-    The key is the next raw Philox word, which is what
-    rng.integers(0, 2**64, dtype=np.uint64) returns, without its checks."""
+    that addresses the per-user codebook substreams (see UserCodebooks)."""
     sigs = gen_signatures(params.ell, sched.n_sig, sched.E_sig, rng)
-    key = int(rng.bit_generator.random_raw())
+    key = int(rng.integers(0, 1 << 64, dtype=np.uint64))
     books = UserCodebooks(params.ell, M, sched.n_msg, sched.E_msg, key)
     return JointPlan(ell=params.ell, M=M, codebooks=books, signatures=sigs, n_msg=sched.n_msg)
 

@@ -10,8 +10,7 @@ Agrell, Eriksson, Vardy & Zeger 2002): it discards only supports that
 provably lose to a known one, then scores the few survivors the way the
 full enumeration scores every candidate.  Its frontier is usually a
 node or two, so its cost is numpy's per-call cost: the search fixes
-_BLOCK users per step, and everything a step adds that does not depend
-on the node is built for every step at once before it starts.
+_BLOCK users per step, in a fixed handful of numpy calls per step.
 """
 
 import math
@@ -31,10 +30,14 @@ DEFAULT_CANDIDATE_BUDGET = 10**7
 _BLOCK = 4
 # every setting of _BLOCK users, lexicographically descending (all on first)
 _PATTERNS = ((np.arange(2**_BLOCK)[::-1, None] >> np.arange(_BLOCK)[::-1]) & 1).astype(float)
-# _ROWS[r]: the settings whose last _BLOCK - r users are off, which list the
-# settings of the first r users in the same order; a last block of r < _BLOCK
-# users is padded with users that have no terms and stay off
-_ROWS = tuple(slice(2 ** (_BLOCK - r) - 1, None, 2 ** (_BLOCK - r)) for r in range(_BLOCK + 1))
+# _ROWS[r]: for a block of r users, the settings whose last _BLOCK - r users
+# are off, which list the settings of the first r users in the same order,
+# then those settings, then their transpose with the users reversed; a last
+# block of r < _BLOCK users is padded with users that have no terms and stay off
+_ROWS = tuple(
+    (rows, _PATTERNS[rows], _PATTERNS[rows, ::-1].T)
+    for rows in (slice(2 ** (_BLOCK - r) - 1, None, 2 ** (_BLOCK - r)) for r in range(_BLOCK + 1))
+)
 _WEIGHTS = _PATTERNS.sum(axis=1)
 # (a block's G, flattened) @ _PAIRS = 2 sum_{i<j} s_i s_j G_ij for every setting s
 _PAIRS = 2.0 * np.triu(_PATTERNS[:, :, None] * _PATTERNS[:, None, :], 1).reshape(2**_BLOCK, -1).T
@@ -91,12 +94,15 @@ def _surviving_supports(gram: np.ndarray, corr: np.ndarray, v: int, tol: float) 
 
     What a setting s of a block adds to a child does not depend on the
     node, except the linear term h_block . s: its pair terms, its weight,
-    its bits and 2 s G_block on every field.  Those rows are built for
-    every block before the search, in a few batched products over G
-    padded to whole blocks, so a step is one broadcast add, one product
-    for the linear terms, the bound and the cut.  Children follow their
-    parent in _PATTERNS order, which keeps equal-weight supports in
-    lexicographic order; a stable sort on weight finishes it.
+    its bits and 2 s G_block on the later users' fields.  G is padded to
+    whole blocks, and one product gives every block's pair terms before
+    the search.  A step writes its pair terms and its block's fields into
+    one row per setting (one product), adds those rows to every node,
+    adds the linear terms (one product), sets the block's bits, then
+    bounds and cuts.  Apart from G, its tail sums and the frontier, the
+    search holds O(ell) numbers.  Children follow their parent in _PATTERNS
+    order, which keeps equal-weight supports in lexicographic order; a
+    stable sort on weight finishes it.
     """
     ell = len(corr)
     blocks = -(-ell // _BLOCK)
@@ -108,14 +114,14 @@ def _surviving_supports(gram: np.ndarray, corr: np.ndarray, v: int, tol: float) 
     off.flat[:: L + 1] = 0.0
     # neg_tail[L - 1 - t, L - 1 - j] = sum_{l >= t} min(0, G_lj), G being symmetric
     neg_tail = np.minimum(off, 0.0)[::-1, ::-1].cumsum(axis=0)
-    # steps[b, s] = what setting s of block b adds to a node, apart from the linear term
-    width = 2 + 2 * L
+    # pairs[b, s] = 2 sum_{i<j} s_i s_j G_ij over block b's users
     diag = np.arange(blocks)
-    steps = np.zeros((blocks, 2**_BLOCK, width))
-    steps[:, :, 0] = off.reshape(blocks, _BLOCK, blocks, _BLOCK)[diag, :, diag].reshape(blocks, -1) @ _PAIRS
-    steps[:, :, 1] = _WEIGHTS
-    steps[:, :, 2 : 2 + L].reshape(blocks, 2**_BLOCK, blocks, _BLOCK)[diag, :, diag] = _PATTERNS
-    np.matmul(_DOUBLED, off[:, ::-1].reshape(blocks, _BLOCK, L), out=steps[:, :, 2 + L :])
+    pairs = off.reshape(blocks, _BLOCK, blocks, _BLOCK)[diag, :, diag].reshape(blocks, -1) @ _PAIRS
+    # step[s] = what setting s of the current block adds to a node, apart
+    # from the linear term and its support bits
+    width = 2 + 2 * L
+    step = np.zeros((2**_BLOCK, width))
+    step[:, 1] = _WEIGHTS
     # start point: the users whose own term is negative, at most v of them
     order = a.argsort(kind="stable")[:v]
     start = np.zeros(ell)
@@ -124,11 +130,16 @@ def _surviving_supports(gram: np.ndarray, corr: np.ndarray, v: int, tol: float) 
 
     nodes = np.zeros((1, width))
     nodes[0, width - ell :] = a[::-1]
-    for b in range(blocks):
-        t = b * _BLOCK  # the block's first user; the block's fields are the nodes' last columns
-        rows, free, w = _ROWS[min(_BLOCK, ell - t)], t + _BLOCK, width - t - _BLOCK
-        children = nodes[:, None, :w] + steps[b, rows, :w]
-        children[:, :, 0] += nodes[:, w:] @ _PATTERNS[rows, ::-1].T
+    later = off[:, ::-1]  # later[i, L - 1 - j] = G_ij
+    for t, pair in zip(range(0, L, _BLOCK), pairs):
+        # t is the block's first user; the block's fields are the nodes' last columns
+        rows, settings, flipped = _ROWS[min(_BLOCK, ell - t)]
+        free, w = t + _BLOCK, width - t - _BLOCK
+        step[:, 0] = pair
+        np.matmul(_DOUBLED, later[t:free, : L - free], out=step[:, 2 + L : w])
+        children = nodes[:, None, :w] + step[rows, :w]
+        children[:, :, 0] += nodes[:, w:] @ flipped
+        children[:, :, 2 + t : 2 + free] = settings
         children = children.reshape(-1, w)
         p, feasible = children[:, 0], children[:, 1] <= v
         best = min(best, float(np.minimum.reduce(p, where=feasible, initial=np.inf)))

@@ -2,6 +2,7 @@ import dataclasses
 import math
 import tracemalloc
 from functools import lru_cache
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -31,6 +32,24 @@ def _candidate_matrix(ell: int, v: int) -> np.ndarray:
     weight = bits.sum(axis=1)
     order = np.argsort(weight, kind="stable")
     return bits[order][weight[order] <= v].astype(float)
+
+
+def _combinations_matrix(ell: int, v: int) -> np.ndarray:
+    """The same matrix enumerated weight by weight with itertools, as an
+    independent check of _candidate_matrix's order."""
+    rows = [np.zeros(ell)]
+    for j in range(1, min(v, ell) + 1):
+        for support in combinations(range(ell), j):
+            row = np.zeros(ell)
+            row[list(support)] = 1.0
+            rows.append(row)
+    return np.array(rows)
+
+
+@pytest.mark.parametrize("ell", range(1, 11))
+def test_candidate_matrix_is_weight_then_lex_order(ell):
+    for v in range(ell + 2):
+        assert np.array_equal(_candidate_matrix(ell, v), _combinations_matrix(ell, v))
 
 
 def dense_ls(Y_sig, S, v):
@@ -221,6 +240,21 @@ class TestBranchAndBound:
         finally:
             tracemalloc.stop()
         assert peak < 2 * 2**20
+
+    def test_peak_memory_at_large_ell(self):
+        # at v = 0 the frontier is one node; beyond G itself the search may
+        # hold its padded copy and tail sums, not step rows for every block
+        ell, n_sig = 512, 64
+        S = gen_signatures(ell, n_sig, 4.0, make_rng(30))
+        Y = S.matrix[:, :2].sum(axis=1)
+        tracemalloc.start()
+        try:
+            res = detect_ls_exhaustive(Y, S, 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert res.weight == 0
+        assert peak < 5 * 8 * ell**2, f"{peak / (8 * ell**2):.2f} ell^2 doubles"
 
     def test_keeps_no_candidate_cache(self):
         Y, S, v = _joint_n4096_instance(1)

@@ -1,13 +1,12 @@
 #!/usr/bin/env python3
 """Where a joint trial's time goes: self time and calls per stage, and page faults.
 
-    python3 tools/trial_stages.py                        # the joint_n4096 point, this checkout
+    python3 tools/trial_stages.py                        # this checkout
     python3 tools/trial_stages.py --src ../parent/src    # the same trials, another checkout
-    python3 tools/trial_stages.py --config cfg.json --first 50 --last 649 --passes 3
 
-Runs trials FIRST..LAST (default 50..649) of a joint `simulate` config
-(default: the joint_n4096 point, n = 4096, ell 16, alpha 2/16, b 0.5,
-M 10, xi 8, master seed 1113) and prints one JSON object:
+Runs trials FIRST..LAST (50..649) of the joint_n4096 point (n = 4096,
+ell 16, alpha 2/16, b 0.5, M 10, xi 8, master seed 1113) and prints one
+JSON object:
 
 - `stage_ms`: self time per trial of each stage, in ms.  A stage is a
   layer function, wrapped where its caller looks it up: `signatures`
@@ -42,21 +41,20 @@ import time
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 # the joint_n4096 point of perfbench and criterion 11
-DEFAULT_CONFIG = {"scheme": "joint", "n": 4096, "ell": 16, "alpha": 0.125, "N0": 2.0,
-                  "b": 0.5, "M": 10, "xi": 8, "master_seed": 1113}
+CONFIG = {"scheme": "joint", "n": 4096, "ell": 16, "alpha": 0.125, "N0": 2.0,
+          "b": 0.5, "M": 10, "xi": 8, "master_seed": 1113}
+FIRST, LAST = 50, 649  # the trials measured; 0..FIRST-1 warm up
+PASSES = 3
 
 STAGES = ("signatures", "books", "plan", "transmit", "awgn", "detection", "decode", "rest")
 
 
-def load(src: str, config: dict):
-    """manyaccess from `src`, and the config's ExperimentConfig."""
+def load(src: str):
+    """manyaccess from `src`, and CONFIG as an ExperimentConfig."""
     sys.path.insert(0, os.path.abspath(src))
     from manyaccess import channel, decoding, harness
 
-    cfg = harness.config_from_dict({**config, "trials": 1})
-    if cfg.scheme != "joint":
-        raise SystemExit("trial_stages measures joint-scheme trials only")
-    return cfg, harness, channel, decoding
+    return harness.config_from_dict({**CONFIG, "trials": 1}), harness, channel, decoding
 
 
 class Stages:
@@ -120,15 +118,15 @@ class Stages:
             sys.setprofile(None)
 
 
-def stage_report(src: str, config: dict, first: int, last: int, passes: int) -> dict:
-    cfg, harness, channel, decoding = load(src, config)
+def stage_report(src: str) -> dict:
+    cfg, harness, channel, decoding = load(src)
     stages = Stages(harness, channel, decoding)
-    indices = range(first, last + 1)
-    for i in range(first):  # warm-up, as in the fault count
+    indices = range(FIRST, LAST + 1)
+    for i in range(FIRST):  # warm-up, as in the fault count
         harness.run_trial(cfg, i)
     best = [dict.fromkeys(STAGES, float("inf")) for _ in indices]
     total = [float("inf")] * len(indices)
-    for _ in range(passes):
+    for _ in range(PASSES):
         for slot, i in enumerate(indices):
             ms = stages.timed(harness.run_trial, cfg, i)
             for stage, value in ms.items():
@@ -145,16 +143,16 @@ def stage_report(src: str, config: dict, first: int, last: int, passes: int) -> 
     }
 
 
-def fault_report(src: str, config: dict, first: int, last: int) -> dict:
-    """getrusage over trials first..last after trials 0..first-1, in this process."""
-    cfg, harness, _, _ = load(src, config)
-    for i in range(first):
+def fault_report(src: str) -> dict:
+    """getrusage over trials FIRST..LAST after trials 0..FIRST-1, in this process."""
+    cfg, harness, _, _ = load(src)
+    for i in range(FIRST):
         harness.run_trial(cfg, i)
     before, start = resource.getrusage(resource.RUSAGE_SELF), time.perf_counter()
-    for i in range(first, last + 1):
+    for i in range(FIRST, LAST + 1):
         harness.run_trial(cfg, i)
     wall, after = time.perf_counter() - start, resource.getrusage(resource.RUSAGE_SELF)
-    n = last - first + 1
+    n = LAST - FIRST + 1
     return {
         "minflt_per_trial": (after.ru_minflt - before.ru_minflt) / n,
         "sys_ms_per_trial": round(1000.0 * (after.ru_stime - before.ru_stime) / n, 4),
@@ -165,33 +163,18 @@ def fault_report(src: str, config: dict, first: int, last: int) -> dict:
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description="per-stage self time, calls and faults of joint trials")
     ap.add_argument("--src", default=os.path.join(REPO, "src"), help="the checkout's src directory")
-    ap.add_argument("--config", help="a joint `simulate` config file (default: joint_n4096's point)")
-    ap.add_argument("--first", type=int, default=50)
-    ap.add_argument("--last", type=int, default=649)
-    ap.add_argument("--passes", type=int, default=3)
     ap.add_argument("--faults-only", action="store_true",
                     help="print only the fault counts of this process (the full report "
                          "runs itself this way in a fresh interpreter)")
     args = ap.parse_args(argv)
-    if not 0 <= args.first <= args.last or args.passes < 1:
-        ap.error("need 0 <= --first <= --last and --passes >= 1")
-    config = DEFAULT_CONFIG
-    if args.config:
-        with open(args.config) as f:
-            config = json.load(f)
     if args.faults_only:
-        print(json.dumps(fault_report(args.src, config, args.first, args.last)))
+        print(json.dumps(fault_report(args.src)))
         return 0
-    cmd = [sys.executable, os.path.abspath(__file__), "--faults-only", "--src", args.src,
-           "--first", str(args.first), "--last", str(args.last)]
-    if args.config:
-        cmd += ["--config", args.config]
+    cmd = [sys.executable, os.path.abspath(__file__), "--faults-only", "--src", args.src]
     child = subprocess.run(cmd, stdout=subprocess.PIPE, text=True, check=True)
     faults = json.loads(child.stdout.strip().splitlines()[-1])
-    report = {"src": os.path.abspath(args.src), "config": config,
-              "trials": [args.first, args.last], "passes": args.passes,
-              **stage_report(args.src, config, args.first, args.last, args.passes),
-              "faults": faults}
+    report = {"src": os.path.abspath(args.src), "config": CONFIG, "trials": [FIRST, LAST],
+              "passes": PASSES, **stage_report(args.src), "faults": faults}
     print(json.dumps(report, indent=1))
     return 0
 
