@@ -6,6 +6,11 @@ codewords are (signature, message codeword) concatenations; orthogonal
 transmission places each user's pilot+PPM word in its own slot.
 """
 
+import contextlib
+import os
+import queue
+import threading
+import weakref
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -16,30 +21,146 @@ from .model import EnergySchedule, SystemParams
 from .rng import mix_seed, thread_rng
 
 
+class _Draw:
+    """One queued book draw.  Whichever thread takes `claim` first draws
+    it: the helper from the front of its queue, or a reader that needs
+    the book before the helper has started it.  `done` is held until
+    that draw has ended."""
+
+    __slots__ = ("books", "user", "claim", "done", "book", "error")
+
+    def __init__(self, books: "UserCodebooks", user: int):
+        self.books, self.user = books, user
+        self.claim, self.done = threading.Lock(), threading.Lock()
+        self.done.acquire()
+        self.book = self.error = None
+
+    def run(self) -> None:
+        """Draw the book, unless another thread has claimed it."""
+        if self.claim.acquire(blocking=False):
+            try:
+                self.book = self.books._draw(self.user)
+            except BaseException as e:  # raised where the book is read
+                self.error = e
+            finally:
+                self.done.release()
+
+    def result(self) -> Codebook:
+        """The book: drawn here if the helper has not started it, else
+        waited for.  A failed draw raises its error on every read."""
+        self.run()
+        with self.done:
+            pass
+        if self.error is not None:
+            raise self.error
+        return self.book
+
+
+def _serve(jobs: queue.SimpleQueue) -> None:
+    for job in iter(jobs.get, None):
+        job.run()
+
+
+class _Helper:
+    """A daemon thread that runs the _Draw jobs put on `jobs`, in order,
+    started with this object.  It stops once this object is collected,
+    as when the thread that owns it ends; it holds only the queue."""
+
+    def __init__(self):
+        self.jobs = queue.SimpleQueue()
+        threading.Thread(target=_serve, args=(self.jobs,), name="books", daemon=True).start()
+        weakref.finalize(self, self.jobs.put, None)
+
+
+_HELPERS = threading.local()
+
+
+def _forget_helpers() -> None:
+    """A forked child inherits the helpers but not their threads, so
+    nothing it queued would run: it starts helpers of its own."""
+    global _HELPERS
+    _HELPERS = threading.local()
+
+
+os.register_at_fork(after_in_child=_forget_helpers)
+
+
+def _helper() -> _Helper:
+    """This thread's book-drawing helper, started on first use, so trials
+    on several threads never queue behind each other's books."""
+    helper = getattr(_HELPERS, "helper", None)
+    if helper is None:
+        helper = _HELPERS.helper = _Helper()
+    return helper
+
+
 class UserCodebooks(Sequence):
-    """Read-only per-user message codebooks, each drawn when first read.
+    """Read-only per-user message codebooks, each drawn at most once.
 
     User i's book is gen_codebook(M, length, E, substream(key, i)), so its
-    bytes do not depend on which other books are read, or in what order.
-    Each book is drawn on the thread's "books" generator re-keyed to
-    mix_seed(key, i) (rng.thread_rng), which gives substream(key, i)'s
-    bytes without building a generator.  A built book is cached; a plan
-    never leaves its trial, so the cache needs no lock.
+    bytes do not depend on which other books are read, in what order, or
+    on which thread.  Each book is drawn on the drawing thread's "books"
+    generator re-keyed to mix_seed(key, i) (rng.thread_rng), which gives
+    substream(key, i)'s bytes without building a generator.  Inside
+    `drawing`, books are queued on the calling thread's helper thread,
+    which draws them while the caller works on; reading a book the helper
+    has not started draws it on the reader instead, and reading one it
+    has started waits for it.  A book never queued is drawn when first
+    read.  Every draw looks up channel.gen_codebook and channel.mix_seed
+    when it runs, whichever thread runs it.
     """
 
     def __init__(self, ell: int, M: int, length: int, E: float, key: int):
         self.M, self.length, self.E, self.key = M, length, E, key
-        self._books: list[Codebook | None] = [None] * ell
+        self._books: list[Codebook | _Draw | None] = [None] * ell
+        self._queued: list[int] = []  # users in the order their books were queued
 
     def __len__(self) -> int:
         return len(self._books)
 
     def __getitem__(self, i: int) -> Codebook:
         i = range(len(self._books))[i]  # IndexError past the end; -1 is the last user
-        if self._books[i] is None:
-            rng = thread_rng("books", mix_seed(self.key, i))
-            self._books[i] = gen_codebook(self.M, self.length, self.E, rng)
-        return self._books[i]
+        book = self._books[i]
+        if not isinstance(book, Codebook):
+            book = self._books[i] = self._draw(i) if book is None else book.result()
+        return book
+
+    def _draw(self, i: int) -> Codebook:
+        rng = thread_rng("books", mix_seed(self.key, i))
+        return gen_codebook(self.M, self.length, self.E, rng)
+
+    def _queue(self, users) -> None:
+        jobs = _helper().jobs
+        for i in users:
+            i = range(len(self._books))[i]  # an int, checked as a read checks it
+            if self._books[i] is None:
+                self._books[i] = job = _Draw(self, i)
+                jobs.put(job)
+                self._queued.append(i)
+
+    def draw(self, users) -> None:
+        """Have the books of `users` drawn, by the helper and this thread
+        together: queue those never queued but the last, then read from
+        the back, so this thread draws the last at once and takes back
+        what the helper, working from the front, has not started."""
+        users = set(users)
+        new = [i for i in sorted(users) if self._books[i] is None]
+        self._queue(new[:-1])
+        for i in new[-1:] + self._queued[::-1]:
+            if i in users:
+                self[i]
+
+    @contextlib.contextmanager
+    def drawing(self, users):
+        """Queue the books of `users` on the helper for the body of the
+        `with`.  Every queued book is read when the body ends, however it
+        ends, so no draw outlives the body, and a failed draw raises there,
+        over any error of the body, as a read before the body would have."""
+        self._queue(users)
+        try:
+            yield self
+        finally:
+            self.draw(self._queued)
 
 
 @dataclass(frozen=True)
@@ -88,18 +209,25 @@ def make_ortho_plan(params: SystemParams, sched: EnergySchedule, M: int) -> Orth
     return OrthoPlan(ell=params.ell, M=M, book=book, slot_len=slot)
 
 
-def transmit_joint(plan: JointPlan, msgs: np.ndarray) -> np.ndarray:
-    """Clean superposed signal sum_i (s_i, x~_i(w_i)) over active users."""
+def transmit_joint(plan: JointPlan, msgs: np.ndarray, block: str | None = None) -> np.ndarray:
+    """Clean superposed signal sum_i (s_i, x~_i(w_i)) over active users,
+    or one block of it: "signatures" is S d, "messages" is 0 plus the
+    active users' words in user order, the only block that reads books."""
     if len(msgs) != plan.ell:
         raise ValueError(f"message vector length {len(msgs)} != ell {plan.ell}")
+    if block not in (None, "signatures", "messages"):
+        raise ValueError(f"unknown block {block!r}")
     active = np.asarray(msgs) != 0
-    rows = plan.signatures.matrix.T  # (ell, n_sig): the signatures as drawn
-    n_sig = rows.shape[1]
-    out = np.zeros(n_sig + plan.n_msg)
-    np.matmul(active.astype(float), rows, out=out[:n_sig])  # S d
-    for i in active.nonzero()[0]:
-        out[n_sig:] += plan.codebooks[i].words[msgs[i]]
-    return out
+    blocks = []
+    if block != "messages":
+        rows = plan.signatures.matrix.T  # (ell, n_sig): the signatures as drawn
+        blocks.append(np.empty(rows.shape[1]))
+        np.matmul(active.astype(float), rows, out=blocks[-1])  # S d
+    if block != "signatures":
+        blocks.append(np.zeros(plan.n_msg))
+        for i in active.nonzero()[0]:
+            blocks[-1] += plan.codebooks[i].words[msgs[i]]
+    return blocks[0] if block else np.concatenate(blocks)
 
 
 def transmit_ortho(plan: OrthoPlan, msgs: np.ndarray) -> np.ndarray:
@@ -110,13 +238,23 @@ def transmit_ortho(plan: OrthoPlan, msgs: np.ndarray) -> np.ndarray:
     return plan.book.words[msgs].ravel()
 
 
-def awgn(signal: np.ndarray, N0: float, rng: np.random.Generator) -> np.ndarray:
-    """Add i.i.d. N(0, N0/2) noise; N0 = 0 passes the signal through (tests)."""
+def awgn(
+    signal: np.ndarray, N0: float, rng: np.random.Generator, length: int | None = None
+) -> np.ndarray:
+    """Add i.i.d. N(0, N0/2) noise; N0 = 0 passes the signal through (tests).
+    A `length` longer than the signal draws noise for that many channel
+    uses and adds the signal to the first ones; the rest hold the noise
+    alone (zeros when N0 = 0), for the caller to add the signal's tail."""
     if N0 < 0.0:
         raise ValueError(f"noise level must be >= 0, got {N0}")
+    length = len(signal) if length is None else length
+    if length < len(signal):
+        raise ValueError(f"length {length} < signal length {len(signal)}")
     if N0 == 0.0:
-        return np.array(signal, copy=True)
-    out = rng.standard_normal(len(signal))
+        out = np.zeros(length)
+        out[: len(signal)] = signal
+        return out
+    out = rng.standard_normal(length)
     out *= np.sqrt(N0 / 2.0)
-    out += signal
+    out[: len(signal)] += signal
     return out

@@ -15,6 +15,7 @@ one running sum per block of tuples.
 import functools
 import itertools
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -197,6 +198,11 @@ def _objectives(terms: np.ndarray, g: np.ndarray, k: int, M: int) -> np.ndarray:
 _SCORE_BLOCK = 1 << 14
 
 
+def _check_tuple_budget(M: int, k: int, budget: int) -> None:
+    if M**k > budget:
+        raise ComplexityBudgetError(f"M^|active| = {M}^{k} exceeds the tuple budget of {budget}")
+
+
 def decode_joint_ml(
     Y_msg: np.ndarray,
     plan: JointPlan,
@@ -222,10 +228,7 @@ def decode_joint_ml(
     if k == 0:
         return {}
     M = plan.M
-    if M**k > budget:
-        raise ComplexityBudgetError(
-            f"M^|active| = {M}^{k} exceeds the tuple budget of {budget}"
-        )
+    _check_tuple_budget(M, k, budget)
     Y_msg = np.asarray(Y_msg, dtype=float)
     books = [plan.codebooks[i] for i in active]
     words = [b.words[1:] for b in books]  # (M, n_msg) each
@@ -256,6 +259,7 @@ def two_phase_receive(
     bp: BoundParams,
     detection_budget: int = DEFAULT_CANDIDATE_BUDGET,
     tuple_budget: int = DEFAULT_TUPLE_BUDGET,
+    message_block: Callable[[list[int]], np.ndarray] | None = None,
 ) -> TwoPhaseResult:
     """Detect active users on the signature block, then jointly decode them.
 
@@ -263,20 +267,24 @@ def two_phase_receive(
     exceeds floor(xi*k); otherwise w_hat carries the ML messages for
     detected users and 0 elsewhere.  A decode grid over the tuple budget
     is reported as budget_abort (nobody decoded); a detection search over
-    its budget raises ComplexityBudgetError.
+    its budget raises ComplexityBudgetError.  Given `message_block`, Y is
+    only the signature block, and message_block(detected users) gives the
+    message block when, and only when, there is a decode to run.
     """
-    if len(Y) != sched.n_sig + sched.n_msg:
-        raise ValueError(f"received length {len(Y)} != n_sig+n_msg = {sched.n_sig + sched.n_msg}")
+    n_received = sched.n_sig + (0 if message_block else sched.n_msg)
+    if len(Y) != n_received:
+        raise ValueError(f"received length {len(Y)} != {n_received}")
     det = detect_ls_exhaustive(
         Y[: sched.n_sig], plan.signatures, v_cap(params, sched), budget=detection_budget
     )
     w_hat = np.zeros(params.ell, dtype=int)
     if det.weight > math.floor(bp.xi * params.k):
         return TwoPhaseResult(w_hat=w_hat, detection=det, overflow=True)
+    detected = det.d_hat.nonzero()[0].tolist()
     try:
-        decoded = decode_joint_ml(
-            Y[sched.n_sig :], plan, det.d_hat.nonzero()[0].tolist(), budget=tuple_budget
-        )
+        _check_tuple_budget(plan.M, len(detected), tuple_budget)
+        Y_msg = message_block(detected) if message_block else Y[sched.n_sig :]
+        decoded = decode_joint_ml(Y_msg, plan, detected, budget=tuple_budget)
     except ComplexityBudgetError:
         return TwoPhaseResult(w_hat=w_hat, detection=det, overflow=False, budget_abort=True)
     for user, w in decoded.items():

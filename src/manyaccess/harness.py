@@ -4,13 +4,16 @@ Each trial is reproducible from (master seed, trial index) alone: the
 trial seed is mix_seed(master, index) and one Philox stream drawn from it
 feeds, in order, message sampling, the signatures, one 64-bit codebook
 key, and the noise.  User i's message codebook comes from substream(key,
-i), drawn only when the transmitter or the decoder first reads it.
+i); a joint trial draws the books of its active and detected users, on a
+helper thread beside its detection and on its own thread, and a book's
+bytes do not depend on which thread draws it (channel.UserCodebooks).
 Signatures and codebooks are redrawn fresh every trial (the annealed
 ensemble the union bounds control); the fixed-codebook mode draws the
 signatures and the key from a dedicated substream of the master seed
 instead, so every trial sees the same plan.  Trials are independent
-tasks, so a thread pool may run them concurrently; aggregation is by
-trial index and therefore order-independent.
+tasks, so a thread pool may run them concurrently, each pool thread with
+its own helper; aggregation is by trial index and therefore
+order-independent.
 """
 
 import ast
@@ -63,13 +66,28 @@ class JointScheme:
     def plan(self, cfg: "ExperimentConfig", sched: EnergySchedule, rng):
         return make_joint_plan(cfg.params, sched, cfg.M, rng)
 
-    def transmit(self, plan, msgs: np.ndarray) -> np.ndarray:
-        return transmit_joint(plan, msgs)
+    def transmit_receive(self, cfg: "ExperimentConfig", sched: EnergySchedule, plan,
+                         msgs: np.ndarray, N0: float, rng):
+        """(w_hat, d_hat, overflow, budget_abort) of one transmission: the
+        bytes of transmit_joint, awgn and two_phase_receive in turn, with
+        the work reordered around the books.  The helper draws the active
+        users' books while this thread draws the noise, adds S d and
+        detects; then the two draw the detected users' books, and the
+        message block, noise + (0 + the active users' words), is formed
+        and decoded.  A budget abort decodes nobody and reports no user
+        detected: it is scored as a total loss."""
+        books, n_sig = plan.codebooks, sched.n_sig
+        active = msgs.nonzero()[0].tolist()
 
-    def receive(self, Y: np.ndarray, plan, cfg: "ExperimentConfig", sched: EnergySchedule):
-        """(w_hat, d_hat, overflow, budget_abort).  A budget abort decodes
-        nobody and reports no user detected: it is scored as a total loss."""
-        res = two_phase_receive(Y, plan, cfg.params, sched, cfg.bp)
+        def message_block(detected: list[int]) -> np.ndarray:
+            books.draw(active + detected)
+            Y[n_sig:] += transmit_joint(plan, msgs, "messages")
+            return Y[n_sig:]
+
+        with books.drawing(active):
+            Y = awgn(transmit_joint(plan, msgs, "signatures"), N0, rng, length=n_sig + sched.n_msg)
+            res = two_phase_receive(Y[:n_sig], plan, cfg.params, sched, cfg.bp,
+                                    message_block=message_block)
         d_hat = np.zeros_like(res.w_hat) if res.budget_abort else res.detection.d_hat
         return res.w_hat, d_hat, res.overflow, res.budget_abort
 
@@ -88,10 +106,9 @@ class OrthoScheme:
     def plan(self, cfg: "ExperimentConfig", sched: EnergySchedule, rng):
         return make_ortho_plan(cfg.params, sched, cfg.M)
 
-    def transmit(self, plan, msgs: np.ndarray) -> np.ndarray:
-        return transmit_ortho(plan, msgs)
-
-    def receive(self, Y: np.ndarray, plan, cfg: "ExperimentConfig", sched: EnergySchedule):
+    def transmit_receive(self, cfg: "ExperimentConfig", sched: EnergySchedule, plan,
+                         msgs: np.ndarray, N0: float, rng):
+        Y = awgn(transmit_ortho(plan, msgs), N0, rng)
         w_hat = ortho_receive(Y, plan, cfg.params, sched)
         return w_hat, (w_hat != 0).astype(int), False, False
 
@@ -171,8 +188,8 @@ def run_trial(cfg: ExperimentConfig, trial_index: int) -> TrialRecord:
     msgs = sample_messages(cfg.params, cfg.M, rng)
     plan_rng = make_rng(mix_seed(cfg.master_seed, _PLAN_STREAM)) if cfg.fixed_codebooks else rng
     plan = access.plan(cfg, sched, plan_rng)
-    Y = awgn(access.transmit(plan, msgs), 0.0 if cfg.noiseless else cfg.params.N0, rng)
-    w_hat, d_hat, overflow, budget_abort = access.receive(Y, plan, cfg, sched)
+    N0 = 0.0 if cfg.noiseless else cfg.params.N0
+    w_hat, d_hat, overflow, budget_abort = access.transmit_receive(cfg, sched, plan, msgs, N0, rng)
 
     d_true = msgs != 0
     kappa1, kappa2 = detection_stats(d_true, d_hat)
@@ -400,6 +417,7 @@ class SummaryRow:
     joint_err_ci_lo: float | None = None
     joint_err_ci_hi: float | None = None
     ape: float | None = None
+    ape_stderr: float | None = None
     overflow_rate: float | None = None
     budget_total: float | None = None
     budget_valid: bool | None = None
@@ -431,7 +449,7 @@ def summary_row(
     if summary is not None:
         s = summary
         cells.update(joint_err=s.joint_err, joint_err_ci_lo=s.joint_err_ci[0],
-                     joint_err_ci_hi=s.joint_err_ci[1], ape=s.ape,
+                     joint_err_ci_hi=s.joint_err_ci[1], ape=s.ape, ape_stderr=s.ape_stderr,
                      overflow_rate=s.overflow_rate, budget_aborts=s.budget_aborts)
     errors.append(error)
     converse = bounds.converse_joint(params, E, 0.0).value
@@ -440,6 +458,10 @@ def summary_row(
     else:
         cells["converse_nats"] = converse
     return SummaryRow(**cells, error="; ".join(filter(None, errors)) or None)
+
+
+# two-sided 99.9% normal quantile: the separation of each ape drop
+APE_DROP_Z = 3.290526731491926
 
 
 @dataclass
@@ -473,8 +495,10 @@ def sweep(
     large for numpy to represent or allocate keeps the rate and budget
     too.
     Verdicts over the points the family could evaluate: `regime`
-    (load_regime, from 3 points) and `converse_decreasing` (from 2 that
-    hold a converse).
+    (load_regime, from 3 points), `converse_decreasing` (from 2 that
+    hold a converse) and `ape_decreasing` (from 2 that ran trials: ape
+    falls at each step by more than APE_DROP_Z combined standard errors,
+    acceptance criterion 11's separation).
     """
     access = _lookup_scheme(scheme)
     if not 0.0 < split < 1.0:
@@ -520,6 +544,12 @@ def sweep(
     conv = [r.converse_nats for r in good if r.converse_nats is not None]
     if len(conv) >= 2:
         verdicts["converse_decreasing"] = all(b < a for a, b in zip(conv, conv[1:]))
+    ran = [r for r in good if r.ape is not None]
+    if len(ran) >= 2:
+        verdicts["ape_decreasing"] = all(
+            a.ape - b.ape > APE_DROP_Z * math.hypot(a.ape_stderr, b.ape_stderr)
+            for a, b in zip(ran, ran[1:])
+        )
     return SweepResult(rows=rows, verdicts=verdicts)
 
 

@@ -1,20 +1,25 @@
 import csv
 import dataclasses
+import functools
 import hashlib
 import math
+import multiprocessing
 import os
 import subprocess
 import sys
 import textwrap
+import threading
+import time
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from manyaccess import channel, harness
+from manyaccess import channel, decoding, harness
 from manyaccess.codebooks import gen_codebook, gen_signatures
 from manyaccess.decoding import BoundParams
-from manyaccess.errors import ConfigError
+from manyaccess.errors import ComplexityBudgetError, ConfigError
 from manyaccess.harness import (
     ExperimentConfig,
     GrowthFamily,
@@ -30,7 +35,7 @@ from manyaccess.harness import (
     write_summary_csv,
     write_trials_csv,
 )
-from manyaccess.model import RateSpec, SystemParams, make_ortho_schedule, sample_messages
+from manyaccess.model import RateSpec, SystemParams, make_joint_schedule, make_ortho_schedule, sample_messages
 from manyaccess.rng import make_rng, mix_seed, substream
 
 TINY = ExperimentConfig(
@@ -57,6 +62,28 @@ SUP_FAMILY = GrowthFamily(
 EDGE_FAMILY = GrowthFamily(
     name="edge", ell_of_n=lambda n: math.ceil(n / 4), alpha_of_n=lambda n, ell: 0.5
 )
+
+
+def _send_trial(conn, cfg, index):
+    """Run one trial in this (forked) process; send its record and whether a
+    helper thread drew a book.  Detection waits for the helper, so a
+    helper that never runs shows as False, ten seconds late."""
+    helper_drew = threading.Event()
+    gen, detect = channel.gen_codebook, decoding.detect_ls_exhaustive
+
+    def noting_gen_codebook(*args):
+        if threading.current_thread() is not threading.main_thread():
+            helper_drew.set()
+        return gen(*args)
+
+    def detect_after_helper(*args, **kwargs):
+        helper_drew.wait(10.0)
+        return detect(*args, **kwargs)
+
+    channel.gen_codebook = noting_gen_codebook
+    decoding.detect_ls_exhaustive = detect_after_helper
+    conn.send((run_trial(cfg, index), helper_drew.is_set()))
+    conn.close()
 
 
 class TestRunTrial:
@@ -109,6 +136,110 @@ class TestRunTrial:
             active = np.flatnonzero(sample_messages(TINY.params, TINY.M, make_rng(rec.seed)))
             assert len(calls) == len(set(users)) == len(users) == rec.k_true + rec.kappa2
             assert set(active) <= set(users)
+
+    def test_delayed_helper_draws_give_the_same_records(self, monkeypatch, tmp_path):
+        # books drawn late on the helper: the trial's own thread then takes
+        # more of them back, and the records and CSV bytes must not change
+        clean = [run_trial(TINY, i) for i in range(TINY.trials)]
+        on_helper = []
+
+        def slow_gen_codebook(*args):
+            if threading.current_thread() is not threading.main_thread():
+                on_helper.append(args)
+                time.sleep(0.002)
+            return gen_codebook(*args)
+
+        monkeypatch.setattr(channel, "gen_codebook", slow_gen_codebook)
+        delayed = [run_trial(TINY, i) for i in range(TINY.trials)]
+        assert on_helper and delayed == clean
+        write_trials_csv(tmp_path / "clean.csv", tuple(clean))
+        write_trials_csv(tmp_path / "delayed.csv", tuple(delayed))
+        assert (tmp_path / "clean.csv").read_bytes() == (tmp_path / "delayed.csv").read_bytes()
+
+    def test_failed_helper_draw_raises_in_its_trial(self, monkeypatch):
+        # detection waits until the helper has started a book, so the
+        # failing draw runs on the helper and not on the trial's thread
+        class DrawFailed(Exception):
+            pass
+
+        started = threading.Event()
+
+        def failing_gen_codebook(*args):
+            if threading.current_thread() is threading.main_thread():
+                return gen_codebook(*args)
+            started.set()
+            raise DrawFailed
+
+        detect = decoding.detect_ls_exhaustive
+
+        def detect_after_helper_starts(*args, **kwargs):
+            assert started.wait(10.0)
+            return detect(*args, **kwargs)
+
+        index = next(i for i in range(TINY.trials) if run_trial(TINY, i).k_true > 0)
+        clean = run_trial(TINY, index + 1)
+        with monkeypatch.context() as patch:
+            patch.setattr(channel, "gen_codebook", failing_gen_codebook)
+            patch.setattr(decoding, "detect_ls_exhaustive", detect_after_helper_starts)
+            with pytest.raises(DrawFailed):
+                run_trial(TINY, index)
+        assert run_trial(TINY, index + 1) == clean
+
+    @pytest.mark.parametrize("detection_budget", [None, 1], ids=["returns", "raises"])
+    def test_no_draw_outlives_its_trial(self, monkeypatch, detection_budget):
+        # every draw has ended when run_trial returns or raises, and none
+        # starts afterwards; a detection budget of 1 raises in every trial
+        state = {"running": 0, "draws": 0}
+        lock = threading.Lock()
+
+        def tracked_gen_codebook(*args):
+            with lock:
+                state["running"] += 1
+                state["draws"] += 1
+            try:
+                time.sleep(0.001)
+                return gen_codebook(*args)
+            finally:
+                with lock:
+                    state["running"] -= 1
+
+        monkeypatch.setattr(channel, "gen_codebook", tracked_gen_codebook)
+        if detection_budget is not None:
+            monkeypatch.setattr(harness, "two_phase_receive", functools.partial(
+                harness.two_phase_receive, detection_budget=detection_budget))
+        for i in range(10):
+            if detection_budget is None:
+                run_trial(TINY, i)
+            else:
+                with pytest.raises(ComplexityBudgetError):
+                    run_trial(TINY, i)
+            with lock:
+                running, draws = state["running"], state["draws"]
+            assert running == 0
+            time.sleep(0.005)
+            assert state["draws"] == draws
+
+    @pytest.mark.filterwarnings("ignore:This process .* is multi-threaded:DeprecationWarning")
+    def test_forked_child_runs_trials(self):
+        # a process forked after trials ran inherits the helper but not its
+        # thread; its own trials must run, with the parent's records
+        for i in range(3):
+            run_trial(TINY, i)
+        index = next(i for i in range(3, TINY.trials) if run_trial(TINY, i).k_true > 0)
+        want = run_trial(TINY, index)
+        context = multiprocessing.get_context("fork")
+        receive, send = context.Pipe(duplex=False)
+        child = context.Process(target=_send_trial, args=(send, TINY, index))
+        child.start()
+        send.close()
+        try:
+            assert receive.poll(60.0), "the forked child's trial did not finish"
+            assert receive.recv() == (want, True)
+        finally:
+            child.join(60.0)
+            if child.is_alive():
+                child.kill()
+        assert child.exitcode == 0
 
     def test_fixed_codebooks_same_books_every_trial(self, monkeypatch):
         cfg = ExperimentConfig(scheme="joint", params=TINY.params, split=0.5, M=4,
@@ -212,6 +343,34 @@ class TestEstimateError:
         assert serial.ape == threaded.ape
         assert [r.seed for r in serial.records] == [r.seed for r in threaded.records]
 
+    def test_helpers_end_with_their_pool_threads(self):
+        # each thread that runs trials starts one book helper; the helpers
+        # of a pool's threads stop once those threads have ended
+        def helpers():
+            return sum(t.name == "books" for t in threading.enumerate())
+
+        cfg = dataclasses.replace(TINY, trials=8)
+        for _ in range(3):
+            estimate_error(cfg, threads=2)
+            deadline = time.monotonic() + 10.0
+            while helpers() > 1 and time.monotonic() < deadline:
+                time.sleep(0.01)
+            assert helpers() <= 1
+
+    def test_trials_on_more_threads_than_cores(self):
+        # four trial threads, each with its own helper, switching every
+        # microsecond: a generator or a book shared across threads would
+        # change a record
+        want = [run_trial(TINY, i) for i in range(TINY.trials)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                got = list(pool.map(lambda i: run_trial(TINY, i), range(TINY.trials), timeout=120))
+        finally:
+            sys.setswitchinterval(interval)
+        assert got == want
+
     def test_thread_count_capped_at_cores(self, monkeypatch):
         # a recorder stands in for the pool, so no thread is started
         asked = []
@@ -273,6 +432,31 @@ class TestSweep:
         res = sweep(family, grid, R_dot_fraction=0.25, scheme=scheme)
         assert res.verdicts == {"regime": regime, "converse_decreasing": converse_decreasing}
         assert classify_regime(family, grid) == regime
+
+    @pytest.mark.parametrize("grid,verdict", [([256, 1024, 4096], False), ([256, 1024], True)],
+                             ids=["three-points", "two-points"])
+    def test_ape_verdict_is_criterion_11s_separation(self, grid, verdict):
+        # the verdict on a sweep with trials, recomputed the way criterion
+        # 11 computes it from the summaries of the same configs; at 30
+        # trials the drop from 1024 to 4096 is not separated at 99.9%
+        seed, trials = 31, 30
+        res = sweep(SUB_FAMILY, grid, R_dot_fraction=0.25, trials=trials, master_seed=seed)
+        summaries = []
+        for n, row in zip(grid, res.rows):
+            params = SUB_FAMILY.params_at(n)
+            sched = make_joint_schedule(params, 0.5)
+            M = RateSpec.from_rate(0.25 / params.N0, sched.E).M
+            cfg = ExperimentConfig(scheme="joint", params=params, split=0.5, M=M,
+                                   trials=trials, master_seed=mix_seed(seed, n))
+            summaries.append(estimate_error(cfg))
+            assert (row.ape, row.ape_stderr) == (summaries[-1].ape, summaries[-1].ape_stderr)
+        z = 3.290526731491926
+        steps = list(zip(summaries, summaries[1:]))
+        want = all(a.ape - b.ape > z * math.hypot(a.ape_stderr, b.ape_stderr) for a, b in steps)
+        assert res.verdicts["ape_decreasing"] is want is verdict
+        # one point that ran trials gives no verdict: detection refuses n = 16384
+        assert "ape_decreasing" not in sweep(SUB_FAMILY, [256, 16384], R_dot_fraction=0.25,
+                                             trials=2).verdicts
 
     def test_two_points_give_no_regime(self):
         res = sweep(SUB_FAMILY, [256, 1024], R_dot_fraction=0.25)
@@ -419,7 +603,7 @@ class TestConfigAndCsv:
         header = path.read_text().splitlines()[0]
         assert header == (
             "n,ell,alpha,k,E,R_dot_nats,R_dot_bits,joint_err,joint_err_ci_lo,"
-            "joint_err_ci_hi,ape,overflow_rate,budget_total,budget_valid,"
+            "joint_err_ci_hi,ape,ape_stderr,overflow_rate,budget_total,budget_valid,"
             "budget_aborts,converse_nats,error"
         )
 
