@@ -59,6 +59,7 @@ class _Draw:
 def _serve(jobs: queue.SimpleQueue) -> None:
     for job in iter(jobs.get, None):
         job.run()
+        del job  # its book goes with its trial, not with the next job
 
 
 class _Helper:
@@ -142,13 +143,21 @@ class UserCodebooks(Sequence):
         """Have the books of `users` drawn, by the helper and this thread
         together: queue those never queued but the last, then read from
         the back, so this thread draws the last at once and takes back
-        what the helper, working from the front, has not started."""
+        what the helper, working from the front, has not started.  Every
+        book is read, and so every queued draw of `users` has ended, before
+        the first failed draw raises."""
         users = set(users)
         new = [i for i in sorted(users) if self._books[i] is None]
         self._queue(new[:-1])
+        error = None
         for i in new[-1:] + self._queued[::-1]:
             if i in users:
-                self[i]
+                try:
+                    self[i]
+                except BaseException as e:  # the other books are still read
+                    error = error or e
+        if error is not None:
+            raise error
 
     @contextlib.contextmanager
     def drawing(self, users):
@@ -156,8 +165,8 @@ class UserCodebooks(Sequence):
         `with`.  Every queued book is read when the body ends, however it
         ends, so no draw outlives the body, and a failed draw raises there,
         over any error of the body, as a read before the body would have."""
-        self._queue(users)
         try:
+            self._queue(users)
             yield self
         finally:
             self.draw(self._queued)
@@ -238,23 +247,13 @@ def transmit_ortho(plan: OrthoPlan, msgs: np.ndarray) -> np.ndarray:
     return plan.book.words[msgs].ravel()
 
 
-def awgn(
-    signal: np.ndarray, N0: float, rng: np.random.Generator, length: int | None = None
-) -> np.ndarray:
-    """Add i.i.d. N(0, N0/2) noise; N0 = 0 passes the signal through (tests).
-    A `length` longer than the signal draws noise for that many channel
-    uses and adds the signal to the first ones; the rest hold the noise
-    alone (zeros when N0 = 0), for the caller to add the signal's tail."""
+def awgn(signal: np.ndarray, N0: float, rng: np.random.Generator) -> np.ndarray:
+    """Add i.i.d. N(0, N0/2) noise; N0 = 0 passes the signal through (tests)."""
     if N0 < 0.0:
         raise ValueError(f"noise level must be >= 0, got {N0}")
-    length = len(signal) if length is None else length
-    if length < len(signal):
-        raise ValueError(f"length {length} < signal length {len(signal)}")
     if N0 == 0.0:
-        out = np.zeros(length)
-        out[: len(signal)] = signal
-        return out
-    out = rng.standard_normal(length)
+        return np.array(signal, copy=True)
+    out = rng.standard_normal(len(signal))
     out *= np.sqrt(N0 / 2.0)
-    out[: len(signal)] += signal
+    out += signal
     return out

@@ -85,7 +85,8 @@ class JointScheme:
             return Y[n_sig:]
 
         with books.drawing(active):
-            Y = awgn(transmit_joint(plan, msgs, "signatures"), N0, rng, length=n_sig + sched.n_msg)
+            Y = awgn(np.concatenate([transmit_joint(plan, msgs, "signatures"),
+                                     np.zeros(sched.n_msg)]), N0, rng)
             res = two_phase_receive(Y[:n_sig], plan, cfg.params, sched, cfg.bp,
                                     message_block=message_block)
         d_hat = np.zeros_like(res.w_hat) if res.budget_abort else res.detection.d_hat

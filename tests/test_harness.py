@@ -185,6 +185,48 @@ class TestRunTrial:
                 run_trial(TINY, index)
         assert run_trial(TINY, index + 1) == clean
 
+    def test_failed_draw_on_the_trials_thread_waits_for_the_helper(self, monkeypatch):
+        # the trial's own thread fails its draws while the helper is still
+        # drawing a slowed book and has another queued: run_trial raises
+        # only once the helper's draw has ended, and no draw starts later
+        class DrawFailed(Exception):
+            pass
+
+        state = {"running": 0, "draws": 0}
+        lock = threading.Lock()
+        started = threading.Event()
+
+        def gen_codebook_failing_here(*args):
+            if threading.current_thread() is threading.main_thread():
+                raise DrawFailed
+            with lock:
+                state["running"] += 1
+                state["draws"] += 1
+            started.set()
+            try:
+                time.sleep(0.05)
+                return gen_codebook(*args)
+            finally:
+                with lock:
+                    state["running"] -= 1
+
+        detect = decoding.detect_ls_exhaustive
+
+        def detect_after_helper_starts(*args, **kwargs):
+            assert started.wait(10.0)
+            return detect(*args, **kwargs)
+
+        index = next(i for i in range(TINY.trials) if run_trial(TINY, i).k_true >= 2)
+        monkeypatch.setattr(channel, "gen_codebook", gen_codebook_failing_here)
+        monkeypatch.setattr(decoding, "detect_ls_exhaustive", detect_after_helper_starts)
+        with pytest.raises(DrawFailed):
+            run_trial(TINY, index)
+        with lock:
+            running, draws = state["running"], state["draws"]
+        assert (running, draws) == (0, 1)
+        time.sleep(0.1)
+        assert state["draws"] == draws
+
     @pytest.mark.parametrize("detection_budget", [None, 1], ids=["returns", "raises"])
     def test_no_draw_outlives_its_trial(self, monkeypatch, detection_budget):
         # every draw has ended when run_trial returns or raises, and none
