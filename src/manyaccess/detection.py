@@ -5,12 +5,13 @@ binary activity vectors of weight at most v = floor(k*(1+c)).  The
 candidate set also contains d = 0 so the receiver can prefer the empty
 set when nothing fits; ties break toward smaller weight, then the
 lexicographically smallest support, making the output deterministic.
-The search is a branch-and-bound over {0,1}^ell (Fincke & Pohst 1985;
-Agrell, Eriksson, Vardy & Zeger 2002): it discards only supports that
-provably lose to a known one, then scores the few survivors the way the
-full enumeration scores every candidate.  Its frontier is usually a
-node or two, so its cost is numpy's per-call cost: the search fixes
-_BLOCK users per step, in a fixed handful of numpy calls per step.
+The search is a depth-first branch-and-bound over {0,1}^ell with
+Schnorr-Euchner child order (Schnorr & Euchner 1994; Agrell, Eriksson,
+Vardy & Zeger 2002): it discards only subtrees that provably lose to a
+known support, then scores the few survivors the way the full
+enumeration scores every candidate.  Beyond the Gram matrix it holds a
+reordered copy, its tail sums and one waiting sibling per depth, so its
+memory does not grow with the number of candidates.
 """
 
 import math
@@ -23,27 +24,6 @@ from .errors import ComplexityBudgetError, InvalidRegimeError
 from .model import EnergySchedule, SystemParams
 
 DEFAULT_CANDIDATE_BUDGET = 10**7
-
-# Users the branch-and-bound fixes per numpy step.  On the small frontiers
-# the search keeps, numpy's per-call cost dominates a step, so four users
-# (16 children per node) cover ell = 16 in 4 steps instead of 16.
-_BLOCK = 4
-# every setting of _BLOCK users, lexicographically descending (all on first)
-_PATTERNS = ((np.arange(2**_BLOCK)[::-1, None] >> np.arange(_BLOCK)[::-1]) & 1).astype(float)
-# _ROWS[r]: for a block of r users, the settings whose last _BLOCK - r users
-# are off, which list the settings of the first r users in the same order,
-# then those settings, then their transpose with the users reversed; a last
-# block of r < _BLOCK users is padded with users that have no terms and stay off
-_ROWS = tuple(
-    (rows, _PATTERNS[rows], _PATTERNS[rows, ::-1].T)
-    for rows in (slice(2 ** (_BLOCK - r) - 1, None, 2 ** (_BLOCK - r)) for r in range(_BLOCK + 1))
-)
-_WEIGHTS = _PATTERNS.sum(axis=1)
-# (a block's G, flattened) @ _PAIRS = 2 sum_{i<j} s_i s_j G_ij for every setting s
-_PAIRS = 2.0 * np.triu(_PATTERNS[:, :, None] * _PATTERNS[:, None, :], 1).reshape(2**_BLOCK, -1).T
-_DOUBLED = 2.0 * _PATTERNS
-for _table in (_PATTERNS, _WEIGHTS, _PAIRS, _DOUBLED):
-    _table.setflags(write=False)
 
 
 @dataclass(frozen=True)
@@ -79,73 +59,61 @@ def _surviving_supports(gram: np.ndarray, corr: np.ndarray, v: int, tol: float) 
     """Supports of weight <= v that may minimize q, as 0/1 rows in (weight, lex) order.
 
     q(d) = ||Y - S d||^2 - ||Y||^2 = sum_j d_j a_j + 2 sum_{i<j} d_i d_j G_ij
-    with a_j = G_jj - 2 c_j.  Users are fixed in index order, _BLOCK at a
-    time, each step over the whole frontier.  A node is one row: its
-    partial value p (its fixed-on users alone), its weight, its support
-    bits, and for each user j not yet fixed the field
-    h_j = a_j + 2 sum_{fixed-on i} G_ij, from user L-1 down, so the users
-    fixed next are the last columns and a step drops them.  Any
-    completion adds at least
-    sum_{free j} min(0, h_j + sum_{free l != j} min(0, G_jl)) to p, so a
-    node is dropped when that lower bound exceeds the best known value by
-    more than tol: every leaf below it loses by more than rounding can
-    account for.  Each node with its free users off is itself a leaf,
-    which tightens the best known value as the tree deepens.
-
-    What a setting s of a block adds to a child does not depend on the
-    node, except the linear term h_block . s: its pair terms, its weight,
-    its bits and 2 s G_block on the later users' fields.  G is padded to
-    whole blocks, and one product gives every block's pair terms before
-    the search.  A step writes its pair terms and its block's fields into
-    one row per setting (one product), adds those rows to every node,
-    adds the linear terms (one product), sets the block's bits, then
-    bounds and cuts.  Apart from G, its tail sums and the frontier, the
-    search holds O(ell) numbers.  Children follow their parent in _PATTERNS
-    order, which keeps equal-weight supports in lexicographic order; a
-    stable sort on weight finishes it.
+    with a_j = G_jj - 2 c_j.  The search is depth-first and visits the
+    users in ascending order of a_j.  A node at depth t has fixed the
+    first t users in that order; it holds its partial value p (its on
+    users alone), its on users (w of them), and for each free user j the
+    field h_j = a_j + 2 sum_{on i} G_ij, which turning j on adds to p.
+    The child that lowers p goes first: "on" when h_t < 0.  Any
+    completion turns at most v - w more users on and adds at least the
+    v - w most negative terms min(0, h_j + sum_{free l != j} min(0, G_jl)),
+    so a node is cut when p plus those terms exceeds the best known value
+    by more than tol: every leaf below it loses by more than rounding can
+    account for.  The bound never exceeds p, so a node within tol of the
+    best known value is not bounded at all.  Each node with its free users
+    off is itself a leaf, which tightens the best known value; a node at
+    the cap is a leaf and is not expanded.  Apart from G, a reordered copy
+    and its tail sums, the search holds one waiting sibling per depth with
+    its O(ell) fields.  The kept leaves are returned sorted by weight, then
+    support.
     """
     ell = len(corr)
-    blocks = -(-ell // _BLOCK)
-    L = blocks * _BLOCK
     a = gram.diagonal() - 2.0 * corr
-    # G without its diagonal, padded to L users
-    off = np.zeros((L, L))
-    off[:ell, :ell] = gram
-    off.flat[:: L + 1] = 0.0
-    # neg_tail[L - 1 - t, L - 1 - j] = sum_{l >= t} min(0, G_lj), G being symmetric
-    neg_tail = np.minimum(off, 0.0)[::-1, ::-1].cumsum(axis=0)
-    # pairs[b, s] = 2 sum_{i<j} s_i s_j G_ij over block b's users
-    diag = np.arange(blocks)
-    pairs = off.reshape(blocks, _BLOCK, blocks, _BLOCK)[diag, :, diag].reshape(blocks, -1) @ _PAIRS
-    # step[s] = what setting s of the current block adds to a node, apart
-    # from the linear term and its support bits
-    width = 2 + 2 * L
-    step = np.zeros((2**_BLOCK, width))
-    step[:, 1] = _WEIGHTS
+    order = a.argsort(kind="stable")
     # start point: the users whose own term is negative, at most v of them
-    order = a.argsort(kind="stable")[:v]
     start = np.zeros(ell)
-    start[order] = a[order] < 0.0
+    start[order[:v]] = a[order[:v]] < 0.0
     best = min(0.0, float(start @ gram @ start - 2.0 * (start @ corr)))
 
-    nodes = np.zeros((1, width))
-    nodes[0, width - ell :] = a[::-1]
-    later = off[:, ::-1]  # later[i, L - 1 - j] = G_ij
-    for t, pair in zip(range(0, L, _BLOCK), pairs):
-        # t is the block's first user; the block's fields are the nodes' last columns
-        rows, settings, flipped = _ROWS[min(_BLOCK, ell - t)]
-        free, w = t + _BLOCK, width - t - _BLOCK
-        step[:, 0] = pair
-        np.matmul(_DOUBLED, later[t:free, : L - free], out=step[:, 2 + L : w])
-        children = nodes[:, None, :w] + step[rows, :w]
-        children[:, :, 0] += nodes[:, w:] @ flipped
-        children[:, :, 2 + t : 2 + free] = settings
-        children = children.reshape(-1, w)
-        p, feasible = children[:, 0], children[:, 1] <= v
-        best = min(best, float(np.minimum.reduce(p, where=feasible, initial=np.inf)))
-        slack = np.minimum(children[:, 2 + L :] + neg_tail[L - 1 - free, : L - free], 0.0)
-        nodes = children[feasible & (p + np.add.reduce(slack, axis=1) <= best + tol)]
-    return nodes[nodes[:, 1].argsort(kind="stable"), 2 : 2 + ell]
+    # G without its diagonal in visiting order; tail[t, j] = sum_{l >= t} min(0, G_lj)
+    g = gram.take(order, axis=0).take(order, axis=1)
+    g.flat[:: ell + 1] = 0.0
+    tail = np.minimum(g, 0.0)[::-1].cumsum(axis=0)[::-1]
+    g *= 2.0
+    kept = []
+    # a node: (depth, partial value, its on users' places in order, free users' fields)
+    stack = [(0, 0.0, (), a[order])]
+    while stack:
+        t, p, on, h = stack.pop()
+        best = min(best, p)
+        if len(on) == v or t == ell:
+            if p <= best + tol:
+                kept.append(on)
+            continue
+        if p > best + tol:
+            terms = h + tail[t, t:]
+            np.minimum(terms, 0.0, out=terms)
+            terms.sort()
+            if p + sum(terms[: v - len(on)].tolist()) > best + tol:
+                continue
+        h0 = float(h[0])
+        off, on_child = (t + 1, p, on, h[1:]), (t + 1, p + h0, on + (t,), h[1:] + g[t, t + 1 :])
+        stack += (off, on_child) if h0 < 0.0 else (on_child, off)
+    supports = sorted((sorted(order[list(on)].tolist()) for on in kept), key=lambda s: (len(s), s))
+    cands = np.zeros((len(supports), ell))
+    for row, support in zip(cands, supports):
+        row[support] = 1.0
+    return cands
 
 
 def detect_ls_exhaustive(

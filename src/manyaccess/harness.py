@@ -559,8 +559,11 @@ def load_regime(points, tol: float = 0.05) -> str:
     with n, ell and k attributes (SystemParams or SummaryRow).
 
     Slope below -tol: sublinear; above +tol: superlinear; else
-    indeterminate, as it is when a point has no load (ell = 1).
+    indeterminate, as it is when a point has no load (ell = 1).  A
+    tolerance that is not finite or is below 0 is a ConfigError.
     """
+    if not (math.isfinite(tol) and tol >= 0.0):
+        raise ConfigError(f"tolerance must be finite and >= 0, got {tol}")
     if len(points) < 3:
         raise ConfigError(f"need at least 3 grid points, got {len(points)}")
     loads = [p.k * math.log(p.ell) / p.n for p in points]

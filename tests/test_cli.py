@@ -691,6 +691,15 @@ class TestMalformedInput:
                 rc = main([*command, "--family", str(fam), "--n-grid", grid])
                 assert rc in (EXIT_OK, EXIT_CONFIG, EXIT_BUDGET), (grid, command)
 
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "-5", "-1e-300"])
+    def test_classify_tol(self, tmp_path, capsys, tol):
+        fam = tmp_path / "family.json"
+        fam.write_text(json.dumps(SUB_FAMILY))
+        argv = ["classify", "--family", str(fam), "--n-grid", "256,1024,4096"]
+        assert main([*argv, f"--tol={tol}"]) == EXIT_CONFIG
+        assert capsys.readouterr().out == ""
+        assert main([*argv, "--tol=0"]) == EXIT_OK
+
     @pytest.mark.parametrize("name,key,value", [
         ("converse_joint", "E", 1e308), ("converse_joint", "E", 1e-308),
         ("converse_joint", "ell", 1e308), ("converse_ape", "ell", 1e308),

@@ -52,9 +52,11 @@ def test_candidate_matrix_is_weight_then_lex_order(ell):
         assert np.array_equal(_candidate_matrix(ell, v), _combinations_matrix(ell, v))
 
 
-def dense_ls(Y_sig, S, v):
-    """The exhaustive scan: every candidate scored, the first minimum wins."""
-    cands = _candidate_matrix(S.ell, v)
+def dense_ls(Y_sig, S, v, cands=None):
+    """The exhaustive scan: every candidate scored, the first minimum wins.
+    cands defaults to _candidate_matrix(S.ell, v)."""
+    if cands is None:
+        cands = _candidate_matrix(S.ell, v)
     gram = S.matrix.T @ S.matrix
     corr = S.matrix.T @ Y_sig
     base = float(Y_sig @ Y_sig)
@@ -87,7 +89,7 @@ def ls_instances(draw):
 
 @st.composite
 def wide_tie_instances(draw):
-    """ell 11..16, three or four blocks of the search: small-integer
+    """ell 11..16, more users than the small instances: small-integer
     signatures with duplicated columns, whose objective values are exact
     and tie, received either as an exact fit or as integer noise; the
     weight cap below ell or at least ell."""
@@ -215,9 +217,8 @@ class TestBranchAndBound:
     @given(wide_tie_instances())
     @settings(max_examples=120, derandomize=True, deadline=None)
     def test_wide_ties_match_dense_scan(self, instance):
-        # three or four blocks, a padded last block below ell = 12 and 16,
-        # exact ties between duplicated users: the first minimum in
-        # (weight, lex) order must survive every step
+        # exact ties between duplicated users, at depths up to 16: the first
+        # minimum in (weight, lex) order must survive every cut
         Y, S, v = instance
         d_dense, r_dense = dense_ls(Y, S, v)
         res = detect_ls_exhaustive(Y, S, v)
@@ -242,8 +243,8 @@ class TestBranchAndBound:
         assert peak < 2 * 2**20
 
     def test_peak_memory_at_large_ell(self):
-        # at v = 0 the frontier is one node; beyond G itself the search may
-        # hold its padded copy and tail sums, not step rows for every block
+        # at v = 0 the root is a leaf; beyond G itself the search may hold
+        # its reordered copy and tail sums, nothing per node
         ell, n_sig = 512, 64
         S = gen_signatures(ell, n_sig, 4.0, make_rng(30))
         Y = S.matrix[:, :2].sum(axis=1)
@@ -255,6 +256,25 @@ class TestBranchAndBound:
             tracemalloc.stop()
         assert res.weight == 0
         assert peak < 5 * 8 * ell**2, f"{peak / (8 * ell**2):.2f} ell^2 doubles"
+
+    @pytest.mark.parametrize("ell,v", [(256, 2), (1000, 1)])
+    def test_large_ell_small_cap(self, ell, v):
+        # a breadth-first search built every node's children before the
+        # weight cut: 13.2 s and 1.7 GB at ell 256, v 2; 10.3 s and 288 MB
+        # at ell 1000, v 1
+        rng = make_rng(ell)
+        S = gen_signatures(ell, 512, 20.0, rng)
+        Y = S.matrix[:, :2].sum(axis=1) + rng.standard_normal(512)
+        tracemalloc.start()
+        try:
+            res = detect_ls_exhaustive(Y, S, v)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5 * 8 * ell**2, f"{peak / (8 * ell**2):.2f} ell^2 doubles"
+        d_dense, r_dense = dense_ls(Y, S, v, _combinations_matrix(ell, v))
+        assert np.array_equal(res.d_hat, d_dense)
+        assert res.residual == pytest.approx(r_dense, rel=1e-12)
 
     def test_keeps_no_candidate_cache(self):
         Y, S, v = _joint_n4096_instance(1)
