@@ -259,9 +259,9 @@ class TestBranchAndBound:
 
     @pytest.mark.parametrize("ell,v", [(256, 2), (1000, 1)])
     def test_large_ell_small_cap(self, ell, v):
-        # a breadth-first search built every node's children before the
-        # weight cut: 13.2 s and 1.7 GB at ell 256, v 2; 10.3 s and 288 MB
-        # at ell 1000, v 1
+        # almost every support is over the cap: a search that builds the
+        # children of every node before the weight cut took 13.2 s and
+        # 1.7 GB at ell 256, v 2, and 10.3 s and 288 MB at ell 1000, v 1
         rng = make_rng(ell)
         S = gen_signatures(ell, 512, 20.0, rng)
         Y = S.matrix[:, :2].sum(axis=1) + rng.standard_normal(512)
