@@ -3,13 +3,16 @@
 Subcommands: bounds, simulate, sweep, partition, classify, mu.  Exit
 codes: 0 success, 2 config error, 3 complexity-budget abort (including
 an array too large to allocate).  Rates are reported in both nats and
-bits per unit energy.
+bits per unit energy.  An output path is opened before the work that
+fills it, so one that cannot be written exits 2 at once.
 """
 
 import argparse
+import contextlib
 import dataclasses
 import json
 import math
+import os
 import sys
 
 from . import bounds as bnd
@@ -152,16 +155,37 @@ def _cmd_bounds(args) -> int:
     return EXIT_OK
 
 
+@contextlib.contextmanager
+def _output_files(*paths):
+    """Check that each given output path can be written before the work
+    that fills it starts, so a bad path fails at once.  A path that did not
+    exist is created empty and removed again if the work fails; an
+    existing file is left as it is until the work writes it."""
+    created = []
+    try:
+        for path in filter(None, paths):
+            if not os.path.exists(path):
+                created.append(path)
+            open(path, "a").close()
+        yield
+    except BaseException:
+        for path in created:
+            with contextlib.suppress(OSError):
+                os.remove(path)
+        raise
+
+
 def _cmd_simulate(args) -> int:
     overrides = {"trials": args.trials, "master_seed": args.seed}
-    cfg = harness.load_config(args.config, overrides)
-    summary = harness.estimate_error(cfg, threads=args.threads)
-    budget = harness.analytic_budget(cfg)
-    row = harness.summary_row(cfg.params, cfg.schedule.E, cfg.M, budget, summary)
-    if args.trials_csv:
-        harness.write_trials_csv(args.trials_csv, summary.records)
-    if args.summary_csv:
-        harness.write_summary_csv(args.summary_csv, [row])
+    with _output_files(args.trials_csv, args.summary_csv):
+        cfg = harness.load_config(args.config, overrides)
+        summary = harness.estimate_error(cfg, threads=args.threads)
+        budget = harness.analytic_budget(cfg)
+        row = harness.summary_row(cfg.params, cfg.schedule.E, cfg.M, budget, summary)
+        if args.trials_csv:
+            harness.write_trials_csv(args.trials_csv, summary.records)
+        if args.summary_csv:
+            harness.write_summary_csv(args.summary_csv, [row])
     payload = dataclasses.asdict(row)
     payload["budget_terms"] = budget.terms
     payload["epsilon_target"] = cfg.epsilon
@@ -171,34 +195,35 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    family = harness.load_family(args.family)
-    n_grid = [int(x) for x in args.n_grid.split(",")]
-    result = harness.sweep(
-        family,
-        n_grid,
-        R_dot_fraction=args.rate_fraction,
-        N0=args.N0,
-        scheme=args.scheme,
-        split=args.split,
-        trials=args.trials if args.trials is not None else 0,
-        master_seed=args.seed or 0,
-        threads=args.threads,
-    )
-    harness.write_summary_csv(args.out, result.rows)
+    with _output_files(args.out):
+        family = harness.load_family(args.family)
+        n_grid = [int(x) for x in args.n_grid.split(",")]
+        result = harness.sweep(
+            family,
+            n_grid,
+            R_dot_fraction=args.rate_fraction,
+            N0=args.N0,
+            scheme=args.scheme,
+            split=args.split,
+            trials=args.trials if args.trials is not None else 0,
+            master_seed=args.seed or 0,
+            threads=args.threads,
+        )
+        harness.write_summary_csv(args.out, result.rows)
     print(json.dumps({"rows": len(result.rows), "verdicts": result.verdicts, "csv": args.out}))
     return EXIT_OK
 
 
 def _cmd_partition(args) -> int:
-    p = build_partition(args.ell, args.M, args.t)
-    report = verify_partition(p, args.ell)
-    out = partition_to_json(p, report)
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(out)
-        print(json.dumps({"ok": report.ok, "json": args.out}))
-    else:
-        print(out)
+    with _output_files(args.out):
+        p = build_partition(args.ell, args.M, args.t)
+        report = verify_partition(p, args.ell)
+        out = partition_to_json(p, report)
+        if args.out:
+            with open(args.out, "w") as fh:
+                fh.write(out)
+            out = json.dumps({"ok": report.ok, "json": args.out})
+    print(out)
     return EXIT_OK
 
 

@@ -35,17 +35,20 @@ wider, and a Gram block at most _BLOCK rows.
 Verify bounds its work by the type, not only by the cell size.  Two
 members x, y differ in at most min(ell, w_x + w_y, r_x + r_y), w the
 number of nonzero entries and r the distance to a pivot (the cell's
-center, or its first member).  A cell larger than one row block is
-scanned with its rows in descending order of r: the scan ends once it
-finds a pair at the cell's cap, and skips a block whose two leading radii
-sum to no more than the largest distance found so far.  Every diameter
-stays exact; (13,15,3), 965 250 members in 22 cells of up to 133 745,
-verifies in about 0.8 s with a 36 MB tracemalloc peak on 2 vCPUs,
-against about 2 minutes for the all-pairs scan, (5,316,2), one cell of
-998 560, in about 5 s with a 50 MB peak, and (5,200000,1), one cell of
-10^6 over 200 001 values, in about 0.9 s with a 77 MB peak.  A cell
-whose diameter is below every cap still takes all its pairs.  The cover
-is counted, not compared with a fresh enumeration: distinct rows, each in
+center, or its first member).  The member farthest from the pivot is
+first compared with every member in integers, with no one-hot table: a
+distance there that reaches the cell's cap is its diameter.  Otherwise a
+cell larger than one row block is scanned with its rows in descending
+order of r, from that distance on: the scan ends once it finds a pair at
+the cap, and skips a block whose two leading radii sum to no more than
+the largest distance found so far.  Every diameter stays exact;
+(13,15,3), 965 250 members in 22 cells of up to 133 745, verifies in
+about 0.5 s with a 36 MB tracemalloc peak on 2 vCPUs, against about 2
+minutes for the all-pairs scan, (5,316,2), one cell of 998 560, in
+about 0.3 s with a 37 MB peak, and (5,200000,1), one cell of 10^6 over
+200 001 values, in about 0.6 s with a 48 MB peak.  A cell whose
+diameter is below every cap still takes all its pairs.  The cover is
+counted, not compared with a fresh enumeration: distinct rows, each in
 {0..M}^ell with t nonzero entries, as many as the class has, are the
 class.
 """
@@ -190,29 +193,33 @@ def _diameter(x: np.ndarray, values: np.ndarray, ell: int, pivot: np.ndarray) ->
     differs from every other row at those, so no diagonal entry is below
     the least off-diagonal one.
 
-    Rows that span more than one row block are scanned in descending order
-    of each row's distance r to `pivot`.  Two rows x, y differ in at most
-    min(ell, w_x + w_y, r_x + r_y), w the number of nonzero entries, so the
-    scan ends once it reaches the cap: ell, the two largest weights or the
-    two largest radii summed, whichever is least.  A block whose first row
-    and first column sum to no more than the largest distance found so far
-    is skipped, with every later one: the result stays exact."""
+    Two rows x, y differ in at most min(ell, w_x + w_y, r_x + r_y), w the
+    number of nonzero entries and r the distance to `pivot`, so no pair
+    exceeds the cap: ell, the two largest weights or the two largest radii
+    summed, whichever is least.  The row farthest from the pivot is first
+    compared with every row, in integers; a distance found there that
+    reaches the cap is the diameter.  Otherwise rows that span more than
+    one row block are scanned in descending order of radius from that
+    distance on: the scan ends at the cap, and a block whose first row and
+    first column sum to no more than the largest distance found so far is
+    skipped, with every later one, so the result stays exact."""
     if len(x) < 2:
         return 0
+    radius = np.count_nonzero(x != pivot, axis=1)
+    w = np.count_nonzero(x, axis=1)
+    cap = min(ell, *(int(np.partition(v, -2)[-2:].sum()) for v in (w, radius)))
+    best = int(np.count_nonzero(x != x[radius.argmax()], axis=1).max())
+    if best >= cap:
+        return best
     encode, step, span = _encoder(x, values)
-    cap, radius = ell, None
     if len(x) > step:
-        radius = np.count_nonzero(x != pivot, axis=1)
         order = np.argsort(-radius, kind="stable")
         x, radius = x[order], radius[order]
-        w = np.sort(np.count_nonzero(x, axis=1))
-        cap = min(ell, int(w[-2] + w[-1]), int(radius[0] + radius[1]))
-    best = 0
 
     def beaten(s, c):
         return radius[s] + radius[c] <= best
 
-    for agree, _ in _gram_blocks(x, encode, step, span, None if radius is None else beaten):
+    for agree, _ in _gram_blocks(x, encode, step, span, beaten if len(x) > step else None):
         best = max(best, ell - int(agree.min()))
         if best >= cap:
             break
@@ -427,13 +434,13 @@ def build_partition(
     step = _rows_per_table(max(c.shape[1], len(c)))
     for s in range(0, tc.size, step):
         d = ell - _onehot(tc.rows[s : s + step], M + 1) @ c.T
-        ring2, near = d <= 2, d <= 4
-        if not near.any(axis=1).all():
+        # 2 within distance 2, 1 within 4: the first largest key is the
+        # ring-2 codeword, unique by the minimum distance 5 of the code,
+        # else the first codeword within distance 4
+        key = (d <= 4).view(np.int8) + (d <= 2)
+        owner[s : s + step] = first = key.argmax(axis=1)
+        if not key[np.arange(len(key)), first].all():
             raise AssertionError("greedy code not maximal: member beyond distance 4")
-        # a ring-2 codeword is unique by the minimum distance 5 of the code
-        owner[s : s + step] = np.where(
-            ring2.any(axis=1), ring2.argmax(axis=1), near.argmax(axis=1)
-        )
     # a stable sort keeps each cell in the lexicographic order of the class
     rows = tc.rows[np.argsort(owner, kind="stable")]
     rows.flags.writeable = False

@@ -10,10 +10,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from manyaccess import bounds, harness
+from manyaccess import bounds, cli, harness
 from manyaccess.cli import EXIT_BUDGET, EXIT_CONFIG, EXIT_OK, main
 from manyaccess.codebooks import mu_exact
 from manyaccess.decoding import BoundParams
+from manyaccess.errors import ComplexityBudgetError
 from manyaccess.model import SystemParams, make_joint_schedule, single_user_capacity_pue
 
 JOINT_CONFIG = {
@@ -595,6 +596,52 @@ class TestPartitionCmd:
         rc = main(["partition", "--ell", "5", "--M", "3000", "--t", "1"])
         assert rc == EXIT_OK
         assert json.loads(capsys.readouterr().out)["report"]["ok"] is True
+
+
+# each command with an output path, and the function that does its work
+OUTPUT_COMMANDS = {
+    "partition": (cli, "build_partition"),
+    "simulate-trials": (harness, "estimate_error"),
+    "simulate-summary": (harness, "estimate_error"),
+    "sweep": (harness, "sweep"),
+}
+
+
+def _output_argv(command, out, config_path, family_path):
+    return {
+        "partition": ["partition", "--ell", "5", "--M", "2", "--t", "2", "--out", out],
+        "simulate-trials": ["simulate", config_path, "--trials-csv", out],
+        "simulate-summary": ["simulate", config_path, "--summary-csv", out],
+        "sweep": ["sweep", "--family", family_path, "--n-grid", "256", "--out", out],
+    }[command]
+
+
+@pytest.mark.parametrize("command", sorted(OUTPUT_COMMANDS))
+class TestOutputPathCheckedFirst:
+    def test_unwritable_path_exits_before_the_work(self, tmp_path, config_path, family_path,
+                                                    capsys, monkeypatch, command):
+        def no_work(*args, **kwargs):
+            raise AssertionError("the work ran before its output path was checked")
+
+        monkeypatch.setattr(*OUTPUT_COMMANDS[command], no_work)
+        out = str(tmp_path / "missing" / "out")
+        assert main(_output_argv(command, out, config_path, family_path)) == EXIT_CONFIG
+        assert "config error" in capsys.readouterr().err
+
+    def test_failed_work_leaves_no_file(self, tmp_path, config_path, family_path, capsys,
+                                        monkeypatch, command):
+        out, kept = tmp_path / "out", tmp_path / "kept"
+        kept.write_text("earlier output")
+        for path in (out, kept):
+            def failing_work(*args, **kwargs):
+                assert path.exists()  # the path was opened before the work
+                raise ComplexityBudgetError("refused")
+
+            monkeypatch.setattr(*OUTPUT_COMMANDS[command], failing_work)
+            assert main(_output_argv(command, str(path), config_path, family_path)) == EXIT_BUDGET
+        assert not out.exists()
+        # an existing file is not truncated by the check
+        assert kept.read_text() == "earlier output"
 
 
 class TestClassifyCmd:

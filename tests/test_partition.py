@@ -415,6 +415,31 @@ class TestCappedScan:
         rep = verify_partition(p, 8)
         assert rep == oracle_verify(p, 8) and rep.set_diameters == (4,)
 
+    def test_farthest_member_outside_diameter_pair(self, monkeypatch):
+        # the cell above with f added at radius 4, the farthest from the
+        # center 0: f is within 2 of every member, below the cap
+        # min(8, 4 + 3, 4 + 3) = 7, so the scan must still find a and b at
+        # 4, in blocks whose radii 2 + 2 exceed the probe's 2
+        _small_blocks(monkeypatch)
+        a, b, f = (1, 1, 0, 0, 0, 0, 0, 0), (0, 0, 1, 1, 0, 0, 0, 0), (1, 1, 1, 1, 0, 0, 0, 0)
+        fill = [(1, 1, 1, 0, 0, 0, 0, 0), (1, 0, 1, 1, 0, 0, 0, 0),
+                (0, 1, 1, 1, 0, 0, 0, 0), (1, 1, 0, 1, 0, 0, 0, 0)]
+        p = Partition.from_sets(8, 1, 2, centers=[(0,) * 8], sets=[[a, b] + fill + [f]])
+        count = _count_gram_blocks(monkeypatch)
+        rep = verify_partition(p, 8)
+        assert rep == oracle_verify(p, 8) and rep.set_diameters == (4,)
+        assert count[0] >= 1
+
+    def test_probe_settles_diameter_at_cap(self, monkeypatch):
+        # one cell of 16 000 members, each of weight 2: the member farthest
+        # from the center meets another at the cap 2 + 2 = 4, so no Gram
+        # product is needed
+        p = build_partition(5, 40, 2)
+        count = _count_gram_blocks(monkeypatch)
+        rep = verify_partition(p, 5)
+        assert p.sizes == (16000,) and rep.ok and rep.set_diameters == (4,)
+        assert count[0] == 0
+
     def test_farthest_pair_given_last(self, monkeypatch):
         # a and b lie at radius 4 from the center 0, the rest at radius 1;
         # given last, they must be moved first, or the blocks that hold
