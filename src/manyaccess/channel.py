@@ -4,13 +4,14 @@ The received word is Y = sum_i x_i(w_i) + Z with Z_j ~ N(0, N0/2).
 Inactive users (w_i = 0) contribute the all-zero word.  Joint-scheme
 codewords are (signature, message codeword) concatenations; orthogonal
 transmission places each user's pilot+PPM word in its own slot.
+Joint trials draw their message codebooks beside detection on one daemon
+helper thread per process, shared by every thread that runs trials.
 """
 
 import contextlib
 import os
 import queue
 import threading
-import weakref
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -22,35 +23,32 @@ from .rng import mix_seed, thread_rng
 
 
 class _Draw:
-    """One queued book draw.  Whichever thread takes `claim` first draws
-    it: the helper from the front of its queue, or a reader that needs
-    the book before the helper has started it.  `done` is held until
-    that draw has ended."""
+    """One queued book draw, drawn by whichever thread takes `lock` first:
+    the helper from the front of its queue, or a reader that needs the book
+    before the helper has started it.  The drawer holds `lock` to the end."""
 
-    __slots__ = ("books", "user", "claim", "done", "book", "error")
+    __slots__ = ("books", "user", "lock", "drawn", "book", "error")
 
     def __init__(self, books: "UserCodebooks", user: int):
-        self.books, self.user = books, user
-        self.claim, self.done = threading.Lock(), threading.Lock()
-        self.done.acquire()
-        self.book = self.error = None
+        self.books, self.user, self.lock = books, user, threading.Lock()
+        self.drawn, self.book, self.error = False, None, None
 
-    def run(self) -> None:
-        """Draw the book, unless another thread has claimed it."""
-        if self.claim.acquire(blocking=False):
+    def run(self, wait: bool = False) -> None:
+        """Draw the book unless drawn; wait for another thread's draw if `wait`."""
+        if self.lock.acquire(blocking=wait):
             try:
-                self.book = self.books._draw(self.user)
+                if not self.drawn:
+                    self.drawn = True
+                    self.book = self.books._draw(self.user)
             except BaseException as e:  # raised where the book is read
                 self.error = e
             finally:
-                self.done.release()
+                self.lock.release()
 
     def result(self) -> Codebook:
         """The book: drawn here if the helper has not started it, else
         waited for.  A failed draw raises its error on every read."""
-        self.run()
-        with self.done:
-            pass
+        self.run(wait=True)
         if self.error is not None:
             raise self.error
         return self.book
@@ -62,37 +60,29 @@ def _serve(jobs: queue.SimpleQueue) -> None:
         del job  # its book goes with its trial, not with the next job
 
 
-class _Helper:
-    """A daemon thread that runs the _Draw jobs put on `jobs`, in order,
-    started with this object.  It stops once this object is collected,
-    as when the thread that owns it ends; it holds only the queue."""
-
-    def __init__(self):
-        self.jobs = queue.SimpleQueue()
-        threading.Thread(target=_serve, args=(self.jobs,), name="books", daemon=True).start()
-        weakref.finalize(self, self.jobs.put, None)
+_START, _JOBS = threading.Lock(), None  # the helper's start lock; its queue, made as it starts
 
 
-_HELPERS = threading.local()
+def _jobs() -> queue.SimpleQueue:
+    """The queue of this process's one book helper, a daemon thread started
+    on first use and shared by every thread that runs trials."""
+    global _JOBS
+    with _START:
+        if _JOBS is None:
+            jobs = queue.SimpleQueue()
+            threading.Thread(target=_serve, args=(jobs,), name="books", daemon=True).start()
+            _JOBS = jobs
+    return _JOBS
 
 
-def _forget_helpers() -> None:
-    """A forked child inherits the helpers but not their threads, so
-    nothing it queued would run: it starts helpers of its own."""
-    global _HELPERS
-    _HELPERS = threading.local()
+def _forget_helper() -> None:
+    """A forked child inherits the queue but not the helper, and the start
+    lock, perhaps held by a thread it lacks: it starts its own helper."""
+    global _JOBS, _START
+    _JOBS, _START = None, threading.Lock()
 
 
-os.register_at_fork(after_in_child=_forget_helpers)
-
-
-def _helper() -> _Helper:
-    """This thread's book-drawing helper, started on first use, so trials
-    on several threads never queue behind each other's books."""
-    helper = getattr(_HELPERS, "helper", None)
-    if helper is None:
-        helper = _HELPERS.helper = _Helper()
-    return helper
+os.register_at_fork(after_in_child=_forget_helper)
 
 
 class UserCodebooks(Sequence):
@@ -103,12 +93,12 @@ class UserCodebooks(Sequence):
     on which thread.  Each book is drawn on the drawing thread's "books"
     generator re-keyed to mix_seed(key, i) (rng.thread_rng), which gives
     substream(key, i)'s bytes without building a generator.  Inside
-    `drawing`, books are queued on the calling thread's helper thread,
-    which draws them while the caller works on; reading a book the helper
-    has not started draws it on the reader instead, and reading one it
-    has started waits for it.  A book never queued is drawn when first
-    read.  Every draw looks up channel.gen_codebook and channel.mix_seed
-    when it runs, whichever thread runs it.
+    `drawing`, books are queued on the process's one helper thread, which
+    draws them while the caller works on; reading a book the helper has
+    not started draws it on the reader instead, and reading one it has
+    started waits for it.  A book never queued is drawn when first read.
+    Every draw looks up channel.gen_codebook and channel.mix_seed when it
+    runs, whichever thread runs it.
     """
 
     def __init__(self, ell: int, M: int, length: int, E: float, key: int):
@@ -131,7 +121,7 @@ class UserCodebooks(Sequence):
         return gen_codebook(self.M, self.length, self.E, rng)
 
     def _queue(self, users) -> None:
-        jobs = _helper().jobs
+        jobs = _jobs()
         for i in users:
             i = range(len(self._books))[i]  # an int, checked as a read checks it
             if self._books[i] is None:

@@ -129,9 +129,12 @@ def detect_ls_exhaustive(
     (see _surviving_supports) keeps every support within tol of the
     optimum; the survivors are scored with that expression, ordered by
     weight then lexicographic support, and the first minimum wins, which
-    implements the documented tie-break.  tol is 1e-9 times the sum of the
-    magnitudes of the objective's terms, far above their rounding.  The
-    budget caps the nominal number of candidates, not the nodes visited.
+    implements the documented tie-break.  The reported residual is the
+    winner's row scored alone, since a matrix product may round a row by
+    its position: it depends only on the support.  tol is 1e-9 times the
+    sum of the magnitudes of the objective's terms, far above their
+    rounding.  The budget caps the nominal number of candidates, not the
+    nodes visited.
     """
     Y_sig = np.asarray(Y_sig, dtype=float)
     if Y_sig.shape != (S.n_sig,):
@@ -151,9 +154,13 @@ def detect_ls_exhaustive(
     corr = rows @ Y_sig
     scale = base + 2.0 * float(np.abs(corr).sum()) + float(np.abs(gram).sum())
     cands = _surviving_supports(gram, corr, min(v, S.ell), 1e-9 * max(1.0, scale))
-    residuals = base - 2.0 * (cands @ corr) + np.einsum("ij,ij->i", cands @ gram, cands)
-    best = residuals.argmin()
-    return DetectionResult(d_hat=cands[best].astype(int), residual=float(residuals[best]))
+
+    def scored(d: np.ndarray) -> np.ndarray:
+        return base - 2.0 * (d @ corr) + np.einsum("ij,ij->i", d @ gram, d)
+
+    best = scored(cands).argmin()
+    win = cands[best : best + 1]
+    return DetectionResult(d_hat=win[0].astype(int), residual=float(scored(win)[0]))
 
 
 def detect_pilot(y_pilot: float | np.ndarray, t: float, E: float) -> bool | np.ndarray:

@@ -11,9 +11,9 @@ Signatures and codebooks are redrawn fresh every trial (the annealed
 ensemble the union bounds control); the fixed-codebook mode draws the
 signatures and the key from a dedicated substream of the master seed
 instead, so every trial sees the same plan.  Trials are independent
-tasks, so a thread pool may run them concurrently, each pool thread with
-its own helper; aggregation is by trial index and therefore
-order-independent.
+tasks, so a thread pool may run them concurrently, every pool thread
+sharing the process's one helper; aggregation is by trial index and
+therefore order-independent.
 """
 
 import ast

@@ -197,6 +197,20 @@ class TestExhaustiveLs:
         res = detect_ls_exhaustive(Y, S, v=2)
         assert np.array_equal(res.d_hat, [1, 0])
 
+    def test_residual_depends_only_on_the_support(self):
+        # the reported residual is the Gram form of the winning row alone;
+        # scored inside the survivor matrix a row may round by its position
+        for seed in range(300):
+            rng = make_rng(seed)
+            ell = 8 + seed % 9
+            S = gen_signatures(ell, 64, 10.0, rng)
+            Y = S.matrix @ (rng.random(ell) < 0.3) + rng.standard_normal(64)
+            res = detect_ls_exhaustive(Y, S, min(ell, 4))
+            rows = S.matrix.T
+            gram, corr, d = rows @ rows.T, rows @ Y, res.d_hat[None].astype(float)
+            alone = float(Y @ Y) - 2.0 * (d @ corr) + np.einsum("ij,ij->i", d @ gram, d)
+            assert res.residual == float(alone[0]), seed
+
     def test_exact_fit_counts(self):
         S = gen_signatures(6, 32, 4.0, make_rng(27))
         d = np.array([1, 1, 0, 0, 0, 0])

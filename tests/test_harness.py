@@ -86,6 +86,24 @@ def _send_trial(conn, cfg, index):
     conn.close()
 
 
+def _forked_trial(cfg, index):
+    """What _send_trial sends from a child forked now, within 60 s."""
+    context = multiprocessing.get_context("fork")
+    receive, send = context.Pipe(duplex=False)
+    child = context.Process(target=_send_trial, args=(send, cfg, index))
+    child.start()
+    send.close()
+    try:
+        assert receive.poll(60.0), "the forked child's trial did not finish"
+        got = receive.recv()
+    finally:
+        child.join(60.0)
+        if child.is_alive():
+            child.kill()
+    assert child.exitcode == 0
+    return got
+
+
 class TestRunTrial:
     def test_determinism(self):
         a = run_trial(TINY, 3)
@@ -268,20 +286,18 @@ class TestRunTrial:
         for i in range(3):
             run_trial(TINY, i)
         index = next(i for i in range(3, TINY.trials) if run_trial(TINY, i).k_true > 0)
+        assert _forked_trial(TINY, index) == (run_trial(TINY, index), True)
+
+    @pytest.mark.filterwarnings("ignore:This process .* is multi-threaded:DeprecationWarning")
+    def test_forked_while_the_helper_starts(self):
+        # a child forked while the helper's start lock is held inherits it
+        # held, with no thread to release it; it must start a helper of its
+        # own, not wait on that lock
+        index = next(i for i in range(TINY.trials) if run_trial(TINY, i).k_true > 0)
         want = run_trial(TINY, index)
-        context = multiprocessing.get_context("fork")
-        receive, send = context.Pipe(duplex=False)
-        child = context.Process(target=_send_trial, args=(send, TINY, index))
-        child.start()
-        send.close()
-        try:
-            assert receive.poll(60.0), "the forked child's trial did not finish"
-            assert receive.recv() == (want, True)
-        finally:
-            child.join(60.0)
-            if child.is_alive():
-                child.kill()
-        assert child.exitcode == 0
+        with channel._START:
+            got = _forked_trial(TINY, index)
+        assert got == (want, True)
 
     def test_fixed_codebooks_same_books_every_trial(self, monkeypatch):
         cfg = ExperimentConfig(scheme="joint", params=TINY.params, split=0.5, M=4,
@@ -385,22 +401,29 @@ class TestEstimateError:
         assert serial.ape == threaded.ape
         assert [r.seed for r in serial.records] == [r.seed for r in threaded.records]
 
-    def test_helpers_end_with_their_pool_threads(self):
-        # each thread that runs trials starts one book helper; the helpers
-        # of a pool's threads stop once those threads have ended
-        def helpers():
-            return sum(t.name == "books" for t in threading.enumerate())
+    def test_one_helper_serves_every_trial_thread(self, monkeypatch):
+        # two runs on two trial threads each: every book drawn off a trial
+        # thread is drawn by the process's one helper, the only `books` thread
+        trial_threads, drawers = set(), set()
+        run = harness.run_trial
 
-        cfg = dataclasses.replace(TINY, trials=8)
-        for _ in range(3):
-            estimate_error(cfg, threads=2)
-            deadline = time.monotonic() + 10.0
-            while helpers() > 1 and time.monotonic() < deadline:
-                time.sleep(0.01)
-            assert helpers() <= 1
+        def noting_run_trial(cfg, index):
+            trial_threads.add(threading.current_thread())
+            return run(cfg, index)
+
+        def noting_gen_codebook(*args):
+            drawers.add(threading.current_thread())
+            return gen_codebook(*args)
+
+        monkeypatch.setattr(harness, "run_trial", noting_run_trial)
+        monkeypatch.setattr(channel, "gen_codebook", noting_gen_codebook)
+        for _ in range(2):
+            estimate_error(TINY, threads=2)
+        assert len(drawers - trial_threads) == 1
+        assert [t.name for t in threading.enumerate()].count("books") == 1
 
     def test_trials_on_more_threads_than_cores(self):
-        # four trial threads, each with its own helper, switching every
+        # four trial threads sharing one helper, switching every
         # microsecond: a generator or a book shared across threads would
         # change a record
         want = [run_trial(TINY, i) for i in range(TINY.trials)]
