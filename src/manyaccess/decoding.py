@@ -8,11 +8,10 @@ some message in 1..M, so a false alarm necessarily produces a message
 error for that user.  The joint decoder writes every term of the Gram
 expansion into one array (_gram_terms), its pair terms one slab per
 message of the other user, so dead-end elimination is a few reductions
-across slabs per round, and scores the survivors with one gather and
-one running sum per block of tuples.
+across slabs per round, and scores each block of surviving tuples with
+one running total, a term of each user and then of each pair at a time.
 """
 
-import functools
 import itertools
 import math
 from collections.abc import Callable
@@ -78,29 +77,10 @@ def decode_ppm(y_slot: np.ndarray, M: int) -> int | np.ndarray:
     return int(w) if w.ndim == 0 else w
 
 
-@functools.lru_cache(maxsize=64)
-def _user_indices(k: int, M: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Read-only index arrays of a k-user decode over M messages.
-
-    others[i, s] is the s-th user other than i (s for s < i, else s + 1).
-    For tuples g of shape (k, tuples), g[i] = i*M + w_i - 1, the rows of
-    place @ g + shift are where each tuple's terms sit in a row of
-    _gram_terms: its k user terms, then its pair terms (i, j), i < j, in
-    lexicographic order.
-    """
+def _others(k: int) -> np.ndarray:
+    """others[i, s] is the s-th user other than i (s for s < i, else s + 1)."""
     s = np.arange(k - 1)
-    others = s + (s >= np.arange(k)[:, None])
-    place = np.zeros((k + k * (k - 1) // 2, k), dtype=np.intp)
-    shift = np.zeros((len(place), 1), dtype=np.intp)
-    place[range(k), range(k)] = 1
-    for row, (i, j) in enumerate(itertools.combinations(range(k), 2), start=k):
-        # G[i, m, j-1, n], m = g[i] - i*M, n = g[j] - j*M, sits in slab n
-        # at k*M + ((n*k + i)*(k-1) + j-1)*M + m
-        place[row, i], place[row, j] = 1, k * (k - 1) * M
-        shift[row] = k * M + (j - 1) * M + i * (k - 2) * M - j * k * (k - 1) * M * M
-    for a in (others, place, shift):
-        a.flags.writeable = False
-    return others, place, shift
+    return s + (s >= np.arange(k)[:, None])
 
 
 def _split(terms: np.ndarray, k: int, M: int) -> tuple[np.ndarray, np.ndarray]:
@@ -170,7 +150,7 @@ def _dead_end_elimination(terms: np.ndarray, k: int, M: int) -> np.ndarray:
     base, slabs = terms[:, : k * M].reshape(2, k, M), _slabs(terms, k, M)
     size = np.abs(terms[0])  # G holds each pair block twice: halve its share
     tol = 1e-9 * max(1.0, float(np.add.reduce(size[: k * M]) + 0.5 * np.add.reduce(size[k * M :])))
-    others = _user_indices(k, M)[0]
+    others = _others(k)
     minima, count = np.minimum.reduce(slabs, axis=1), k * M  # (2, k, k-1, M)
     while True:
         lo, neg_hi = base + np.add.reduce(minima, axis=2)
@@ -184,17 +164,22 @@ def _dead_end_elimination(terms: np.ndarray, k: int, M: int) -> np.ndarray:
         minima = np.minimum.reduce(slabs, axis=1, where=cols, initial=np.inf)
 
 
-def _objectives(terms: np.ndarray, g: np.ndarray, k: int, M: int) -> np.ndarray:
-    """||Y - sum_i x~_i(w_i)||^2 - ||Y||^2 of tuples g (k, tuples), g[i] =
-    i*M + w_i - 1: one gather of their terms in the full grid's order
-    (users, then pairs in lexicographic order), added by a sequential
-    running sum (np.add.accumulate, which np.cumsum calls), not sum's
-    pairwise order, so each value is bitwise the full grid's."""
-    _, place, shift = _user_indices(k, M)
-    return np.add.accumulate(terms[0, place @ g + shift], axis=0)[-1]
+def _objectives(terms: np.ndarray, w: list[np.ndarray], k: int, M: int) -> np.ndarray:
+    """||Y - sum_i x~_i(w_i)||^2 - ||Y||^2 of the tuples whose user i sends
+    0-based message w[i]: one running total of their terms, U[i, w_i] for
+    each user, then G[i, w_i, j-1, w_j] for each pair i < j in
+    lexicographic order.  These are the full grid's additions in the full
+    grid's order, so each value is bitwise the full grid's."""
+    (U, _), (G, _) = _split(terms, k, M)
+    total = U[0][w[0]]  # U[i][w] takes numpy's one-index fast path
+    for i in range(1, k):
+        total += U[i][w[i]]
+    for i, j in itertools.combinations(range(k), 2):
+        total += G[i, w[i], j - 1, w[j]]
+    return total
 
 
-# tuples scored per block, so scoring memory is O(k^2) blocks, not O(k^2 M^k)
+# tuples scored per block, so scoring memory is O(k) blocks, not O(k M^k)
 _SCORE_BLOCK = 1 << 14
 
 
@@ -215,12 +200,13 @@ def decode_joint_ml(
     Gram expansion (_gram_terms): per-user terms U and pair terms G, each
     pair's block from its own product 2.0 * (w_i @ w_j.T).  Dead-end
     elimination drops messages that cannot be in any optimal tuple.  The
-    surviving tuples are scored in lexicographic order by _objectives,
-    which adds each tuple's terms in the full grid's order with a
-    sequential running sum, so every surviving tuple's objective is bitwise
-    the full grid's.  np.argmin's first minimum, carried across scoring
-    blocks only by a strictly smaller value, gives the lexicographically
-    smallest optimal tuple.  The budget caps the nominal M^|active| grid.
+    surviving tuples, each user's survivors kept as 0-based messages, are
+    scored in lexicographic order by _objectives, which adds each tuple's
+    terms into a running total in the full grid's order, so every surviving
+    tuple's objective is bitwise the full grid's.  np.argmin's first
+    minimum, carried across scoring blocks only by a strictly smaller
+    value, gives the lexicographically smallest optimal tuple.  The budget
+    caps the nominal M^|active| grid.
     Returns {user: message}.
     """
     active = sorted(active)
@@ -237,18 +223,17 @@ def decode_joint_ml(
 
     terms = _gram_terms(words, [b.energies[1:] for b in books], Y_msg)
     alive = _dead_end_elimination(terms, k, M)
-    sizes = np.add.reduce(alive, axis=1)
-    flat = alive.ravel().nonzero()[0]  # i*M + w - 1 of every survivor, user after user
-    first = sizes.cumsum() - sizes  # where each user's survivors start in flat
-    total = math.prod(sizes.tolist())
+    kept = [row.nonzero()[0] for row in alive]  # each user's surviving messages, 0-based
+    sizes = [len(m) for m in kept]
+    total = math.prod(sizes)
     for start in range(0, total, _SCORE_BLOCK):
         pos = np.unravel_index(np.arange(start, min(start + _SCORE_BLOCK, total)), sizes)
-        g = flat[first[:, None] + pos]  # (k, tuples)
-        objective = _objectives(terms, g, k, M)
+        w = [m[p] for m, p in zip(kept, pos)]
+        objective = _objectives(terms, w, k, M)
         t = objective.argmin()
         if start == 0 or objective[t] < best_value:
-            best, best_value = g[:, t], objective[t]
-    return {user: int(x) % M + 1 for user, x in zip(active, best)}
+            best, best_value = [x[t] for x in w], objective[t]
+    return {user: int(x) + 1 for user, x in zip(active, best)}
 
 
 def two_phase_receive(

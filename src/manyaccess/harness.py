@@ -156,6 +156,8 @@ class ExperimentConfig:
             raise ConfigError(f"message count must be >= 2, got {self.M}")
         if not math.isfinite(self.bp.xi * self.params.k):
             raise ConfigError(f"xi * k must be finite, got xi = {self.bp.xi:.4g}")
+        if not 0.0 <= self.epsilon <= 1.0:  # NaN fails too
+            raise ConfigError(f"epsilon must be in [0, 1], got {self.epsilon}")
 
     @property
     def access(self) -> JointScheme | OrthoScheme:
@@ -648,6 +650,17 @@ def whole_number(value, key: str) -> int:
     raise TypeError(f"{key} must be a whole number, got {value!r}")
 
 
+def real_number(value, key: str) -> float:
+    """A JSON number, int or float, as a float.
+
+    Booleans and strings raise TypeError, so "alpha": true is refused
+    rather than run as alpha = 1.0, and "rho": "0.5" rather than read.
+    """
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        return float(value)
+    raise TypeError(f"{key} must be a number, got {value!r}")
+
+
 # the config keys of every scheme; each scheme adds its split_key
 _CONFIG_KEYS = frozenset(("scheme", "n", "ell", "alpha", "N0", "M", "R_dot_nats", "rho", "lambda",
                           "xi", "trials", "master_seed", "epsilon", "fixed_codebooks", "noiseless"))
@@ -667,19 +680,20 @@ def config_from_dict(raw: dict, overrides: dict | None = None) -> ExperimentConf
     try:
         params = SystemParams(
             n=whole_number(data["n"], "n"), ell=whole_number(data["ell"], "ell"),
-            alpha=float(data["alpha"]), N0=float(data.get("N0", 2.0)),
+            alpha=real_number(data["alpha"], "alpha"),
+            N0=real_number(data.get("N0", 2.0), "N0"),
         )
-        split = float(data[access.split_key])
+        split = real_number(data[access.split_key], access.split_key)
         sched = access.schedule(params, split)
         if "M" in data:
             M = whole_number(data["M"], "M")
         elif "R_dot_nats" in data:
-            M = RateSpec.from_rate(float(data["R_dot_nats"]), sched.E).M
+            M = RateSpec.from_rate(real_number(data["R_dot_nats"], "R_dot_nats"), sched.E).M
         else:
             raise ConfigError("config needs either M or R_dot_nats")
         bp = BoundParams(
-            rho=float(data.get("rho", BoundParams.rho)),
-            lam=float(data.get("lambda", BoundParams.lam)),
+            rho=real_number(data.get("rho", BoundParams.rho), "rho"),
+            lam=real_number(data.get("lambda", BoundParams.lam), "lambda"),
             xi=whole_number(data.get("xi", BoundParams.xi), "xi"),
         )
         return ExperimentConfig(
@@ -687,7 +701,7 @@ def config_from_dict(raw: dict, overrides: dict | None = None) -> ExperimentConf
             trials=whole_number(data.get("trials", ExperimentConfig.trials), "trials"),
             master_seed=whole_number(data.get("master_seed", ExperimentConfig.master_seed),
                                      "master_seed"),
-            epsilon=float(data.get("epsilon", ExperimentConfig.epsilon)),
+            epsilon=real_number(data.get("epsilon", ExperimentConfig.epsilon), "epsilon"),
             fixed_codebooks=_flag(data, "fixed_codebooks"), noiseless=_flag(data, "noiseless"),
         )
     except (KeyError, TypeError, OverflowError) as e:

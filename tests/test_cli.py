@@ -277,6 +277,21 @@ class TestSimulateCmd:
         assert main(["simulate", str(path)]) == EXIT_CONFIG
         assert f"{key} must be a whole number" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key,value,message", [
+        ("alpha", True, "alpha must be a number"), ("N0", True, "N0 must be a number"),
+        ("b", "0.5", "b must be a number"), ("R_dot_nats", True, "R_dot_nats must be a number"),
+        ("rho", "0.5", "rho must be a number"), ("lambda", False, "lambda must be a number"),
+        ("epsilon", "nan", "epsilon must be a number"), ("epsilon", -3, "epsilon must be in [0, 1]"),
+        ("epsilon", math.nan, "epsilon must be in [0, 1]"),
+    ])
+    def test_reals_must_be_numbers(self, tmp_path, capsys, key, value, message):
+        # R_dot_nats is read only when M is absent
+        config = {k: v for k, v in JOINT_CONFIG.items() if not (key == "R_dot_nats" and k == "M")}
+        path = tmp_path / "real.json"
+        path.write_text(json.dumps(dict(config, **{key: value})))
+        assert main(["simulate", str(path), "--trials", "1"]) == EXIT_CONFIG
+        assert message in capsys.readouterr().err
+
     def test_whole_float_counts_accepted(self, tmp_path, capsys, config_path):
         path = tmp_path / "whole.json"
         path.write_text(json.dumps(dict(JOINT_CONFIG, M=4.0, trials=12.0)))

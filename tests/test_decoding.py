@@ -308,14 +308,17 @@ class TestPrunedSearchAgainstDense:
         assert spanned > 10  # grids that kept every tuple
 
     @given(
-        k=st.integers(min_value=1, max_value=5),
-        M=st.integers(min_value=2, max_value=5),
+        # k 6-7 at M <= 3 too, where the running total is longest (7 user
+        # and 21 pair terms) and the full grid at most 3^7 = 2187 tuples
+        km=st.one_of(st.tuples(st.integers(1, 5), st.integers(2, 5)),
+                     st.tuples(st.integers(6, 7), st.integers(2, 3))),
         case=st.sampled_from(["n4096", "short", "ties"]),
         seed=st.integers(min_value=0, max_value=2**32 - 1),
     )
-    @settings(max_examples=60, deadline=None, derandomize=True)
-    def test_objectives_are_the_full_grids_bitwise(self, k, M, case, seed):
+    @settings(max_examples=90, deadline=None, derandomize=True)
+    def test_objectives_are_the_full_grids_bitwise(self, km, case, seed):
         # the full grid, added as the dense oracle adds it
+        k, M = km
         plan, active, Y = _decode_case(k, M, case, seed)
         words = [plan.codebooks[i].words[1:] for i in active]
         grid = np.zeros((M,) * k)
@@ -326,12 +329,12 @@ class TestPrunedSearchAgainstDense:
             for j in range(i + 1, k):
                 cross = 2.0 * (words[i] @ words[j].T)
                 grid += cross.reshape((M,) + (1,) * (j - i - 1) + (M,) + (1,) * (k - 1 - j))
-        g = np.indices((M,) * k).reshape(k, -1) + M * np.arange(k)[:, None]
+        w = list(np.indices((M,) * k).reshape(k, -1))  # 0-based messages, lexicographic
         terms = _gram_terms(words, [plan.codebooks[i].energies[1:] for i in active], Y)
-        assert np.array_equal(_objectives(terms, g, k, M), grid.ravel())
+        assert np.array_equal(_objectives(terms, w, k, M), grid.ravel())
         # one tuple at a time, where a reduction would run down the terms
-        for t in range(0, g.shape[1], 7):
-            assert _objectives(terms, g[:, t : t + 1], k, M)[0] == grid.flat[t]
+        for t in range(0, len(w[0]), 7):
+            assert _objectives(terms, [x[t : t + 1] for x in w], k, M)[0] == grid.flat[t]
 
     def test_short_codewords_prune_nothing(self):
         # equal-energy length-2 words: the pair terms span +-2E and swamp the

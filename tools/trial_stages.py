@@ -29,6 +29,10 @@ JSON object:
   `ufunc.reduce`) on the trial's thread; the helper's are not counted.
   A ufunc called directly (`np.matmul`, `np.negative`) or through an
   operator raises no profiler event and is not counted.
+- `missing_hooks`: the layer functions above that this checkout lacks,
+  as `module.function`; a missing one's time folds into `rest`.  Only
+  `_Draw.result` may be absent unreported, in a checkout without a
+  helper.
 - `faults`: minor page faults, system ms and wall ms per trial from
   `getrusage`, over the same trials after trials 0..FIRST-1, in a fresh
   interpreter that runs nothing else.  This is what a `simulate` process
@@ -79,8 +83,8 @@ class Stages:
         self.stack = ["rest"]
         self.local.stack, self.local.times = self.stack, self.times
         self.calls = dict.fromkeys(STAGES, 0)
-        draw = getattr(channel, "_Draw", None)  # the helper's jobs; absent without a helper
-        for module, attr, stage in (
+        self.missing_hooks = []  # hooks not installed: their time folds into "rest"
+        hooks = [
             (channel, "gen_signatures", "signatures"),
             (channel, "gen_codebook", "books"),
             (channel.UserCodebooks, "_draw", "books"),
@@ -89,10 +93,14 @@ class Stages:
             (harness, "awgn", "awgn"),
             (decoding, "detect_ls_exhaustive", "detection"),
             (decoding, "decode_joint_ml", "decode"),
-            (draw, "result", "wait"),
-        ):
+        ]
+        if hasattr(channel, "_Draw"):  # the helper's jobs; absent without a helper
+            hooks.append((channel._Draw, "result", "wait"))
+        for module, attr, stage in hooks:
             if hasattr(module, attr):
                 setattr(module, attr, self.wrap(getattr(module, attr), stage))
+            else:
+                self.missing_hooks.append(f"{module.__name__}.{attr}")
 
     def wrap(self, fn, stage: str):
         local, helper_times, clock = self.local, self.helper_times, time.perf_counter
@@ -168,6 +176,7 @@ def stage_report(src: str) -> dict:
         "helper_ms": {stage: round(sum(h[stage] for h in helper) / n, 4) for stage in HELPER_STAGES},
         "trial_ms": round(sum(total) / n, 4),
         "calls": {**calls, "total": sum(calls.values())},
+        "missing_hooks": stages.missing_hooks,
     }
 
 
