@@ -12,6 +12,7 @@ across slabs per round, and scores each block of surviving tuples with
 one running total, a term of each user and then of each pair at a time.
 """
 
+import functools
 import itertools
 import math
 from collections.abc import Callable
@@ -77,10 +78,14 @@ def decode_ppm(y_slot: np.ndarray, M: int) -> int | np.ndarray:
     return int(w) if w.ndim == 0 else w
 
 
+@functools.cache
 def _others(k: int) -> np.ndarray:
-    """others[i, s] is the s-th user other than i (s for s < i, else s + 1)."""
+    """others[i, s] is the s-th user other than i (s for s < i, else s + 1),
+    built once per k and read-only."""
     s = np.arange(k - 1)
-    return s + (s >= np.arange(k)[:, None])
+    others = s + (s >= np.arange(k)[:, None])
+    others.flags.writeable = False
+    return others
 
 
 def _split(terms: np.ndarray, k: int, M: int) -> tuple[np.ndarray, np.ndarray]:
@@ -203,7 +208,8 @@ def decode_joint_ml(
     surviving tuples, each user's survivors kept as 0-based messages, are
     scored in lexicographic order by _objectives, which adds each tuple's
     terms into a running total in the full grid's order, so every surviving
-    tuple's objective is bitwise the full grid's.  np.argmin's first
+    tuple's objective is bitwise the full grid's; a lone survivor is
+    returned unscored, as the argmin of one tuple.  np.argmin's first
     minimum, carried across scoring blocks only by a strictly smaller
     value, gives the lexicographically smallest optimal tuple.  The budget
     caps the nominal M^|active| grid.
@@ -226,6 +232,8 @@ def decode_joint_ml(
     kept = [row.nonzero()[0] for row in alive]  # each user's surviving messages, 0-based
     sizes = [len(m) for m in kept]
     total = math.prod(sizes)
+    if total == 1:  # the argmin of one tuple is that tuple: nothing to score
+        return {user: int(m[0]) + 1 for user, m in zip(active, kept)}
     for start in range(0, total, _SCORE_BLOCK):
         pos = np.unravel_index(np.arange(start, min(start + _SCORE_BLOCK, total)), sizes)
         w = [m[p] for m, p in zip(kept, pos)]

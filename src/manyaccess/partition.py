@@ -1,56 +1,31 @@
 """Type-class partitions for the multi-hypothesis converse.
 
 A type class collects all message vectors with exactly t active entries.
-For t >= 2 it is partitioned by first growing a maximal greedy code of
-minimum Hamming distance 5 inside the class, then assigning the radius-2
-ball of each codeword (unique by the distance-5 property) and finally
-attaching every leftover vector to the lowest-indexed codeword within
-distance 4.  Each resulting cell has at least ell+1 members and diameter
-at most 8, which is what the hypothesis-testing bound needs.  Weight
-t = 1 classes are kept whole.  All of this is desk-scale only: class
-sizes are C(ell,t) M^t and enumeration is guarded by a budget.
+For t >= 2 it is partitioned by a maximal greedy code of minimum Hamming
+distance 5 inside the class: each codeword takes its radius-2 ball
+(unique by the distance 5), then every leftover vector goes to the
+lowest-indexed codeword within distance 4.  Each cell has at least ell+1
+members and diameter at most 8, as the hypothesis-testing bound needs.
+Weight t = 1 classes are kept whole.  All of this is desk-scale only:
+class sizes are C(ell,t) M^t and enumeration is guarded by a budget.
 
-A class is enumerated as one (size, ell) integer array: each of the
-C(ell,t) supports is filled with the M^t value grid, and one lexsort puts
-the rows in lexicographic order.  A Partition keeps integer arrays too:
-its members cell after cell as `rows`, each cell's length in `sizes` and
-one codeword per row of `center_rows`.  Python tuples (`sets`,
-`centers`) are built only when read.
+Classes and partitions are integer arrays, a member per row.  Distances
+come from float32 products of one-hot encodings over (position, value)
+pairs, in tables of at most _TABLE entries (or one row where a row is
+wider).  Build is one pass: each block of the class is encoded once over
+0..M, and its products with the codewords before it and those it picks
+are both the greedy scan and the ownership table.
 
-Every Hamming distance table is one BLAS product.  A vector is encoded
-one-hot over its (position, value) pairs, ell x (distinct values) float32
-columns, so two vectors agree in <onehot(a), onehot(b)> positions and
-d(a, b) = ell - <onehot(a), onehot(b)>.  Each sum counts at most ell
-ones, far below 2^24, so float32 holds it exactly.  One encoder serves
-both sides, a block of rows at a time: build encodes the class over the
-values 0..M, and verify encodes each Gram block's rows and columns over
-the partition's distinct values (np.unique), so no two values share a
-column whatever their size or sign.  Where a column for every value
-would leave fewer than _BLOCK rows to a table, as the 15 005 columns of
-(5,3000,1) would, verify gives columns only to the (position, value)
-pairs that two members of the cell share: 10 there.  A one-hot or
-distance table holds at most _TABLE entries, or one row where a row is
-wider, and a Gram block at most _BLOCK rows.
-
-Verify bounds its work by the type, not only by the cell size.  Two
-members x, y differ in at most min(ell, w_x + w_y, r_x + r_y), w the
-number of nonzero entries and r the distance to a pivot (the cell's
-center, or its first member).  The member farthest from the pivot is
-first compared with every member in integers, with no one-hot table: a
-distance there that reaches the cell's cap is its diameter.  Otherwise a
-cell larger than one row block is scanned with its rows in descending
-order of r, from that distance on: the scan ends once it finds a pair at
-the cap, and skips a block whose two leading radii sum to no more than
-the largest distance found so far.  Every diameter stays exact;
-(13,15,3), 965 250 members in 22 cells of up to 133 745, verifies in
-about 0.5 s with a 36 MB tracemalloc peak on 2 vCPUs, against about 2
-minutes for the all-pairs scan, (5,316,2), one cell of 998 560, in
-about 0.3 s with a 37 MB peak, and (5,200000,1), one cell of 10^6 over
-200 001 values, in about 0.6 s with a 48 MB peak.  A cell whose
-diameter is below every cap still takes all its pairs.  The cover is
-counted, not compared with a fresh enumeration: distinct rows, each in
-{0..M}^ell with t nonzero entries, as many as the class has, are the
-class.
+Verify bounds its work by the type: two members differ in at most
+min(ell, w_x + w_y, r_x + r_y), w the number of nonzero entries and r the
+distance to the cell's pivot.  Every cell is probed at once: its farthest
+member from the pivot meets the whole cell in integers, and a distance
+there at the cap is the diameter.  Only the other cells take a Gram scan
+over the partition's distinct values in descending order of r, which
+ends at the cap.  On 2 vCPUs (13,15,3), 965 250 members in 22 cells,
+builds in about 0.6 s and verifies in about 0.27 s (36 MB tracemalloc
+peak); (5,316,2), one cell of 998 560, in 0.36 s and 0.14 s (22 MB);
+(5,200000,1) verifies in 0.11 s (36 MB).
 """
 
 import json
@@ -114,9 +89,8 @@ def _rows(members, ell: int) -> np.ndarray:
 
 def _lex_sorted(x: np.ndarray) -> np.ndarray:
     """The rows of x in lexicographic order."""
-    if x.shape[1] == 0:  # lexsort needs a key; every row is the empty vector
-        return x
-    return x[np.lexsort(x.T[::-1])]
+    # lexsort needs a key; with no columns every row is the empty vector
+    return x[np.lexsort(x.T[::-1])] if x.shape[1] else x
 
 
 def _rows_per_table(columns: int) -> int:
@@ -135,14 +109,12 @@ def _onehot(codes: np.ndarray, width: int) -> np.ndarray:
 
 def _encoder(x: np.ndarray, values: np.ndarray):
     """A one-hot encoder for blocks of rows of x, all in the sorted
-    `values`, with the rows it takes per row block and per column block.
-
-    A column for each (position, value) pair, unless rows that wide would
-    split x into row blocks of fewer than _BLOCK rows: then only the pairs
-    two rows of x share get columns, coded 1, 2, ... at each position, and
-    every other pair code 0, whose columns are cleared.  Two distinct rows
-    still agree in exactly <encode(a), encode(b)> positions; (5,3000,1)
-    takes 5 x 2 columns, not 5 x 3001."""
+    `values`, with the rows it takes per row block and per column block: a
+    column per (position, value) pair, unless rows that wide would leave
+    fewer than _BLOCK rows to a block.  Then only the pairs two rows share
+    get columns, coded 1, 2, ... at each position, and the others code 0,
+    whose columns are cleared: distinct rows still agree in exactly
+    <encode(a), encode(b)> positions; (5,3000,1) takes 10 columns."""
     ell, n = x.shape[1], len(values)
     positions, code, width = np.arange(ell), None, n
     if _rows_per_table(ell * n) < min(len(x), _BLOCK):
@@ -169,12 +141,11 @@ def _encoder(x: np.ndarray, values: np.ndarray):
 def _gram_blocks(x: np.ndarray, encode, step: int, span: int, skip=None):
     """Agreements of each block of `step` rows of x with themselves and
     every later row, `span` columns at a time, each with whether it holds
-    the block's diagonal, where a row meets itself.  Rows are encoded a row
-    block and a column block at a time; a cell that fits one row block is
-    encoded once.  A block whose first row and first column s, c give
-    skip(s, c) true is not computed, nor is any later block of its row
-    block, and skip(s, s) ends the scan: skip must hold for every block
-    after one it holds for."""
+    the block's diagonal, all in one table: a fresh one per block costs a
+    page fault per 4 KB.  Rows are encoded a block at a time.  skip(s, c),
+    for a block's first row s and column c, ends its row block, and
+    skip(s, s) the scan: it must hold for every block after one it holds."""
+    table = np.empty(min(step, len(x)) * min(span, len(x)), dtype=np.float32)
     for s in range(0, len(x), step):
         if skip is not None and skip(s, s):
             return
@@ -183,38 +154,23 @@ def _gram_blocks(x: np.ndarray, encode, step: int, span: int, skip=None):
             if c > s and skip is not None and skip(s, c):
                 break
             cols = rows if len(x) <= step else encode(x[c : c + span])
-            yield rows @ cols.T, c == s
+            out = table[: len(rows) * len(cols)].reshape(len(rows), len(cols))
+            yield np.matmul(rows, cols.T, out=out), c == s
 
 
-def _diameter(x: np.ndarray, values: np.ndarray, ell: int, pivot: np.ndarray) -> int:
-    """Largest distance between two rows of x, each in `values`: ell minus
-    their fewest agreements; 0 for fewer than two.  A row meets itself in
-    ell positions less the pairs cleared as held by no other row, and it
-    differs from every other row at those, so no diagonal entry is below
-    the least off-diagonal one.
-
-    Two rows x, y differ in at most min(ell, w_x + w_y, r_x + r_y), w the
-    number of nonzero entries and r the distance to `pivot`, so no pair
-    exceeds the cap: ell, the two largest weights or the two largest radii
-    summed, whichever is least.  The row farthest from the pivot is first
-    compared with every row, in integers; a distance found there that
-    reaches the cap is the diameter.  Otherwise rows that span more than
-    one row block are scanned in descending order of radius from that
-    distance on: the scan ends at the cap, and a block whose first row and
-    first column sum to no more than the largest distance found so far is
-    skipped, with every later one, so the result stays exact."""
-    if len(x) < 2:
-        return 0
-    radius = np.count_nonzero(x != pivot, axis=1)
-    w = np.count_nonzero(x, axis=1)
-    cap = min(ell, *(int(np.partition(v, -2)[-2:].sum()) for v in (w, radius)))
-    best = int(np.count_nonzero(x != x[radius.argmax()], axis=1).max())
-    if best >= cap:
-        return best
+def _diameter(x: np.ndarray, values: np.ndarray, ell: int, radius: np.ndarray,
+              best: int, cap: int) -> int:
+    """Largest distance between two rows of x, each in `values`, from the
+    distance `best` of two of them up to a `cap` no pair exceeds, in
+    descending order of `radius` (distance to one pivot): a block whose
+    first row and column have radii summing to no more than the distance
+    found ends its row block.  No diagonal entry is below the least
+    off-diagonal one: encodings clear only pairs no other row holds."""
     encode, step, span = _encoder(x, values)
     if len(x) > step:
-        order = np.argsort(-radius, kind="stable")
-        x, radius = x[order], radius[order]
+        # ell - radius, small and unsigned, sorts by radix in -radius's order
+        order = np.argsort(ell - radius, kind="stable")
+        x, radius = x[order], radius[order].astype(np.intp)
 
     def beaten(s, c):
         return radius[s] + radius[c] <= best
@@ -238,15 +194,60 @@ def _min_distance(x: np.ndarray, ell: int) -> int:
 
 
 def _diameters(p: "Partition") -> tuple[int, ...]:
-    """Each cell's diameter over the partition's distinct values, its pivot
-    the cell's center when `center_rows` has one per cell in a dtype the
-    rows hold, else its first member."""
-    values = np.unique(p.rows)
-    centers = len(p.center_rows) == len(p.sizes) and np.can_cast(p.center_rows.dtype, p.rows.dtype)
-    return tuple(
-        _diameter(cell, values, p.ell, p.center_rows[c] if centers else cell[:1])
-        for c, cell in enumerate(_split(p.rows, p.sizes))
-    )
+    """Each cell's diameter over the partition's distinct values: the
+    probe's distance where it reaches the cell's cap, else the scan's."""
+    if not len(p.rows):
+        return (0,) * len(p.sizes)
+    sizes = np.array(p.sizes, dtype=np.intp)
+    starts = np.cumsum(sizes) - sizes
+    radius, best, cap = _probe(p, sizes, starts)
+    scan = np.flatnonzero((best < cap) & (sizes > 1))
+    values = np.unique(p.rows) if len(scan) else None
+    for c in scan:
+        cut = slice(starts[c], starts[c] + sizes[c])
+        best[c] = _diameter(p.rows[cut], values, p.ell, radius[cut], int(best[c]), int(cap[c]))
+    return tuple(best.tolist())
+
+
+def _probe(p: "Partition", sizes: np.ndarray, starts: np.ndarray):
+    """Every member's radius, its distance to its cell's pivot, and each
+    cell's largest distance from its member farthest from the pivot and
+    its cap, min(ell, two largest weights summed, two largest radii
+    summed).  The pivot is the cell's center when `center_rows` has one
+    per cell in a dtype the rows hold, else its first member."""
+    x, ell, n = p.rows, p.ell, len(sizes)
+    step, small = _rows_per_table(ell), np.min_scalar_type(ell)
+    cell = np.repeat(np.arange(n, dtype=np.min_scalar_type(n)), sizes)
+    centered = len(p.center_rows) == n and np.can_cast(p.center_rows.dtype, x.dtype)
+    pivots = p.center_rows if centered else x[np.minimum(starts, len(x) - 1)]
+    radius = _distances(x, pivots, cell, small)
+    weight = _distances(x, np.zeros((1, ell), x.dtype), np.zeros_like(cell), small)
+    # one histogram of the cells' members by weight, then by radius
+    counts = np.zeros(2 * n * (ell + 1), dtype=np.intp)
+    for s in range(0, len(x), step):
+        key = cell[s : s + step].astype(np.intp) * (ell + 1)
+        key = np.concatenate([key + weight[s : s + step], key + radius[s : s + step] + n * (ell + 1)])
+        counts += np.bincount(key, minlength=len(counts))
+    # members at or above each value from ell down to 1: summed up to 2
+    # they give the two largest values, counted where nonzero the largest
+    above = np.cumsum(counts.reshape(2, n, ell + 1)[:, :, :0:-1], axis=2)
+    cap = np.minimum(np.minimum(above, 2).sum(axis=2).min(axis=0), ell)
+    hits = np.flatnonzero(radius == np.take((above[1] > 0).sum(axis=1).astype(small), cell))
+    far = x[hits[np.searchsorted(cell[hits], np.arange(n)).clip(max=len(hits) - 1)]]
+    # np.maximum.reduceat gives an empty segment its first element: skip them
+    best, live = np.zeros(n, dtype=np.intp), np.flatnonzero(sizes)
+    best[live] = np.maximum.reduceat(_distances(x, far, cell, small), starts[live])
+    return radius, best, cap
+
+
+def _distances(x: np.ndarray, refs: np.ndarray, cell: np.ndarray, dtype) -> np.ndarray:
+    """Each row's distance to refs[cell of the row], a table of rows at a
+    time; einsum counts short boolean rows several times faster than sum."""
+    step, out = _rows_per_table(x.shape[1]), np.empty(len(x), dtype=dtype)
+    for s in range(0, len(x), step):
+        differ = x[s : s + step] != np.take(refs, cell[s : s + step], axis=0)
+        out[s : s + step] = np.einsum("ij->i", differ.view(np.uint8), dtype=dtype)
+    return out
 
 
 def _split(x: np.ndarray, sizes) -> list[np.ndarray]:
@@ -311,40 +312,69 @@ def enumerate_type_class(
     return TypeClass(ell=ell, M=M, t=t, rows=rows)
 
 
-def greedy_min_dist_code(tc: TypeClass, dmin: int = 5) -> np.ndarray:
-    """Greedy maximal code of minimum distance dmin, scanning members in
-    lexicographic order, as a read-only array with one codeword per row.
-    Maximality means every member of the class is within dmin-1 of some
-    codeword.
-
-    The class is scanned in blocks of members, each encoded one-hot over
-    the values 0..M.  One product with the codewords so far gives each
-    member's distance to the nearest of them; the next codeword is the
-    first member of the block after the last one at distance >= dmin,
-    which is the member the sequential scan would add, and each codeword
-    picked costs one matrix-vector product with its block."""
-    code = np.zeros((0, tc.ell * (tc.M + 1)), dtype=np.float32)
-    picked: list[int] = []
-    s = 0
+def _greedy(tc: TypeClass, dmin: int) -> tuple[np.ndarray, np.ndarray]:
+    """The greedy code of minimum distance dmin, read-only rows, and each
+    member's owner: its codeword within (dmin-1)//2, unique by the
+    minimum distance, else its first within dmin-1.  Each block's product
+    with the codewords so far, and one matrix-vector product per codeword
+    it picks (the first member after the last pick within dmin-1 of none,
+    as the sequential scan would add), are the block's ownership table.  A
+    member the scan passes has its first codeword within dmin-1 in that
+    table; only a later block's codeword can still fall in its ring, so
+    members with none there yet meet the later codewords at the end."""
+    ell, width, reach = tc.ell, tc.ell * (tc.M + 1), max(dmin - 1, 0)
+    near, far = ell - reach // 2, ell - reach  # least agreements in the ring, within reach
+    code, picked, blocks = np.zeros((0, width), dtype=np.float32), [], []
+    owner, ringed = np.empty(tc.size, dtype=np.intp), np.empty(tc.size, dtype=bool)
+    # each block is encoded in this table and cleared after it: a fresh
+    # one per block costs more than its products where width is large
+    table, s = np.zeros((min(tc.size, _rows_per_table(width)), width), dtype=np.float32), 0
     while s < tc.size:
-        x = _onehot(tc.rows[s : s + _rows_per_table(max(code.shape))], tc.M + 1)
-        nearest = np.minimum(dmin, tc.ell - (x @ code.T).max(axis=1, initial=-np.inf))
-        new: list[int] = []
-        start = 0
-        while start < len(x):
-            free = nearest[start:] >= dmin
+        block = tc.rows[s : s + _rows_per_table(max(width, 2 * len(code)))]
+        x, ones = table[: len(block)], (np.arange(len(block))[:, None], np.arange(ell) * (tc.M + 1) + block)
+        x[ones] = 1.0
+        # agreements with every codeword known by the end of the block, in
+        # a table of _TABLE entries: the block ends once it is full
+        k, room = len(code), max(1, _TABLE // len(x) - len(code))
+        agree = np.empty((k + room, len(x)), dtype=np.float32)
+        agree[:k] = (x @ code.T).T  # twice as fast here as code @ x.T
+        most, done, start = agree[:k].max(axis=0, initial=-np.inf), len(x), 0
+        while start < done:
+            free = most[start:] < far
             i = start + int(free.argmax())
             if not free[i - start]:
                 break
-            new.append(i)
-            np.minimum(nearest, tc.ell - x @ x[i], out=nearest)
-            start = i + 1
-        code = np.concatenate([code, x[new]])
-        picked.extend(s + i for i in new)
-        s += len(x)
+            picked.append(s + i)
+            np.maximum(most, np.matmul(x, x[i], out=agree[k]), out=most)
+            k, start = k + 1, i + 1
+            if k == len(agree):
+                done = start
+        code = np.concatenate([code, x[np.array(picked[len(code) :], dtype=np.intp) - s]])
+        # key 2 in the ring, 1 within reach, then the codeword's rank: a
+        # member's largest score names its first codeword of largest key
+        key = (agree[:k, :done] >= far).astype(np.min_scalar_type(3 * k - 1)) + (agree[:k, :done] >= near)
+        top, rank = np.divmod((key * k + np.arange(k - 1, -1, -1, dtype=key.dtype)[:, None]).max(axis=0), k)
+        if not top.all():
+            raise AssertionError(f"greedy code not maximal: member beyond distance {reach}")
+        owner[s : s + done], ringed[s : s + done] = k - 1 - rank, top > 1
+        x[ones] = 0.0
+        blocks.append((s, done, k))
+        s += done
+    for s, n, k in [block for block in blocks if block[2] < len(code)]:
+        late, step = s + np.flatnonzero(~ringed[s : s + n]), _rows_per_table(max(width, len(code) - k))
+        for rows in np.split(late, range(step, len(late), step)):
+            ring = _onehot(tc.rows[rows], tc.M + 1) @ code[k:].T >= near
+            hit = ring.any(axis=1)
+            owner[rows[hit]] = k + ring[hit].argmax(axis=1)
     code = tc.rows[picked]
     code.flags.writeable = False
-    return code
+    return code, owner
+
+
+def greedy_min_dist_code(tc: TypeClass, dmin: int = 5) -> np.ndarray:
+    """Greedy maximal code of minimum distance dmin in lexicographic order,
+    read-only, a codeword per row: every member is within dmin-1 of one."""
+    return _greedy(tc, dmin)[0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -416,9 +446,7 @@ def build_partition(
     t = 1: the whole class is a single cell (its diameter is already 2).
     t >= 2: greedy distance-5 code inside the class itself, radius-2 balls
     first, then leftover members to the lowest-indexed codeword within
-    distance 4.  This includes t = ell, whose code also lives inside the
-    class (distance-1 neighbours within the class number ell(M-1) >= ell).
-    """
+    distance 4; for t = ell too, whose code also lives inside the class."""
     if ell < 5:
         raise ValueError(f"user count must be >= 5, got {ell}")
     if M < 2:
@@ -428,20 +456,10 @@ def build_partition(
     tc = enumerate_type_class(ell, M, t, budget=budget)
     if t == 1:
         return Partition(ell, M, t, rows=tc.rows, sizes=(tc.size,), center_rows=tc.rows[:1])
-    centers = greedy_min_dist_code(tc, dmin=5)
-    c = _onehot(centers, M + 1)
-    owner = np.empty(tc.size, dtype=np.intp)
-    step = _rows_per_table(max(c.shape[1], len(c)))
-    for s in range(0, tc.size, step):
-        d = ell - _onehot(tc.rows[s : s + step], M + 1) @ c.T
-        # 2 within distance 2, 1 within 4: the first largest key is the
-        # ring-2 codeword, unique by the minimum distance 5 of the code,
-        # else the first codeword within distance 4
-        key = (d <= 4).view(np.int8) + (d <= 2)
-        owner[s : s + step] = first = key.argmax(axis=1)
-        if not key[np.arange(len(key)), first].all():
-            raise AssertionError("greedy code not maximal: member beyond distance 4")
-    # a stable sort keeps each cell in the lexicographic order of the class
+    centers, owner = _greedy(tc, 5)
+    # a stable sort keeps each cell in the lexicographic order of the class;
+    # on owners of 16 bits or fewer numpy sorts by radix
+    owner = owner.astype(np.min_scalar_type(len(centers) - 1))
     rows = tc.rows[np.argsort(owner, kind="stable")]
     rows.flags.writeable = False
     sizes = tuple(np.bincount(owner, minlength=len(centers)).tolist())
@@ -469,33 +487,22 @@ def verify_partition(p: Partition, ell: int) -> PartitionReport:
 
     Failures are carried in the report, not raised; a class that does not
     exist, or is beyond the enumeration budget, raises as
-    enumerate_type_class does.  The members, sorted, show a member in two
-    places as equal neighbours.  They cover the class when they are as
-    many as it has, each in {0..M}^ell with exactly t nonzero entries, and
-    no two equal.  Distances come from build's one-hot encoder, over the
-    values the partition's own members hold rather than 0..M."""
-    size = _budgeted_size(p.ell, p.M, p.t, DEFAULT_ENUM_BUDGET)
-    sizes = p.sizes
+    enumerate_type_class does.  Sorted, a member in two places shows as
+    equal neighbours; distinct members, as many as the class has, each in
+    {0..M}^ell with exactly t nonzero entries, are the class."""
+    size, sizes = _budgeted_size(p.ell, p.M, p.t, DEFAULT_ENUM_BUDGET), p.sizes
     s = _lex_sorted(p.rows)
     disjoint = not (s[1:] == s[:-1]).all(axis=1).any()
-    cover = (
-        len(s) == size
-        and bool(((s >= 0) & (s <= p.M)).all())
-        and bool((np.count_nonzero(s, axis=1) == p.t).all())
-    )
+    cover = len(s) == size and bool(((s >= 0) & (s <= p.M)).all())
+    cover = cover and bool(((s != 0).sum(axis=1) == p.t).all())
     diameters = _diameters(p)
     center_d = _min_distance(p.center_rows, p.ell) if len(p.center_rows) > 1 else None
     min_size = min(sizes) if sizes else 0
     max_diam = max(diameters) if diameters else 0
     return PartitionReport(
-        disjoint_cover=disjoint and cover,
-        size_ok=min_size >= ell + 1,
-        diameter_ok=max_diam <= 8,
-        min_set_size=min_size,
-        max_diameter=max_diam,
-        min_center_distance=center_d,
-        set_sizes=sizes,
-        set_diameters=diameters,
+        disjoint_cover=disjoint and cover, size_ok=min_size >= ell + 1, diameter_ok=max_diam <= 8,
+        min_set_size=min_size, max_diameter=max_diam, min_center_distance=center_d,
+        set_sizes=sizes, set_diameters=diameters,
     )
 
 
@@ -540,17 +547,10 @@ def partition_to_json(p: Partition, report: PartitionReport) -> str:
         '"@sets"': _json_list([_json_rows(cell, 2) for cell in _split(p.rows, p.sizes)], 1),
     }
     payload = {
-        "ell": p.ell,
-        "M": p.M,
-        "t": p.t,
-        "num_sets": p.num_sets,
-        "centers": "@centers",
-        "sets": "@sets",
+        "ell": p.ell, "M": p.M, "t": p.t, "num_sets": p.num_sets, "centers": "@centers", "sets": "@sets",
         "report": {
-            "disjoint_cover": report.disjoint_cover,
-            "min_set_size": report.min_set_size,
-            "max_diameter": report.max_diameter,
-            "min_center_distance": report.min_center_distance,
+            "disjoint_cover": report.disjoint_cover, "min_set_size": report.min_set_size,
+            "max_diameter": report.max_diameter, "min_center_distance": report.min_center_distance,
             "ok": report.ok,
         },
     }
