@@ -18,14 +18,18 @@ are both the greedy scan and the ownership table.
 
 Verify bounds its work by the type: two members differ in at most
 min(ell, w_x + w_y, r_x + r_y), w the number of nonzero entries and r the
-distance to the cell's pivot.  Every cell is probed at once: its farthest
-member from the pivot meets the whole cell in integers, and a distance
-there at the cap is the diameter.  Only the other cells take a Gram scan
-over the partition's distinct values in descending order of r, which
-ends at the cap.  On 2 vCPUs (13,15,3), 965 250 members in 22 cells,
-builds in about 0.6 s and verifies in about 0.27 s (36 MB tracemalloc
-peak); (5,316,2), one cell of 998 560, in 0.36 s and 0.14 s (22 MB);
-(5,200000,1) verifies in 0.11 s (36 MB).
+distance to the cell's pivot.  Every cell is probed at once, in a fixed
+number of numpy calls per table of rows: radii and weights in one pass,
+then each cell's farthest member from the pivot meets the whole cell,
+and a distance there at the cap is the diameter.  The other cells share
+one encoder over the partition's distinct values: a cell of one row
+block takes its Gram in one product, a larger one a scan in descending
+order of r, which ends at the cap.  The work is per partition and per table,
+not per cell: a (6,2,4) build and verify makes 225 profiled calls.  On 2
+vCPUs (13,15,3), 965 250 members in 22 cells, builds in about 0.67 s and
+verifies in about 0.28 s (28 MB tracemalloc peak); (5,316,2), one cell
+of 998 560, in 0.43 s and 0.13 s (18 MB); (5,200000,1) verifies in
+0.09 s (35 MB).
 """
 
 import json
@@ -95,7 +99,7 @@ def _lex_sorted(x: np.ndarray) -> np.ndarray:
 
 def _rows_per_table(columns: int) -> int:
     """Rows of a table of the given width that fit in _TABLE entries."""
-    return max(1, _TABLE // max(columns, 1))
+    return (_TABLE // columns or 1) if columns > 0 else _TABLE
 
 
 def _onehot(codes: np.ndarray, width: int) -> np.ndarray:
@@ -114,28 +118,33 @@ def _encoder(x: np.ndarray, values: np.ndarray):
     fewer than _BLOCK rows to a block.  Then only the pairs two rows share
     get columns, coded 1, 2, ... at each position, and the others code 0,
     whose columns are cleared: distinct rows still agree in exactly
-    <encode(a), encode(b)> positions; (5,3000,1) takes 10 columns."""
+    <encode(a), encode(b)> positions; (5,3000,1) takes 10 columns.  Each
+    block's ones are set by one flat index per entry."""
     ell, n = x.shape[1], len(values)
-    positions, code, width = np.arange(ell), None, n
+    offsets, column, width = np.arange(ell) * n, None, n
     if _rows_per_table(ell * n) < min(len(x), _BLOCK):
-        counts = np.zeros(ell * n, dtype=np.intp)
-        for s in range(0, len(x), _rows_per_table(ell)):
-            pairs = np.searchsorted(values, x[s : s + _rows_per_table(ell)]) + positions * n
+        counts, step = np.zeros(ell * n, dtype=np.intp), _rows_per_table(ell)
+        for s in range(0, len(x), step):
+            pairs = values.searchsorted(x[s : s + step]) + offsets
             counts += np.bincount(pairs.ravel(), minlength=ell * n)
         shared = counts.reshape(ell, n) >= 2
         code = np.where(shared, shared.cumsum(axis=1), 0)
         width = int(code.max(initial=0)) + 1
+        # each (position, value) pair's column, that of its code
+        column = (code + np.arange(ell)[:, None] * width).ravel()
+    step = min(_BLOCK, _rows_per_table(ell * width))
+    span = max(step, _rows_per_table(max(step, ell * width)))
+    first = np.arange(min(span, len(x)))[:, None] * (ell * width)  # each row's first entry
 
     def encode(block):
-        ranks = np.searchsorted(values, block)
-        if code is None:
-            return _onehot(ranks, width)
-        out = _onehot(code[positions, ranks], width)
-        out[:, ::width] = 0.0
+        pairs, count = values.searchsorted(block) + offsets, block.shape[0]
+        out = np.zeros((count, ell * width), dtype=np.float32)
+        out.reshape(-1)[first[:count] + (pairs if column is None else column[pairs])] = 1.0
+        if column is not None:
+            out[:, ::width] = 0.0
         return out
 
-    step = min(_BLOCK, _rows_per_table(ell * width))
-    return encode, step, max(step, _rows_per_table(max(step, ell * width)))
+    return encode, step, span
 
 
 def _gram_blocks(x: np.ndarray, encode, step: int, span: int, skip=None):
@@ -145,38 +154,37 @@ def _gram_blocks(x: np.ndarray, encode, step: int, span: int, skip=None):
     page fault per 4 KB.  Rows are encoded a block at a time.  skip(s, c),
     for a block's first row s and column c, ends its row block, and
     skip(s, s) the scan: it must hold for every block after one it holds."""
-    table = np.empty(min(step, len(x)) * min(span, len(x)), dtype=np.float32)
-    for s in range(0, len(x), step):
+    n = len(x)
+    table = np.empty(min(step, n) * min(span, n), dtype=np.float32)
+    for s in range(0, n, step):
         if skip is not None and skip(s, s):
             return
-        rows = encode(x[s : s + step])
-        for c in range(s, len(x), span):
+        rows, r = encode(x[s : s + step]), min(step, n - s)
+        for c in range(s, n, span):
             if c > s and skip is not None and skip(s, c):
                 break
-            cols = rows if len(x) <= step else encode(x[c : c + span])
-            out = table[: len(rows) * len(cols)].reshape(len(rows), len(cols))
-            yield np.matmul(rows, cols.T, out=out), c == s
+            cols, m = (rows, r) if n <= step else (encode(x[c : c + span]), min(span, n - c))
+            yield np.matmul(rows, cols.T, out=table[: r * m].reshape(r, m)), c == s
 
 
-def _diameter(x: np.ndarray, values: np.ndarray, ell: int, radius: np.ndarray,
-              best: int, cap: int) -> int:
-    """Largest distance between two rows of x, each in `values`, from the
-    distance `best` of two of them up to a `cap` no pair exceeds, in
-    descending order of `radius` (distance to one pivot): a block whose
-    first row and column have radii summing to no more than the distance
-    found ends its row block.  No diagonal entry is below the least
-    off-diagonal one: encodings clear only pairs no other row holds."""
-    encode, step, span = _encoder(x, values)
-    if len(x) > step:
-        # ell - radius, small and unsigned, sorts by radix in -radius's order
-        order = np.argsort(ell - radius, kind="stable")
-        x, radius = x[order], radius[order].astype(np.intp)
+def _diameter(x: np.ndarray, encoder, ell: int, radius: np.ndarray, best: int, cap: int) -> int:
+    """Largest distance between two rows of x, more than one row block
+    that `encoder` encodes, from the distance `best` of two of them up to
+    a `cap` no pair exceeds, in descending order of `radius` (distance to
+    one pivot): a block whose first row and column have radii summing to
+    no more than the distance found ends its row block.  No diagonal
+    entry is below the least off-diagonal one: encodings clear only pairs
+    no other row holds."""
+    encode, step, span = encoder
+    # ell - radius, small and unsigned, sorts by radix in -radius's order
+    order = np.argsort(ell - radius, kind="stable")
+    x, radius = x[order], radius[order].astype(np.intp)
 
-    def beaten(s, c):
+    def skip(s, c):
         return radius[s] + radius[c] <= best
 
-    for agree, _ in _gram_blocks(x, encode, step, span, beaten if len(x) > step else None):
-        best = max(best, ell - int(agree.min()))
+    for agree, _ in _gram_blocks(x, encode, step, span, skip):
+        best = max(best, ell - int(np.minimum.reduce(agree, axis=None)))
         if best >= cap:
             break
     return best
@@ -187,66 +195,98 @@ def _min_distance(x: np.ndarray, ell: int) -> int:
     ell minus their most agreements."""
     most = 0.0
     for agree, diagonal in _gram_blocks(x, *_encoder(x, np.unique(x))):
-        if diagonal:
-            np.fill_diagonal(agree, 0)
-        most = max(most, agree.max())
+        if diagonal:  # a row's agreements with itself, at (i, i)
+            agree.reshape(-1)[:: agree.shape[1] + 1] = 0
+        most = max(most, np.maximum.reduce(agree, axis=None))
     return ell - int(most)
 
 
-def _diameters(p: "Partition") -> tuple[int, ...]:
-    """Each cell's diameter over the partition's distinct values: the
-    probe's distance where it reaches the cell's cap, else the scan's."""
+def _diameters(p: "Partition") -> tuple[tuple[int, ...], np.ndarray]:
+    """Each cell's diameter over the partition's distinct values, the
+    probe's distance where it reaches the cell's cap, else the scan's, and
+    how many members have each weight 0..ell.  The scanned cells share one
+    encoder: a cell of one row block takes its Gram in one product, a
+    larger one the capped scan."""
     if not len(p.rows):
-        return (0,) * len(p.sizes)
+        return (0,) * len(p.sizes), np.zeros(p.ell + 1, dtype=np.intp)
     sizes = np.array(p.sizes, dtype=np.intp)
-    starts = np.cumsum(sizes) - sizes
-    radius, best, cap = _probe(p, sizes, starts)
-    scan = np.flatnonzero((best < cap) & (sizes > 1))
-    values = np.unique(p.rows) if len(scan) else None
-    for c in scan:
-        cut = slice(starts[c], starts[c] + sizes[c])
-        best[c] = _diameter(p.rows[cut], values, p.ell, radius[cut], int(best[c]), int(cap[c]))
-    return tuple(best.tolist())
+    starts = sizes.cumsum() - sizes
+    radius, best, cap, weights = _probe(p, sizes, starts)
+    scan = ((best < cap) & (sizes > 1)).nonzero()[0]
+    if len(scan):
+        encoder = _encoder(p.rows, np.unique(p.rows))
+        block = sizes[scan] <= encoder[1]
+        cells = scan[block]
+        best[cells] = _block_diameters(p.rows, starts[cells], sizes[cells], encoder, p.ell)
+        for c in scan[~block].tolist():
+            cut = slice(starts[c], starts[c] + sizes[c])
+            best[c] = _diameter(p.rows[cut], encoder, p.ell, radius[cut], int(best[c]), int(cap[c]))
+    return tuple(best.tolist()), weights
+
+
+def _block_diameters(x: np.ndarray, starts: np.ndarray, sizes: np.ndarray, encoder,
+                     ell: int) -> np.ndarray:
+    """The diameter of each cell x[starts[i] : starts[i] + sizes[i]], of
+    at most one row block: its rows encoded at once and one product of
+    them with themselves, in one table for every cell.  Batching cells of
+    unequal sizes pads their products and costs more than it saves."""
+    encode, out = encoder[0], np.empty(len(sizes), dtype=np.intp)
+    table = np.empty(int(sizes.max(initial=0)) ** 2, dtype=np.float32)
+    for c, (s, m) in enumerate(zip(starts.tolist(), sizes.tolist())):
+        rows = encode(x[s : s + m])
+        agree = np.matmul(rows, rows.T, out=table[: m * m].reshape(m, m))
+        out[c] = ell - np.minimum.reduce(agree, axis=None)
+    return out
 
 
 def _probe(p: "Partition", sizes: np.ndarray, starts: np.ndarray):
-    """Every member's radius, its distance to its cell's pivot, and each
-    cell's largest distance from its member farthest from the pivot and
-    its cap, min(ell, two largest weights summed, two largest radii
-    summed).  The pivot is the cell's center when `center_rows` has one
-    per cell in a dtype the rows hold, else its first member."""
+    """Every member's radius, its distance to its cell's pivot; each cell's
+    largest distance from a member farthest from the pivot and its cap,
+    min(ell, two largest weights summed, two largest radii summed); and
+    how many members have each weight.  The pivot is the cell's center
+    when `center_rows` has one per cell in a dtype the rows hold, else its
+    first member."""
     x, ell, n = p.rows, p.ell, len(sizes)
-    step, small = _rows_per_table(ell), np.min_scalar_type(ell)
-    cell = np.repeat(np.arange(n, dtype=np.min_scalar_type(n)), sizes)
+    small = np.min_scalar_type(ell)
+    cell = np.arange(n, dtype=np.min_scalar_type(n)).repeat(sizes)
     centered = len(p.center_rows) == n and np.can_cast(p.center_rows.dtype, x.dtype)
     pivots = p.center_rows if centered else x[np.minimum(starts, len(x) - 1)]
-    radius = _distances(x, pivots, cell, small)
-    weight = _distances(x, np.zeros((1, ell), x.dtype), np.zeros_like(cell), small)
-    # one histogram of the cells' members by weight, then by radius
-    counts = np.zeros(2 * n * (ell + 1), dtype=np.intp)
+    found = _distances(x, (pivots, 0), cell, small)
+    # one histogram of each cell's members by radius, then by weight
+    counts, step = np.zeros(2 * n * (ell + 1), dtype=np.intp), _rows_per_table(2 * ell)
+    lanes = np.array([[0], [ell + 1]])
     for s in range(0, len(x), step):
-        key = cell[s : s + step].astype(np.intp) * (ell + 1)
-        key = np.concatenate([key + weight[s : s + step], key + radius[s : s + step] + n * (ell + 1)])
-        counts += np.bincount(key, minlength=len(counts))
+        key = cell[s : s + step].astype(np.intp) * (2 * ell + 2) + lanes + found[:, s : s + step]
+        counts += np.bincount(key.ravel(), minlength=len(counts))
+    counts = counts.reshape(n, 2, ell + 1)
     # members at or above each value from ell down to 1: summed up to 2
     # they give the two largest values, counted where nonzero the largest
-    above = np.cumsum(counts.reshape(2, n, ell + 1)[:, :, :0:-1], axis=2)
-    cap = np.minimum(np.minimum(above, 2).sum(axis=2).min(axis=0), ell)
-    hits = np.flatnonzero(radius == np.take((above[1] > 0).sum(axis=1).astype(small), cell))
-    far = x[hits[np.searchsorted(cell[hits], np.arange(n)).clip(max=len(hits) - 1)]]
+    above = counts[:, :, :0:-1].cumsum(axis=2)
+    cap = np.minimum(np.minimum.reduce(np.add.reduce(np.minimum(above, 2), axis=2), axis=1), ell)
+    radius = found[0]
+    hits = (radius == np.add.reduce(above[:, 0] > 0, axis=1, dtype=small)[cell]).nonzero()[0]
+    # each cell's first member at its largest radius (an empty cell takes
+    # a later cell's, which it never meets)
+    far = hits[np.minimum(cell[hits].searchsorted(np.arange(n)), len(hits) - 1)]
     # np.maximum.reduceat gives an empty segment its first element: skip them
-    best, live = np.zeros(n, dtype=np.intp), np.flatnonzero(sizes)
-    best[live] = np.maximum.reduceat(_distances(x, far, cell, small), starts[live])
-    return radius, best, cap
+    best, live = np.zeros(n, dtype=np.intp), sizes.nonzero()[0]
+    best[live] = np.maximum.reduceat(_distances(x, (x[far],), cell, small)[0], starts[live])
+    return radius, best, cap, np.add.reduce(counts[:, 1], axis=0)
 
 
-def _distances(x: np.ndarray, refs: np.ndarray, cell: np.ndarray, dtype) -> np.ndarray:
-    """Each row's distance to refs[cell of the row], a table of rows at a
-    time; einsum counts short boolean rows several times faster than sum."""
-    step, out = _rows_per_table(x.shape[1]), np.empty(len(x), dtype=dtype)
+def _distances(x: np.ndarray, refs: tuple, cell: np.ndarray, dtype) -> np.ndarray:
+    """Each row's distance to refs[j][cell of the row] for each j, a
+    len(refs) x N array; a ref 0 is the zero row of every cell.  A table
+    of rows at a time, each ref's comparison a plane of its own: einsum
+    counts short boolean rows several times faster than sum."""
+    k, ell = len(refs), x.shape[1]
+    step, out = _rows_per_table(k * ell), np.empty((k, len(x)), dtype=dtype)
     for s in range(0, len(x), step):
-        differ = x[s : s + step] != np.take(refs, cell[s : s + step], axis=0)
-        out[s : s + step] = np.einsum("ij->i", differ.view(np.uint8), dtype=dtype)
+        rows, at = x[s : s + step], cell[s : s + step]
+        differ = np.empty((k,) + rows.shape, dtype=bool)
+        for j, ref in enumerate(refs):
+            np.not_equal(rows, ref.take(at, axis=0) if isinstance(ref, np.ndarray) else ref, out=differ[j])
+        out[:, s : s + step] = np.einsum("kij->ki", differ.view(np.uint8), dtype=dtype)
     return out
 
 
@@ -318,27 +358,31 @@ def _greedy(tc: TypeClass, dmin: int) -> tuple[np.ndarray, np.ndarray]:
     minimum distance, else its first within dmin-1.  Each block's product
     with the codewords so far, and one matrix-vector product per codeword
     it picks (the first member after the last pick within dmin-1 of none,
-    as the sequential scan would add), are the block's ownership table.  A
-    member the scan passes has its first codeword within dmin-1 in that
-    table; only a later block's codeword can still fall in its ring, so
-    members with none there yet meet the later codewords at the end."""
-    ell, width, reach = tc.ell, tc.ell * (tc.M + 1), max(dmin - 1, 0)
-    near, far = ell - reach // 2, ell - reach  # least agreements in the ring, within reach
+    as the sequential scan would add), are the block's ownership table,
+    and their running maximum tells which members have a codeword in the
+    ring.  A member the scan passes has its first codeword within dmin-1
+    in that table; only a later block's codeword can still fall in its
+    ring, so members with none there yet meet the later codewords at the
+    end."""
+    ell, levels, size, reach = tc.ell, tc.M + 1, len(tc.rows), max(dmin - 1, 0)
+    width, near, far = ell * levels, ell - reach // 2, ell - reach  # least agreements in the ring, within reach
     code, picked, blocks = np.zeros((0, width), dtype=np.float32), [], []
-    owner, ringed = np.empty(tc.size, dtype=np.intp), np.empty(tc.size, dtype=bool)
-    # each block is encoded in this table and cleared after it: a fresh
-    # one per block costs more than its products where width is large
-    table, s = np.zeros((min(tc.size, _rows_per_table(width)), width), dtype=np.float32), 0
-    while s < tc.size:
+    owner, ringed = np.empty(size, dtype=np.intp), np.empty(size, dtype=bool)
+    # each block is encoded in this flat table and cleared after it: a
+    # fresh one per block costs more than its products where width is large
+    table = np.zeros(min(size, _rows_per_table(width)) * width, dtype=np.float32)
+    first, s = np.arange(0, len(table), width)[:, None] + np.arange(0, width, levels), 0
+    while s < size:
         block = tc.rows[s : s + _rows_per_table(max(width, 2 * len(code)))]
-        x, ones = table[: len(block)], (np.arange(len(block))[:, None], np.arange(ell) * (tc.M + 1) + block)
-        x[ones] = 1.0
+        n, k = len(block), len(code)
+        ones = first[:n] + block
+        table[ones] = 1.0
+        x = table[: n * width].reshape(n, width)
         # agreements with every codeword known by the end of the block, in
         # a table of _TABLE entries: the block ends once it is full
-        k, room = len(code), max(1, _TABLE // len(x) - len(code))
-        agree = np.empty((k + room, len(x)), dtype=np.float32)
+        agree = np.empty((k + max(1, _TABLE // n - k), n), dtype=np.float32)
         agree[:k] = (x @ code.T).T  # twice as fast here as code @ x.T
-        most, done, start = agree[:k].max(axis=0, initial=-np.inf), len(x), 0
+        most, done, start = np.maximum.reduce(agree[:k], axis=0, initial=-np.inf), n, 0
         while start < done:
             free = most[start:] < far
             i = start + int(free.argmax())
@@ -350,16 +394,20 @@ def _greedy(tc: TypeClass, dmin: int) -> tuple[np.ndarray, np.ndarray]:
             if k == len(agree):
                 done = start
         code = np.concatenate([code, x[np.array(picked[len(code) :], dtype=np.intp) - s]])
-        # key 2 in the ring, 1 within reach, then the codeword's rank: a
-        # member's largest score names its first codeword of largest key
-        key = (agree[:k, :done] >= far).astype(np.min_scalar_type(3 * k - 1)) + (agree[:k, :done] >= near)
-        top, rank = np.divmod((key * k + np.arange(k - 1, -1, -1, dtype=key.dtype)[:, None]).max(axis=0), k)
-        if not top.all():
+        # a member's owner is its first codeword in the ring, where it
+        # agrees most, else its first within reach: the largest of k - j
+        # over the codewords j it agrees with at its threshold names it
+        most = most[:done]
+        if np.minimum.reduce(most) < far:
             raise AssertionError(f"greedy code not maximal: member beyond distance {reach}")
-        owner[s : s + done], ringed[s : s + done] = k - 1 - rank, top > 1
-        x[ones] = 0.0
+        ring = ringed[s : s + done] = most >= near
+        hit = agree[:k, :done] >= np.where(ring, near, far)
+        rank = np.arange(k, 0, -1, dtype=np.min_scalar_type(k))[:, None]
+        owner[s : s + done] = k - np.maximum.reduce(hit * rank, axis=0)
         blocks.append((s, done, k))
         s += done
+        if s < size:
+            table[ones] = 0.0
     for s, n, k in [block for block in blocks if block[2] < len(code)]:
         late, step = s + np.flatnonzero(~ringed[s : s + n]), _rows_per_table(max(width, len(code) - k))
         for rows in np.split(late, range(step, len(late), step)):
@@ -460,7 +508,7 @@ def build_partition(
     # a stable sort keeps each cell in the lexicographic order of the class;
     # on owners of 16 bits or fewer numpy sorts by radix
     owner = owner.astype(np.min_scalar_type(len(centers) - 1))
-    rows = tc.rows[np.argsort(owner, kind="stable")]
+    rows = tc.rows[owner.argsort(kind="stable")]
     rows.flags.writeable = False
     sizes = tuple(np.bincount(owner, minlength=len(centers)).tolist())
     return Partition(ell, M, t, rows=rows, sizes=sizes, center_rows=centers)
@@ -487,20 +535,25 @@ def verify_partition(p: Partition, ell: int) -> PartitionReport:
 
     Failures are carried in the report, not raised; a class that does not
     exist, or is beyond the enumeration budget, raises as
-    enumerate_type_class does.  Sorted, a member in two places shows as
-    equal neighbours; distinct members, as many as the class has, each in
+    enumerate_type_class does, and an ell other than p.ell raises
+    ValueError.  Sorted, a member in two places shows as equal
+    neighbours; distinct members, as many as the class has, each in
     {0..M}^ell with exactly t nonzero entries, are the class."""
+    if ell != p.ell:
+        raise ValueError(f"user count {ell} is not the partition's {p.ell}")
     size, sizes = _budgeted_size(p.ell, p.M, p.t, DEFAULT_ENUM_BUDGET), p.sizes
     s = _lex_sorted(p.rows)
-    disjoint = not (s[1:] == s[:-1]).all(axis=1).any()
-    cover = len(s) == size and bool(((s >= 0) & (s <= p.M)).all())
-    cover = cover and bool(((s != 0).sum(axis=1) == p.t).all())
-    diameters = _diameters(p)
+    # each sorted row as one opaque scalar of its bytes: neighbours compare whole
+    rows = s.view(np.dtype((np.void, s.shape[1] * s.itemsize))).ravel()
+    disjoint = bool(np.logical_and.reduce(rows[1:] != rows[:-1]))
+    diameters, weights = _diameters(p)
+    cover = len(s) == size and weights[p.t] == len(s)
+    cover = cover and np.minimum.reduce(s, axis=None) >= 0 and np.maximum.reduce(s, axis=None) <= p.M
     center_d = _min_distance(p.center_rows, p.ell) if len(p.center_rows) > 1 else None
     min_size = min(sizes) if sizes else 0
     max_diam = max(diameters) if diameters else 0
     return PartitionReport(
-        disjoint_cover=disjoint and cover, size_ok=min_size >= ell + 1, diameter_ok=max_diam <= 8,
+        disjoint_cover=disjoint and bool(cover), size_ok=min_size >= ell + 1, diameter_ok=max_diam <= 8,
         min_set_size=min_size, max_diameter=max_diam, min_center_distance=center_d,
         set_sizes=sizes, set_diameters=diameters,
     )

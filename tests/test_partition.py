@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import sys
 import tracemalloc
 from itertools import combinations, product
 from types import SimpleNamespace
@@ -206,6 +207,14 @@ class TestBuildPartition:
         assert rep.min_set_size >= 7
         assert rep.max_diameter <= 8
         assert rep.min_center_distance is None or rep.min_center_distance >= 5
+
+    def test_verify_refuses_another_ell(self):
+        # size_ok would be judged against the argument and the diameters
+        # against p.ell, a wrong report without a word
+        p = build_partition(6, 2, 3)
+        with pytest.raises(ValueError, match="user count 5"):
+            verify_partition(p, 5)
+        assert verify_partition(p, 6).ok
 
     def test_negative_control_far_points(self):
         # hand-built bad partition: two members at distance > 8 in one cell
@@ -505,7 +514,7 @@ class TestBatchedProbe:
     A, B, C = (1, 1, 0, 0, 0, 0), (0, 0, 1, 1, 0, 0), (1, 0, 1, 0, 1, 0)
 
     def check(self, p):
-        assert partition_module._diameters(p) == brute_diameters(p)
+        assert partition_module._diameters(p)[0] == brute_diameters(p)
         assert verify_partition(p, p.ell) == oracle_verify(p, p.ell)
         with pytest.MonkeyPatch.context() as mp:
             _small_blocks(mp)
@@ -518,13 +527,13 @@ class TestBatchedProbe:
         centers = [(0,) * 6] * 3
         p = Partition.from_sets(6, 2, 2, centers=centers, sets=cells)
         self.check(p)
-        assert p.sizes[where] == 0 and partition_module._diameters(p)[where] == 0
+        assert p.sizes[where] == 0 and partition_module._diameters(p)[0][where] == 0
 
     def test_one_member_cells(self):
         p = Partition.from_sets(6, 2, 2, centers=[self.C, self.A, self.B],
                                 sets=[[self.A], [self.B, self.C], [self.C]])
         self.check(p)
-        assert partition_module._diameters(p) == (0, 3, 0)
+        assert partition_module._diameters(p)[0] == (0, 3, 0)
 
     def test_more_cells_than_centers(self):
         # one center for three cells: each cell's first member is its pivot
@@ -532,7 +541,7 @@ class TestBatchedProbe:
         p = Partition.from_sets(6, 2, 2, centers=[self.A],
                                 sets=[[self.A, self.B, far], [self.C, self.A], [far, self.B, self.C]])
         self.check(p)
-        assert partition_module._diameters(p) == (6, 3, 6)
+        assert partition_module._diameters(p)[0] == (6, 3, 6)
 
     @pytest.mark.parametrize("center", [(2**64 - 1,) + (0,) * 5, (-1,) + (0,) * 5],
                              ids=["uint64", "negative"])
@@ -546,10 +555,10 @@ class TestBatchedProbe:
     @given(st.one_of(hand_built(), hand_built(centered=True)))
     @settings(max_examples=200, deadline=None)
     def test_diameters_against_all_pairs(self, p):
-        assert partition_module._diameters(p) == brute_diameters(p)
+        assert partition_module._diameters(p)[0] == brute_diameters(p)
         with pytest.MonkeyPatch.context() as mp:
             _small_blocks(mp)
-            assert partition_module._diameters(p) == brute_diameters(p)
+            assert partition_module._diameters(p)[0] == brute_diameters(p)
 
 
 class TestPartitionArrays:
@@ -779,6 +788,43 @@ CRITERION_08_DIGESTS = {
     (8, 3, 7): "ff10dbf2906b744b0ff61315633217dec1f08ab7db6e4364cb8f0bfde64e254a",
     (8, 3, 8): "4b56353fc02d2a59356f87c69c45d01cc0f4f61a597089b95b77e2061d7639eb",
 }
+
+
+def _profiled_calls(fn) -> int:
+    """Python and built-in function calls that fn() makes, as
+    sys.setprofile counts them (a ufunc called directly or through an
+    operator raises no event)."""
+    count = [0]
+
+    def profile(frame, event, arg):
+        if event in ("call", "c_call"):
+            count[0] += 1
+
+    sys.setprofile(profile)
+    try:
+        fn()
+    finally:
+        sys.setprofile(None)
+    return count[0] - 1  # the c_call of sys.setprofile(None)
+
+
+# profiled calls of build_partition + verify_partition per class, as
+# counted on numpy 2.4.6 and Python 3.11; each may grow by a quarter
+CALLS_PINNED = {(5, 2, 1): 124, (6, 2, 4): 225, (8, 2, 5): 374}
+
+
+@pytest.mark.parametrize("cell", list(CALLS_PINNED))
+def test_build_and_verify_call_count(cell):
+    # the grid's median operation is bound by per-call overhead: a
+    # per-cell, per-pass or per-wrapper call creeping back shows here
+    ell = cell[0]
+
+    def op():
+        verify_partition(build_partition(*cell), ell)
+
+    op()  # first-call imports and caches
+    calls = _profiled_calls(op)
+    assert calls <= 1.25 * CALLS_PINNED[cell], (cell, calls, CALLS_PINNED[cell], PINNED_ON)
 
 
 def test_criterion_08_json_byte_identical():

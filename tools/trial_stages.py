@@ -19,6 +19,15 @@ JSON object:
   to the trial's wall time, `trial_ms`.  Each stage of each trial takes
   the least of PASSES runs of that trial (a trial is fixed by its
   index); the figure is the mean of those minima over the trials.
+- `stage_ms_mean`: the same stages' mean over every pass of every
+  trial, beside the minima; where the helper thread is woken onto the
+  trial thread's CPU, the preempted stage reads far above its least.
+- `involuntary_switches_per_trial`: the trial thread's involuntary
+  context switches (`getrusage(RUSAGE_THREAD)`) over the timed passes,
+  per trial run: the times it was preempted.
+- `cpu_per_wall`: the process's CPU seconds (both threads) over the wall
+  seconds of the timed passes: near 1.4 where the helper has a core of
+  its own, near 1.0 where it shares the trial thread's.
 - `helper_ms`: the same for the helper thread's `books`, which overlap
   the stages above.  Each thread keeps its own stack of open stages, so
   the two threads' calls never nest in each other.  A checkout without a
@@ -159,20 +168,29 @@ def stage_report(src: str) -> dict:
     best = [dict.fromkeys(STAGES, float("inf")) for _ in indices]
     helper = [dict.fromkeys(HELPER_STAGES, float("inf")) for _ in indices]
     total = [float("inf")] * len(indices)
+    summed = dict.fromkeys(STAGES, 0.0)
+    switches = resource.getrusage(resource.RUSAGE_THREAD).ru_nivcsw
+    cpu, wall = time.process_time(), time.perf_counter()
     for _ in range(PASSES):
         for slot, i in enumerate(indices):
             ms, helper_ms = stages.timed(harness.run_trial, cfg, i)
             for stage, value in ms.items():
                 best[slot][stage] = min(best[slot][stage], value)
+                summed[stage] += value
             for stage in HELPER_STAGES:
                 helper[slot][stage] = min(helper[slot][stage], helper_ms[stage])
             total[slot] = min(total[slot], sum(ms.values()))
+    cpu, wall = time.process_time() - cpu, time.perf_counter() - wall
+    switches = resource.getrusage(resource.RUSAGE_THREAD).ru_nivcsw - switches
     for i in indices:
         stages.counted(harness.run_trial, cfg, i)
     n = len(indices)
     calls = {stage: stages.calls[stage] / n for stage in STAGES}
     return {
         "stage_ms": {stage: round(sum(b[stage] for b in best) / n, 4) for stage in STAGES},
+        "stage_ms_mean": {stage: round(summed[stage] / (PASSES * n), 4) for stage in STAGES},
+        "involuntary_switches_per_trial": round(switches / (PASSES * n), 4),
+        "cpu_per_wall": round(cpu / wall, 4),
         "helper_ms": {stage: round(sum(h[stage] for h in helper) / n, 4) for stage in HELPER_STAGES},
         "trial_ms": round(sum(total) / n, 4),
         "calls": {**calls, "total": sum(calls.values())},
