@@ -4,15 +4,15 @@ The received word is Y = sum_i x_i(w_i) + Z with Z_j ~ N(0, N0/2).
 Inactive users (w_i = 0) contribute the all-zero word.  Joint-scheme
 codewords are (signature, message codeword) concatenations; orthogonal
 transmission places each user's pilot+PPM word in its own slot.
-Joint trials draw their message codebooks beside detection on one daemon
-helper thread per process, shared by every thread that runs trials.
+Joint trials draw their message codebooks beside detection on one helper
+thread per process, a one-worker ThreadPoolExecutor shared by every
+thread that runs trials.
 """
 
 import contextlib
 import os
-import queue
-import threading
 from collections.abc import Sequence
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,67 +22,16 @@ from .model import EnergySchedule, SystemParams
 from .rng import mix_seed, thread_rng
 
 
-class _Draw:
-    """One queued book draw, drawn by whichever thread takes `lock` first:
-    the helper from the front of its queue, or a reader that needs the book
-    before the helper has started it.  The drawer holds `lock` to the end."""
-
-    __slots__ = ("books", "user", "lock", "drawn", "book", "error")
-
-    def __init__(self, books: "UserCodebooks", user: int):
-        self.books, self.user, self.lock = books, user, threading.Lock()
-        self.drawn, self.book, self.error = False, None, None
-
-    def run(self, wait: bool = False) -> None:
-        """Draw the book unless drawn; wait for another thread's draw if `wait`."""
-        if self.lock.acquire(blocking=wait):
-            try:
-                if not self.drawn:
-                    self.drawn = True
-                    self.book = self.books._draw(self.user)
-            except BaseException as e:  # raised where the book is read
-                self.error = e
-            finally:
-                self.lock.release()
-
-    def result(self) -> Codebook:
-        """The book: drawn here if the helper has not started it, else
-        waited for.  A failed draw raises its error on every read."""
-        self.run(wait=True)
-        if self.error is not None:
-            raise self.error
-        return self.book
+def _start_helper() -> None:
+    """Make _HELPER, the process's one book helper, whose thread starts with
+    its first job: at import, and in a forked child, which inherits the
+    parent's executor but not its thread."""
+    global _HELPER
+    _HELPER = ThreadPoolExecutor(max_workers=1, thread_name_prefix="books")
 
 
-def _serve(jobs: queue.SimpleQueue) -> None:
-    for job in iter(jobs.get, None):
-        job.run()
-        del job  # its book goes with its trial, not with the next job
-
-
-_START, _JOBS = threading.Lock(), None  # the helper's start lock; its queue, made as it starts
-
-
-def _jobs() -> queue.SimpleQueue:
-    """The queue of this process's one book helper, a daemon thread started
-    on first use and shared by every thread that runs trials."""
-    global _JOBS
-    with _START:
-        if _JOBS is None:
-            jobs = queue.SimpleQueue()
-            threading.Thread(target=_serve, args=(jobs,), name="books", daemon=True).start()
-            _JOBS = jobs
-    return _JOBS
-
-
-def _forget_helper() -> None:
-    """A forked child inherits the queue but not the helper, and the start
-    lock, perhaps held by a thread it lacks: it starts its own helper."""
-    global _JOBS, _START
-    _JOBS, _START = None, threading.Lock()
-
-
-os.register_at_fork(after_in_child=_forget_helper)
+_start_helper()
+os.register_at_fork(after_in_child=_start_helper)
 
 
 class UserCodebooks(Sequence):
@@ -95,15 +44,16 @@ class UserCodebooks(Sequence):
     substream(key, i)'s bytes without building a generator.  Inside
     `drawing`, books are queued on the process's one helper thread, which
     draws them while the caller works on; reading a book the helper has
-    not started draws it on the reader instead, and reading one it has
-    started waits for it.  A book never queued is drawn when first read.
+    not started takes it back and draws it on the reader instead, and
+    reading one it has started waits for it.  A book never queued, or
+    refused by a helper that is shutting down, is drawn when first read.
     Every draw looks up channel.gen_codebook and channel.mix_seed when it
     runs, whichever thread runs it.
     """
 
     def __init__(self, ell: int, M: int, length: int, E: float, key: int):
         self.M, self.length, self.E, self.key = M, length, E, key
-        self._books: list[Codebook | _Draw | None] = [None] * ell
+        self._books: list[Codebook | Future | None] = [None] * ell
         self._queued: list[int] = []  # users in the order their books were queued
 
     def __len__(self) -> int:
@@ -113,21 +63,26 @@ class UserCodebooks(Sequence):
         i = range(len(self._books))[i]  # IndexError past the end; -1 is the last user
         book = self._books[i]
         if not isinstance(book, Codebook):
-            book = self._books[i] = self._draw(i) if book is None else book.result()
+            book = self._books[i] = self._draw(i) if book is None else self._collect(i, book)
         return book
+
+    def _collect(self, i: int, job: Future) -> Codebook:
+        """Queued book i: taken back and drawn here if the helper has not
+        started it, else waited for.  A failed helper draw raises on every
+        read; a failed draw here leaves the book to the next read."""
+        return self._draw(i) if job.cancel() else job.result()
 
     def _draw(self, i: int) -> Codebook:
         rng = thread_rng("books", mix_seed(self.key, i))
         return gen_codebook(self.M, self.length, self.E, rng)
 
     def _queue(self, users) -> None:
-        jobs = _jobs()
         for i in users:
             i = range(len(self._books))[i]  # an int, checked as a read checks it
             if self._books[i] is None:
-                self._books[i] = job = _Draw(self, i)
-                jobs.put(job)
-                self._queued.append(i)
+                with contextlib.suppress(RuntimeError):  # refused at exit: drawn when read
+                    self._books[i] = _HELPER.submit(self._draw, i)
+                    self._queued.append(i)
 
     def draw(self, users) -> None:
         """Have the books of `users` drawn, by the helper and this thread

@@ -4,9 +4,10 @@ Each trial is reproducible from (master seed, trial index) alone: the
 trial seed is mix_seed(master, index) and one Philox stream drawn from it
 feeds, in order, message sampling, the signatures, one 64-bit codebook
 key, and the noise.  User i's message codebook comes from substream(key,
-i); a joint trial draws the books of its active and detected users, on a
-helper thread beside its detection and on its own thread, and a book's
-bytes do not depend on which thread draws it (channel.UserCodebooks).
+i); a joint trial draws the books of its active and detected users, on
+the process's book helper (a one-worker ThreadPoolExecutor) beside its
+detection and on its own thread, and a book's bytes do not depend on
+which thread draws it (channel.UserCodebooks).
 Signatures and codebooks are redrawn fresh every trial (the annealed
 ensemble the union bounds control); the fixed-codebook mode draws the
 signatures and the key from a dedicated substream of the master seed
@@ -296,8 +297,12 @@ class GrowthFamily:
     alpha_of_n: Callable[[int, int], float]
 
     def params_at(self, n: int, N0: float = 2.0) -> SystemParams:
-        """The family's point at n; an invalid point is a ConfigError."""
-        ell = int(self.ell_of_n(n))
+        """The family's point at n; an invalid point is a ConfigError, a
+        fractional ell among them, as a config's is, rather than truncated."""
+        try:
+            ell = whole_number(self.ell_of_n(n), "ell")
+        except TypeError as e:
+            raise ConfigError(f"family {self.name!r} at n = {n}: {e}") from None
         alpha = float(self.alpha_of_n(n, ell))
         try:
             p = SystemParams(n=n, ell=ell, alpha=alpha, N0=N0)
@@ -394,6 +399,8 @@ def family_from_dict(data: dict) -> GrowthFamily:
         raise ConfigError(f"family file must hold a JSON object, got {type(data).__name__}")
     try:
         name = data["name"]
+        if not isinstance(name, str):
+            raise ConfigError(f"family name must be a string, got {name!r}")
         ell_expr = _family_expression(data["ell_expr"], ("n",))
         alpha_expr = _family_expression(data["alpha_expr"], ("n", "ell"))
     except KeyError as e:
@@ -437,9 +444,10 @@ def summary_row(
     """The row of a point, filled with the stages it completed in order
     (params at energy E; the rate of M messages and the budget; the
     trials), plus the `error` of the stage that failed.  The converse is
-    converse_joint at E and Pe = 0.  `error` joins with '; ' an infinite
-    budget's reason, `error`, and, for a negative converse (which bounds
-    no rate), why the point is infeasible; those cells stay empty."""
+    converse_joint at E and Pe = 0, empty at E = 0 (ln n at n = 1, where
+    none is defined).  `error` joins with '; ' an infinite budget's
+    reason, `error`, and, for a negative converse (which bounds no rate),
+    why the point is infeasible; those cells stay empty."""
     cells = dict(n=params.n, ell=params.ell, alpha=params.alpha, k=params.k, E=E)
     errors = []
     if M is not None:
@@ -455,8 +463,8 @@ def summary_row(
                      joint_err_ci_hi=s.joint_err_ci[1], ape=s.ape, ape_stderr=s.ape_stderr,
                      overflow_rate=s.overflow_rate, budget_aborts=s.budget_aborts)
     errors.append(error)
-    converse = bounds.converse_joint(params, E, 0.0).value
-    if converse < 0.0:
+    converse = bounds.converse_joint(params, E, 0.0).value if E > 0.0 else None
+    if converse is not None and converse < 0.0:
         errors.append(f"infeasible: converse_joint at E = {E:.6g} is {converse:.6g} < 0")
     else:
         cells["converse_nats"] = converse

@@ -1,4 +1,10 @@
 import math
+import os
+import subprocess
+import sys
+import textwrap
+import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,8 +12,24 @@ import pytest
 from manyaccess import channel
 from manyaccess.channel import awgn, make_joint_plan, make_ortho_plan, transmit_joint, transmit_ortho
 from manyaccess.codebooks import gen_codebook, gen_signatures
+from manyaccess.decoding import BoundParams
+from manyaccess.harness import ExperimentConfig, run_trial
 from manyaccess.model import SystemParams, make_joint_schedule, make_ortho_schedule
 from manyaccess.rng import make_rng, substream
+
+# one joint trial, run at exit by a fresh interpreter: its record's repr
+ATEXIT_TRIAL = textwrap.dedent("""
+    import atexit, sys
+    from manyaccess.decoding import BoundParams
+    from manyaccess.harness import ExperimentConfig, run_trial
+    from manyaccess.model import SystemParams
+
+    cfg = ExperimentConfig(scheme="joint", params=SystemParams(n=512, ell=8, alpha=0.25, N0=2.0),
+                           split=0.5, M=4, bp=BoundParams(xi=8), trials=40, master_seed=2024)
+    index = int(sys.argv[1])
+    run_trial(cfg, index)  # the helper's thread is up when the interpreter exits
+    atexit.register(lambda: print(repr(run_trial(cfg, index))))
+""")
 
 
 @pytest.fixture
@@ -134,6 +156,72 @@ class TestJointCodebooks:
             plan.codebooks[params.ell]
         with pytest.raises(TypeError):
             plan.codebooks[0] = plan.codebooks[1]
+
+
+class TestBookHelper:
+    def test_book_taken_back_is_never_drawn_by_the_helper(self, joint_setup, monkeypatch):
+        # the helper holds a job of its own while every book is queued and
+        # read, so the reader takes each one back; once the helper is free
+        # and its queue has drained, it must have drawn none of them
+        params, sched, plan = joint_setup
+        drawers = []
+
+        def noting_gen_codebook(*args):
+            drawers.append(threading.current_thread())
+            return gen_codebook(*args)
+
+        monkeypatch.setattr(channel, "gen_codebook", noting_gen_codebook)
+        release = threading.Event()
+        busy = channel._HELPER.submit(release.wait, 10.0)
+        books = plan.codebooks
+        with books.drawing(range(params.ell)):
+            got = [books[i].words.tobytes() for i in range(params.ell)]
+        release.set()
+        assert busy.result()
+        channel._HELPER.submit(int).result()  # every job queued before it has left the queue
+        assert drawers == [threading.current_thread()] * params.ell
+        fresh = make_joint_plan(params, sched, 4, make_rng(10))
+        assert got == [fresh.codebooks[i].words.tobytes() for i in range(params.ell)]
+
+    def test_failed_helper_draw_raises_on_every_read(self, joint_setup, monkeypatch):
+        # the helper's draw of book 2 fails: every read raises its error,
+        # the end of `drawing` too, and the reader never draws it instead
+        class DrawFailed(Exception):
+            pass
+
+        main, here = threading.current_thread(), []
+
+        def failing_on_the_helper(*args):
+            if threading.current_thread() is not main:
+                raise DrawFailed
+            here.append(args)
+            return gen_codebook(*args)
+
+        monkeypatch.setattr(channel, "gen_codebook", failing_on_the_helper)
+        books = joint_setup[2].codebooks
+        with pytest.raises(DrawFailed):
+            with books.drawing([2]):
+                channel._HELPER.submit(int).result()  # the helper has tried book 2
+                for _ in range(3):
+                    with pytest.raises(DrawFailed):
+                        books[2]
+        with pytest.raises(DrawFailed):
+            books[2]
+        assert here == []
+
+    def test_joint_trial_from_an_atexit_handler(self):
+        # atexit handlers run once the helper refuses new jobs: the trial
+        # must draw its books as it reads them and give the same record,
+        # and the exit must not wait on the helper's idle thread
+        cfg = ExperimentConfig(scheme="joint", params=SystemParams(n=512, ell=8, alpha=0.25, N0=2.0),
+                               split=0.5, M=4, bp=BoundParams(xi=8), trials=40, master_seed=2024)
+        index = next(i for i in range(cfg.trials) if run_trial(cfg, i).k_true > 0)
+        src = Path(__file__).resolve().parents[1] / "src"
+        done = subprocess.run([sys.executable, "-c", ATEXIT_TRIAL, str(index)],
+                              env=dict(os.environ, PYTHONPATH=str(src)),
+                              capture_output=True, text=True, timeout=60)
+        assert (done.returncode, done.stderr) == (0, "")
+        assert done.stdout.strip() == repr(run_trial(cfg, index))
 
 
 class TestTransmitOrtho:

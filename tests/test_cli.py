@@ -545,6 +545,22 @@ class TestSweepCmd:
         assert main(["simulate", str(path)]) == EXIT_CONFIG
         assert "slot length 36 < M+1 = 112" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("scheme", ["joint", "ortho"])
+    def test_point_at_n_1_is_a_failed_row(self, tmp_path, capsys, scheme):
+        # n = 1 is outside either scheme's regime, so its row takes E = ln 1 = 0,
+        # where no converse is defined: the row keeps its regime error, its
+        # converse stays empty, and the sweep goes on
+        fam, out = tmp_path / "two.json", tmp_path / "sweep.csv"
+        fam.write_text(json.dumps({"name": "two", "ell_expr": "2", "alpha_expr": "0.5"}))
+        rc = main(["sweep", "--family", str(fam), "--n-grid", "1,256,1024",
+                   "--scheme", scheme, "--out", str(out)])
+        assert rc == EXIT_OK
+        capsys.readouterr()
+        rows = list(csv.DictReader(out.read_text().splitlines()))
+        assert [(r["n"], r["E"], r["converse_nats"]) for r in rows[:1]] == [("1", "0", "")]
+        assert rows[0]["error"] and "energy" not in rows[0]["error"]
+        assert all(r["error"] == "" and r["converse_nats"] != "" for r in rows[1:])
+
     def test_empty_signature_phase_is_a_failed_row(self, tmp_path, family_path, capsys):
         # at n = 4 the split 0.1 leaves floor(0.4) = 0 signature symbols
         out = tmp_path / "sweep.csv"
@@ -588,6 +604,24 @@ class TestFamilyExpressions:
         path = tmp_path / "family.json"
         path.write_text("[1]")
         assert main(["classify", "--family", str(path), "--n-grid", "256,1024,4096"]) == EXIT_CONFIG
+
+    def test_fractional_ell_refused(self, tmp_path, capsys):
+        # n/7.5 at n = 256 is 34.13: refused as a config's "ell" is, not run as 34
+        fam = self._family(tmp_path, ell_expr="n/7.5")
+        assert main(["classify", "--family", fam, "--n-grid", "256,1024,4096"]) == EXIT_CONFIG
+        assert "ell must be a whole number, got 34.13" in capsys.readouterr().err
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", "--family", fam, "--n-grid", "256,300", "--out", str(out)]) == EXIT_OK
+        capsys.readouterr()
+        rows = list(csv.DictReader(out.read_text().splitlines()))
+        assert "ell must be a whole number, got 34.13" in rows[0]["error"] and rows[0]["ell"] == ""
+        assert (rows[1]["ell"], rows[1]["error"]) == ("40", "")  # 300/7.5 = 40.0 is whole
+
+    def test_family_name_not_a_string(self, tmp_path, capsys):
+        path = tmp_path / "family.json"
+        path.write_text(json.dumps({"name": ["a"], "ell_expr": "n/4", "alpha_expr": "2/ell"}))
+        assert main(["classify", "--family", str(path), "--n-grid", "256,1024,4096"]) == EXIT_CONFIG
+        assert "family name must be a string" in capsys.readouterr().err
 
     def test_huge_power_overflows(self, tmp_path):
         # ** runs in floats: this raises OverflowError instead of hanging

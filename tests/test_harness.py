@@ -289,13 +289,13 @@ class TestRunTrial:
         assert _forked_trial(TINY, index) == (run_trial(TINY, index), True)
 
     @pytest.mark.filterwarnings("ignore:This process .* is multi-threaded:DeprecationWarning")
-    def test_forked_while_the_helper_starts(self):
-        # a child forked while the helper's start lock is held inherits it
-        # held, with no thread to release it; it must start a helper of its
-        # own, not wait on that lock
+    def test_forked_while_a_book_is_submitted(self):
+        # a child forked while the helper's submit lock is held inherits it
+        # held, with no thread to release it; it must run its trial on a
+        # helper of its own, not wait on that lock
         index = next(i for i in range(TINY.trials) if run_trial(TINY, i).k_true > 0)
         want = run_trial(TINY, index)
-        with channel._START:
+        with channel._HELPER._shutdown_lock:
             got = _forked_trial(TINY, index)
         assert got == (want, True)
 
@@ -403,7 +403,7 @@ class TestEstimateError:
 
     def test_one_helper_serves_every_trial_thread(self, monkeypatch):
         # two runs on two trial threads each: every book drawn off a trial
-        # thread is drawn by the process's one helper, the only `books` thread
+        # thread is drawn by the process's one helper, the only `books_` thread
         trial_threads, drawers = set(), set()
         run = harness.run_trial
 
@@ -420,7 +420,7 @@ class TestEstimateError:
         for _ in range(2):
             estimate_error(TINY, threads=2)
         assert len(drawers - trial_threads) == 1
-        assert [t.name for t in threading.enumerate()].count("books") == 1
+        assert [t.name.startswith("books_") for t in threading.enumerate()].count(True) == 1
 
     def test_trials_on_more_threads_than_cores(self):
         # four trial threads sharing one helper, switching every

@@ -14,8 +14,9 @@ JSON object:
   and draw, UserCodebooks._draw and gen_codebook, on the trial's thread),
   `plan` (make_joint_plan), `transmit` (transmit_joint), `awgn`,
   `detection` (detect_ls_exhaustive), `decode` (decode_joint_ml), `wait`
-  (the trial's thread blocked on a book the helper thread is drawing, in
-  channel._Draw.result) and `rest` (run_trial's own time).  These add up
+  (the trial's thread taking back a queued book or blocked on one the
+  helper thread is drawing, in UserCodebooks._collect) and `rest`
+  (run_trial's own time).  These add up
   to the trial's wall time, `trial_ms`.  Each stage of each trial takes
   the least of PASSES runs of that trial (a trial is fixed by its
   index); the figure is the mean of those minima over the trials.
@@ -31,7 +32,8 @@ JSON object:
 - `helper_ms`: the same for the helper thread's `books`, which overlap
   the stages above.  Each thread keeps its own stack of open stages, so
   the two threads' calls never nest in each other.  A checkout without a
-  helper reads 0 here and in `wait`.
+  helper reads 0 here and names its missing `wait` hook in
+  `missing_hooks`.
 - `calls`: profiled calls per trial, per stage and in total, counted by
   `sys.setprofile` in one more pass: Python function calls and calls of
   built-in functions and methods (most numpy functions, array methods,
@@ -39,9 +41,7 @@ JSON object:
   A ufunc called directly (`np.matmul`, `np.negative`) or through an
   operator raises no profiler event and is not counted.
 - `missing_hooks`: the layer functions above that this checkout lacks,
-  as `module.function`; a missing one's time folds into `rest`.  Only
-  `_Draw.result` may be absent unreported, in a checkout without a
-  helper.
+  as `module.function`; a missing one's time folds into `rest`.
 - `faults`: minor page faults, system ms and wall ms per trial from
   `getrusage`, over the same trials after trials 0..FIRST-1, in a fresh
   interpreter that runs nothing else.  This is what a `simulate` process
@@ -97,14 +97,13 @@ class Stages:
             (channel, "gen_signatures", "signatures"),
             (channel, "gen_codebook", "books"),
             (channel.UserCodebooks, "_draw", "books"),
+            (channel.UserCodebooks, "_collect", "wait"),
             (harness, "make_joint_plan", "plan"),
             (harness, "transmit_joint", "transmit"),
             (harness, "awgn", "awgn"),
             (decoding, "detect_ls_exhaustive", "detection"),
             (decoding, "decode_joint_ml", "decode"),
         ]
-        if hasattr(channel, "_Draw"):  # the helper's jobs; absent without a helper
-            hooks.append((channel._Draw, "result", "wait"))
         for module, attr, stage in hooks:
             if hasattr(module, attr):
                 setattr(module, attr, self.wrap(getattr(module, attr), stage))
