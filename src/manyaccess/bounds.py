@@ -21,10 +21,14 @@ import numpy as np
 from .codebooks import mu_exact
 from .decoding import BoundParams
 from .detection import v_cap
+from .errors import ComplexityBudgetError
 from .model import EnergySchedule, SystemParams, activity_logpmf, binary_entropy, log_binomial
 
 RHO_GRID = (0.25, 0.5, 0.75, 1.0)
 MAX_ACTIVE = 10**6
+# detection_budget's (|d|, kappa1, kappa2) terms: cubic in the weight cap v,
+# 2.1e6 of them (v 160) take about 7 s on 2 vCPUs, so 10^7 is about half a minute
+MAX_DETECTION_TERMS = 10**7
 
 
 @dataclass(frozen=True)
@@ -229,6 +233,8 @@ def detection_budget(
     kappa1 <= |d|, kappa1 + kappa2 >= 1, |d| + kappa2 <= v + kappa1, and
     kappa2 never exceeds the ell - |d| inactive users (v and |d| are also
     clamped to ell: the asymptotic v can exceed ell at desk scale).
+    More than MAX_DETECTION_TERMS nominal terms, v'(v'+3)/2 (v'+1) with
+    v' = min(v, ell), raise ComplexityBudgetError before any is summed.
     """
     _require(0.0 < mu <= 1.0, f"mu must be in (0,1], got {mu}")
     if sched.c <= 0.0 or sched.E_sig <= 0.0:
@@ -240,6 +246,12 @@ def detection_budget(
     ell, alpha, k = params.ell, params.alpha, params.k
     v = v_cap(params, sched)
     v_eff = min(v, ell)
+    nominal = v_eff * (v_eff + 3) // 2 * (v_eff + 1)
+    if nominal > MAX_DETECTION_TERMS:
+        raise ComplexityBudgetError(
+            f"detection budget at v = {v}, ell = {ell} has {nominal} terms, "
+            f"above the cap of {MAX_DETECTION_TERMS}"
+        )
     et = sched.E_sig / 2.0
     log_inv_mu = -math.log(mu)
 

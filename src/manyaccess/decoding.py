@@ -88,12 +88,6 @@ def _others(k: int) -> np.ndarray:
     return others
 
 
-def _split(terms: np.ndarray, k: int, M: int) -> tuple[np.ndarray, np.ndarray]:
-    """Views of the U (2, k, M) and G (2, k, M, k-1, M) parts of _gram_terms;
-    G is a transposed view of the slabs (see _slabs)."""
-    return terms[:, : k * M].reshape(2, k, M), _slabs(terms, k, M).transpose(0, 2, 4, 3, 1)
-
-
 def _slabs(terms: np.ndarray, k: int, M: int) -> np.ndarray:
     """The G part of _gram_terms as stored, (2, M, k, k-1, M):
     slabs[:, n, i, s, m] = G[:, i, m, s, n], one slab per message n of the
@@ -106,7 +100,8 @@ def _gram_terms(
 ) -> np.ndarray:
     """The Gram expansion of ||Y - sum_i x~_i(w_i)||^2 - ||Y||^2, in one array.
 
-    Row 0 holds U, then G, flattened; row 1 is its negation (see _split).
+    Row 0 holds U, then G, flattened; row 1 is its negation (see
+    _dead_end_elimination).
     U[i, m] = ||x~_i(m)||^2 - 2<x~_i(m), Y>, with the squared norms
     energies[i] of user i's words as its book recorded them, and G is the pair Gram
     without its diagonal blocks: G[i, m, s, n] = 2<x~_i(m), x~_j(n)> for
@@ -175,7 +170,8 @@ def _objectives(terms: np.ndarray, w: list[np.ndarray], k: int, M: int) -> np.nd
     each user, then G[i, w_i, j-1, w_j] for each pair i < j in
     lexicographic order.  These are the full grid's additions in the full
     grid's order, so each value is bitwise the full grid's."""
-    (U, _), (G, _) = _split(terms, k, M)
+    U = terms[0, : k * M].reshape(k, M)
+    G = _slabs(terms, k, M)[0].transpose(1, 3, 2, 0)  # G[i, m, s, n], see _slabs
     total = U[0][w[0]]  # U[i][w] takes numpy's one-index fast path
     for i in range(1, k):
         total += U[i][w[i]]

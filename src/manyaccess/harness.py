@@ -501,10 +501,11 @@ def sweep(
     the sweep continues: outside the scheme's regime there is no schedule,
     so the row's E is ln(n); a rate that overflows keeps the schedule's
     E; a budget beyond the float range keeps the rate, and summary_row
-    gives its reason; a detection search over its budget, an ortho slot
-    too short for M + 1 positions, or a message count or codebook too
-    large for numpy to represent or allocate keeps the rate and budget
-    too.
+    gives its reason; a detection budget of more than
+    bounds.MAX_DETECTION_TERMS terms keeps the rate; a detection search
+    over its budget, an ortho slot too short for M + 1 positions, or a
+    message count or codebook too large for numpy to represent or
+    allocate keeps the rate and budget too.
     Verdicts over the points the family could evaluate: `regime`
     (load_regime, from 3 points), `converse_decreasing` (from 2 that
     hold a converse) and `ape_decreasing` (from 2 that ran trials: ape
@@ -521,33 +522,27 @@ def sweep(
     if trials < 0:
         raise ConfigError(f"trials must be >= 0, got {trials}")
     _worker_count(threads)
-    rows: list[SummaryRow] = []
-    for n in n_grid:
+
+    def point(n: int) -> SummaryRow:
+        params = E = M = budget = None
         try:
             params = family.params_at(n, N0)
-        except ConfigError as e:
-            rows.append(SummaryRow(n=n, error=str(e)))
-            continue
-        try:
-            sched = access.schedule(params, split)
-        except InvalidRegimeError as e:
-            # no schedule: E is the minimal vanishing-error energy ln(n)
-            rows.append(summary_row(params, math.log(n), error=str(e)))
-            continue
-        try:
-            M = RateSpec.from_rate(R_dot_fraction / N0, sched.E).M
-        except OverflowError as e:
-            rows.append(summary_row(params, sched.E, error=f"rate overflows: {e}"))
-            continue
-        cfg = ExperimentConfig(scheme=scheme, params=params, split=split, M=M,
-                               trials=max(trials, 1), master_seed=mix_seed(master_seed, n))
-        budget = analytic_budget(cfg)
-        try:
+            E = math.log(n)  # with no schedule, the minimal vanishing-error energy
+            E = access.schedule(params, split).E
+            M = RateSpec.from_rate(R_dot_fraction / N0, E).M
+            cfg = ExperimentConfig(scheme=scheme, params=params, split=split, M=M,
+                                   trials=max(trials, 1), master_seed=mix_seed(master_seed, n))
+            budget = analytic_budget(cfg)
             summary = estimate_error(cfg, threads=threads) if trials > 0 else None
-        except (ComplexityBudgetError, InvalidRegimeError, MemoryError) as e:
-            rows.append(summary_row(params, sched.E, M, budget, error=str(e) or "out of memory"))
-            continue
-        rows.append(summary_row(params, sched.E, M, budget, summary))
+        except OverflowError as e:
+            return summary_row(params, E, error=f"rate overflows: {e}")
+        except (ConfigError, ComplexityBudgetError, InvalidRegimeError, MemoryError) as e:
+            if params is None:  # the family has no point at n
+                return SummaryRow(n=n, error=str(e))
+            return summary_row(params, E, M, budget, error=str(e) or "out of memory")
+        return summary_row(params, E, M, budget, summary)
+
+    rows = [point(n) for n in n_grid]
     good = [r for r in rows if r.k is not None]
     verdicts = {}
     if len(good) >= 3:

@@ -102,15 +102,6 @@ def _rows_per_table(columns: int) -> int:
     return (_TABLE // columns or 1) if columns > 0 else _TABLE
 
 
-def _onehot(codes: np.ndarray, width: int) -> np.ndarray:
-    """Rows of codes in 0..width-1 as float32 one-hot rows of ell*width
-    columns: column j*width + v is 1 where position j holds code v."""
-    n, ell = codes.shape
-    out = np.zeros((n, ell * width), dtype=np.float32)
-    out[np.arange(n)[:, None], np.arange(ell) * width + codes] = 1.0
-    return out
-
-
 def _encoder(x: np.ndarray, values: np.ndarray):
     """A one-hot encoder for blocks of rows of x, all in the sorted
     `values`, with the rows it takes per row block and per column block: a
@@ -368,8 +359,9 @@ def _greedy(tc: TypeClass, dmin: int) -> tuple[np.ndarray, np.ndarray]:
     width, near, far = ell * levels, ell - reach // 2, ell - reach  # least agreements in the ring, within reach
     code, picked, blocks = np.zeros((0, width), dtype=np.float32), [], []
     owner, ringed = np.empty(size, dtype=np.intp), np.empty(size, dtype=bool)
-    # each block is encoded in this flat table and cleared after it: a
-    # fresh one per block costs more than its products where width is large
+    # each block, and each chunk of the late members, is encoded in this flat
+    # table and cleared after it: a fresh one per block costs more than its
+    # products where width is large
     table = np.zeros(min(size, _rows_per_table(width)) * width, dtype=np.float32)
     first, s = np.arange(0, len(table), width)[:, None] + np.arange(0, width, levels), 0
     while s < size:
@@ -406,12 +398,14 @@ def _greedy(tc: TypeClass, dmin: int) -> tuple[np.ndarray, np.ndarray]:
         owner[s : s + done] = k - np.maximum.reduce(hit * rank, axis=0)
         blocks.append((s, done, k))
         s += done
-        if s < size:
-            table[ones] = 0.0
+        table[ones] = 0.0
     for s, n, k in [block for block in blocks if block[2] < len(code)]:
         late, step = s + np.flatnonzero(~ringed[s : s + n]), _rows_per_table(max(width, len(code) - k))
         for rows in np.split(late, range(step, len(late), step)):
-            ring = _onehot(tc.rows[rows], tc.M + 1) @ code[k:].T >= near
+            ones = first[: len(rows)] + tc.rows[rows]
+            table[ones] = 1.0
+            ring = table[: len(rows) * width].reshape(-1, width) @ code[k:].T >= near
+            table[ones] = 0.0
             hit = ring.any(axis=1)
             owner[rows[hit]] = k + ring[hit].argmax(axis=1)
     code = tc.rows[picked]

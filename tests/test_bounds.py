@@ -9,6 +9,7 @@ from scipy.integrate import quad
 from manyaccess import bounds, model
 from manyaccess.codebooks import mu_exact
 from manyaccess.decoding import BoundParams
+from manyaccess.errors import ComplexityBudgetError
 from manyaccess.model import RateSpec, SystemParams, make_joint_schedule
 from manyaccess.rng import make_rng
 
@@ -176,6 +177,24 @@ class TestDetectionBudget:
         assert rep.value == pytest.approx(8.833269806150e03, rel=1e-9)
         assert not rep.valid
         recompute_from_terms(rep, lambda t: t["overflow"] + t["detect_sum"] + t["zero_active"])
+
+    def test_terms_over_cap_refused(self):
+        # ell = n/16, alpha 0.1 at n = 16384: v = 423, 423*426/2 * 424 terms
+        params, sched = self._sched(n=16384, ell=1024, alpha=0.1)
+        with pytest.raises(ComplexityBudgetError, match="has 38201976 terms, above the cap of 10000000"):
+            bounds.detection_budget(params, sched, BoundParams(), mu_exact(sched.n_sig).value)
+
+    @pytest.mark.parametrize("log2_n,value", [
+        (40, "0x1.6ee298eaa13e3p+22"), (80, "0x1.0dabc0cf0364bp-8"), (120, "0x1.def71fbb17361p-36"),
+    ])
+    def test_cube_root_family_under_cap(self, log2_n, value):
+        # ell = ceil(n^(1/3)), alpha = 2/ell: v = 51, 105 and 160 stay under
+        # MAX_DETECTION_TERMS, and their budgets are the uncapped loop's, bit for bit
+        n = 2**log2_n
+        ell = math.ceil(n ** (1 / 3))
+        params, sched = self._sched(n=n, ell=ell, alpha=2 / ell)
+        rep = bounds.detection_budget(params, sched, BoundParams(), mu_exact(sched.n_sig).value)
+        assert rep.value == float.fromhex(value)
 
     def test_decreasing_in_n(self):
         vals = []

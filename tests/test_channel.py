@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import os
 import subprocess
@@ -95,6 +96,18 @@ class TestTransmitJoint:
         _, _, plan = joint_setup
         with pytest.raises(ValueError):
             transmit_joint(plan, np.zeros(3, dtype=int))
+
+    def test_unknown_block(self, joint_setup):
+        params, _, plan = joint_setup
+        with pytest.raises(ValueError, match="unknown block 'pilots'"):
+            transmit_joint(plan, np.zeros(params.ell, dtype=int), block="pilots")
+
+    @pytest.mark.parametrize("change", ["ell", "codebooks"])
+    def test_books_must_match_signatures(self, joint_setup, change):
+        _, _, plan = joint_setup
+        fields = {"ell": plan.ell + 1} if change == "ell" else {"codebooks": [plan.codebooks[0]] * 5}
+        with pytest.raises(ValueError, match="one signature column and one codebook per user"):
+            dataclasses.replace(plan, **fields)
 
 
 class TestJointCodebooks:
@@ -225,6 +238,11 @@ class TestBookHelper:
 
 
 class TestTransmitOrtho:
+    def test_dimension_mismatch(self, ortho_setup):
+        _, _, plan = ortho_setup
+        with pytest.raises(ValueError, match="message vector length 3 != ell 2"):
+            transmit_ortho(plan, np.zeros(3, dtype=int))
+
     def test_inactive_slot_zero(self, ortho_setup):
         params, sched, plan = ortho_setup
         msgs = np.array([0, 1])
@@ -253,6 +271,10 @@ class TestTransmitOrtho:
 
 
 class TestAwgn:
+    def test_negative_noise_level(self):
+        with pytest.raises(ValueError, match="noise level must be >= 0, got -1.0"):
+            awgn(np.zeros(4), -1.0, make_rng(0))
+
     def test_zero_noise_passthrough(self):
         x = np.arange(8.0)
         y = awgn(x, 0.0, make_rng(0))

@@ -207,6 +207,15 @@ class TestBoundsCmd:
         assert captured.out == ""
         assert "signature length 0 and message length 256 must both be >= 1" in captured.err
 
+    @pytest.mark.parametrize("name", ["detection_budget", "two_phase_error_budget"])
+    def test_detection_terms_over_cap(self, name, capsys):
+        # ell = n/16 at n = 16384 gives v = 423: 38 201 976 terms, refused at once
+        params = {**BOUND_CASES[name][0], "n": 16384, "ell": 1024, "alpha": 0.1}
+        assert main(["bounds", name, "--params", json.dumps(params)]) == EXIT_BUDGET
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "has 38201976 terms, above the cap of 10000000" in captured.err
+
     def test_overflowing_bound(self, capsys):
         # M^(a k' rho) = e^1036: a bound beyond the float range prints as
         # Infinity, marked invalid, with its reason
@@ -430,6 +439,21 @@ class TestSweepCmd:
         assert row["R_dot_nats"] != "" and row["budget_total"] != ""
         assert row["joint_err"] == "" and "exceed the budget" in row["error"]
 
+    def test_detection_terms_over_cap_is_a_failed_row(self, tmp_path, capsys):
+        # ell = n/16, alpha 0.1: at n = 16384 the detection budget's weight
+        # cap v = 423 would sum 3.8e7 terms, which takes minutes
+        fam = tmp_path / "family.json"
+        fam.write_text(json.dumps({"name": "n16", "ell_expr": "n/16", "alpha_expr": "0.1"}))
+        out = tmp_path / "sweep.csv"
+        rc = main(["sweep", "--family", str(fam), "--n-grid", "16384", "--out", str(out)])
+        assert rc == EXIT_OK
+        capsys.readouterr()
+        [row] = list(csv.DictReader(out.read_text().splitlines()))
+        assert row["E"] != "" and row["R_dot_nats"] != "" and row["converse_nats"] != ""
+        assert row["budget_total"] == row["budget_valid"] == ""
+        assert row["error"] == "detection budget at v = 423, ell = 1024 has 38201976 terms, " \
+                               "above the cap of 10000000"
+
     def test_unallocatable_codebook_is_a_failed_row(self, tmp_path, capsys):
         # ell = ceil(n/(2 ln n)) at twice the capacity per unit energy: at
         # n = 4096 the codebook takes 2.06 EiB, beyond any address space, so
@@ -600,6 +624,21 @@ class TestFamilyExpressions:
         assert main(["classify", "--family", fam, "--n-grid", "256,1024,4096"]) == EXIT_CONFIG
         assert "division by zero" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("expr,message", [
+        ("(-2)**0.5", "negative base raised to a fractional power"),
+        ("1e308*10", "non-finite value inf"),
+    ])
+    def test_arithmetic_failure(self, tmp_path, capsys, expr, message):
+        fam = self._family(tmp_path, ell_expr=expr)
+        assert main(["classify", "--family", fam, "--n-grid", "256,1024,4096"]) == EXIT_CONFIG
+        assert message in capsys.readouterr().err
+
+    def test_unary_minus(self, tmp_path, capsys):
+        fam = self._family(tmp_path, ell_expr="-(-n)/16")
+        assert main(["classify", "--family", fam, "--n-grid", "256,1024,4096"]) == EXIT_OK
+        assert json.loads(capsys.readouterr().out)["verdict"] == "sublinear"  # k = 2
+        assert harness.load_family(fam).params_at(256).ell == 16
+
     def test_family_not_an_object(self, tmp_path):
         path = tmp_path / "family.json"
         path.write_text("[1]")
@@ -635,6 +674,14 @@ class TestPartitionCmd:
         assert rc == EXIT_OK
         payload = json.loads(capsys.readouterr().out)
         assert payload["report"]["ok"] is True
+
+    def test_out_file_holds_the_printed_json(self, tmp_path, capsys):
+        assert main(["partition", "--ell", "6", "--M", "2", "--t", "3"]) == EXIT_OK
+        printed = capsys.readouterr().out
+        out = tmp_path / "partition.json"
+        assert main(["partition", "--ell", "6", "--M", "2", "--t", "3", "--out", str(out)]) == EXIT_OK
+        assert out.read_text() + "\n" == printed
+        assert json.loads(capsys.readouterr().out) == {"ok": True, "json": str(out)}
 
     def test_budget_exit(self, capsys):
         rc = main(["partition", "--ell", "24", "--M", "4", "--t", "12"])

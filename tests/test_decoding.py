@@ -24,7 +24,7 @@ from manyaccess.decoding import (
     _dead_end_elimination,
     _gram_terms,
     _objectives,
-    _split,
+    _slabs,
     decode_joint_ml,
     decode_ppm,
     ortho_receive,
@@ -200,6 +200,11 @@ class TestDecodeJointMl:
         Y = plan.codebooks[0].words[1] + plan.codebooks[2].words[3] + plan.codebooks[3].words[2]
         assert decode_joint_ml(Y, plan, [0, 2, 3]) == {0: 1, 2: 3, 3: 2}
 
+    def test_codeword_length_mismatch(self):
+        _, _, plan = self._setup()
+        with pytest.raises(ValueError, match="codeword length does not match"):
+            decode_joint_ml(np.zeros(127), plan, [0, 2])
+
     def test_budget_guard(self):
         _, _, plan = self._setup()
         with pytest.raises(ComplexityBudgetError):
@@ -281,14 +286,15 @@ class TestPrunedSearchAgainstDense:
         plan, active, Y = _decode_case(k, M, case, seed)
         words = [plan.codebooks[i].words[1:] for i in active]
         terms = _gram_terms(words, [plan.codebooks[i].energies[1:] for i in active], Y)
-        (U, neg_U), (G, neg_G) = _split(terms, k, M)
+        U = terms[0, : k * M].reshape(k, M)
+        G = _slabs(terms, k, M)[0].transpose(1, 3, 2, 0)  # G[i, m, s, n]
         # the terms are the per-user and per-pair expressions, bit for bit
         unary = [np.einsum("mj,mj->m", w, w) - 2.0 * (w @ Y) for w in words]
         cross = {(i, j): 2.0 * (words[i] @ words[j].T) for i in range(k) for j in range(i + 1, k)}
         assert all(np.array_equal(u, U[i]) for i, u in enumerate(unary))
         for (i, j), c in cross.items():
             assert np.array_equal(c, G[i, :, j - 1]) and np.array_equal(c.T, G[j, :, i])
-        assert np.array_equal(neg_U, -U) and np.array_equal(neg_G, -G)
+        assert np.array_equal(terms[1], -terms[0])
         want = dead_end_elimination_per_user(unary, cross)
         assert np.array_equal(_dead_end_elimination(terms, k, M), np.array(want))
 
@@ -464,6 +470,14 @@ class TestTwoPhase:
         with pytest.raises(ComplexityBudgetError):
             two_phase_receive(Y, plan, params, sched, bp, detection_budget=1)
 
+    @pytest.mark.parametrize("blocks", [True, False], ids=["whole", "signature_block"])
+    def test_wrong_received_length(self, blocks):
+        params, sched, plan, bp = self._setup(51)
+        n = sched.n_sig + sched.n_msg if blocks else sched.n_sig
+        message_block = None if blocks else (lambda users: np.zeros(sched.n_msg))
+        with pytest.raises(ValueError, match=f"received length {n - 1} != {n}"):
+            two_phase_receive(np.zeros(n - 1), plan, params, sched, bp, message_block=message_block)
+
     def test_single_user_high_energy_smoke(self):
         params, sched, plan, bp = self._setup(54, ell=4, alpha=0.25)
         hits = 0
@@ -496,6 +510,11 @@ class TestOrthoReceive:
         msgs = np.array([0, 2, 4, 0])
         Y = transmit_ortho(plan, msgs)
         assert np.array_equal(ortho_receive(Y, plan, params, sched), msgs)
+
+    def test_short_received_block(self):
+        params, sched, plan = self._setup()
+        with pytest.raises(ValueError, match=r"received length 4095 < ell\*slot = 4096"):
+            ortho_receive(np.zeros(4095), plan, params, sched)
 
 
 class TestMonteCarloAgainstBounds:
@@ -623,6 +642,10 @@ class TestScoreErrors:
         w2[4] = 1
         s = score_errors(w, w2, overflow=False)
         assert s.joint_error and s.ape == pytest.approx(0.1)
+
+    def test_length_mismatch(self):
+        with pytest.raises(ValueError, match=r"length mismatch: \(3,\) vs \(4,\)"):
+            score_errors(np.zeros(3, dtype=int), np.zeros(4, dtype=int), overflow=False)
 
     def test_overflow_voids_active(self):
         w = np.array([0, 3, 2, 0, 1])

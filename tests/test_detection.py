@@ -308,6 +308,15 @@ class TestBranchAndBound:
         with pytest.raises(ValueError):
             detect_ls_exhaustive(np.full(8, np.nan), S, v=2)
 
+    @pytest.mark.parametrize("length,v,message", [
+        (7, 2, r"received length \(7,\) != signature length 8"),
+        (8, -1, "weight cap must be >= 0, got -1"),
+    ])
+    def test_bad_input(self, length, v, message):
+        S = gen_signatures(4, 8, 4.0, make_rng(29))
+        with pytest.raises(ValueError, match=message):
+            detect_ls_exhaustive(np.zeros(length), S, v=v)
+
 
 class TestDetectPilot:
     def test_noiseless_active(self):
@@ -315,6 +324,14 @@ class TestDetectPilot:
 
     def test_noiseless_inactive(self):
         assert detect_pilot(0.0, 0.25, 16.0) is False
+
+    @pytest.mark.parametrize("t,E,message", [
+        (0.0, 16.0, "pilot fraction must be in"), (1.0, 16.0, "pilot fraction must be in"),
+        (0.25, 0.0, "energy must be positive"),
+    ])
+    def test_bad_input(self, t, E, message):
+        with pytest.raises(ValueError, match=message):
+            detect_pilot(1.0, t, E)
 
     def test_miss_probability_matches_q(self):
         # tE = 4, N0 = 2: miss prob = Q(1) ~ 0.158655

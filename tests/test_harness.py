@@ -384,6 +384,9 @@ class TestEstimateError:
         s = estimate_error(TINY)
         assert s.overflow_rate <= 1.0 / TINY.bp.xi + 3.0 * math.sqrt(0.125 * 0.875 / s.trials)
 
+    def test_wilson_no_trials(self):
+        assert wilson_interval(0, 0) == (0.0, 1.0)
+
     def test_wilson_coverage(self):
         # synthetic Bernoulli(0.1): the 95% interval covers in >= 93/100
         p, trials, meta = 0.1, 200, 100

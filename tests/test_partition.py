@@ -369,18 +369,20 @@ class TestDistanceKernel:
         # blocks of a few members: many a member's ring-2 codeword is picked
         # in a later block, which only the last check of the members with
         # no ring-2 codeword yet against the later codewords finds.  That
-        # check alone encodes members one-hot in build, so the spy sees
-        # exactly the members it compares
+        # check alone splits member indices into chunks in build, so the
+        # spy sees exactly the members it compares
         monkeypatch.setattr(partition_module, "_TABLE", 100)
         monkeypatch.setattr(partition_module, "_BLOCK", 16)
-        checked, onehot = [], partition_module._onehot
+        late, split = [], np.split
 
-        def spy(codes, width):
-            checked.extend(as_tuples(codes))
-            return onehot(codes, width)
+        def spy(indices, at):
+            late.extend(indices.tolist())
+            return split(indices, at)
 
-        monkeypatch.setattr(partition_module, "_onehot", spy)
-        p = build_partition(ell, M, t)
+        with monkeypatch.context() as m:
+            m.setattr(np, "split", spy)
+            p = build_partition(ell, M, t)
+        checked = as_tuples(enumerate_type_class(ell, M, t).rows[late])
         assert p == oracle_build(ell, M, t)
         # a checked member within 2 of a codeword had none by its block's
         # end: 65, 72 and 304 members here
@@ -842,6 +844,17 @@ class TestTypeclassProbability:
     def test_all_active_certain(self):
         assert typeclass_probability(6, 3, 6, 1.0) == pytest.approx(1.0, rel=1e-12)
         assert typeclass_probability(6, 3, 3, 1.0) == 0.0
+
+    @pytest.mark.parametrize("ell,M,t,alpha,message", [
+        (6, 3, 7, 0.4, "weight must be in 0..6, got 7"),
+        (6, 3, -1, 0.4, "weight must be in 0..6, got -1"),
+        (6, 0, 2, 0.4, "message count must be >= 1, got 0"),
+        (6, 3, 2, 1.5, r"activity probability must be in \[0,1\], got 1.5"),
+        (6, 3, 2, math.nan, "activity probability must be in"),
+    ])
+    def test_out_of_range(self, ell, M, t, alpha, message):
+        with pytest.raises(ValueError, match=message):
+            typeclass_probability(ell, M, t, alpha)
 
     def test_sums_to_one(self):
         total = sum(typeclass_probability(6, 3, t, 0.4) for t in range(7))

@@ -12,8 +12,11 @@ Every run is a fresh process and is waited for before the next starts.
 
 For each end-to-end metric that BENCHMARK.json (in the change checkout)
 declares, the file records both sides' runs, medians and quartiles, how
-many pairs the change won in the declared direction, and whether the
-medians differ by more than the parent's interquartile range.  It also
+many pairs the change won in the declared direction, whether the
+medians differ by more than the parent's interquartile range, and
+whether the change's median is within the declared `bound` (a fraction
+of the parent's median) of being worse; each workload lists the metrics
+outside their bound under `outside_bound`.  It also
 records every run's `correct` flag and failed operations, and the
 machine facts perfbench prints.  If OUT exists, the workloads measured
 now are added to it, replacing any of the same name.  Uses the standard
@@ -60,6 +63,8 @@ def summarize(metric: dict, parent: list[float], change: list[float]) -> dict:
     wins = sum((c < p) if lower else (c > p) for p, c in zip(parent, change))
     pq = quartiles(parent)
     p_med, c_med = statistics.median(parent), statistics.median(change)
+    bound = metric["bound"]
+    within = c_med <= p_med * (1 + bound) if lower else c_med >= p_med * (1 - bound)
     return {
         "unit": metric["unit"],
         "better": metric["better"],
@@ -70,6 +75,8 @@ def summarize(metric: dict, parent: list[float], change: list[float]) -> dict:
         "change_quartiles": quartiles(change),
         "change_wins": wins,
         "median_gap_exceeds_parent_iqr": abs(c_med - p_med) > pq[1] - pq[0],
+        "bound": bound,
+        "within_bound": within,
         "parent_runs": parent,
         "change_runs": change,
     }
@@ -86,20 +93,22 @@ def bench_workload(parent: Path, change: Path, workload: str, seeds: list[int],
             wall = out["metrics"].get("wall_s", {}).get("value")
             print(f"{workload} seed {seed} {side}: wall_s {wall} correct {out['correct']} "
                   f"failed {out['failed']}", file=sys.stderr, flush=True)
+    summaries = {
+        m["name"]: summarize(
+            m,
+            [r["metrics"][m["name"]]["value"] for r in runs["parent"]],
+            [r["metrics"][m["name"]]["value"] for r in runs["change"]],
+        )
+        for m in metrics
+    }
     entry = {
         "pairs": len(seeds),
         "seeds": seeds,
         "order": "parent first on even pair indices, change first on odd",
         "correct_runs": {side: sum(r["correct"] for r in rs) for side, rs in runs.items()},
         "failed_ops": {side: sum(r["failed"] for r in rs) for side, rs in runs.items()},
-        "metrics": {
-            m["name"]: summarize(
-                m,
-                [r["metrics"][m["name"]]["value"] for r in runs["parent"]],
-                [r["metrics"][m["name"]]["value"] for r in runs["change"]],
-            )
-            for m in metrics
-        },
+        "outside_bound": [name for name, s in summaries.items() if not s["within_bound"]],
+        "metrics": summaries,
     }
     return entry, runs["change"][-1].get("machine", {})
 
