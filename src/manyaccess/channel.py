@@ -10,6 +10,7 @@ thread that runs trials.
 """
 
 import contextlib
+import math
 import os
 from collections.abc import Sequence
 from concurrent.futures import Future, ThreadPoolExecutor
@@ -196,6 +197,8 @@ def awgn(signal: np.ndarray, N0: float, rng: np.random.Generator) -> np.ndarray:
     """Add i.i.d. N(0, N0/2) noise; N0 = 0 passes the signal through (tests)."""
     if N0 < 0.0:
         raise ValueError(f"noise level must be >= 0, got {N0}")
+    if not math.isfinite(N0):
+        raise ValueError(f"noise level must be finite, got {N0}")
     if N0 == 0.0:
         return np.array(signal, copy=True)
     out = rng.standard_normal(len(signal))

@@ -5,14 +5,13 @@ followed by exact joint ML decoding of the detected users, with an
 overflow abort when more than floor(xi*k) users are detected) and the
 slotted pilot+PPM receiver.  A user detected active is always decoded to
 some message in 1..M, so a false alarm necessarily produces a message
-error for that user.  The joint decoder writes every term of the Gram
-expansion into one array (_gram_terms), its pair terms one slab per
-message of the other user, so dead-end elimination is a few reductions
-across slabs per round, and scores each block of surviving tuples with
+error for that user.  The joint decoder writes the Gram expansion as
+per-user terms U and pair terms G (_gram_terms), G with the other user's
+message first and zero diagonal blocks, so dead-end elimination is a few
+plain reductions per round, and scores each block of surviving tuples with
 one running total, a term of each user and then of each pair at a time.
 """
 
-import functools
 import itertools
 import math
 from collections.abc import Callable
@@ -78,64 +77,46 @@ def decode_ppm(y_slot: np.ndarray, M: int) -> int | np.ndarray:
     return int(w) if w.ndim == 0 else w
 
 
-@functools.cache
-def _others(k: int) -> np.ndarray:
-    """others[i, s] is the s-th user other than i (s for s < i, else s + 1),
-    built once per k and read-only."""
-    s = np.arange(k - 1)
-    others = s + (s >= np.arange(k)[:, None])
-    others.flags.writeable = False
-    return others
-
-
-def _slabs(terms: np.ndarray, k: int, M: int) -> np.ndarray:
-    """The G part of _gram_terms as stored, (2, M, k, k-1, M):
-    slabs[:, n, i, s, m] = G[:, i, m, s, n], one slab per message n of the
-    other user."""
-    return terms[:, k * M :].reshape(2, M, k, k - 1, M)
-
-
 def _gram_terms(
     words: list[np.ndarray], energies: list[np.ndarray], Y_msg: np.ndarray
-) -> np.ndarray:
-    """The Gram expansion of ||Y - sum_i x~_i(w_i)||^2 - ||Y||^2, in one array.
+) -> tuple[np.ndarray, np.ndarray]:
+    """The Gram expansion of ||Y - sum_i x~_i(w_i)||^2 - ||Y||^2: U, (2, k, M),
+    and G, (2, M, k, k, M).
 
-    Row 0 holds U, then G, flattened; row 1 is its negation (see
-    _dead_end_elimination).
-    U[i, m] = ||x~_i(m)||^2 - 2<x~_i(m), Y>, with the squared norms
-    energies[i] of user i's words as its book recorded them, and G is the pair Gram
-    without its diagonal blocks: G[i, m, s, n] = 2<x~_i(m), x~_j(n)> for
-    the s-th user j other than i, stored with the other user's message n
-    first (_slabs), so a minimum over n is a minimum across M slabs.  Each
-    pair's block is its own product w_i @ w_j.T, computed once into user
-    j's slabs (G[j, :, i], whose rows there are unit-strided) and copied
-    into user i's (G[i, :, j-1]): one product of all the words would
-    round differently.
+    U[0, i, m] = ||x~_i(m)||^2 - 2<x~_i(m), Y>, with the squared norms
+    energies[i] of user i's words as its book recorded them, and
+    G[0, n, i, j, m] = 2<x~_i(m), x~_j(n)>, the other user's message n
+    first, so a minimum over n is a minimum across M blocks.  The diagonal
+    blocks (j = i) are zero, so summing over j adds exactly 0 for the user
+    itself.  Row 1 of each is the negation of row 0 (see
+    _dead_end_elimination).  Each pair's block is its own product
+    w_i @ w_j.T, computed once into G[0, :, j, i], whose rows are
+    unit-strided, and copied transposed into G[0, :, i, j]: one product of
+    all the words would round differently.
     """
     k, M = len(words), len(words[0])
-    terms = np.empty((2, k * M + k * (k - 1) * M * M))
-    U = terms[0, : k * M].reshape(k, M)
-    slabs = _slabs(terms, k, M)[0]
+    U, G = np.empty((2, k, M)), np.zeros((2, M, k, k, M))
     wY = np.empty((k, M))
-    U[:] = energies
+    U[0] = energies
     for i, wi in enumerate(words):
         np.matmul(wi, Y_msg, out=wY[i])
         for j in range(i + 1, k):
-            np.matmul(wi, words[j].T, out=slabs[:, j, i])  # G[j, :, i], transposed
-            slabs[:, i, j - 1] = slabs[:, j, i].T
-    U -= 2.0 * wY
-    slabs *= 2.0  # exact, as is 2.0 * (wi @ wj.T)
-    np.negative(terms[0], out=terms[1])
-    return terms
+            np.matmul(wi, words[j].T, out=G[0, :, j, i])
+            G[0, :, i, j] = G[0, :, j, i].T
+    U[0] -= 2.0 * wY
+    G[0] *= 2.0  # exact, as is 2.0 * (wi @ wj.T)
+    np.negative(U[0], out=U[1])
+    np.negative(G[0], out=G[1])
+    return U, G
 
 
-def _dead_end_elimination(terms: np.ndarray, k: int, M: int) -> np.ndarray:
+def _dead_end_elimination(U: np.ndarray, G: np.ndarray) -> np.ndarray:
     """(k, M) mask of the messages left after dead-end elimination.
 
     Message m of user i is dropped when even its best case,
-    lo[i, m] = U[i, m] + sum_s min G[i, m, s, alive], exceeds some
+    lo[i, m] = U[i, m] + sum_j min G[alive, i, j, m], exceeds some
     surviving message's worst case, min over alive m* of
-    hi[i, m*] = U[i, m*] + sum_s max G[i, m*, s, alive], by more than
+    hi[i, m*] = U[i, m*] + sum_j max G[alive, i, j, m*], by more than
     tol; -hi comes exactly from the minima of -G.  Swapping m for m*
     then lowers every tuple by more than tol, far above the rounding of
     the objective, so no dropped tuple ties or beats the optimum.  Each
@@ -143,40 +124,37 @@ def _dead_end_elimination(terms: np.ndarray, k: int, M: int) -> np.ndarray:
     Dropping a message only raises lo and lowers hi, so a dropped
     message stays dropped and never sets the threshold, and the rounds
     reach the masks of testing one user at a time.  The minima run
-    across G's M slabs (_slabs), not along M-long rows: round one, with
-    every message alive, is a plain minimum, and a later round skips the
-    slabs of dropped messages.
+    across G's M blocks of the other user's message, not along M-long
+    rows: round one, with every message alive, is a plain minimum, and a
+    later round skips the blocks of dropped messages.
     """
-    base, slabs = terms[:, : k * M].reshape(2, k, M), _slabs(terms, k, M)
-    size = np.abs(terms[0])  # G holds each pair block twice: halve its share
-    tol = 1e-9 * max(1.0, float(np.add.reduce(size[: k * M]) + 0.5 * np.add.reduce(size[k * M :])))
-    others = _others(k)
-    minima, count = np.minimum.reduce(slabs, axis=1), k * M  # (2, k, k-1, M)
+    k, M = U.shape[1:]
+    # G holds each pair block twice: halve its share
+    tol = 1e-9 * max(1.0, float(np.abs(U[0]).sum() + 0.5 * np.abs(G[0]).sum()))
+    minima, count = np.minimum.reduce(G, axis=1), k * M  # (2, k, k, M)
     while True:
-        lo, neg_hi = base + np.add.reduce(minima, axis=2)
+        lo, neg_hi = U + np.add.reduce(minima, axis=2)
         alive = lo <= (tol - np.maximum.reduce(neg_hi, axis=1))[:, None]
         left = np.count_nonzero(alive)
         if left == count or k == 1:  # one user's bounds read no other user's messages
             return alive
         count = left
-        # cols[n, i, s, 0]: message n of the s-th user other than i is alive
-        cols = alive[others].transpose(2, 0, 1)[..., None]
-        minima = np.minimum.reduce(slabs, axis=1, where=cols, initial=np.inf)
+        # alive.T[n, None, j, None]: message n of user j is alive
+        minima = np.minimum.reduce(G, axis=1, where=alive.T[:, None, :, None], initial=np.inf)
 
 
-def _objectives(terms: np.ndarray, w: list[np.ndarray], k: int, M: int) -> np.ndarray:
+def _objectives(U: np.ndarray, G: np.ndarray, w: list[np.ndarray]) -> np.ndarray:
     """||Y - sum_i x~_i(w_i)||^2 - ||Y||^2 of the tuples whose user i sends
     0-based message w[i]: one running total of their terms, U[i, w_i] for
-    each user, then G[i, w_i, j-1, w_j] for each pair i < j in
+    each user, then G[w_j, i, j, w_i] for each pair i < j in
     lexicographic order.  These are the full grid's additions in the full
     grid's order, so each value is bitwise the full grid's."""
-    U = terms[0, : k * M].reshape(k, M)
-    G = _slabs(terms, k, M)[0].transpose(1, 3, 2, 0)  # G[i, m, s, n], see _slabs
+    U, G = U[0], G[0]
     total = U[0][w[0]]  # U[i][w] takes numpy's one-index fast path
-    for i in range(1, k):
+    for i in range(1, len(w)):
         total += U[i][w[i]]
-    for i, j in itertools.combinations(range(k), 2):
-        total += G[i, w[i], j - 1, w[j]]
+    for i, j in itertools.combinations(range(len(w)), 2):
+        total += G[w[j], i, j, w[i]]
     return total
 
 
@@ -208,23 +186,24 @@ def decode_joint_ml(
     returned unscored, as the argmin of one tuple.  np.argmin's first
     minimum, carried across scoring blocks only by a strictly smaller
     value, gives the lexicographically smallest optimal tuple.  The budget
-    caps the nominal M^|active| grid.
-    Returns {user: message}.
+    caps the nominal M^|active| grid; a repeated user, or one outside
+    range(plan.ell), is a ValueError.  Returns {user: message}.
     """
     active = sorted(active)
     k = len(active)
     if k == 0:
         return {}
-    M = plan.M
-    _check_tuple_budget(M, k, budget)
+    if len(set(active)) < k or active[0] < 0 or active[-1] >= plan.ell:
+        raise ValueError(f"active users must be distinct users in range({plan.ell}), got {active}")
+    _check_tuple_budget(plan.M, k, budget)
     Y_msg = np.asarray(Y_msg, dtype=float)
     books = [plan.codebooks[i] for i in active]
     words = [b.words[1:] for b in books]  # (M, n_msg) each
     if any(w.shape[1] != len(Y_msg) for w in words):
         raise ValueError("codeword length does not match received message block")
 
-    terms = _gram_terms(words, [b.energies[1:] for b in books], Y_msg)
-    alive = _dead_end_elimination(terms, k, M)
+    U, G = _gram_terms(words, [b.energies[1:] for b in books], Y_msg)
+    alive = _dead_end_elimination(U, G)
     kept = [row.nonzero()[0] for row in alive]  # each user's surviving messages, 0-based
     sizes = [len(m) for m in kept]
     total = math.prod(sizes)
@@ -233,7 +212,7 @@ def decode_joint_ml(
     for start in range(0, total, _SCORE_BLOCK):
         pos = np.unravel_index(np.arange(start, min(start + _SCORE_BLOCK, total)), sizes)
         w = [m[p] for m, p in zip(kept, pos)]
-        objective = _objectives(terms, w, k, M)
+        objective = _objectives(U, G, w)
         t = objective.argmin()
         if start == 0 or objective[t] < best_value:
             best, best_value = [x[t] for x in w], objective[t]

@@ -496,9 +496,10 @@ def sweep(
 
     The per-user rate target is R_dot_fraction * single-user capacity; M is
     the rounded message count at the schedule energy.  Invalid global
-    options are a ConfigError before any point runs.  A point that fails
-    is recorded in its row with what was computed before the failure, and
-    the sweep continues: outside the scheme's regime there is no schedule,
+    options, and an n grid that is not strictly increasing (the verdicts
+    compare consecutive rows), are a ConfigError before any point runs.
+    A point that fails is recorded in its row with what was computed
+    before the failure, and the sweep continues: outside the scheme's regime there is no schedule,
     so the row's E is ln(n); a rate that overflows keeps the schedule's
     E; a budget beyond the float range keeps the rate, and summary_row
     gives its reason; a detection budget of more than
@@ -521,6 +522,8 @@ def sweep(
         raise ConfigError(f"rate fraction must be positive and finite, got {R_dot_fraction}")
     if trials < 0:
         raise ConfigError(f"trials must be >= 0, got {trials}")
+    if any(b <= a for a, b in zip(n_grid, n_grid[1:])):
+        raise ConfigError(f"n grid must be strictly increasing, got {', '.join(map(str, n_grid))}")
     _worker_count(threads)
 
     def point(n: int) -> SummaryRow:

@@ -10,9 +10,9 @@ Weight t = 1 classes are kept whole.  All of this is desk-scale only:
 class sizes are C(ell,t) M^t and enumeration is guarded by a budget.
 
 Classes and partitions are integer arrays, a member per row.  Distances
-come from float32 products of one-hot encodings over (position, value)
-pairs, in tables of at most _TABLE entries (or one row where a row is
-wider).  Build is one pass: each block of the class is encoded once over
+come from float32 products of one-hot encodings, a column per (position,
+value) pair, in tables of at most _TABLE entries (or one row where a row
+is wider).  Build is one pass: each block of the class is encoded once over
 0..M, and its products with the codewords before it and those it picks
 are both the greedy scan and the ownership table.
 
@@ -28,8 +28,10 @@ order of r, which ends at the cap.  The work is per partition and per table,
 not per cell: a (6,2,4) build and verify makes 225 profiled calls.  On 2
 vCPUs (13,15,3), 965 250 members in 22 cells, builds in about 0.67 s and
 verifies in about 0.28 s (28 MB tracemalloc peak); (5,316,2), one cell
-of 998 560, in 0.43 s and 0.13 s (18 MB); (5,200000,1) verifies in
-0.09 s (35 MB).
+of 998 560, in 0.43 s and 0.13 s (18 MB).  A class whose rows are too
+wide for blocks of _BLOCK rows (ell (M+1) > 2048) is, within the budget,
+one cell of weight 1, or of weight 2 over M = 2, which the probe settles
+with no encoder: (5,200000,1) verifies in 0.09 s (35 MB).
 """
 
 import json
@@ -104,35 +106,18 @@ def _rows_per_table(columns: int) -> int:
 
 def _encoder(x: np.ndarray, values: np.ndarray):
     """A one-hot encoder for blocks of rows of x, all in the sorted
-    `values`, with the rows it takes per row block and per column block: a
-    column per (position, value) pair, unless rows that wide would leave
-    fewer than _BLOCK rows to a block.  Then only the pairs two rows share
-    get columns, coded 1, 2, ... at each position, and the others code 0,
-    whose columns are cleared: distinct rows still agree in exactly
-    <encode(a), encode(b)> positions; (5,3000,1) takes 10 columns.  Each
-    block's ones are set by one flat index per entry."""
+    `values`, a column per (position, value) pair, with the rows it takes
+    per row block and per column block.  Each block's ones are set by one
+    flat index per entry."""
     ell, n = x.shape[1], len(values)
-    offsets, column, width = np.arange(ell) * n, None, n
-    if _rows_per_table(ell * n) < min(len(x), _BLOCK):
-        counts, step = np.zeros(ell * n, dtype=np.intp), _rows_per_table(ell)
-        for s in range(0, len(x), step):
-            pairs = values.searchsorted(x[s : s + step]) + offsets
-            counts += np.bincount(pairs.ravel(), minlength=ell * n)
-        shared = counts.reshape(ell, n) >= 2
-        code = np.where(shared, shared.cumsum(axis=1), 0)
-        width = int(code.max(initial=0)) + 1
-        # each (position, value) pair's column, that of its code
-        column = (code + np.arange(ell)[:, None] * width).ravel()
-    step = min(_BLOCK, _rows_per_table(ell * width))
-    span = max(step, _rows_per_table(max(step, ell * width)))
-    first = np.arange(min(span, len(x)))[:, None] * (ell * width)  # each row's first entry
+    offsets, width = np.arange(ell) * n, ell * n
+    step = min(_BLOCK, _rows_per_table(width))
+    span = max(step, _rows_per_table(max(step, width)))
+    first = np.arange(min(span, len(x)))[:, None] * width  # each row's first entry
 
     def encode(block):
-        pairs, count = values.searchsorted(block) + offsets, block.shape[0]
-        out = np.zeros((count, ell * width), dtype=np.float32)
-        out.reshape(-1)[first[:count] + (pairs if column is None else column[pairs])] = 1.0
-        if column is not None:
-            out[:, ::width] = 0.0
+        out = np.zeros((block.shape[0], width), dtype=np.float32)
+        out.reshape(-1)[first[: block.shape[0]] + values.searchsorted(block) + offsets] = 1.0
         return out
 
     return encode, step, span
@@ -163,9 +148,8 @@ def _diameter(x: np.ndarray, encoder, ell: int, radius: np.ndarray, best: int, c
     that `encoder` encodes, from the distance `best` of two of them up to
     a `cap` no pair exceeds, in descending order of `radius` (distance to
     one pivot): a block whose first row and column have radii summing to
-    no more than the distance found ends its row block.  No diagonal
-    entry is below the least off-diagonal one: encodings clear only pairs
-    no other row holds."""
+    no more than the distance found ends its row block.  A diagonal
+    entry, ell agreements, is never below an off-diagonal one."""
     encode, step, span = encoder
     # ell - radius, small and unsigned, sorts by radix in -radius's order
     order = np.argsort(ell - radius, kind="stable")

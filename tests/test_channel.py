@@ -275,6 +275,12 @@ class TestAwgn:
         with pytest.raises(ValueError, match="noise level must be >= 0, got -1.0"):
             awgn(np.zeros(4), -1.0, make_rng(0))
 
+    @pytest.mark.parametrize("N0", [math.nan, math.inf])
+    def test_non_finite_noise_level(self, N0):
+        # unchecked, NaN gives an all-NaN block and inf a block of +-inf
+        with pytest.raises(ValueError, match=f"noise level must be finite, got {N0}"):
+            awgn(np.zeros(4), N0, make_rng(0))
+
     def test_zero_noise_passthrough(self):
         x = np.arange(8.0)
         y = awgn(x, 0.0, make_rng(0))

@@ -386,6 +386,12 @@ class TestSweepCmd:
         assert payload["verdicts"]["regime"] == "sublinear"
         assert Path(out).read_text().startswith("n,ell,alpha")
 
+    def test_grid_not_increasing_exits_2(self, tmp_path, family_path, capsys):
+        out = tmp_path / "sweep.csv"
+        rc = main(["sweep", "--family", family_path, "--n-grid", "4096,1024,256", "--out", str(out)])
+        assert rc == EXIT_CONFIG
+        assert "n grid must be strictly increasing, got 4096, 1024, 256" in capsys.readouterr().err
+
     def test_failed_point_names_its_error(self, tmp_path, capsys):
         fam = tmp_path / "family.json"
         fam.write_text(json.dumps({"name": "f", "ell_expr": "n", "alpha_expr": "1/(n-n)"}))

@@ -24,7 +24,6 @@ from manyaccess.decoding import (
     _dead_end_elimination,
     _gram_terms,
     _objectives,
-    _slabs,
     decode_joint_ml,
     decode_ppm,
     ortho_receive,
@@ -205,6 +204,14 @@ class TestDecodeJointMl:
         with pytest.raises(ValueError, match="codeword length does not match"):
             decode_joint_ml(np.zeros(127), plan, [0, 2])
 
+    @pytest.mark.parametrize("active", [[0, 0, 1], [-3, 1], [1, 4]])
+    def test_repeated_or_unknown_user_refused(self, active):
+        # unchecked, [0, 0, 1] scores a three-user model but returns two
+        # keys, and [-3, 1] returns the key -3
+        _, _, plan = self._setup()
+        with pytest.raises(ValueError, match=r"distinct users in range\(4\)"):
+            decode_joint_ml(np.zeros(128), plan, active)
+
     def test_budget_guard(self):
         _, _, plan = self._setup()
         with pytest.raises(ComplexityBudgetError):
@@ -285,18 +292,19 @@ class TestPrunedSearchAgainstDense:
     def test_rounds_match_per_user_oracle(self, k, M, case, seed):
         plan, active, Y = _decode_case(k, M, case, seed)
         words = [plan.codebooks[i].words[1:] for i in active]
-        terms = _gram_terms(words, [plan.codebooks[i].energies[1:] for i in active], Y)
-        U = terms[0, : k * M].reshape(k, M)
-        G = _slabs(terms, k, M)[0].transpose(1, 3, 2, 0)  # G[i, m, s, n]
-        # the terms are the per-user and per-pair expressions, bit for bit
+        U, G = _gram_terms(words, [plan.codebooks[i].energies[1:] for i in active], Y)
+        # the terms are the per-user and per-pair expressions, bit for bit;
+        # G[0, n, i, j, m] pairs user i's message m with user j's message n
         unary = [np.einsum("mj,mj->m", w, w) - 2.0 * (w @ Y) for w in words]
         cross = {(i, j): 2.0 * (words[i] @ words[j].T) for i in range(k) for j in range(i + 1, k)}
-        assert all(np.array_equal(u, U[i]) for i, u in enumerate(unary))
+        assert all(np.array_equal(u, U[0, i]) for i, u in enumerate(unary))
         for (i, j), c in cross.items():
-            assert np.array_equal(c, G[i, :, j - 1]) and np.array_equal(c.T, G[j, :, i])
-        assert np.array_equal(terms[1], -terms[0])
+            assert np.array_equal(c, G[0, :, j, i]) and np.array_equal(c.T, G[0, :, i, j])
+        # a user's own block is zero, so summing over j adds exactly 0 for it
+        assert not G[:, :, range(k), range(k)].any()
+        assert np.array_equal(U[1], -U[0]) and np.array_equal(G[1], -G[0])
         want = dead_end_elimination_per_user(unary, cross)
-        assert np.array_equal(_dead_end_elimination(terms, k, M), np.array(want))
+        assert np.array_equal(_dead_end_elimination(U, G), np.array(want))
 
     @pytest.mark.parametrize("block", [1, 2, 5])
     def test_scoring_blocks_keep_first_minimum(self, monkeypatch, block):
@@ -308,8 +316,8 @@ class TestPrunedSearchAgainstDense:
             k, M, case = 2 + seed % 3, 2 + seed % 4, ("short", "ties")[seed % 2]
             plan, active, Y = _decode_case(k, M, case, seed)
             books = [plan.codebooks[i] for i in active]
-            terms = _gram_terms([b.words[1:] for b in books], [b.energies[1:] for b in books], Y)
-            spanned += int(_dead_end_elimination(terms, k, M).all(axis=1).prod())
+            U, G = _gram_terms([b.words[1:] for b in books], [b.energies[1:] for b in books], Y)
+            spanned += int(_dead_end_elimination(U, G).all(axis=1).prod())
             assert decode_joint_ml(Y, plan, active) == dense_joint_ml(Y, plan, active)
         assert spanned > 10  # grids that kept every tuple
 
@@ -336,18 +344,18 @@ class TestPrunedSearchAgainstDense:
                 cross = 2.0 * (words[i] @ words[j].T)
                 grid += cross.reshape((M,) + (1,) * (j - i - 1) + (M,) + (1,) * (k - 1 - j))
         w = list(np.indices((M,) * k).reshape(k, -1))  # 0-based messages, lexicographic
-        terms = _gram_terms(words, [plan.codebooks[i].energies[1:] for i in active], Y)
-        assert np.array_equal(_objectives(terms, w, k, M), grid.ravel())
+        U, G = _gram_terms(words, [plan.codebooks[i].energies[1:] for i in active], Y)
+        assert np.array_equal(_objectives(U, G, w), grid.ravel())
         # one tuple at a time, where a reduction would run down the terms
         for t in range(0, len(w[0]), 7):
-            assert _objectives(terms, [x[t : t + 1] for x in w], k, M)[0] == grid.flat[t]
+            assert _objectives(U, G, [x[t : t + 1] for x in w])[0] == grid.flat[t]
 
     def test_short_codewords_prune_nothing(self):
         # equal-energy length-2 words: the pair terms span +-2E and swamp the
         # unary spread, so every message survives and the grid is the full one
         words = _circle_words(make_rng(5), 4, 6)
         energies = [np.einsum("mj,mj->m", w, w) for w in words]
-        assert _dead_end_elimination(_gram_terms(words, energies, np.zeros(2)), 4, 6).all()
+        assert _dead_end_elimination(*_gram_terms(words, energies, np.zeros(2))).all()
 
     def test_k7_peak_memory_far_below_dense_grid(self):
         # the dense 10^7-cell float64 grid alone is 80 MB

@@ -526,6 +526,15 @@ class TestSweep:
         assert "ape_decreasing" not in sweep(SUB_FAMILY, [256, 16384], R_dot_fraction=0.25,
                                              trials=2).verdicts
 
+    @pytest.mark.parametrize("grid", [[4096, 1024, 256], [256, 256, 1024]], ids=["decreasing", "repeated"])
+    def test_grid_not_increasing_refused(self, grid):
+        # the verdicts compare consecutive rows: on the cube-root family
+        # 4096,1024,256 would read converse_decreasing true and 256,256,1024
+        # false.  A point's own failure is a row, not a raise, so this one
+        # comes from the grid check
+        with pytest.raises(ConfigError, match="n grid must be strictly increasing"):
+            sweep(SUB_FAMILY, grid, R_dot_fraction=0.25)
+
     def test_two_points_give_no_regime(self):
         res = sweep(SUB_FAMILY, [256, 1024], R_dot_fraction=0.25)
         assert set(res.verdicts) == {"converse_decreasing"}

@@ -408,8 +408,7 @@ def _small_blocks(mp):
     radius-ordered scan and spans several blocks.  Tables of 48 entries
     hold 2 one-hot rows of 8 positions over three values, so such a cell
     takes Gram blocks of 2 rows by 2 columns (2 by 3 over two values); a
-    cell whose rows would be wider than 24 columns encodes only the pairs
-    two of its members share."""
+    cell whose rows are wider than 24 columns takes blocks of one row."""
     mp.setattr(partition_module, "_BLOCK", 2)
     mp.setattr(partition_module, "_TABLE", 48)
 
@@ -484,16 +483,16 @@ class TestCappedScan:
         rep = verify_partition(p, 8)
         assert rep == oracle_verify(p, 8) and rep.set_diameters == (8,)
 
-    def test_wide_alphabet_scans_few_blocks(self, monkeypatch):
-        # one cell of 100 000 members over 20 001 values, in which only each
-        # position's 0 is shared: 10 columns give row blocks of 256 and the
-        # cap 2 after 10 products, where a column for every value (100 005)
-        # gives row blocks of 5 and about 4000 products
+    def test_wide_alphabet_settled_by_probe(self, monkeypatch):
+        # one cell of 100 000 members over 20 001 values: a column for every
+        # (position, value) pair (100 005) would leave row blocks of 5, but
+        # the member farthest from the center meets another at the cap
+        # 1 + 1 = 2, so no Gram product is needed
         p = build_partition(5, 20000, 1)
         count = _count_gram_blocks(monkeypatch)
         rep = verify_partition(p, 5)
         assert rep.ok and rep.max_diameter == 2
-        assert count[0] <= 10
+        assert count[0] == 0
 
     @given(st.one_of(hand_built(), hand_built(centered=True)))
     @settings(max_examples=150, deadline=None)

@@ -34,6 +34,10 @@ JSON object:
   the two threads' calls never nest in each other.  A checkout without a
   helper reads 0 here and names its missing `wait` hook in
   `missing_hooks`.
+- `decode_ms_by_k`: `decode` self time per call, keyed by the number of
+  detected users the call decodes, as the least of the PASSES runs of
+  each trial, averaged over the trials with a decode of that k.  With
+  `--src`, it compares per-k decode cost on the same trials.
 - `calls`: profiled calls per trial, per stage and in total, counted by
   `sys.setprofile` in one more pass: Python function calls and calls of
   built-in functions and methods (most numpy functions, array methods,
@@ -109,6 +113,18 @@ class Stages:
                 setattr(module, attr, self.wrap(getattr(module, attr), stage))
             else:
                 self.missing_hooks.append(f"{module.__name__}.{attr}")
+        self.decoded_k = None  # detected users of the trial's decode, if it had one
+        self.recorder_code = None
+        if hasattr(decoding, "decode_joint_ml"):
+            timed_decode = decoding.decode_joint_ml
+
+            def decode_joint_ml(Y_msg, plan, active, *args, **kwargs):
+                # outside the decode stage: this line's time goes to the caller's
+                self.decoded_k = len(active)
+                return timed_decode(Y_msg, plan, active, *args, **kwargs)
+
+            decoding.decode_joint_ml = decode_joint_ml
+            self.recorder_code = decode_joint_ml.__code__
 
     def wrap(self, fn, stage: str):
         local, helper_times, clock = self.local, self.helper_times, time.perf_counter
@@ -136,6 +152,7 @@ class Stages:
         for times in (self.times, self.helper_times):
             for stage in times:
                 times[stage] = 0.0
+        self.decoded_k = None
         start = time.perf_counter()
         self.times["rest"] -= start
         run_trial(cfg, index)
@@ -145,10 +162,11 @@ class Stages:
 
     def counted(self, run_trial, cfg, index: int) -> None:
         """Add one trial's profiler events to self.calls, by stage."""
-        skip, stack, calls = self.wrapper_code, self.stack, self.calls
+        skip = (self.wrapper_code, self.recorder_code)
+        stack, calls = self.stack, self.calls
 
         def profile(frame, event, arg):
-            if event in ("call", "c_call") and frame.f_code is not skip:
+            if event in ("call", "c_call") and frame.f_code not in skip:
                 calls[stack[-1]] += 1
 
         sys.setprofile(profile)
@@ -167,12 +185,14 @@ def stage_report(src: str) -> dict:
     best = [dict.fromkeys(STAGES, float("inf")) for _ in indices]
     helper = [dict.fromkeys(HELPER_STAGES, float("inf")) for _ in indices]
     total = [float("inf")] * len(indices)
+    decoded_k = [None] * len(indices)
     summed = dict.fromkeys(STAGES, 0.0)
     switches = resource.getrusage(resource.RUSAGE_THREAD).ru_nivcsw
     cpu, wall = time.process_time(), time.perf_counter()
     for _ in range(PASSES):
         for slot, i in enumerate(indices):
             ms, helper_ms = stages.timed(harness.run_trial, cfg, i)
+            decoded_k[slot] = stages.decoded_k
             for stage, value in ms.items():
                 best[slot][stage] = min(best[slot][stage], value)
                 summed[stage] += value
@@ -185,6 +205,10 @@ def stage_report(src: str) -> dict:
         stages.counted(harness.run_trial, cfg, i)
     n = len(indices)
     calls = {stage: stages.calls[stage] / n for stage in STAGES}
+    by_k = {}
+    for b, k in zip(best, decoded_k):
+        if k is not None:
+            by_k.setdefault(k, []).append(b["decode"])
     return {
         "stage_ms": {stage: round(sum(b[stage] for b in best) / n, 4) for stage in STAGES},
         "stage_ms_mean": {stage: round(summed[stage] / (PASSES * n), 4) for stage in STAGES},
@@ -192,6 +216,7 @@ def stage_report(src: str) -> dict:
         "cpu_per_wall": round(cpu / wall, 4),
         "helper_ms": {stage: round(sum(h[stage] for h in helper) / n, 4) for stage in HELPER_STAGES},
         "trial_ms": round(sum(total) / n, 4),
+        "decode_ms_by_k": {str(k): round(sum(ms) / len(ms), 4) for k, ms in sorted(by_k.items())},
         "calls": {**calls, "total": sum(calls.values())},
         "missing_hooks": stages.missing_hooks,
     }
