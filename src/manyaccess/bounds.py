@@ -48,9 +48,11 @@ class BoundReport:
         return out
 
 
-def _require(cond: bool, msg: str) -> None:
+def _require(cond: bool, msg: str, *args) -> None:
+    """ValueError(msg.format(*args)) unless cond: the message is formatted
+    only on a refusal, since a budget checks its terms by the million."""
     if not cond:
-        raise ValueError(msg)
+        raise ValueError(msg.format(*args))
 
 
 def _sum_exp(log_terms) -> float:
@@ -85,12 +87,12 @@ def e0_msg(
     a: float, rho: float, k_active: int, E_msg: float, n_msg: int, N0: float
 ) -> float:
     """Random-coding exponent (rho/2) ln(1 + 2a k' E'/(n'(rho+1)N0)) in nats."""
-    _require(0.0 < rho <= 1.0, f"rho must be in (0,1], got {rho}")
-    _require(0.0 < a <= 1.0, f"error fraction must be in (0,1], got {a}")
-    _require(k_active >= 1, f"active count must be >= 1, got {k_active}")
-    _require(E_msg >= 0.0, f"message energy must be >= 0, got {E_msg}")
-    _require(n_msg >= 1, f"message length must be >= 1, got {n_msg}")
-    _require(N0 > 0.0, f"noise level must be positive, got {N0}")
+    _require(0.0 < rho <= 1.0, "rho must be in (0,1], got {}", rho)
+    _require(0.0 < a <= 1.0, "error fraction must be in (0,1], got {}", a)
+    _require(k_active >= 1, "active count must be >= 1, got {}", k_active)
+    _require(E_msg >= 0.0, "message energy must be >= 0, got {}", E_msg)
+    _require(n_msg >= 1, "message length must be >= 1, got {}", n_msg)
+    _require(N0 > 0.0, "noise level must be positive, got {}", N0)
     return (rho / 2.0) * math.log1p(2.0 * a * k_active * E_msg / (n_msg * (rho + 1.0) * N0))
 
 
@@ -111,11 +113,11 @@ def pr_type_error_ub(
     k' is at most MAX_ACTIVE: the binomial's running sum of log1p terms
     (model.log_binomial) costs O(k') time and memory.
     """
-    _require(M >= 2, f"message count must be >= 2, got {M}")
-    _require(0.0 < mu <= 1.0, f"mu must be in (0,1], got {mu}")
-    _require(k_active <= MAX_ACTIVE, f"active count must be <= {MAX_ACTIVE}, got {k_active}")
+    _require(M >= 2, "message count must be >= 2, got {}", M)
+    _require(0.0 < mu <= 1.0, "mu must be in (0,1], got {}", mu)
+    _require(k_active <= MAX_ACTIVE, "active count must be <= {}, got {}", MAX_ACTIVE, k_active)
     ak = a * k_active
-    _require(abs(ak - round(ak)) < 1e-9 and round(ak) >= 1, f"a*k' must be a positive integer, got {ak}")
+    _require(abs(ak - round(ak)) < 1e-9 and round(ak) >= 1, "a*k' must be a positive integer, got {}", ak)
     ak = round(ak)
     e0 = e0_msg(a, rho, k_active, E_msg, n_msg, N0)
     log_mu_factor = -2.0 * k_active * math.log(mu)
@@ -168,8 +170,8 @@ def f_msg(
 
         n' E0(a, rho)/E' - a rho k' ln(M)/E' - k' H2(a)/E'.
     """
-    _require(M >= 2, f"message count must be >= 2, got {M}")
-    _require(E_msg > 0.0, f"message energy must be positive, got {E_msg}")
+    _require(M >= 2, "message count must be >= 2, got {}", M)
+    _require(E_msg > 0.0, "message energy must be positive, got {}", E_msg)
     e0 = e0_msg(a, rho, k_active, E_msg, n_msg, N0)
     return (
         n_msg * e0 - a * rho * k_active * math.log(M) - k_active * binary_entropy(a)
@@ -198,12 +200,12 @@ def detect_exponent_g(
 
     Vanishes at k1 = k2 = 0; the budget multiplies it by Et.
     """
-    _require(lam >= 0.0, f"lambda must be >= 0, got {lam}")
-    _require(0.0 <= rho <= 1.0, f"rho must be in [0,1], got {rho}")
-    _require(E_sig > 0.0, f"signature energy must be positive, got {E_sig}")
-    _require(n_sig >= 1, f"signature length must be >= 1, got {n_sig}")
-    _require(0 <= kappa1 <= max(d_weight, 0), f"kappa1 out of range: {kappa1}")
-    _require(0 <= kappa2 <= ell, f"kappa2 out of range: {kappa2}")
+    _require(lam >= 0.0, "lambda must be >= 0, got {}", lam)
+    _require(0.0 <= rho <= 1.0, "rho must be in [0,1], got {}", rho)
+    _require(E_sig > 0.0, "signature energy must be positive, got {}", E_sig)
+    _require(n_sig >= 1, "signature length must be >= 1, got {}", n_sig)
+    _require(0 <= kappa1 <= max(d_weight, 0), "kappa1 out of range: {}", kappa1)
+    _require(0 <= kappa2 <= ell, "kappa2 out of range: {}", kappa2)
     et = E_sig / 2.0
     x = et / n_sig
     g = -((1.0 - rho) * n_sig / (2.0 * et)) * math.log1p(lam * kappa2 * x)
@@ -236,7 +238,7 @@ def detection_budget(
     More than MAX_DETECTION_TERMS nominal terms, v'(v'+3)/2 (v'+1) with
     v' = min(v, ell), raise ComplexityBudgetError before any is summed.
     """
-    _require(0.0 < mu <= 1.0, f"mu must be in (0,1], got {mu}")
+    _require(0.0 < mu <= 1.0, "mu must be in (0,1], got {}", mu)
     if sched.c <= 0.0 or sched.E_sig <= 0.0:
         return BoundReport(
             value=math.inf, valid=False, terms={"overflow": math.inf},
@@ -342,11 +344,11 @@ def two_phase_error_budget(
 def gallager_awgn(M: int, n_code: int, P: float, N0: float, rho: float) -> BoundReport:
     """Random-coding bound M^rho exp(-n E0(rho, P)) for the point-to-point
     AWGN channel with per-symbol power P."""
-    _require(M >= 2, f"message count must be >= 2, got {M}")
-    _require(n_code >= 1, f"blocklength must be >= 1, got {n_code}")
-    _require(P >= 0.0, f"power must be >= 0, got {P}")
-    _require(N0 > 0.0, f"noise level must be positive, got {N0}")
-    _require(0.0 < rho <= 1.0, f"rho must be in (0,1], got {rho}")
+    _require(M >= 2, "message count must be >= 2, got {}", M)
+    _require(n_code >= 1, "blocklength must be >= 1, got {}", n_code)
+    _require(P >= 0.0, "power must be >= 0, got {}", P)
+    _require(N0 > 0.0, "noise level must be positive, got {}", N0)
+    _require(0.0 < rho <= 1.0, "rho must be in (0,1], got {}", rho)
     e0 = (rho / 2.0) * math.log1p(2.0 * P / ((1.0 + rho) * N0))
     value = math.exp(rho * math.log(M) - n_code * e0)
     return BoundReport(
@@ -365,9 +367,9 @@ def ortho_code_bound(M: int, R_dot_nats: float, N0: float) -> BoundReport:
 
     The two expressions agree at R = 1/(4 N0).
     """
-    _require(M >= 2, f"message count must be >= 2, got {M}")
-    _require(N0 > 0.0, f"noise level must be positive, got {N0}")
-    _require(R_dot_nats > 0.0, f"rate must be positive, got {R_dot_nats}")
+    _require(M >= 2, "message count must be >= 2, got {}", M)
+    _require(N0 > 0.0, "noise level must be positive, got {}", N0)
+    _require(R_dot_nats > 0.0, "rate must be positive, got {}", R_dot_nats)
     if R_dot_nats > 1.0 / N0:
         raise ValueError(f"rate {R_dot_nats} exceeds capacity per unit energy {1.0 / N0}")
     ln_m = math.log(M)
@@ -389,9 +391,9 @@ def ortho_user_error_bound(M: int, t: float, E: float, N0: float) -> BoundReport
     The Q argument is the pilot threshold sqrt(tE)/2 normalized by the
     noise standard deviation sqrt(N0/2).
     """
-    _require(0.0 < t < 1.0, f"pilot fraction must be in (0,1), got {t}")
-    _require(E > 0.0, f"energy must be positive, got {E}")
-    _require(N0 > 0.0, f"noise level must be positive, got {N0}")
+    _require(0.0 < t < 1.0, "pilot fraction must be in (0,1), got {}", t)
+    _require(E > 0.0, "energy must be positive, got {}", E)
+    _require(N0 > 0.0, "noise level must be positive, got {}", N0)
     pilot = 2.0 * normal_tail(math.sqrt(t * E / (2.0 * N0))).q
     decode = ortho_code_bound(M, math.log(M) / ((1.0 - t) * E), N0).value
     value = pilot + decode
@@ -410,8 +412,8 @@ def converse_joint(params: SystemParams, E: float, Pe: float) -> BoundReport:
         R <= [ln4/(kE) + (H2(a)/(aE))(4Pe - 1) + 4Pe(1/E + 1/k)
               + (n/(2kE)) ln(1 + 2kE/(n N0))] / (1 - 4Pe(1 + 1/k)).
     """
-    _require(E > 0.0, f"energy must be positive, got {E}")
-    _require(0.0 <= Pe < 1.0, f"error probability must be in [0,1), got {Pe}")
+    _require(E > 0.0, "energy must be positive, got {}", E)
+    _require(0.0 <= Pe < 1.0, "error probability must be in [0,1), got {}", Pe)
     k, alpha, n, N0 = params.k, params.alpha, params.n, params.N0
     fano = math.log(4.0) / (k * E)
     entropy = (binary_entropy(alpha) / (alpha * E)) * (4.0 * Pe - 1.0)
@@ -432,8 +434,8 @@ def converse_ape(params: SystemParams, E: float, Pe_A: float) -> BoundReport:
 
     The additive Fano constant (one bit) is converted to ln2 nats.
     """
-    _require(E > 0.0, f"energy must be positive, got {E}")
-    _require(Pe_A >= 0.0, f"error probability must be >= 0, got {Pe_A}")
+    _require(E > 0.0, "energy must be positive, got {}", E)
+    _require(Pe_A >= 0.0, "error probability must be >= 0, got {}", Pe_A)
     k, alpha, n, ell, N0 = params.k, params.alpha, params.n, params.ell, params.N0
     fano = (math.log(2.0) - binary_entropy(alpha)) / E
     mutual = (n / (2.0 * ell * E)) * math.log1p(2.0 * k * E / (n * N0))
@@ -449,10 +451,10 @@ def converse_ortho_user(E: float, n1: int, N0: float, P1: float) -> BoundReport:
 
         R <= [1/E + (n1/(2E)) ln(1 + 2E/(n1 N0))] / (1 - P1).
     """
-    _require(E > 0.0, f"energy must be positive, got {E}")
-    _require(n1 >= 1, f"slot length must be >= 1, got {n1}")
-    _require(N0 > 0.0, f"noise level must be positive, got {N0}")
-    _require(P1 >= 0.0, f"error probability must be >= 0, got {P1}")
+    _require(E > 0.0, "energy must be positive, got {}", E)
+    _require(n1 >= 1, "slot length must be >= 1, got {}", n1)
+    _require(N0 > 0.0, "noise level must be positive, got {}", N0)
+    _require(P1 >= 0.0, "error probability must be >= 0, got {}", P1)
     fano = 1.0 / E
     mutual = (n1 / (2.0 * E)) * math.log1p(2.0 * E / (n1 * N0))
     denom = max(0.0, 1.0 - P1)
@@ -467,10 +469,10 @@ def joint_error_lb(E: float, ell: int, N0: float, alpha: float) -> BoundReport:
 
         max(0, 1 - (256 E/N0 + ln2)/ln(ell)) * (1 - (1-alpha)^ell).
     """
-    _require(E >= 0.0, f"energy must be >= 0, got {E}")
-    _require(ell >= 5, f"user count must be >= 5, got {ell}")
-    _require(N0 > 0.0, f"noise level must be positive, got {N0}")
-    _require(0.0 < alpha <= 1.0, f"activity probability must be in (0,1], got {alpha}")
+    _require(E >= 0.0, "energy must be >= 0, got {}", E)
+    _require(ell >= 5, "user count must be >= 5, got {}", ell)
+    _require(N0 > 0.0, "noise level must be positive, got {}", N0)
+    _require(0.0 < alpha <= 1.0, "activity probability must be in (0,1], got {}", alpha)
     typ = max(0.0, 1.0 - (256.0 * E / N0 + math.log(2.0)) / math.log(ell))
     some_active = -math.expm1(activity_logpmf(0, ell, alpha))
     value = typ * some_active
@@ -501,8 +503,8 @@ def birge_bound(kl_matrix: np.ndarray) -> float:
 def gaussian_kl(delta_sq_norm: float, N0: float) -> float:
     """Relative entropy between equal-covariance Gaussians N(mu1, N0/2 I)
     and N(mu2, N0/2 I): ||mu1 - mu2||^2 / N0 nats."""
-    _require(delta_sq_norm >= 0.0, f"squared distance must be >= 0, got {delta_sq_norm}")
-    _require(N0 > 0.0, f"noise level must be positive, got {N0}")
+    _require(delta_sq_norm >= 0.0, "squared distance must be >= 0, got {}", delta_sq_norm)
+    _require(N0 > 0.0, "noise level must be positive, got {}", N0)
     return delta_sq_norm / N0
 
 

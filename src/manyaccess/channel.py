@@ -164,25 +164,22 @@ def make_ortho_plan(params: SystemParams, sched: EnergySchedule, M: int) -> Orth
     return OrthoPlan(ell=params.ell, M=M, book=book, slot_len=slot)
 
 
-def transmit_joint(plan: JointPlan, msgs: np.ndarray, block: str | None = None) -> np.ndarray:
-    """Clean superposed signal sum_i (s_i, x~_i(w_i)) over active users,
-    or one block of it: "signatures" is S d, "messages" is 0 plus the
-    active users' words in user order, the only block that reads books."""
+def transmit_joint(plan: JointPlan, msgs: np.ndarray, block: str) -> np.ndarray:
+    """One block of the clean superposed signal sum_i (s_i, x~_i(w_i)) over
+    active users: "signatures" is S d, "messages" is 0 plus the active
+    users' words in user order, the only block that reads books."""
     if len(msgs) != plan.ell:
         raise ValueError(f"message vector length {len(msgs)} != ell {plan.ell}")
-    if block not in (None, "signatures", "messages"):
+    if block not in ("signatures", "messages"):
         raise ValueError(f"unknown block {block!r}")
     active = np.asarray(msgs) != 0
-    blocks = []
-    if block != "messages":
+    if block == "signatures":
         rows = plan.signatures.matrix.T  # (ell, n_sig): the signatures as drawn
-        blocks.append(np.empty(rows.shape[1]))
-        np.matmul(active.astype(float), rows, out=blocks[-1])  # S d
-    if block != "signatures":
-        blocks.append(np.zeros(plan.n_msg))
-        for i in active.nonzero()[0]:
-            blocks[-1] += plan.codebooks[i].words[msgs[i]]
-    return blocks[0] if block else np.concatenate(blocks)
+        return np.matmul(active.astype(float), rows, out=np.empty(rows.shape[1]))  # S d
+    out = np.zeros(plan.n_msg)
+    for i in active.nonzero()[0]:
+        out += plan.codebooks[i].words[msgs[i]]
+    return out
 
 
 def transmit_ortho(plan: OrthoPlan, msgs: np.ndarray) -> np.ndarray:

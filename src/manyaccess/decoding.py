@@ -20,11 +20,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import JointPlan, OrthoPlan
-from .detection import DEFAULT_CANDIDATE_BUDGET, DetectionResult, detect_ls_exhaustive, detect_pilot, v_cap
+from .detection import DetectionResult, detect_ls_exhaustive, detect_pilot, v_cap
 from .errors import ComplexityBudgetError
 from .model import EnergySchedule, SystemParams
 
-DEFAULT_TUPLE_BUDGET = 10**7
+# nominal tuples M^k decode_joint_ml scores at most, read when it runs
+TUPLE_BUDGET = 10**7
 
 
 @dataclass(frozen=True)
@@ -62,19 +63,19 @@ class TwoPhaseResult:
     budget_abort: bool = False
 
 
-def decode_ppm(y_slot: np.ndarray, M: int) -> int | np.ndarray:
-    """ML decoding of a PPM slot given the user is active.
+def decode_ppm(y_slot: np.ndarray, M: int) -> np.ndarray:
+    """ML decoding of PPM slots given the user is active, one message per
+    slot: the last axis is the slot, so an (users, slot) table gives one
+    message per row.
 
     All nonzero words share the pilot coordinate and have equal energy, so
     ML reduces to the largest sample among the M message positions; ties
-    go to the smallest message index (argmax's first maximum).  One slot
-    gives an int; an (users, slot) table gives one message per row.
+    go to the smallest message index (argmax's first maximum).
     """
     y_slot = np.asarray(y_slot)
     if y_slot.shape[-1] < M + 1:
         raise ValueError(f"slot length {y_slot.shape[-1]} < M+1 = {M + 1}")
-    w = np.argmax(y_slot[..., 1 : M + 1], axis=-1) + 1
-    return int(w) if w.ndim == 0 else w
+    return np.argmax(y_slot[..., 1 : M + 1], axis=-1) + 1
 
 
 def _gram_terms(
@@ -162,17 +163,12 @@ def _objectives(U: np.ndarray, G: np.ndarray, w: list[np.ndarray]) -> np.ndarray
 _SCORE_BLOCK = 1 << 14
 
 
-def _check_tuple_budget(M: int, k: int, budget: int) -> None:
-    if M**k > budget:
-        raise ComplexityBudgetError(f"M^|active| = {M}^{k} exceeds the tuple budget of {budget}")
+def _check_tuple_budget(M: int, k: int) -> None:
+    if M**k > TUPLE_BUDGET:
+        raise ComplexityBudgetError(f"M^|active| = {M}^{k} exceeds the tuple budget of {TUPLE_BUDGET}")
 
 
-def decode_joint_ml(
-    Y_msg: np.ndarray,
-    plan: JointPlan,
-    active: list[int],
-    budget: int = DEFAULT_TUPLE_BUDGET,
-) -> dict[int, int]:
+def decode_joint_ml(Y_msg: np.ndarray, plan: JointPlan, active: list[int]) -> dict[int, int]:
     """Exact joint ML over message tuples of the detected users.
 
     Minimizes ||Y - sum_i x~_i(w_i)||^2 over w in {1..M}^active via the
@@ -185,7 +181,7 @@ def decode_joint_ml(
     tuple's objective is bitwise the full grid's; a lone survivor is
     returned unscored, as the argmin of one tuple.  np.argmin's first
     minimum, carried across scoring blocks only by a strictly smaller
-    value, gives the lexicographically smallest optimal tuple.  The budget
+    value, gives the lexicographically smallest optimal tuple.  TUPLE_BUDGET
     caps the nominal M^|active| grid; a repeated user, or one outside
     range(plan.ell), is a ValueError.  Returns {user: message}.
     """
@@ -195,7 +191,7 @@ def decode_joint_ml(
         return {}
     if len(set(active)) < k or active[0] < 0 or active[-1] >= plan.ell:
         raise ValueError(f"active users must be distinct users in range({plan.ell}), got {active}")
-    _check_tuple_budget(plan.M, k, budget)
+    _check_tuple_budget(plan.M, k)
     Y_msg = np.asarray(Y_msg, dtype=float)
     books = [plan.codebooks[i] for i in active]
     words = [b.words[1:] for b in books]  # (M, n_msg) each
@@ -220,39 +216,33 @@ def decode_joint_ml(
 
 
 def two_phase_receive(
-    Y: np.ndarray,
+    Y_sig: np.ndarray,
     plan: JointPlan,
     params: SystemParams,
     sched: EnergySchedule,
     bp: BoundParams,
-    detection_budget: int = DEFAULT_CANDIDATE_BUDGET,
-    tuple_budget: int = DEFAULT_TUPLE_BUDGET,
-    message_block: Callable[[list[int]], np.ndarray] | None = None,
+    message_block: Callable[[list[int]], np.ndarray],
 ) -> TwoPhaseResult:
-    """Detect active users on the signature block, then jointly decode them.
+    """Detect active users on the signature block Y_sig, then jointly
+    decode them on message_block(detected users), which is called when,
+    and only when, there is a decode to run.
 
     Declares overflow (and decodes nobody) when the estimated active count
     exceeds floor(xi*k); otherwise w_hat carries the ML messages for
-    detected users and 0 elsewhere.  A decode grid over the tuple budget
-    is reported as budget_abort (nobody decoded); a detection search over
-    its budget raises ComplexityBudgetError.  Given `message_block`, Y is
-    only the signature block, and message_block(detected users) gives the
-    message block when, and only when, there is a decode to run.
+    detected users and 0 elsewhere.  A decode grid over TUPLE_BUDGET is
+    reported as budget_abort (nobody decoded); a detection search over
+    detection.CANDIDATE_BUDGET raises ComplexityBudgetError.
     """
-    n_received = sched.n_sig + (0 if message_block else sched.n_msg)
-    if len(Y) != n_received:
-        raise ValueError(f"received length {len(Y)} != {n_received}")
-    det = detect_ls_exhaustive(
-        Y[: sched.n_sig], plan.signatures, v_cap(params, sched), budget=detection_budget
-    )
+    if len(Y_sig) != sched.n_sig:
+        raise ValueError(f"received length {len(Y_sig)} != {sched.n_sig}")
+    det = detect_ls_exhaustive(Y_sig, plan.signatures, v_cap(params, sched))
     w_hat = np.zeros(params.ell, dtype=int)
     if det.weight > math.floor(bp.xi * params.k):
         return TwoPhaseResult(w_hat=w_hat, detection=det, overflow=True)
     detected = det.d_hat.nonzero()[0].tolist()
     try:
-        _check_tuple_budget(plan.M, len(detected), tuple_budget)
-        Y_msg = message_block(detected) if message_block else Y[sched.n_sig :]
-        decoded = decode_joint_ml(Y_msg, plan, detected, budget=tuple_budget)
+        _check_tuple_budget(plan.M, len(detected))
+        decoded = decode_joint_ml(message_block(detected), plan, detected)
     except ComplexityBudgetError:
         return TwoPhaseResult(w_hat=w_hat, detection=det, overflow=False, budget_abort=True)
     for user, w in decoded.items():

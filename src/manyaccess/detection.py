@@ -23,7 +23,8 @@ from .codebooks import SignatureMatrix
 from .errors import ComplexityBudgetError, InvalidRegimeError
 from .model import EnergySchedule, SystemParams
 
-DEFAULT_CANDIDATE_BUDGET = 10**7
+# nominal candidates detect_ls_exhaustive searches at most, read when it runs
+CANDIDATE_BUDGET = 10**7
 
 
 @dataclass(frozen=True)
@@ -116,12 +117,7 @@ def _surviving_supports(gram: np.ndarray, corr: np.ndarray, v: int, tol: float) 
     return cands
 
 
-def detect_ls_exhaustive(
-    Y_sig: np.ndarray,
-    S: SignatureMatrix,
-    v: int,
-    budget: int = DEFAULT_CANDIDATE_BUDGET,
-) -> DetectionResult:
+def detect_ls_exhaustive(Y_sig: np.ndarray, S: SignatureMatrix, v: int) -> DetectionResult:
     """Exact least-squares support recovery over weights 0..v.
 
     Residuals are evaluated through the Gram form
@@ -133,8 +129,8 @@ def detect_ls_exhaustive(
     winner's row scored alone, since a matrix product may round a row by
     its position: it depends only on the support.  tol is 1e-9 times the
     sum of the magnitudes of the objective's terms, far above their
-    rounding.  The budget caps the nominal number of candidates, not the
-    nodes visited.
+    rounding.  CANDIDATE_BUDGET caps the nominal number of candidates, not
+    the nodes visited.
     """
     Y_sig = np.asarray(Y_sig, dtype=float)
     if Y_sig.shape != (S.n_sig,):
@@ -142,9 +138,9 @@ def detect_ls_exhaustive(
     if v < 0:
         raise ValueError(f"weight cap must be >= 0, got {v}")
     n_cands = candidate_count(S.ell, v)
-    if n_cands > budget:
+    if n_cands > CANDIDATE_BUDGET:
         raise ComplexityBudgetError(
-            f"{n_cands} candidates exceed the budget of {budget} (ell={S.ell}, v={v})"
+            f"{n_cands} candidates exceed the budget of {CANDIDATE_BUDGET} (ell={S.ell}, v={v})"
         )
     base = float(Y_sig @ Y_sig)
     if not math.isfinite(base):
@@ -163,17 +159,14 @@ def detect_ls_exhaustive(
     return DetectionResult(d_hat=win[0].astype(int), residual=float(scored(win)[0]))
 
 
-def detect_pilot(y_pilot: float | np.ndarray, t: float, E: float) -> bool | np.ndarray:
-    """Threshold test: user declared active iff y_pilot > sqrt(t*E)/2.
-
-    One pilot gives a bool; an array of pilots gives a boolean array.
-    """
+def detect_pilot(y_pilot: np.ndarray, t: float, E: float) -> np.ndarray:
+    """Threshold test: user declared active iff y_pilot > sqrt(t*E)/2,
+    one boolean per pilot."""
     if not 0.0 < t < 1.0:
         raise ValueError(f"pilot fraction must be in (0,1), got {t}")
     if E <= 0.0:
         raise ValueError(f"energy must be positive, got {E}")
-    active = np.asarray(y_pilot) > math.sqrt(t * E) / 2.0
-    return bool(active) if active.ndim == 0 else active
+    return np.asarray(y_pilot) > math.sqrt(t * E) / 2.0
 
 
 def detection_stats(d_true: np.ndarray, d_hat: np.ndarray) -> tuple[int, int]:

@@ -7,7 +7,7 @@ distance 5 inside the class: each codeword takes its radius-2 ball
 lowest-indexed codeword within distance 4.  Each cell has at least ell+1
 members and diameter at most 8, as the hypothesis-testing bound needs.
 Weight t = 1 classes are kept whole.  All of this is desk-scale only:
-class sizes are C(ell,t) M^t and enumeration is guarded by a budget.
+class sizes are C(ell,t) M^t and enumeration is guarded by ENUM_BUDGET.
 
 Classes and partitions are integer arrays, a member per row.  Distances
 come from float32 products of one-hot encodings, a column per (position,
@@ -29,7 +29,7 @@ not per cell: a (6,2,4) build and verify makes 225 profiled calls.  On 2
 vCPUs (13,15,3), 965 250 members in 22 cells, builds in about 0.67 s and
 verifies in about 0.28 s (28 MB tracemalloc peak); (5,316,2), one cell
 of 998 560, in 0.43 s and 0.13 s (18 MB).  A class whose rows are too
-wide for blocks of _BLOCK rows (ell (M+1) > 2048) is, within the budget,
+wide for blocks of _BLOCK rows (ell (M+1) > 2048) is, within ENUM_BUDGET,
 one cell of weight 1, or of weight 2 over M = 2, which the probe settles
 with no encoder: (5,200000,1) verifies in 0.09 s (35 MB).
 """
@@ -45,7 +45,8 @@ import numpy as np
 from .errors import ComplexityBudgetError
 from .model import activity_logpmf
 
-DEFAULT_ENUM_BUDGET = 10**6
+# class size enumerate_type_class builds at most, read when it runs
+ENUM_BUDGET = 10**6
 
 
 def hamming(w: tuple | np.ndarray, w2: tuple | np.ndarray) -> int:
@@ -296,24 +297,22 @@ def type_class_size(ell: int, M: int, t: int) -> int:
     return math.comb(ell, t) * M**t
 
 
-def _budgeted_size(ell: int, M: int, t: int, budget: int) -> int:
+def _budgeted_size(ell: int, M: int, t: int) -> int:
     """The class size, after checking that the class exists (ValueError)
-    and is within the enumeration budget (ComplexityBudgetError)."""
+    and is within ENUM_BUDGET (ComplexityBudgetError)."""
     if not 0 <= t <= ell:
         raise ValueError(f"weight must be in 0..{ell}, got {t}")
     if M < 1:
         raise ValueError(f"message count must be >= 1, got {M}")
     size = type_class_size(ell, M, t)
-    if size > budget:
-        raise ComplexityBudgetError(f"type class size {size} exceeds the budget {budget}")
+    if size > ENUM_BUDGET:
+        raise ComplexityBudgetError(f"type class size {size} exceeds the budget {ENUM_BUDGET}")
     return size
 
 
-def enumerate_type_class(
-    ell: int, M: int, t: int, budget: int = DEFAULT_ENUM_BUDGET
-) -> TypeClass:
+def enumerate_type_class(ell: int, M: int, t: int) -> TypeClass:
     """Enumerate the class in lexicographic order of the message vectors."""
-    size = _budgeted_size(ell, M, t, budget)
+    size = _budgeted_size(ell, M, t)
     dtype = np.min_scalar_type(M)
     supports = np.array(list(combinations(range(ell), t)), dtype=np.intp)
     supports = supports.reshape(math.comb(ell, t), t)
@@ -464,9 +463,7 @@ class Partition:
         return hash(self._key())
 
 
-def build_partition(
-    ell: int, M: int, t: int, budget: int = DEFAULT_ENUM_BUDGET
-) -> Partition:
+def build_partition(ell: int, M: int, t: int) -> Partition:
     """Partition the weight-t type class as used by the converse argument.
 
     t = 1: the whole class is a single cell (its diameter is already 2).
@@ -479,7 +476,7 @@ def build_partition(
         raise ValueError(f"message count must be >= 2, got {M}")
     if not 1 <= t <= ell:
         raise ValueError(f"weight must be in 1..{ell}, got {t}")
-    tc = enumerate_type_class(ell, M, t, budget=budget)
+    tc = enumerate_type_class(ell, M, t)
     if t == 1:
         return Partition(ell, M, t, rows=tc.rows, sizes=(tc.size,), center_rows=tc.rows[:1])
     centers, owner = _greedy(tc, 5)
@@ -512,14 +509,14 @@ def verify_partition(p: Partition, ell: int) -> PartitionReport:
     """Check disjoint cover, |cell| >= ell+1, and diameter <= 8.
 
     Failures are carried in the report, not raised; a class that does not
-    exist, or is beyond the enumeration budget, raises as
+    exist, or is beyond ENUM_BUDGET, raises as
     enumerate_type_class does, and an ell other than p.ell raises
     ValueError.  Sorted, a member in two places shows as equal
     neighbours; distinct members, as many as the class has, each in
     {0..M}^ell with exactly t nonzero entries, are the class."""
     if ell != p.ell:
         raise ValueError(f"user count {ell} is not the partition's {p.ell}")
-    size, sizes = _budgeted_size(p.ell, p.M, p.t, DEFAULT_ENUM_BUDGET), p.sizes
+    size, sizes = _budgeted_size(p.ell, p.M, p.t), p.sizes
     s = _lex_sorted(p.rows)
     # each sorted row as one opaque scalar of its bytes: neighbours compare whole
     rows = s.view(np.dtype((np.void, s.shape[1] * s.itemsize))).ravel()

@@ -49,18 +49,24 @@ def ortho_setup():
     return params, sched, plan
 
 
+def transmit_both(plan, msgs):
+    """The whole clean word: transmit_joint's signature block, then its message block."""
+    return np.concatenate([transmit_joint(plan, msgs, block) for block in ("signatures", "messages")])
+
+
 class TestTransmitJoint:
     def test_all_inactive(self, joint_setup):
         params, sched, plan = joint_setup
-        signal = transmit_joint(plan, np.zeros(params.ell, dtype=int))
-        assert (signal == 0).all()
-        assert len(signal) == sched.n_sig + sched.n_msg
+        for block, length in (("signatures", sched.n_sig), ("messages", sched.n_msg)):
+            signal = transmit_joint(plan, np.zeros(params.ell, dtype=int), block)
+            assert (signal == 0).all()
+            assert len(signal) == length
 
     def test_single_user(self, joint_setup):
         params, sched, plan = joint_setup
         msgs = np.zeros(params.ell, dtype=int)
         msgs[2] = 3
-        signal = transmit_joint(plan, msgs)
+        signal = transmit_both(plan, msgs)
         expected = np.concatenate([plan.signatures.matrix[:, 2], plan.codebooks[2].words[3]])
         assert np.array_equal(signal, expected)
 
@@ -68,7 +74,7 @@ class TestTransmitJoint:
         params, sched, plan = joint_setup
         msgs = np.zeros(params.ell, dtype=int)
         msgs[1], msgs[4] = 2, 4
-        signal = transmit_joint(plan, msgs)
+        signal = transmit_both(plan, msgs)
         # coordinatewise oracle: plain elementwise addition of both words
         sig = plan.signatures.matrix[:, 1] + plan.signatures.matrix[:, 4]
         msg = plan.codebooks[1].words[2] + plan.codebooks[4].words[4]
@@ -80,8 +86,8 @@ class TestTransmitJoint:
         b = np.array([0, 3, 0, 0, 4, 0])
         merged = a + b
         assert np.allclose(
-            transmit_joint(plan, a) + transmit_joint(plan, b),
-            transmit_joint(plan, merged),
+            transmit_both(plan, a) + transmit_both(plan, b),
+            transmit_both(plan, merged),
             rtol=1e-12,
         )
 
@@ -94,8 +100,9 @@ class TestTransmitJoint:
 
     def test_dimension_mismatch(self, joint_setup):
         _, _, plan = joint_setup
-        with pytest.raises(ValueError):
-            transmit_joint(plan, np.zeros(3, dtype=int))
+        for block in ("signatures", "messages"):
+            with pytest.raises(ValueError, match="message vector length 3 != ell 6"):
+                transmit_joint(plan, np.zeros(3, dtype=int), block)
 
     def test_unknown_block(self, joint_setup):
         params, _, plan = joint_setup

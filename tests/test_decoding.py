@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from manyaccess import decoding
+from manyaccess import decoding, detection
 from manyaccess.channel import (
     JointPlan,
     awgn,
@@ -34,6 +34,16 @@ from manyaccess.errors import ComplexityBudgetError
 from manyaccess.harness import ExperimentConfig, config_from_dict, estimate_error, write_trials_csv
 from manyaccess.model import SystemParams, make_joint_schedule, make_ortho_schedule, sample_messages
 from manyaccess.rng import make_rng, substream
+
+
+def transmit_both(plan, msgs):
+    """The whole clean word: transmit_joint's signature block, then its message block."""
+    return np.concatenate([transmit_joint(plan, msgs, block) for block in ("signatures", "messages")])
+
+
+def receive(Y, plan, params, sched, bp):
+    """two_phase_receive on a whole received word: signature block, then message block."""
+    return two_phase_receive(Y[: sched.n_sig], plan, params, sched, bp, lambda users: Y[sched.n_sig :])
 
 
 def dense_joint_ml(Y_msg, plan, active, budget=10**7):
@@ -212,10 +222,21 @@ class TestDecodeJointMl:
         with pytest.raises(ValueError, match=r"distinct users in range\(4\)"):
             decode_joint_ml(np.zeros(128), plan, active)
 
-    def test_budget_guard(self):
+    def test_budget_guard(self, monkeypatch):
         _, _, plan = self._setup()
-        with pytest.raises(ComplexityBudgetError):
-            decode_joint_ml(np.zeros(128), plan, [0, 1, 2, 3], budget=10)
+        monkeypatch.setattr(decoding, "TUPLE_BUDGET", 10)
+        with pytest.raises(ComplexityBudgetError, match=r"3\^4 exceeds the tuple budget of 10"):
+            decode_joint_ml(np.zeros(128), plan, [0, 1, 2, 3])
+
+    def test_tuple_budget_read_when_the_search_runs(self, monkeypatch):
+        # 3^3 = 27 tuples: a budget of 26 refuses, and one of 27 decodes
+        _, _, plan = self._setup()
+        Y = plan.codebooks[0].words[1] + plan.codebooks[2].words[3] + plan.codebooks[3].words[2]
+        monkeypatch.setattr(decoding, "TUPLE_BUDGET", 26)
+        with pytest.raises(ComplexityBudgetError, match=r"3\^3 exceeds the tuple budget of 26"):
+            decode_joint_ml(Y, plan, [0, 2, 3])
+        monkeypatch.setattr(decoding, "TUPLE_BUDGET", 27)
+        assert decode_joint_ml(Y, plan, [0, 2, 3]) == {0: 1, 2: 3, 3: 2}
 
     def test_brute_force_oracle_under_noise(self):
         params, sched, plan = self._setup(seed=77)
@@ -442,8 +463,7 @@ class TestTwoPhase:
     def test_noiseless_end_to_end(self):
         params, sched, plan, bp = self._setup(51)
         msgs = sample_messages(params, plan.M, make_rng(52))
-        Y = transmit_joint(plan, msgs)
-        res = two_phase_receive(Y, plan, params, sched, bp)
+        res = receive(transmit_both(plan, msgs), plan, params, sched, bp)
         stats = score_errors(msgs, res.w_hat, res.overflow)
         assert not stats.joint_error
         assert np.array_equal(res.w_hat, msgs)
@@ -454,37 +474,48 @@ class TestTwoPhase:
         assert math.floor(bp.xi * params.k) == 1
         msgs = np.zeros(params.ell, dtype=int)
         msgs[[0, 3, 6]] = 1  # 3k active
-        Y = transmit_joint(plan, msgs)
-        res = two_phase_receive(Y, plan, params, sched, bp)
+        res = receive(transmit_both(plan, msgs), plan, params, sched, bp)
         assert res.overflow
         stats = score_errors(msgs, res.w_hat, res.overflow)
         assert stats.joint_error and stats.per_user_errors == 3
 
-    def test_decode_over_budget_is_reported(self):
+    def test_decode_over_budget_is_reported(self, monkeypatch):
         # three users active, M^3 = 64 tuples over a budget of 63: the
-        # receiver reports the abort and decodes nobody
+        # receiver reports the abort, decodes nobody and never asks for
+        # the message block
         params, sched, plan, bp = self._setup(51)
         msgs = np.array([1, 0, 2, 0, 3, 0])
-        Y = transmit_joint(plan, msgs)
-        res = two_phase_receive(Y, plan, params, sched, bp, tuple_budget=63)
+        Y = transmit_both(plan, msgs)
+        asked = []
+
+        def message_block(users):
+            asked.append(users)
+            return Y[sched.n_sig :]
+
+        monkeypatch.setattr(decoding, "TUPLE_BUDGET", 63)
+        res = two_phase_receive(Y[: sched.n_sig], plan, params, sched, bp, message_block)
         assert res.budget_abort and not res.overflow
         assert not res.w_hat.any()
         assert res.detection.weight == 3
-        assert not two_phase_receive(Y, plan, params, sched, bp, tuple_budget=64).budget_abort
+        assert asked == []
+        monkeypatch.setattr(decoding, "TUPLE_BUDGET", 64)
+        assert not two_phase_receive(Y[: sched.n_sig], plan, params, sched, bp, message_block).budget_abort
+        assert asked == [[0, 2, 4]]
 
-    def test_detection_over_budget_raises(self):
+    def test_detection_over_budget_raises(self, monkeypatch):
         params, sched, plan, bp = self._setup(51)
-        Y = transmit_joint(plan, np.zeros(params.ell, dtype=int))
-        with pytest.raises(ComplexityBudgetError):
-            two_phase_receive(Y, plan, params, sched, bp, detection_budget=1)
+        Y = transmit_both(plan, np.zeros(params.ell, dtype=int))
+        monkeypatch.setattr(detection, "CANDIDATE_BUDGET", 1)
+        with pytest.raises(ComplexityBudgetError, match="candidates exceed the budget of 1 "):
+            receive(Y, plan, params, sched, bp)
 
-    @pytest.mark.parametrize("blocks", [True, False], ids=["whole", "signature_block"])
-    def test_wrong_received_length(self, blocks):
+    # the signature block one sample short and one long
+    @pytest.mark.parametrize("extra", [-1, 1], ids=["signature_block", "long_signature_block"])
+    def test_wrong_received_length(self, extra):
         params, sched, plan, bp = self._setup(51)
-        n = sched.n_sig + sched.n_msg if blocks else sched.n_sig
-        message_block = None if blocks else (lambda users: np.zeros(sched.n_msg))
-        with pytest.raises(ValueError, match=f"received length {n - 1} != {n}"):
-            two_phase_receive(np.zeros(n - 1), plan, params, sched, bp, message_block=message_block)
+        n, Y_msg = sched.n_sig, np.zeros(sched.n_msg)
+        with pytest.raises(ValueError, match=f"received length {n + extra} != {n}"):
+            two_phase_receive(np.zeros(n + extra), plan, params, sched, bp, lambda users: Y_msg)
 
     def test_single_user_high_energy_smoke(self):
         params, sched, plan, bp = self._setup(54, ell=4, alpha=0.25)
@@ -494,8 +525,8 @@ class TestTwoPhase:
             plan = make_joint_plan(params, sched, 4, rng)
             msgs = np.zeros(params.ell, dtype=int)
             msgs[0] = int(rng.integers(1, 5))
-            Y = awgn(transmit_joint(plan, msgs), params.N0 / 50.0, rng)
-            res = two_phase_receive(Y, plan, params, sched, bp)
+            Y = awgn(transmit_both(plan, msgs), params.N0 / 50.0, rng)
+            res = receive(Y, plan, params, sched, bp)
             hits += int(np.array_equal(res.w_hat, msgs))
         assert hits == 100
 
@@ -631,8 +662,8 @@ class TestMonteCarloAgainstBounds:
                 rng = substream(614, seed)
                 plan = make_joint_plan(params, sched, 4, rng)
                 msgs = sample_messages(params, 4, rng)
-                Y = awgn(transmit_joint(plan, msgs), params.N0, rng)
-                res = two_phase_receive(Y, plan, params, sched, bp)
+                Y = awgn(transmit_both(plan, msgs), params.N0, rng)
+                res = receive(Y, plan, params, sched, bp)
                 wrong += int(score_errors(msgs, res.w_hat, res.overflow).joint_error)
             rates.append(wrong / trials)
         sigma = 3.0 * math.sqrt(0.25 / trials)

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from manyaccess import detection
+from manyaccess import decoding, detection
 from manyaccess.codebooks import SignatureMatrix, gen_signatures
 from manyaccess.detection import (
     candidate_count,
@@ -174,11 +174,27 @@ class TestExhaustiveLs:
             res = detect_ls_exhaustive(Y, S, v=4)
             assert res.residual <= Y @ Y + 1e-9
 
-    def test_budget_guard(self):
+    def test_budget_guard(self, monkeypatch):
         S = gen_signatures(40, 16, 4.0, make_rng(25))
-        with pytest.raises(ComplexityBudgetError):
-            detect_ls_exhaustive(np.zeros(16), S, v=20, budget=10**4)
+        monkeypatch.setattr(detection, "CANDIDATE_BUDGET", 10**4)
+        with pytest.raises(ComplexityBudgetError, match="exceed the budget of 10000 "):
+            detect_ls_exhaustive(np.zeros(16), S, v=20)
         assert candidate_count(40, 20) > 10**4
+
+    def test_candidate_budget_read_when_the_search_runs(self, monkeypatch):
+        # the search, under the name the receiver calls it by, reads the
+        # budget at each call: one candidate fewer than (8, 3) has refuses,
+        # exactly as many accepts and gives the unpatched answer
+        rng = make_rng(30)
+        S = gen_signatures(8, 32, 4.0, rng)
+        Y = S.matrix[:, [1, 5]].sum(axis=1) + rng.standard_normal(32)
+        want = detect_ls_exhaustive(Y, S, 3)
+        monkeypatch.setattr(detection, "CANDIDATE_BUDGET", candidate_count(8, 3) - 1)
+        with pytest.raises(ComplexityBudgetError, match="93 candidates exceed the budget of 92 "):
+            decoding.detect_ls_exhaustive(Y, S, 3)
+        monkeypatch.setattr(detection, "CANDIDATE_BUDGET", candidate_count(8, 3))
+        got = decoding.detect_ls_exhaustive(Y, S, 3)
+        assert np.array_equal(got.d_hat, want.d_hat) and got.residual == want.residual
 
     def test_deterministic(self):
         rng = make_rng(26)
@@ -320,10 +336,13 @@ class TestBranchAndBound:
 
 class TestDetectPilot:
     def test_noiseless_active(self):
-        assert detect_pilot(math.sqrt(0.25 * 16.0), 0.25, 16.0) is True
+        active = detect_pilot(np.array([math.sqrt(0.25 * 16.0)]), 0.25, 16.0)
+        assert active.dtype == bool and active.tolist() == [True]
 
     def test_noiseless_inactive(self):
-        assert detect_pilot(0.0, 0.25, 16.0) is False
+        # a pilot exactly at the threshold sqrt(tE)/2 is inactive: the test is strict
+        active = detect_pilot(np.array([0.0, math.sqrt(0.25 * 16.0) / 2.0]), 0.25, 16.0)
+        assert active.dtype == bool and active.tolist() == [False, False]
 
     @pytest.mark.parametrize("t,E,message", [
         (0.0, 16.0, "pilot fraction must be in"), (1.0, 16.0, "pilot fraction must be in"),

@@ -1,6 +1,5 @@
 import csv
 import dataclasses
-import functools
 import hashlib
 import math
 import multiprocessing
@@ -16,7 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from manyaccess import channel, decoding, harness
+from manyaccess import channel, decoding, detection, harness
 from manyaccess.codebooks import gen_codebook, gen_signatures
 from manyaccess.decoding import BoundParams
 from manyaccess.errors import ComplexityBudgetError, ConfigError
@@ -265,8 +264,7 @@ class TestRunTrial:
 
         monkeypatch.setattr(channel, "gen_codebook", tracked_gen_codebook)
         if detection_budget is not None:
-            monkeypatch.setattr(harness, "two_phase_receive", functools.partial(
-                harness.two_phase_receive, detection_budget=detection_budget))
+            monkeypatch.setattr(detection, "CANDIDATE_BUDGET", detection_budget)
         for i in range(10):
             if detection_budget is None:
                 run_trial(TINY, i)

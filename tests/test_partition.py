@@ -133,13 +133,26 @@ class TestTypeClass:
         tc = enumerate_type_class(6, 3, 2)
         assert tc.size == type_class_size(6, 3, 2) == math.comb(6, 2) * 9
 
-    def test_budget(self):
+    def test_budget(self, monkeypatch):
         # one member over the budget refuses a class that would take 2.6 MB;
         # the budget that just holds it builds it
         size = type_class_size(10, 4, 5)
-        with pytest.raises(ComplexityBudgetError):
-            enumerate_type_class(10, 4, 5, budget=size - 1)
-        assert enumerate_type_class(10, 4, 5, budget=size).size == size
+        monkeypatch.setattr(partition_module, "ENUM_BUDGET", size - 1)
+        with pytest.raises(ComplexityBudgetError, match=f"size {size} exceeds the budget {size - 1}"):
+            enumerate_type_class(10, 4, 5)
+        monkeypatch.setattr(partition_module, "ENUM_BUDGET", size)
+        assert enumerate_type_class(10, 4, 5).size == size
+
+    def test_enum_budget_read_when_the_search_runs(self, monkeypatch):
+        # build and verify read the budget when they run, as enumeration does
+        p = build_partition(6, 2, 3)
+        size = type_class_size(6, 2, 3)
+        monkeypatch.setattr(partition_module, "ENUM_BUDGET", size - 1)
+        for refused in (lambda: build_partition(6, 2, 3), lambda: verify_partition(p, 6)):
+            with pytest.raises(ComplexityBudgetError, match=f"size {size} exceeds the budget"):
+                refused()
+        monkeypatch.setattr(partition_module, "ENUM_BUDGET", size)
+        assert build_partition(6, 2, 3) == p and verify_partition(p, 6).ok
 
     def test_members_have_correct_weight(self):
         tc = enumerate_type_class(5, 2, 3)
@@ -156,12 +169,13 @@ class TestTypeClass:
         assert tc.rows.shape == (type_class_size(ell, M, t), ell)
         assert tc.rows.dtype == np.min_scalar_type(M)
 
-    def test_budget_checked_before_any_allocation(self):
+    def test_budget_checked_before_any_allocation(self, monkeypatch):
         # 924 * 3**6 rows of 12 bytes, about 8 MB, if it were built
+        monkeypatch.setattr(partition_module, "ENUM_BUDGET", 10**5)
         tracemalloc.start()
         try:
             with pytest.raises(ComplexityBudgetError):
-                enumerate_type_class(12, 3, 6, budget=10**5)
+                enumerate_type_class(12, 3, 6)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -218,7 +232,7 @@ class TestBuildPartition:
 
     def test_negative_control_far_points(self):
         # hand-built bad partition: two members at distance > 8 in one cell
-        tc = enumerate_type_class(9, 2, 9, budget=10**6)
+        tc = enumerate_type_class(9, 2, 9)
         w_far = tc.members[0]
         w_far2 = tuple(2 if x == 1 else 1 for x in w_far)
         assert hamming(w_far, w_far2) == 9

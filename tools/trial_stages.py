@@ -35,7 +35,8 @@ JSON object:
   helper reads 0 here and names its missing `wait` hook in
   `missing_hooks`.
 - `decode_ms_by_k`: `decode` self time per call, keyed by the number of
-  detected users the call decodes, as the least of the PASSES runs of
+  detected users the call decodes (the `d_hat_weight` of a trial record
+  with neither overflow nor budget abort), as the least of the PASSES runs of
   each trial, averaged over the trials with a decode of that k.  With
   `--src`, it compares per-k decode cost on the same trials.
 - `calls`: profiled calls per trial, per stage and in total, counted by
@@ -113,18 +114,6 @@ class Stages:
                 setattr(module, attr, self.wrap(getattr(module, attr), stage))
             else:
                 self.missing_hooks.append(f"{module.__name__}.{attr}")
-        self.decoded_k = None  # detected users of the trial's decode, if it had one
-        self.recorder_code = None
-        if hasattr(decoding, "decode_joint_ml"):
-            timed_decode = decoding.decode_joint_ml
-
-            def decode_joint_ml(Y_msg, plan, active, *args, **kwargs):
-                # outside the decode stage: this line's time goes to the caller's
-                self.decoded_k = len(active)
-                return timed_decode(Y_msg, plan, active, *args, **kwargs)
-
-            decoding.decode_joint_ml = decode_joint_ml
-            self.recorder_code = decode_joint_ml.__code__
 
     def wrap(self, fn, stage: str):
         local, helper_times, clock = self.local, self.helper_times, time.perf_counter
@@ -147,26 +136,28 @@ class Stages:
         self.wrapper_code = wrapper.__code__
         return wrapper
 
-    def timed(self, run_trial, cfg, index: int) -> tuple[dict, dict]:
-        """Self ms of each stage in one trial, on the trial's thread and on the helper."""
+    def timed(self, run_trial, cfg, index: int) -> tuple[dict, dict, int | None]:
+        """Self ms of each stage in one trial, on the trial's thread and on
+        the helper, and the number of users its decode decoded: the
+        detected users of a trial that neither overflowed nor aborted,
+        None for the others, which run no decode."""
         for times in (self.times, self.helper_times):
             for stage in times:
                 times[stage] = 0.0
-        self.decoded_k = None
         start = time.perf_counter()
         self.times["rest"] -= start
-        run_trial(cfg, index)
+        rec = run_trial(cfg, index)
         self.times["rest"] += time.perf_counter()
         return ({stage: 1000.0 * t for stage, t in self.times.items()},
-                {stage: 1000.0 * t for stage, t in self.helper_times.items()})
+                {stage: 1000.0 * t for stage, t in self.helper_times.items()},
+                None if rec.overflow or rec.budget_abort else rec.d_hat_weight)
 
     def counted(self, run_trial, cfg, index: int) -> None:
         """Add one trial's profiler events to self.calls, by stage."""
-        skip = (self.wrapper_code, self.recorder_code)
-        stack, calls = self.stack, self.calls
+        skip, stack, calls = self.wrapper_code, self.stack, self.calls
 
         def profile(frame, event, arg):
-            if event in ("call", "c_call") and frame.f_code not in skip:
+            if event in ("call", "c_call") and frame.f_code is not skip:
                 calls[stack[-1]] += 1
 
         sys.setprofile(profile)
@@ -191,8 +182,7 @@ def stage_report(src: str) -> dict:
     cpu, wall = time.process_time(), time.perf_counter()
     for _ in range(PASSES):
         for slot, i in enumerate(indices):
-            ms, helper_ms = stages.timed(harness.run_trial, cfg, i)
-            decoded_k[slot] = stages.decoded_k
+            ms, helper_ms, decoded_k[slot] = stages.timed(harness.run_trial, cfg, i)
             for stage, value in ms.items():
                 best[slot][stage] = min(best[slot][stage], value)
                 summed[stage] += value
