@@ -174,7 +174,7 @@ def transmit_joint(plan: JointPlan, msgs: np.ndarray, block: str) -> np.ndarray:
         raise ValueError(f"unknown block {block!r}")
     active = np.asarray(msgs) != 0
     if block == "signatures":
-        rows = plan.signatures.matrix.T  # (ell, n_sig): the signatures as drawn
+        rows = plan.signatures.rows
         return np.matmul(active.astype(float), rows, out=np.empty(rows.shape[1]))  # S d
     out = np.zeros(plan.n_msg)
     for i in active.nonzero()[0]:

@@ -42,20 +42,19 @@ class Codebook:
 
 @dataclass(frozen=True)
 class SignatureMatrix:
-    """Per-user signature columns; column i is user i's signature.  Drawn
-    signatures are a view of their (ell, n_sig) rows: matrix.T is the
-    C-contiguous array the draws were written to."""
+    """Per-user signatures as drawn: row i of `rows` is user i's signature,
+    so the signature matrix S of the receivers is rows.T."""
 
-    matrix: np.ndarray  # shape (n_sig, ell)
+    rows: np.ndarray  # shape (ell, n_sig)
     E_sig: float
 
     @property
     def ell(self) -> int:
-        return self.matrix.shape[1]
+        return self.rows.shape[0]
 
     @property
     def n_sig(self) -> int:
-        return self.matrix.shape[0]
+        return self.rows.shape[1]
 
 
 @dataclass(frozen=True)
@@ -94,7 +93,7 @@ def _fill_truncated_gaussian(out: np.ndarray, E: float, rng: np.random.Generator
     returns the rows' energies from the rejection test, bitwise
     _row_energies(out) since each row's sum does not depend on its
     neighbours."""
-    if E <= 0.0:
+    if not E > 0.0:
         raise ValueError(f"energy cap must be positive, got {E}")
     count, length = out.shape
     sigma = math.sqrt(E / (2.0 * length))
@@ -137,12 +136,11 @@ def gen_codebook(M: int, length: int, E: float, rng: np.random.Generator) -> Cod
 def gen_signatures(
     ell: int, n_sig: int, E_sig: float, rng: np.random.Generator
 ) -> SignatureMatrix:
-    """ell independent truncated-Gaussian signature columns, drawn as the
-    rows of an (ell, n_sig) array and kept in that layout."""
+    """ell independent truncated-Gaussian signatures, the rows of an
+    (ell, n_sig) array."""
     if ell < 1:
         raise ValueError(f"user count must be >= 1, got {ell}")
-    rows = gen_truncated_gaussian(ell, n_sig, E_sig, rng)
-    return SignatureMatrix(matrix=rows.T, E_sig=E_sig)
+    return SignatureMatrix(rows=gen_truncated_gaussian(ell, n_sig, E_sig, rng), E_sig=E_sig)
 
 
 def gen_ppm_codebook(M: int, slot_len: int, E: float, t: float) -> Codebook:
@@ -157,7 +155,7 @@ def gen_ppm_codebook(M: int, slot_len: int, E: float, t: float) -> Codebook:
         raise ValueError(f"message count must be >= 2, got {M}")
     if not 0.0 < t < 1.0:
         raise ValueError(f"pilot fraction must be in (0,1), got {t}")
-    if E <= 0.0:
+    if not E > 0.0:
         raise ValueError(f"energy must be positive, got {E}")
     if slot_len < M + 1:
         # the ortho scheme's regime: a slot holds the pilot and M pulse positions

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import JointPlan, OrthoPlan
-from .detection import DetectionResult, detect_ls_exhaustive, detect_pilot, v_cap
+from .detection import detect_ls_exhaustive, detect_pilot, v_cap
 from .errors import ComplexityBudgetError
 from .model import EnergySchedule, SystemParams
 
@@ -40,9 +40,9 @@ class BoundParams:
     def __post_init__(self):
         if not 0.0 < self.rho <= 1.0:
             raise ValueError(f"rho must be in (0,1], got {self.rho}")
-        if self.lam < 0.0:
+        if not self.lam >= 0.0:
             raise ValueError(f"lambda must be >= 0, got {self.lam}")
-        if self.xi < 1:
+        if not self.xi >= 1:
             raise ValueError(f"xi must be a positive integer, got {self.xi}")
 
 
@@ -53,14 +53,6 @@ class ErrorStats:
     joint_error: bool
     per_user_errors: int
     ape: float
-
-
-@dataclass(frozen=True)
-class TwoPhaseResult:
-    w_hat: np.ndarray
-    detection: DetectionResult
-    overflow: bool
-    budget_abort: bool = False
 
 
 def decode_ppm(y_slot: np.ndarray, M: int) -> np.ndarray:
@@ -222,32 +214,34 @@ def two_phase_receive(
     sched: EnergySchedule,
     bp: BoundParams,
     message_block: Callable[[list[int]], np.ndarray],
-) -> TwoPhaseResult:
-    """Detect active users on the signature block Y_sig, then jointly
-    decode them on message_block(detected users), which is called when,
-    and only when, there is a decode to run.
+) -> tuple[np.ndarray, np.ndarray, bool, bool]:
+    """(w_hat, d_hat, overflow, budget_abort): detect active users on the
+    signature block Y_sig, then jointly decode them on
+    message_block(detected users), which is called when, and only when,
+    there is a decode to run.
 
     Declares overflow (and decodes nobody) when the estimated active count
     exceeds floor(xi*k); otherwise w_hat carries the ML messages for
     detected users and 0 elsewhere.  A decode grid over TUPLE_BUDGET is
-    reported as budget_abort (nobody decoded); a detection search over
+    a budget abort: nobody is decoded and d_hat is all zero, so the trial
+    is scored as a total loss.  A detection search over
     detection.CANDIDATE_BUDGET raises ComplexityBudgetError.
     """
     if len(Y_sig) != sched.n_sig:
         raise ValueError(f"received length {len(Y_sig)} != {sched.n_sig}")
-    det = detect_ls_exhaustive(Y_sig, plan.signatures, v_cap(params, sched))
+    d_hat = detect_ls_exhaustive(Y_sig, plan.signatures, v_cap(params, sched)).d_hat
     w_hat = np.zeros(params.ell, dtype=int)
-    if det.weight > math.floor(bp.xi * params.k):
-        return TwoPhaseResult(w_hat=w_hat, detection=det, overflow=True)
-    detected = det.d_hat.nonzero()[0].tolist()
+    detected = d_hat.nonzero()[0].tolist()
+    if len(detected) > math.floor(bp.xi * params.k):
+        return w_hat, d_hat, True, False
     try:
         _check_tuple_budget(plan.M, len(detected))
         decoded = decode_joint_ml(message_block(detected), plan, detected)
     except ComplexityBudgetError:
-        return TwoPhaseResult(w_hat=w_hat, detection=det, overflow=False, budget_abort=True)
+        return w_hat, np.zeros_like(d_hat), False, True
     for user, w in decoded.items():
         w_hat[user] = w
-    return TwoPhaseResult(w_hat=w_hat, detection=det, overflow=False)
+    return w_hat, d_hat, False, False
 
 
 def ortho_receive(

@@ -29,11 +29,10 @@ CANDIDATE_BUDGET = 10**7
 
 @dataclass(frozen=True)
 class DetectionResult:
-    """Estimated activity pattern plus achieved residual; detection_stats
+    """Estimated activity pattern, a 0/1 integer per user; detection_stats
     scores it against the truth."""
 
     d_hat: np.ndarray
-    residual: float
 
     @property
     def weight(self) -> int:
@@ -125,12 +124,10 @@ def detect_ls_exhaustive(Y_sig: np.ndarray, S: SignatureMatrix, v: int) -> Detec
     (see _surviving_supports) keeps every support within tol of the
     optimum; the survivors are scored with that expression, ordered by
     weight then lexicographic support, and the first minimum wins, which
-    implements the documented tie-break.  The reported residual is the
-    winner's row scored alone, since a matrix product may round a row by
-    its position: it depends only on the support.  tol is 1e-9 times the
-    sum of the magnitudes of the objective's terms, far above their
-    rounding.  CANDIDATE_BUDGET caps the nominal number of candidates, not
-    the nodes visited.
+    implements the documented tie-break.  tol is 1e-9 times the sum of the
+    magnitudes of the objective's terms, far above their rounding.
+    CANDIDATE_BUDGET caps the nominal number of candidates, not the nodes
+    visited.
     """
     Y_sig = np.asarray(Y_sig, dtype=float)
     if Y_sig.shape != (S.n_sig,):
@@ -145,18 +142,12 @@ def detect_ls_exhaustive(Y_sig: np.ndarray, S: SignatureMatrix, v: int) -> Detec
     base = float(Y_sig @ Y_sig)
     if not math.isfinite(base):
         raise ValueError("received signature block is not finite, or its energy overflows")
-    rows = S.matrix.T  # (ell, n_sig): the signatures as drawn
-    gram = rows @ rows.T
-    corr = rows @ Y_sig
+    gram = S.rows @ S.rows.T
+    corr = S.rows @ Y_sig
     scale = base + 2.0 * float(np.abs(corr).sum()) + float(np.abs(gram).sum())
     cands = _surviving_supports(gram, corr, min(v, S.ell), 1e-9 * max(1.0, scale))
-
-    def scored(d: np.ndarray) -> np.ndarray:
-        return base - 2.0 * (d @ corr) + np.einsum("ij,ij->i", d @ gram, d)
-
-    best = scored(cands).argmin()
-    win = cands[best : best + 1]
-    return DetectionResult(d_hat=win[0].astype(int), residual=float(scored(win)[0]))
+    residuals = base - 2.0 * (cands @ corr) + np.einsum("ij,ij->i", cands @ gram, cands)
+    return DetectionResult(d_hat=cands[residuals.argmin()].astype(int))
 
 
 def detect_pilot(y_pilot: np.ndarray, t: float, E: float) -> np.ndarray:
@@ -164,7 +155,7 @@ def detect_pilot(y_pilot: np.ndarray, t: float, E: float) -> np.ndarray:
     one boolean per pilot."""
     if not 0.0 < t < 1.0:
         raise ValueError(f"pilot fraction must be in (0,1), got {t}")
-    if E <= 0.0:
+    if not E > 0.0:
         raise ValueError(f"energy must be positive, got {E}")
     return np.asarray(y_pilot) > math.sqrt(t * E) / 2.0
 

@@ -69,15 +69,13 @@ class JointScheme:
 
     def transmit_receive(self, cfg: "ExperimentConfig", sched: EnergySchedule, plan,
                          msgs: np.ndarray, N0: float, rng):
-        """(w_hat, d_hat, overflow, budget_abort) of one transmission: the
-        bytes of transmit_joint's two blocks, awgn over both and
-        two_phase_receive in turn, with the work reordered around the
-        books.  The helper draws the active users' books while this
-        thread draws the noise, adds S d and detects; then the two draw
-        the detected users' books, and the message block, noise + (0 +
-        the active users' words), is formed and decoded.  A budget abort
-        decodes nobody and reports no user detected: it is scored as a
-        total loss."""
+        """two_phase_receive's (w_hat, d_hat, overflow, budget_abort) of
+        one transmission: the bytes of transmit_joint's two blocks, awgn
+        over both and two_phase_receive in turn, with the work reordered
+        around the books.  The helper draws the active users' books while
+        this thread draws the noise, adds S d and detects; then the two
+        draw the detected users' books, and the message block, noise + (0
+        + the active users' words), is formed and decoded."""
         books, n_sig = plan.codebooks, sched.n_sig
         active = msgs.nonzero()[0].tolist()
 
@@ -93,10 +91,8 @@ class JointScheme:
             # books, and timed trials' p50 rose by up to 17%
             Y = awgn(np.concatenate([transmit_joint(plan, msgs, "signatures"),
                                      np.zeros(sched.n_msg)]), N0, rng)
-            res = two_phase_receive(Y[:n_sig], plan, cfg.params, sched, cfg.bp,
-                                    message_block=message_block)
-        d_hat = np.zeros_like(res.w_hat) if res.budget_abort else res.detection.d_hat
-        return res.w_hat, d_hat, res.overflow, res.budget_abort
+            return two_phase_receive(Y[:n_sig], plan, cfg.params, sched, cfg.bp,
+                                     message_block=message_block)
 
     def budget(self, cfg: "ExperimentConfig", sched: EnergySchedule) -> bounds.BoundReport:
         return bounds.two_phase_error_budget(cfg.params, sched, cfg.bp, cfg.M)

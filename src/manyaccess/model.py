@@ -190,7 +190,7 @@ def make_ortho_schedule(params: SystemParams, t: float) -> EnergySchedule:
 
 def single_user_capacity_pue(N0: float) -> float:
     """Single-user capacity per unit energy, 1/N0 nats."""
-    if N0 <= 0.0:
+    if not N0 > 0.0:
         raise ValueError(f"noise level must be positive, got {N0}")
     return 1.0 / N0
 
@@ -205,7 +205,7 @@ class RateSpec:
     def __post_init__(self):
         if self.M < 2:
             raise ValueError(f"message count must be >= 2, got {self.M}")
-        if self.R_dot <= 0.0:
+        if not self.R_dot > 0.0:
             raise ValueError(f"rate must be positive, got {self.R_dot}")
 
     @classmethod

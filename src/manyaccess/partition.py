@@ -64,36 +64,6 @@ _TABLE = 2**19
 _BLOCK = 256
 
 
-def _rows(members, ell: int) -> np.ndarray:
-    """Integer message vectors as an N x ell array, one member per row, in
-    the smallest integer dtype that holds all their values (uint8 up to
-    255).  A member whose length is not ell, or a value that is not an
-    integer within 64 bits, raises ValueError."""
-    if not members:
-        return np.zeros((0, ell), dtype=np.uint8)
-    try:
-        x = np.array(members)
-    except ValueError:  # members of different lengths
-        x = np.empty(0)
-    if x.shape != (len(members), ell):
-        raise ValueError(f"every member must have length {ell}")
-    if x.dtype.kind == "f":
-        # np.array gives float64 to a value at or above 2**63 beside a small
-        # one; when all are non-negative integers, uint64 holds them exactly
-        values = [v for w in members for v in w]
-        if all(isinstance(v, (int, np.integer)) for v in values) and min(values) >= 0:
-            x = np.array(members, dtype=np.uint64)
-    # a float array still holds a fraction, or a negative value beside one
-    # at or above 2**63, which no 64-bit dtype holds both of; an object
-    # array an integer beyond 64 bits or a value that is no number
-    if x.dtype.kind not in "biu":
-        raise ValueError(f"member values must be integers within 64 bits, got dtype {x.dtype}")
-    dtype = np.result_type(np.min_scalar_type(int(x.min())), np.min_scalar_type(int(x.max())))
-    # a negative value beside one above 2**32 promotes to float64, which
-    # rounds beyond 2**53: keep the int64 that np.array chose
-    return x.astype(dtype if dtype.kind in "iu" else x.dtype, copy=False)
-
-
 def _lex_sorted(x: np.ndarray) -> np.ndarray:
     """The rows of x in lexicographic order."""
     # lexsort needs a key; with no columns every row is the empty vector
@@ -275,8 +245,8 @@ def _split(x: np.ndarray, sizes) -> list[np.ndarray]:
 @dataclass(frozen=True, eq=False)
 class TypeClass:
     """All message vectors over {0..M} of length ell with t nonzero entries,
-    one per row of `rows` in lexicographic order (read-only, in the
-    smallest unsigned dtype that holds M)."""
+    one per row of the read-only array `rows` in lexicographic order, in
+    the smallest unsigned dtype that holds M."""
 
     ell: int
     M: int
@@ -286,11 +256,6 @@ class TypeClass:
     @property
     def size(self) -> int:
         return len(self.rows)
-
-    @cached_property
-    def members(self) -> tuple[tuple[int, ...], ...]:
-        """The rows as tuples of ints, built the first time they are read."""
-        return tuple(map(tuple, self.rows.tolist()))
 
 
 def type_class_size(ell: int, M: int, t: int) -> int:
@@ -407,10 +372,11 @@ class Partition:
     """Disjoint cover of a type class by cells around distance-5 codewords.
 
     `rows` holds the members cell after cell, `sizes` each cell's length
-    and `center_rows` one codeword per row, all read-only integer arrays
-    of ell columns.  The constructor checks only shapes and dtypes; a
-    partition given as tuples goes through `from_sets`, which validates
-    every member.  Two partitions are equal when their tuple views are.
+    and `center_rows` one codeword per row, integer arrays of ell columns
+    in any integer dtype.  The constructor checks only shapes and dtypes;
+    whether the rows are the class is verify_partition's report.  `sets`
+    and `centers` are tuple views built when first read, and two
+    partitions are equal when those are.
     """
 
     ell: int
@@ -427,15 +393,6 @@ class Partition:
                 raise ValueError(f"{name} must be an integer array of {self.ell} columns")
         if sum(self.sizes) != len(self.rows):
             raise ValueError(f"cell sizes sum to {sum(self.sizes)}, not {len(self.rows)} rows")
-
-    @classmethod
-    def from_sets(cls, ell: int, M: int, t: int, centers, sets) -> "Partition":
-        """A partition from member tuples, one sequence per cell.  A member
-        whose length is not ell, or a value that is not an integer within
-        64 bits, raises ValueError."""
-        rows, center_rows = _rows([w for cell in sets for w in cell], ell), _rows(centers, ell)
-        rows.flags.writeable = center_rows.flags.writeable = False
-        return cls(ell, M, t, rows, tuple(len(cell) for cell in sets), center_rows)
 
     @cached_property
     def sets(self) -> tuple[tuple[tuple[int, ...], ...], ...]:

@@ -125,7 +125,7 @@ def test_criterion_06_exhaustive_ls_detector():
         S = gen_signatures(12, 128, 6.0, rng)
         d = np.zeros(12, dtype=int)
         d[rng.choice(12, size=int(rng.integers(1, 4)), replace=False)] = 1
-        res = detect_ls_exhaustive(S.matrix @ d, S, v=4)
+        res = detect_ls_exhaustive(S.rows.T @ d, S, v=4)
         recovered += int(np.array_equal(res.d_hat, d))
     noiseless_ok = recovered == 100
 
@@ -140,7 +140,7 @@ def test_criterion_06_exhaustive_ls_detector():
         rng = substream(607, seed)
         S = gen_signatures(params.ell, sched.n_sig, sched.E_sig, rng)
         d = (rng.random(params.ell) < params.alpha).astype(int)
-        Y = S.matrix @ d + rng.standard_normal(sched.n_sig) * math.sqrt(params.N0 / 2.0)
+        Y = S.rows.T @ d + rng.standard_normal(sched.n_sig) * math.sqrt(params.N0 / 2.0)
         wrong += int(not np.array_equal(detect_ls_exhaustive(Y, S, v=v).d_hat, d))
     rate = wrong / trials
     if budget.value < 1.0:

@@ -67,7 +67,7 @@ class TestTransmitJoint:
         msgs = np.zeros(params.ell, dtype=int)
         msgs[2] = 3
         signal = transmit_both(plan, msgs)
-        expected = np.concatenate([plan.signatures.matrix[:, 2], plan.codebooks[2].words[3]])
+        expected = np.concatenate([plan.signatures.rows[2], plan.codebooks[2].words[3]])
         assert np.array_equal(signal, expected)
 
     def test_two_users_brute_force(self, joint_setup):
@@ -76,7 +76,7 @@ class TestTransmitJoint:
         msgs[1], msgs[4] = 2, 4
         signal = transmit_both(plan, msgs)
         # coordinatewise oracle: plain elementwise addition of both words
-        sig = plan.signatures.matrix[:, 1] + plan.signatures.matrix[:, 4]
+        sig = plan.signatures.rows[1] + plan.signatures.rows[4]
         msg = plan.codebooks[1].words[2] + plan.codebooks[4].words[4]
         assert np.allclose(signal, np.concatenate([sig, msg]), rtol=0, atol=1e-12)
 
@@ -95,7 +95,7 @@ class TestTransmitJoint:
         params, sched, plan = joint_setup
         for i in range(params.ell):
             for w in range(1, plan.M + 1):
-                word = np.concatenate([plan.signatures.matrix[:, i], plan.codebooks[i].words[w]])
+                word = np.concatenate([plan.signatures.rows[i], plan.codebooks[i].words[w]])
                 assert word @ word <= sched.E + 1e-9
 
     def test_dimension_mismatch(self, joint_setup):

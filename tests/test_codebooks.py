@@ -62,8 +62,8 @@ def test_draws_match_normal_reference_bytes(count, length):
         book = gen_codebook(count, length, 3.0, make_rng(seed))
         assert book.words[1:].tobytes() == ref.tobytes()
         sigs = gen_signatures(count, length, 3.0, make_rng(seed))
-        assert sigs.matrix.tobytes() == ref.T.copy().tobytes()
-        assert sigs.matrix.T.flags.c_contiguous  # the rows as drawn, not a copy
+        assert sigs.rows.tobytes() == ref.tobytes()
+        assert sigs.rows.flags.c_contiguous  # the rows as drawn, not a copy
     if length <= 8:
         assert rounds > 0  # the redraw path ran
 
@@ -96,7 +96,7 @@ def test_in_place_draws_match_two_step_bytes(length):
         rounds += r
         assert gen_codebook(count, length, 1.5, make_rng(seed)).words.tobytes() == ref.tobytes()
         sigs = gen_signatures(count, length, 1.5, make_rng(seed))
-        assert sigs.matrix.tobytes() == ref[1:].T.copy().tobytes()
+        assert sigs.rows.tobytes() == ref[1:].tobytes()
     assert rounds >= 20
 
 
@@ -109,6 +109,17 @@ def test_book_energies_are_the_row_energies(length):
         assert book.energies.tobytes() == np.einsum("ij,ij->i", book.words, book.words).tobytes()
     ppm = gen_ppm_codebook(4, 6, 2.0, 0.3)
     assert ppm.energies.tobytes() == np.einsum("ij,ij->i", ppm.words, ppm.words).tobytes()
+
+
+@pytest.mark.parametrize("draw,message", [
+    (lambda E: gen_truncated_gaussian(2, 4, E, make_rng(0)), "energy cap must be positive, got nan"),
+    (lambda E: gen_codebook(2, 4, E, make_rng(0)), "energy cap must be positive, got nan"),
+    (lambda E: gen_signatures(2, 4, E, make_rng(0)), "energy cap must be positive, got nan"),
+    (lambda E: gen_ppm_codebook(3, 5, E, 0.5), "energy must be positive, got nan"),
+], ids=["truncated_gaussian", "codebook", "signatures", "ppm_codebook"])
+def test_nan_energy_refused(draw, message):
+    with pytest.raises(ValueError, match=message):
+        draw(math.nan)
 
 
 class TestCodebook:
@@ -127,13 +138,13 @@ class TestCodebook:
 class TestSignatures:
     def test_columns_meet_cap(self):
         sm = gen_signatures(12, 64, 4.0, make_rng(3))
-        assert sm.matrix.shape == (64, 12)
-        energies = np.einsum("ij,ij->j", sm.matrix, sm.matrix)
+        assert sm.rows.shape == (12, 64)
+        energies = np.einsum("ij,ij->i", sm.rows, sm.rows)
         assert (energies <= 4.0 + 1e-12).all()
 
     def test_single_column(self):
         sm = gen_signatures(1, 16, 1.0, make_rng(4))
-        assert sm.matrix.shape == (16, 1)
+        assert sm.rows.shape == (1, 16)
 
     def test_gram_off_diagonals_concentrate(self):
         # mean |<s_i, s_j>| over 100 seeds stays under 3 E_sig / sqrt(n_sig)
@@ -141,7 +152,7 @@ class TestSignatures:
         vals = []
         for seed in range(100):
             sm = gen_signatures(ell, n_sig, E_sig, substream(1234, seed))
-            gram = sm.matrix.T @ sm.matrix
+            gram = sm.rows @ sm.rows.T
             off = gram[~np.eye(ell, dtype=bool)]
             vals.append(np.abs(off).mean())
         assert np.mean(vals) <= 3.0 * E_sig / math.sqrt(n_sig)

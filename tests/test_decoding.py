@@ -119,7 +119,7 @@ def _plan_from_words(word_sets):
                  words=np.vstack([np.zeros(length), w]))
         for w in word_sets
     )
-    sigs = SignatureMatrix(matrix=np.zeros((1, len(books))), E_sig=1.0)
+    sigs = SignatureMatrix(rows=np.zeros((len(books), 1)), E_sig=1.0)
     return JointPlan(ell=len(books), M=M, codebooks=books, signatures=sigs, n_msg=length)
 
 
@@ -171,6 +171,18 @@ def _assert_matches_dense(k, M, case, seed):
         values = [residual(t) for t in tuples]
         smallest = tuples[values.index(min(values))]
         assert got == dict(zip(active, smallest))
+
+
+@pytest.mark.parametrize("make,message", [
+    (lambda: BoundParams(lam=math.nan), "lambda must be >= 0, got nan"),
+    (lambda: BoundParams(xi=math.nan), "xi must be a positive integer, got nan"),
+    # refused when the config loads, not when the budget first reads lambda
+    (lambda: config_from_dict({"n": 512, "ell": 6, "alpha": 0.25, "b": 0.5, "M": 3, "lambda": math.nan}),
+     "lambda must be >= 0, got nan"),
+], ids=["lambda", "xi", "config_lambda"])
+def test_nan_bound_params_refused(make, message):
+    with pytest.raises(ValueError, match=message):
+        make()
 
 
 class TestDecodePpm:
@@ -449,7 +461,7 @@ def test_ortho_l1024_trials_csv_pinned(tmp_path):
 def _single_sig(slot, sched):
     from manyaccess.codebooks import SignatureMatrix
 
-    return SignatureMatrix(matrix=np.zeros((1, 1)), E_sig=sched.E_sig)
+    return SignatureMatrix(rows=np.zeros((1, 1)), E_sig=sched.E_sig)
 
 
 class TestTwoPhase:
@@ -463,10 +475,10 @@ class TestTwoPhase:
     def test_noiseless_end_to_end(self):
         params, sched, plan, bp = self._setup(51)
         msgs = sample_messages(params, plan.M, make_rng(52))
-        res = receive(transmit_both(plan, msgs), plan, params, sched, bp)
-        stats = score_errors(msgs, res.w_hat, res.overflow)
-        assert not stats.joint_error
-        assert np.array_equal(res.w_hat, msgs)
+        w_hat, d_hat, overflow, budget_abort = receive(transmit_both(plan, msgs), plan, params, sched, bp)
+        stats = score_errors(msgs, w_hat, overflow)
+        assert not (stats.joint_error or budget_abort)
+        assert np.array_equal(w_hat, msgs) and np.array_equal(d_hat, msgs != 0)
 
     def test_overflow_triggers(self):
         # xi=1 and 3k users truly active: cap floor(xi*k) = 1 < |d_hat|
@@ -474,9 +486,10 @@ class TestTwoPhase:
         assert math.floor(bp.xi * params.k) == 1
         msgs = np.zeros(params.ell, dtype=int)
         msgs[[0, 3, 6]] = 1  # 3k active
-        res = receive(transmit_both(plan, msgs), plan, params, sched, bp)
-        assert res.overflow
-        stats = score_errors(msgs, res.w_hat, res.overflow)
+        w_hat, d_hat, overflow, budget_abort = receive(transmit_both(plan, msgs), plan, params, sched, bp)
+        assert overflow and not budget_abort
+        assert d_hat.sum() > 1 and not w_hat.any()  # the detected users are reported, none decoded
+        stats = score_errors(msgs, w_hat, overflow)
         assert stats.joint_error and stats.per_user_errors == 3
 
     def test_decode_over_budget_is_reported(self, monkeypatch):
@@ -492,14 +505,18 @@ class TestTwoPhase:
             asked.append(users)
             return Y[sched.n_sig :]
 
+        def run():
+            return two_phase_receive(Y[: sched.n_sig], plan, params, sched, bp, message_block)
+
         monkeypatch.setattr(decoding, "TUPLE_BUDGET", 63)
-        res = two_phase_receive(Y[: sched.n_sig], plan, params, sched, bp, message_block)
-        assert res.budget_abort and not res.overflow
-        assert not res.w_hat.any()
-        assert res.detection.weight == 3
+        w_hat, d_hat, overflow, budget_abort = run()
+        assert budget_abort and not overflow
+        assert not w_hat.any() and not d_hat.any()  # scored as a total loss
         assert asked == []
         monkeypatch.setattr(decoding, "TUPLE_BUDGET", 64)
-        assert not two_phase_receive(Y[: sched.n_sig], plan, params, sched, bp, message_block).budget_abort
+        w_hat, d_hat, overflow, budget_abort = run()
+        assert not (overflow or budget_abort)
+        assert np.array_equal(d_hat, msgs != 0) and np.array_equal(w_hat, msgs)
         assert asked == [[0, 2, 4]]
 
     def test_detection_over_budget_raises(self, monkeypatch):
@@ -526,8 +543,7 @@ class TestTwoPhase:
             msgs = np.zeros(params.ell, dtype=int)
             msgs[0] = int(rng.integers(1, 5))
             Y = awgn(transmit_both(plan, msgs), params.N0 / 50.0, rng)
-            res = receive(Y, plan, params, sched, bp)
-            hits += int(np.array_equal(res.w_hat, msgs))
+            hits += int(np.array_equal(receive(Y, plan, params, sched, bp)[0], msgs))
         assert hits == 100
 
 
@@ -663,8 +679,8 @@ class TestMonteCarloAgainstBounds:
                 plan = make_joint_plan(params, sched, 4, rng)
                 msgs = sample_messages(params, 4, rng)
                 Y = awgn(transmit_both(plan, msgs), params.N0, rng)
-                res = receive(Y, plan, params, sched, bp)
-                wrong += int(score_errors(msgs, res.w_hat, res.overflow).joint_error)
+                w_hat, _, overflow, _ = receive(Y, plan, params, sched, bp)
+                wrong += int(score_errors(msgs, w_hat, overflow).joint_error)
             rates.append(wrong / trials)
         sigma = 3.0 * math.sqrt(0.25 / trials)
         assert all(b <= a + sigma for a, b in zip(rates, rates[1:]))

@@ -165,6 +165,15 @@ class TestRateSpec:
         assert RateSpec.from_rate(1e-9, 1.0).M == 2
 
 
+@pytest.mark.parametrize("make,message", [
+    (lambda: RateSpec(M=2, R_dot=math.nan), "rate must be positive, got nan"),
+    (lambda: single_user_capacity_pue(math.nan), "noise level must be positive, got nan"),
+], ids=["rate", "capacity"])
+def test_nan_refused(make, message):
+    with pytest.raises(ValueError, match=message):
+        make()
+
+
 class TestSampleMessages:
     def test_always_active(self):
         params = SystemParams(n=100, ell=500, alpha=1.0, N0=2.0)

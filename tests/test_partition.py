@@ -50,9 +50,28 @@ def as_tuples(rows):
     return list(map(tuple, rows.tolist()))
 
 
+def as_rows(members, ell, dtype=None):
+    """Member tuples as an N x ell read-only integer array, by default in
+    the smallest dtype that holds every value (int64 where none does)."""
+    if dtype is None:
+        values = [v for w in members for v in w] or [0]
+        dtype = np.result_type(np.min_scalar_type(min(values)), np.min_scalar_type(max(values)))
+        dtype = dtype if dtype.kind in "iu" else np.int64
+    x = np.array(members, dtype=dtype).reshape(len(members), ell)
+    x.flags.writeable = False
+    return x
+
+
+def partition_of(ell, M, t, centers, sets, dtype=None):
+    """A Partition of member tuples, one sequence per cell."""
+    rows = as_rows([w for cell in sets for w in cell], ell, dtype)
+    sizes = tuple(len(cell) for cell in sets)
+    return Partition(ell, M, t, rows, sizes, as_rows(centers, ell, dtype))
+
+
 def oracle_greedy_code(tc, dmin=5):
     code = []
-    for w in tc.members:
+    for w in as_tuples(tc.rows):
         if all(hamming(w, c) >= dmin for c in code):
             code.append(w)
     return code
@@ -60,18 +79,19 @@ def oracle_greedy_code(tc, dmin=5):
 
 def oracle_build(ell, M, t):
     tc = enumerate_type_class(ell, M, t)
+    members = as_tuples(tc.rows)
     if t == 1:
-        return Partition.from_sets(ell, M, t, centers=(tc.members[0],), sets=(tc.members,))
+        return partition_of(ell, M, t, centers=members[:1], sets=(members,))
     code = oracle_greedy_code(tc)
     cells = [[] for _ in code]
-    for w in tc.members:
+    for w in members:
         dists = [hamming(w, c) for c in code]
         ring2 = [j for j, dj in enumerate(dists) if dj <= 2]
         if ring2:
             cells[ring2[0]].append(w)
             continue
         cells[next(j for j, dj in enumerate(dists) if dj <= 4)].append(w)
-    return Partition.from_sets(ell, M, t, centers=code, sets=cells)
+    return partition_of(ell, M, t, centers=code, sets=cells)
 
 
 def oracle_verify(p, ell):
@@ -82,7 +102,7 @@ def oracle_verify(p, ell):
             if w in seen:
                 disjoint = False
             seen.add(w)
-    cover = seen == set(enumerate_type_class(p.ell, p.M, p.t).members)
+    cover = seen == set(as_tuples(enumerate_type_class(p.ell, p.M, p.t).rows))
     sizes = tuple(len(cell) for cell in p.sets)
     diameters = tuple(
         max((hamming(a, b) for a, b in combinations(cell, 2)), default=0) for cell in p.sets
@@ -156,7 +176,7 @@ class TestTypeClass:
 
     def test_members_have_correct_weight(self):
         tc = enumerate_type_class(5, 2, 3)
-        assert all(sum(1 for x in w if x != 0) == 3 for w in tc.members)
+        assert all(sum(1 for x in w if x != 0) == 3 for w in as_tuples(tc.rows))
 
     @pytest.mark.parametrize(
         "ell,M,t",
@@ -165,7 +185,7 @@ class TestTypeClass:
     )
     def test_matches_oracle(self, ell, M, t):
         tc = enumerate_type_class(ell, M, t)
-        assert tc.members == oracle_enumerate(ell, M, t)
+        assert as_tuples(tc.rows) == list(oracle_enumerate(ell, M, t))
         assert tc.rows.shape == (type_class_size(ell, M, t), ell)
         assert tc.rows.dtype == np.min_scalar_type(M)
 
@@ -196,7 +216,7 @@ class TestGreedyCode:
         code = greedy_min_dist_code(tc, dmin=5)
         for a, b in combinations(code, 2):
             assert hamming(a, b) >= 5
-        for w in tc.members:
+        for w in tc.rows:
             assert min(hamming(w, c) for c in code) <= 4
 
 
@@ -233,17 +253,17 @@ class TestBuildPartition:
     def test_negative_control_far_points(self):
         # hand-built bad partition: two members at distance > 8 in one cell
         tc = enumerate_type_class(9, 2, 9)
-        w_far = tc.members[0]
+        w_far = tuple(tc.rows[0].tolist())
         w_far2 = tuple(2 if x == 1 else 1 for x in w_far)
         assert hamming(w_far, w_far2) == 9
-        bad = Partition.from_sets(9, 2, 9, centers=(w_far,), sets=((w_far, w_far2),))
+        bad = partition_of(9, 2, 9, centers=(w_far,), sets=((w_far, w_far2),))
         rep = verify_partition(bad, 9)
         assert rep == oracle_verify(bad, 9)
         assert rep.max_diameter == 9 and not rep.diameter_ok and not rep.ok
 
     def test_negative_control_incomplete_cover(self):
         tc = enumerate_type_class(5, 2, 2)
-        partial = Partition.from_sets(5, 2, 2, centers=(tc.members[0],), sets=((tc.members[0],),))
+        partial = Partition(5, 2, 2, rows=tc.rows[:1], sizes=(1,), center_rows=tc.rows[:1])
         rep = verify_partition(partial, 5)
         assert rep == oracle_verify(partial, 5)
         assert not rep.disjoint_cover
@@ -285,7 +305,7 @@ class TestAgainstOracle:
     def test_large_alphabet_values_far_apart(self):
         # 256 wraps to 0 in any 8-bit dtype
         cell = ((0, 0, 0, 0, 256), (0, 0, 0, 0, 200), (0, 0, 0, 0, 0))
-        bad = Partition.from_sets(5, 130, 1, centers=(cell[0], cell[2]), sets=(cell,))
+        bad = partition_of(5, 130, 1, centers=(cell[0], cell[2]), sets=(cell,))
         rep = verify_partition(bad, 5)
         assert rep == oracle_verify(bad, 5)
         assert not rep.disjoint_cover
@@ -310,7 +330,7 @@ def hand_built(draw, centered=False):
         centers = draw(st.lists(member, max_size=5))
     M = draw(st.integers(min_value=1, max_value=3))
     t = draw(st.integers(min_value=0, max_value=min(ell, 3)))
-    return Partition.from_sets(ell, M, t, centers=centers, sets=cells)
+    return partition_of(ell, M, t, centers=centers, sets=cells)
 
 
 class TestDistanceKernel:
@@ -442,7 +462,7 @@ class TestCappedScan:
         # 3: no block can be skipped or cut, the quadratic worst case
         _small_blocks(monkeypatch)
         cell = [(a, b, c, 0, 0, 0, 0, 0) for a, b, c in product((1, 2), repeat=3)]
-        p = Partition.from_sets(8, 2, 3, centers=[(0, 0, 0, 0, 0, 1, 1, 1)], sets=[cell])
+        p = partition_of(8, 2, 3, centers=[(0, 0, 0, 0, 0, 1, 1, 1)], sets=[cell])
         count = _count_gram_blocks(monkeypatch)
         rep = verify_partition(p, 8)
         assert rep == oracle_verify(p, 8) and rep.set_diameters == (3,)
@@ -457,7 +477,7 @@ class TestCappedScan:
         a, b = (1, 1, 0, 0, 0, 0, 0, 0), (0, 0, 1, 1, 0, 0, 0, 0)
         fill = [(1, 1, 1, 0, 0, 0, 0, 0), (1, 0, 1, 1, 0, 0, 0, 0),
                 (0, 1, 1, 1, 0, 0, 0, 0), (1, 1, 0, 1, 0, 0, 0, 0)]
-        p = Partition.from_sets(8, 1, 2, centers=[(0,) * 8], sets=[[a, b] + fill])
+        p = partition_of(8, 1, 2, centers=[(0,) * 8], sets=[[a, b] + fill])
         rep = verify_partition(p, 8)
         assert rep == oracle_verify(p, 8) and rep.set_diameters == (4,)
 
@@ -470,7 +490,7 @@ class TestCappedScan:
         a, b, f = (1, 1, 0, 0, 0, 0, 0, 0), (0, 0, 1, 1, 0, 0, 0, 0), (1, 1, 1, 1, 0, 0, 0, 0)
         fill = [(1, 1, 1, 0, 0, 0, 0, 0), (1, 0, 1, 1, 0, 0, 0, 0),
                 (0, 1, 1, 1, 0, 0, 0, 0), (1, 1, 0, 1, 0, 0, 0, 0)]
-        p = Partition.from_sets(8, 1, 2, centers=[(0,) * 8], sets=[[a, b] + fill + [f]])
+        p = partition_of(8, 1, 2, centers=[(0,) * 8], sets=[[a, b] + fill + [f]])
         count = _count_gram_blocks(monkeypatch)
         rep = verify_partition(p, 8)
         assert rep == oracle_verify(p, 8) and rep.set_diameters == (4,)
@@ -493,7 +513,7 @@ class TestCappedScan:
         _small_blocks(monkeypatch)
         a, b = (1, 1, 1, 1, 0, 0, 0, 0), (0, 0, 0, 0, 1, 1, 1, 1)
         near = [tuple(int(j == i) for j in range(8)) for i in (0, 1, 4, 5)]
-        p = Partition.from_sets(8, 1, 2, centers=[(0,) * 8], sets=[near + [a, b]])
+        p = partition_of(8, 1, 2, centers=[(0,) * 8], sets=[near + [a, b]])
         rep = verify_partition(p, 8)
         assert rep == oracle_verify(p, 8) and rep.set_diameters == (8,)
 
@@ -540,12 +560,12 @@ class TestBatchedProbe:
         cells = [[self.A, self.B, self.C], [(2, 2, 0, 0, 0, 0), (0, 0, 0, 0, 2, 2)]]
         cells.insert(where, [])
         centers = [(0,) * 6] * 3
-        p = Partition.from_sets(6, 2, 2, centers=centers, sets=cells)
+        p = partition_of(6, 2, 2, centers=centers, sets=cells)
         self.check(p)
         assert p.sizes[where] == 0 and partition_module._diameters(p)[0][where] == 0
 
     def test_one_member_cells(self):
-        p = Partition.from_sets(6, 2, 2, centers=[self.C, self.A, self.B],
+        p = partition_of(6, 2, 2, centers=[self.C, self.A, self.B],
                                 sets=[[self.A], [self.B, self.C], [self.C]])
         self.check(p)
         assert partition_module._diameters(p)[0] == (0, 3, 0)
@@ -553,7 +573,7 @@ class TestBatchedProbe:
     def test_more_cells_than_centers(self):
         # one center for three cells: each cell's first member is its pivot
         far = (2, 2, 2, 2, 2, 2)
-        p = Partition.from_sets(6, 2, 2, centers=[self.A],
+        p = partition_of(6, 2, 2, centers=[self.A],
                                 sets=[[self.A, self.B, far], [self.C, self.A], [far, self.B, self.C]])
         self.check(p)
         assert partition_module._diameters(p)[0] == (6, 3, 6)
@@ -562,7 +582,7 @@ class TestBatchedProbe:
                              ids=["uint64", "negative"])
     def test_center_in_a_dtype_rows_cannot_hold(self, center):
         # uint8 rows: a uint64 or signed center falls back to the first member
-        p = Partition.from_sets(6, 2, 2, centers=[center, center],
+        p = partition_of(6, 2, 2, centers=[center, center],
                                 sets=[[self.A, self.B, self.C], [self.B, (0, 0, 0, 0, 2, 2)]])
         assert p.rows.dtype == np.uint8 and not np.can_cast(p.center_rows.dtype, p.rows.dtype)
         self.check(p)
@@ -587,7 +607,7 @@ class TestPartitionArrays:
 
     def test_equal_partitions_hash_equal(self):
         p = build_partition(6, 2, 3)
-        q = Partition.from_sets(6, 2, 3, centers=p.centers, sets=p.sets)
+        q = partition_of(6, 2, 3, centers=p.centers, sets=p.sets)
         assert p == q and hash(p) == hash(q) and len({p, q}) == 1
 
     def test_constructor_checks(self):
@@ -606,7 +626,7 @@ def _edited(p, edit):
     """p with its cells replaced by edit(list of cell lists)."""
     cells = [list(cell) for cell in p.sets]
     edit(cells)
-    return Partition.from_sets(p.ell, p.M, p.t, centers=p.centers, sets=cells)
+    return partition_of(p.ell, p.M, p.t, centers=p.centers, sets=cells)
 
 
 class TestBadPartitionsAgainstOracle:
@@ -644,10 +664,11 @@ class TestBadPartitionsAgainstOracle:
         assert not rep.disjoint_cover and not rep.ok
 
     def test_wrong_length_raises(self, good):
-        with pytest.raises(ValueError):
-            verify_partition(_edited(good, lambda c: c[0].append((1, 1, 1))), 6)
-        with pytest.raises(ValueError):
-            verify_partition(_edited(good, lambda c: c.append([(1, 1, 1)])), 6)
+        short = np.ones((1, 3), dtype=good.rows.dtype)
+        with pytest.raises(ValueError, match="rows must be an integer array of 6 columns"):
+            Partition(6, 2, 3, rows=short, sizes=(1,), center_rows=good.center_rows)
+        with pytest.raises(ValueError, match="center_rows must be an integer array of 6 columns"):
+            Partition(6, 2, 3, rows=good.rows, sizes=good.sizes, center_rows=short)
 
 
 class TestCountedCover:
@@ -683,14 +704,14 @@ class TestCountedCover:
 
     @pytest.mark.parametrize("M,t", [(2, -1), (2, 7), (0, 3)])
     def test_class_that_does_not_exist_raises(self, good, M, t):
-        p = Partition.from_sets(6, M, t, centers=good.centers, sets=good.sets)
+        p = partition_of(6, M, t, centers=good.centers, sets=good.sets)
         with pytest.raises(ValueError):
             verify_partition(p, 6)
 
     def test_class_over_budget_raises(self):
         # two members of a class of C(20, 10) 3^10, about 1.1e10
         a, b = (1,) * 10 + (0,) * 10, (0,) * 10 + (1,) * 10
-        p = Partition.from_sets(20, 3, 10, centers=[a], sets=[[a, b]])
+        p = partition_of(20, 3, 10, centers=[a], sets=[[a, b]])
         with pytest.raises(ComplexityBudgetError):
             verify_partition(p, 20)
 
@@ -704,42 +725,35 @@ class TestMemberValues:
         b = (1, 1, 1, 0.5, 0, 0)
         tuples = SimpleNamespace(ell=6, M=2, t=3, centers=(self.a,), sets=((self.a, b),))
         assert oracle_verify(tuples, 6).set_diameters == (1,)
-        with pytest.raises(ValueError):
-            verify_partition(Partition.from_sets(6, 2, 3, (self.a,), ((self.a, b),)), 6)
+        rows = np.array([self.a, b])
+        with pytest.raises(ValueError, match="rows must be an integer array"):
+            Partition(6, 2, 3, rows=rows, sizes=(2,), center_rows=rows[:1])
 
     def test_negative_beside_large_value_stays_exact(self):
-        # -1 beside 2**53: the smallest common type of int8 and uint64 is
-        # float64, which would merge 2**53 and 2**53 + 1
+        # -1 beside 2**53 in int64: float64 would merge 2**53 and 2**53 + 1
         cell = ((-1, 2**53), (-1, 2**53 + 1))
-        p = Partition.from_sets(2, 1, 1, centers=cell, sets=(cell,))
+        p = partition_of(2, 1, 1, centers=cell, sets=(cell,), dtype=np.int64)
         assert p.sets == (cell,)
         rep = verify_partition(p, 2)
         assert rep == oracle_verify(p, 2)
         assert rep.set_diameters == (1,) and rep.min_center_distance == 1
 
     def test_value_beyond_64_bits_raises(self):
-        b = (1, 1, 1, 2**64, 0, 0)
-        with pytest.raises(ValueError):
-            verify_partition(Partition.from_sets(6, 2, 3, (self.a,), ((self.a, b),)), 6)
-        with pytest.raises(ValueError):
-            verify_partition(Partition.from_sets(6, 2, 3, (self.a, b), ((self.a,),)), 6)
+        # numpy keeps 2**64 as a Python int, in an object array
+        rows = np.array([self.a, (1, 1, 1, 2**64, 0, 0)])
+        with pytest.raises(ValueError, match="rows must be an integer array"):
+            Partition(6, 2, 3, rows=rows, sizes=(2,), center_rows=rows[:1].astype(np.uint8))
+        with pytest.raises(ValueError, match="center_rows must be an integer array"):
+            Partition(6, 2, 3, rows=rows[:1].astype(np.uint8), sizes=(1,), center_rows=rows)
 
     def test_small_beside_top_uint64_values(self):
-        # np.array makes 2**64 - 1 beside 0 a float64, which would merge
-        # 2**64 - 1 and 2**64 - 2; uint64 holds both exactly
+        # 2**64 - 1 and 2**64 - 2 in uint64: float64 would merge them
         cell = ((2**64 - 1, 0), (2**64 - 2, 0))
-        p = Partition.from_sets(2, 1, 1, centers=cell, sets=(cell,))
-        assert p.rows.dtype == np.uint64 and p.sets == (cell,)
+        p = partition_of(2, 1, 1, centers=cell, sets=(cell,), dtype=np.uint64)
+        assert p.sets == (cell,)
         rep = verify_partition(p, 2)
         assert rep == oracle_verify(p, 2)
         assert rep.set_diameters == (1,) and rep.min_center_distance == 1
-
-    @pytest.mark.parametrize("b", [(2**64 - 1, 0.5), (2**63, -1)], ids=["fraction", "negative"])
-    def test_no_64_bit_dtype_raises(self, b):
-        # both mixes come out float64 too, and no 64-bit integer dtype holds them
-        cell = ((2**64 - 1, 0), b)
-        with pytest.raises(ValueError):
-            Partition.from_sets(2, 1, 1, centers=cell[:1], sets=(cell,))
 
 
 # the numpy release these digests were pinned on: another release may draw
